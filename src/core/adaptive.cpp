@@ -45,12 +45,7 @@ int waves_of(int scheduled, int wave) {
 
 AdaptiveResult run_adaptive(const std::vector<BatchEntry>& entries,
                             const AdaptiveConfig& config) {
-  if (config.shard.count < 1 || config.shard.index < 0 ||
-      config.shard.index >= config.shard.count) {
-    throw util::SetupError("invalid shard " +
-                           std::to_string(config.shard.index) + "/" +
-                           std::to_string(config.shard.count));
-  }
+  require_valid_shard(config.shard);
   validate_policy(config.policy);
   if (config.selection)
     throw util::SetupError(
@@ -81,40 +76,14 @@ AdaptiveResult run_adaptive(const std::vector<BatchEntry>& entries,
     }
   }
 
-  // Resume baseline: same identity checks as run_batch, plus the document
-  // must actually be an adaptive checkpoint (its frontiers are the wave
-  // state we replay from). The *policy* is taken from config — callers
-  // reuse the recorded one unless the user explicitly overrides it.
+  // Resume baseline: an adaptive checkpoint of this exact batch (its
+  // frontiers are the wave state we replay from). The *policy* is taken
+  // from config — callers reuse the recorded one unless the user
+  // explicitly overrides it.
   const Checkpoint* resume = config.resume;
-  if (resume) {
-    if (!resume->adaptive)
-      throw util::SetupError(
-          "resume: checkpoint belongs to a fixed-n campaign, not an "
-          "adaptive (--ci) one");
-    if (!(resume->shard == config.shard))
-      throw util::SetupError(
-          "resume: checkpoint covers shard " +
-          std::to_string(resume->shard.index) + "/" +
-          std::to_string(resume->shard.count) + ", batch runs shard " +
-          std::to_string(config.shard.index) + "/" +
-          std::to_string(config.shard.count));
-    if (resume->specs != result.batch.specs)
-      throw util::SetupError(
-          "resume: checkpoint was produced by a different batch spec "
-          "(apps, app params, runs, seeds, regions, dictionary sizes and "
-          "prune levels must all match)");
-    if (resume->slots.size() != nslots || resume->goldens.size() != ncamp)
-      throw util::SetupError("resume: checkpoint slot layout is corrupted");
-    for (std::size_t c = 0; c < ncamp; ++c) {
-      const Golden& g = session.campaigns()[c].golden;
-      if (resume->goldens[c].instructions != g.instructions ||
-          resume->goldens[c].hang_budget != g.hang_budget)
-        throw util::SetupError(
-            "resume: golden run for campaign '" + entries[c].app.name +
-            "' disagrees with the checkpoint (the app or its config "
-            "changed since the checkpoint was written)");
-    }
-  }
+  if (resume)
+    require_same_batch("resume", *resume, true, config.shard,
+                       result.batch.specs, session.goldens());
 
   // Cell state. The resume baseline's counts fold in *up front* (unlike
   // run_batch, which folds at the end): stopping decisions must see the
@@ -140,12 +109,9 @@ AdaptiveResult run_adaptive(const std::vector<BatchEntry>& entries,
   // stopping rule and each cell's frontier alongside the usual state.
   std::unique_ptr<CheckpointSink> sink;
   if (!config.checkpoint_path.empty()) {
-    std::vector<Golden> goldens;
-    for (std::size_t c = 0; c < ncamp; ++c)
-      goldens.push_back(session.campaigns()[c].golden);
     Checkpoint initial =
         resume ? *resume
-               : make_checkpoint(result.batch.specs, std::move(goldens),
+               : make_checkpoint(result.batch.specs, session.goldens(),
                                  config.shard);
     initial.adaptive = policy;  // an override replaces the recorded policy
     sink = std::make_unique<CheckpointSink>(config.checkpoint_path,

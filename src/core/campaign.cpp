@@ -7,6 +7,7 @@
 
 #include "core/checkpoint.hpp"
 #include "core/dictionary.hpp"
+#include "core/reshard.hpp"
 #include "core/sampling.hpp"
 #include "util/status.hpp"
 #include "svm/analysis/analysis.hpp"
@@ -123,20 +124,14 @@ void accumulate_outcome(RegionResult& rr, const RunOutcome& out) {
 }
 
 void merge_region_counts(RegionResult& into, const RegionResult& from) {
-  into.executions += from.executions;
-  into.skipped += from.skipped;
-  for (unsigned m = 0; m < kNumManifestations; ++m)
-    into.counts[m] += from.counts[m];
-  for (unsigned k = 0; k < kNumCrashKinds; ++k)
-    into.crash_kinds[k] += from.crash_kinds[k];
-  into.pruned += from.pruned;
-  for (unsigned r = 0; r < kNumPruneRungs; ++r)
-    into.pruned_rungs[r] += from.pruned_rungs[r];
-  for (unsigned a = 0; a < 2; ++a) {
-    into.act_executions[a] += from.act_executions[a];
-    for (unsigned m = 0; m < kNumManifestations; ++m)
-      into.act_counts[a][m] += from.act_counts[a][m];
-  }
+  for_each_count([](int& a, int b) { a += b; }, into, from);
+}
+
+void require_positive_runs(const std::string& app, int runs) {
+  if (runs < 1)
+    throw util::SetupError("runs per region (--runs, or a spec's \"runs\") "
+                           "must be >= 1 for app '" + app + "', got " +
+                           std::to_string(runs));
 }
 
 CampaignSpec spec_of(const std::string& app_name,
@@ -188,6 +183,11 @@ struct BatchSession::Impl {
 
 BatchSession::BatchSession(const std::vector<BatchEntry>& entries, int jobs)
     : impl_(std::make_unique<Impl>(entries)) {
+  if (jobs < 1)
+    throw util::SetupError("worker count (--jobs) must be >= 1, got " +
+                           std::to_string(jobs));
+  for (const BatchEntry& e : entries)
+    require_positive_runs(e.app.name, e.config.runs_per_region);
   const std::size_t ncamp = entries.size();
   impl_->plans.reserve(ncamp);
   impl_->campaigns.resize(ncamp);
@@ -239,6 +239,12 @@ const std::vector<CampaignResult>& BatchSession::campaigns() const noexcept {
   return impl_->campaigns;
 }
 
+std::vector<Golden> BatchSession::goldens() const {
+  std::vector<Golden> out;
+  for (const CampaignResult& c : impl_->campaigns) out.push_back(c.golden);
+  return out;
+}
+
 void BatchSession::run_points(const std::vector<Point>& points,
                               std::vector<RegionResult>& totals,
                               std::vector<int>& done,
@@ -246,7 +252,19 @@ void BatchSession::run_points(const std::vector<Point>& points,
                               const Notify& notify) {
   Impl& im = *impl_;
   const bool observing = static_cast<bool>(notify);
-  auto notify_locked = [&](const RunEvent& ev) {
+  auto notify_locked = [&](const Point& pt, const std::string& app,
+                           Region region, std::size_t slot,
+                           const RunOutcome& out, int d) {
+    RunEvent ev;
+    ev.campaign = pt.campaign;
+    ev.app = &app;
+    ev.region = region;
+    ev.slot = slot;
+    ev.run_index = pt.run_index;
+    ev.grid_index = pt.grid_index;
+    ev.outcome = &out;
+    ev.done = d;
+    ev.total = owned[slot];
     std::lock_guard<std::mutex> lock(im.observer_mu);
     notify(ev);
   };
@@ -266,19 +284,7 @@ void BatchSession::run_points(const std::vector<Point>& points,
           run_seed_for(e.config, region, pt.run_index), plan.ctx);
       accumulate_outcome(totals[slot], out);
       const int d = ++done[slot];
-      if (observing) {
-        RunEvent ev;
-        ev.campaign = pt.campaign;
-        ev.app = &e.app.name;
-        ev.region = region;
-        ev.slot = slot;
-        ev.run_index = pt.run_index;
-        ev.grid_index = pt.grid_index;
-        ev.outcome = &out;
-        ev.done = d;
-        ev.total = owned[slot];
-        notify_locked(ev);
-      }
+      if (observing) notify_locked(pt, e.app.name, region, slot, out, d);
     }
     return;
   }
@@ -310,19 +316,9 @@ void BatchSession::run_points(const std::vector<Point>& points,
                                           region, dict, run_seed, plan->ctx);
       const int w = util::ThreadPool::current_worker();
       accumulate_outcome(partials[static_cast<std::size_t>(w)][slot], out);
-      if (observing) {
-        RunEvent ev;
-        ev.campaign = pt.campaign;
-        ev.app = &app->name;
-        ev.region = region;
-        ev.slot = slot;
-        ev.run_index = pt.run_index;
-        ev.grid_index = pt.grid_index;
-        ev.outcome = &out;
-        ev.done = 1 + adone[slot].fetch_add(1, std::memory_order_relaxed);
-        ev.total = owned[slot];
-        notify_locked(ev);
-      }
+      if (observing)
+        notify_locked(pt, app->name, region, slot, out,
+                      1 + adone[slot].fetch_add(1, std::memory_order_relaxed));
     });
   }
   pool.wait();
@@ -350,108 +346,68 @@ std::vector<CampaignResult> BatchSession::attach_regions(
 
 BatchResult run_batch(const std::vector<BatchEntry>& entries,
                       const BatchConfig& config) {
-  if (config.shard.count < 1 || config.shard.index < 0 ||
-      config.shard.index >= config.shard.count) {
-    throw util::SetupError("invalid shard " +
-                           std::to_string(config.shard.index) + "/" +
-                           std::to_string(config.shard.count));
-  }
+  require_valid_shard(config.shard);
+  const Checkpoint* resume = config.resume;
+  const GridSelection* sel = config.selection;
+  if (sel && (resume || config.shard.count > 1))
+    throw util::SetupError(
+        "selection: an explicit grid selection runs alone (no shard, no "
+        "resume)");
 
   BatchSession session(entries, config.jobs);
   const std::size_t ncamp = entries.size();
   const std::size_t nslots = session.slots();
+  const std::vector<Golden> goldens = session.goldens();
 
   BatchResult result;
   result.shard = config.shard;
   result.specs = session.specs();
+  if (resume)
+    require_same_batch("resume", *resume, false, config.shard, result.specs,
+                       goldens);
 
-  // Resume baseline: the checkpoint must identify exactly this batch —
-  // same shard, same spec list (apps, params, runs, seeds, regions,
-  // dictionaries, prune) and the same golden executions. Any drift would
-  // silently mix counts from different fault spaces, so it is refused.
-  const Checkpoint* resume = config.resume;
-  if (resume) {
-    if (!(resume->shard == config.shard))
-      throw util::SetupError(
-          "resume: checkpoint covers shard " +
-          std::to_string(resume->shard.index) + "/" +
-          std::to_string(resume->shard.count) + ", batch runs shard " +
-          std::to_string(config.shard.index) + "/" +
-          std::to_string(config.shard.count));
-    if (resume->adaptive)
-      throw util::SetupError(
-          "resume: checkpoint belongs to an adaptive (--ci) campaign; "
-          "resume it through the adaptive scheduler");
-    if (resume->specs != result.specs)
-      throw util::SetupError(
-          "resume: checkpoint was produced by a different batch spec "
-          "(apps, app params, runs, seeds, regions, dictionary sizes and "
-          "prune levels must all match)");
-    if (resume->slots.size() != nslots ||
-        resume->goldens.size() != ncamp)
-      throw util::SetupError("resume: checkpoint slot layout is corrupted");
-    for (std::size_t c = 0; c < ncamp; ++c) {
-      const Golden& g = session.campaigns()[c].golden;
-      if (resume->goldens[c].instructions != g.instructions ||
-          resume->goldens[c].hang_budget != g.hang_budget)
-        throw util::SetupError(
-            "resume: golden run for campaign '" + entries[c].app.name +
-            "' disagrees with the checkpoint (the app or its config "
-            "changed since the checkpoint was written)");
-    }
-  }
-
-  // Explicit grid selection (service workers): restrict the invocation to
-  // the selected run indices. Progress denominators then cover only the
-  // selection, and the checkpoint sidecar records exactly its completions.
-  const GridSelection* sel = config.selection;
-  if (sel && sel->slots.size() != nslots)
+  // The grid points this invocation runs: an explicit selection (service
+  // workers), else the shard's points not yet in the resume baseline.
+  const GridSelection scope =
+      sel ? *sel
+          : resume ? remaining_selection(*resume)
+                   : shard_selection(result.specs, config.shard);
+  if (scope.slots.size() != nslots)
     throw util::SetupError(
         "selection: slot layout does not match the batch (" +
-        std::to_string(sel->slots.size()) + " slots vs " +
+        std::to_string(scope.slots.size()) + " slots vs " +
         std::to_string(nslots) + ")");
 
-  // This shard's grid-point count per slot (progress denominators) and the
-  // work list itself: every shard-owned (and selected) grid point not
-  // already covered by the resume baseline, in enumeration order.
+  // Work list in enumeration order. Completion counters continue from the
+  // checkpoint baseline, so progress denominators (`owned`) and
+  // on_region_done see the cumulative shard state.
   std::vector<int> owned(nslots, 0);
+  std::vector<int> done(nslots, 0);
   std::vector<BatchSession::Point> points;
-  {
-    std::uint64_t g = 0;
-    for (std::size_t c = 0; c < ncamp; ++c) {
-      const CampaignConfig& cc = entries[c].config;
-      for (std::size_t ri = 0; ri < cc.regions.size(); ++ri) {
-        const std::size_t slot = session.slot_of(c, ri);
-        for (int i = 0; i < cc.runs_per_region; ++i, ++g) {
-          if (!shard_owns(g, config.shard)) continue;
-          if (sel && !sel->slots[slot].contains(i)) continue;
-          ++owned[slot];
-          if (resume && resume->slots[slot].done.contains(i)) continue;
-          points.push_back(BatchSession::Point{c, ri, i, g});
-        }
-      }
+  for (std::size_t c = 0; c < ncamp; ++c) {
+    const CampaignConfig& cc = entries[c].config;
+    for (std::size_t ri = 0; ri < cc.regions.size(); ++ri) {
+      const std::size_t slot = session.slot_of(c, ri);
+      const RunSet& runs = scope.slots[slot];
+      if (!runs.empty() && runs.ranges().back().second >= cc.runs_per_region)
+        throw util::SetupError("selection: run index outside the grid");
+      if (resume) done[slot] = resume->slots[slot].counts.executions;
+      owned[slot] = done[slot] + runs.size();
+      for (const auto& [first, last] : runs.ranges())
+        for (int i = first; i <= last; ++i)
+          points.push_back(BatchSession::Point{
+              c, ri, i, session.grid_index_of(c, ri, i)});
     }
   }
-
-  // Completion counters continue from the checkpoint baseline, so progress
-  // displays and on_region_done see the cumulative shard state.
-  std::vector<int> done(nslots, 0);
-  if (resume)
-    for (std::size_t s = 0; s < nslots; ++s)
-      done[s] = resume->slots[s].counts.executions;
 
   // Checkpoint sink: an internal observer fed through the same serialized
   // dispatch as the caller's hooks. Seeded from the resume baseline so the
   // sidecar file always covers the union of old and new grid points.
   std::unique_ptr<CheckpointSink> sink;
   if (!config.checkpoint_path.empty()) {
-    std::vector<Golden> goldens;
-    for (std::size_t c = 0; c < ncamp; ++c)
-      goldens.push_back(session.campaigns()[c].golden);
     Checkpoint initial =
         resume ? *resume
-               : make_checkpoint(result.specs, std::move(goldens),
-                                 config.shard);
+               : make_checkpoint(result.specs, goldens, config.shard);
     sink = std::make_unique<CheckpointSink>(config.checkpoint_path,
                                             config.checkpoint_every,
                                             std::move(initial),

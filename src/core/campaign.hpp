@@ -122,6 +122,25 @@ struct RegionResult {
   }
 };
 
+/// Apply `f` to every integer count field of one RegionResult — or to the
+/// matching fields of several, side by side — in one fixed order (the
+/// fnv-bin-v1 checkpoint layout). Merge and the binary codec walk the
+/// fields through here, so a new count field cannot be dropped by one of
+/// them alone.
+template <typename F, typename... R>
+void for_each_count(F f, R&... rr) {
+  f(rr.executions...);
+  f(rr.skipped...);
+  for (unsigned m = 0; m < kNumManifestations; ++m) f(rr.counts[m]...);
+  for (unsigned k = 0; k < kNumCrashKinds; ++k) f(rr.crash_kinds[k]...);
+  f(rr.pruned...);
+  for (unsigned r = 0; r < kNumPruneRungs; ++r) f(rr.pruned_rungs[r]...);
+  for (unsigned a = 0; a < 2; ++a) {
+    f(rr.act_executions[a]...);
+    for (unsigned m = 0; m < kNumManifestations; ++m) f(rr.act_counts[a][m]...);
+  }
+}
+
 struct CampaignResult {
   std::string app;
   Golden golden;
@@ -181,6 +200,10 @@ struct CampaignSpec {
            params == o.params;  // engine deliberately excluded
   }
 };
+
+/// Throws SetupError unless runs >= 1: the one range check that spec
+/// files (parse_batch_spec) and the --runs flag (BatchSession) share.
+void require_positive_runs(const std::string& app, int runs);
 
 /// The spec a (app name, config) pair induces.
 CampaignSpec spec_of(const std::string& app_name, const CampaignConfig& config);
@@ -252,7 +275,8 @@ class BatchSession {
   using Notify = std::function<void(const RunEvent&)>;
 
   /// Prepares every campaign. `entries` is borrowed and must outlive the
-  /// session; jobs > 1 creates the shared worker pool.
+  /// session; jobs > 1 creates the shared worker pool. Throws SetupError
+  /// when jobs < 1 or an entry has fewer than one run per region.
   BatchSession(const std::vector<BatchEntry>& entries, int jobs);
   ~BatchSession();
 
@@ -271,6 +295,8 @@ class BatchSession {
   const std::vector<CampaignSpec>& specs() const noexcept;
   /// Campaign result skeletons (app, seed, golden; regions still empty).
   const std::vector<CampaignResult>& campaigns() const noexcept;
+  /// Per-campaign golden runs, in entry order.
+  std::vector<Golden> goldens() const;
 
   /// Execute the given grid points. Outcomes fold into `totals[slot]`;
   /// `done[slot]` increments per completed point and `owned[slot]` is the
@@ -293,8 +319,11 @@ class BatchSession {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Run every campaign through one shared pool. Throws SetupError on an
-/// invalid shard (count < 1 or index outside [0, count)).
+/// Run every campaign through one shared pool. The grid points run are
+/// `config.selection` when given (which then must not be combined with a
+/// shard or a resume), else the shard's selection minus the resume
+/// baseline's done sets. Throws SetupError on an invalid shard, a
+/// selection combined with either, or a checkpoint of another batch.
 BatchResult run_batch(const std::vector<BatchEntry>& entries,
                       const BatchConfig& config);
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/report.hpp"
+#include "core/reshard.hpp"
 #include "util/codec.hpp"
 #include "util/file.hpp"
 #include "util/json.hpp"
@@ -22,6 +23,12 @@ std::optional<CheckpointEncoding> parse_checkpoint_encoding(
   if (text == "json") return CheckpointEncoding::kJson;
   if (text == "bin") return CheckpointEncoding::kBinary;
   return std::nullopt;
+}
+
+void require_valid_shard(const ShardSpec& shard) {
+  if (shard.index < 0 || shard.index >= shard.count)
+    throw util::SetupError("invalid shard " + std::to_string(shard.index) +
+                           "/" + std::to_string(shard.count));
 }
 
 // --- RunSet ---
@@ -72,14 +79,22 @@ void RunSet::append_range(int first, int last) {
   ranges_.push_back({first, last});
 }
 
-// --- Checkpoint ---
-
-std::size_t Checkpoint::slot_of(std::size_t campaign,
-                                std::size_t region_index) const {
-  std::size_t slot = 0;
-  for (std::size_t c = 0; c < campaign; ++c) slot += specs[c].regions.size();
-  return slot + region_index;
+RunSet RunSet::minus(const RunSet& other) const {
+  RunSet out;
+  auto cut = other.ranges_.begin();
+  for (auto [first, last] : ranges_) {
+    while (cut != other.ranges_.end() && cut->second < first) ++cut;
+    // Carve every overlapping range of `other` out of [first, last].
+    for (auto c = cut; c != other.ranges_.end() && c->first <= last; ++c) {
+      if (c->first > first) out.append_range(first, c->first - 1);
+      first = c->second + 1;
+    }
+    if (first <= last) out.append_range(first, last);
+  }
+  return out;
 }
+
+// --- Checkpoint ---
 
 int Checkpoint::completed_runs() const noexcept {
   int n = 0;
@@ -96,13 +111,7 @@ int Checkpoint::owned_runs() const {
       if (shard_owns_cell(s, shard)) n += slots[s].frontier;
     return n;
   }
-  int n = 0;
-  std::uint64_t g = 0;
-  for (const auto& spec : specs)
-    for (std::size_t ri = 0; ri < spec.regions.size(); ++ri)
-      for (int i = 0; i < spec.runs_per_region; ++i, ++g)
-        if (shard_owns(g, shard)) ++n;
-  return n;
+  return static_cast<int>(shard_selection(specs, shard).total());
 }
 
 bool Checkpoint::complete() const {
@@ -116,16 +125,7 @@ bool Checkpoint::complete() const {
     }
     return true;
   }
-  std::uint64_t g = 0;
-  std::size_t slot = 0;
-  for (const auto& spec : specs) {
-    for (std::size_t ri = 0; ri < spec.regions.size(); ++ri, ++slot) {
-      const RunSet& done = slots[slot].done;
-      for (int i = 0; i < spec.runs_per_region; ++i, ++g)
-        if (shard_owns(g, shard) && !done.contains(i)) return false;
-    }
-  }
-  return true;
+  return remaining_selection(*this).empty();
 }
 
 Checkpoint make_checkpoint(std::vector<CampaignSpec> specs,
@@ -141,6 +141,43 @@ Checkpoint make_checkpoint(std::vector<CampaignSpec> specs,
   for (const auto& spec : ck.specs)
     for (Region r : spec.regions) ck.slots[slot++].counts.region = r;
   return ck;
+}
+
+void require_same_batch(const char* what, const Checkpoint& ck,
+                        bool adaptive, const ShardSpec& shard,
+                        const std::vector<CampaignSpec>& specs,
+                        const std::vector<Golden>& goldens) {
+  const std::string prefix = std::string(what) + ": checkpoint ";
+  if (ck.adaptive.has_value() != adaptive)
+    throw util::SetupError(
+        prefix + "belongs to " +
+        (adaptive ? "a fixed-n campaign, not an adaptive (--ci) one"
+                  : "an adaptive (--ci) campaign, not a fixed-n one"));
+  if (!(ck.shard == shard))
+    throw util::SetupError(
+        prefix + "covers shard " + std::to_string(ck.shard.index) +
+        "/" + std::to_string(ck.shard.count) + ", batch runs shard " +
+        std::to_string(shard.index) + "/" + std::to_string(shard.count));
+  if (ck.specs != specs)
+    throw util::SetupError(
+        prefix + "was produced by a different batch spec (apps, app params, "
+                 "runs, seeds, regions, dictionary sizes and prune levels "
+                 "must all match)");
+  std::size_t nslots = 0;
+  for (const auto& spec : specs) nslots += spec.regions.size();
+  if (ck.slots.size() != nslots || ck.goldens.size() != specs.size() ||
+      goldens.size() != specs.size())
+    throw util::SetupError(prefix + "slot layout is corrupted");
+  for (std::size_t c = 0; c < specs.size(); ++c) {
+    const Golden& g = goldens[c];
+    const Golden& cg = ck.goldens[c];
+    if (cg.instructions != g.instructions ||
+        cg.hang_budget != g.hang_budget || cg.rx_bytes != g.rx_bytes)
+      throw util::SetupError(
+          std::string(what) + ": golden run for campaign '" + specs[c].app +
+          "' disagrees with the checkpoint (the app or its config changed "
+          "since the checkpoint was written)");
+  }
 }
 
 // --- Serialization ---
@@ -235,16 +272,6 @@ std::uint64_t checkpoint_digest(const Checkpoint& ck) {
 
 namespace {
 
-/// Campaign index of a flattened slot (inverse of Checkpoint::slot_of).
-std::size_t campaign_of_slot(const Checkpoint& ck, std::size_t slot) {
-  std::size_t base = 0;
-  for (std::size_t c = 0; c < ck.specs.size(); ++c) {
-    base += ck.specs[c].regions.size();
-    if (slot < base) return c;
-  }
-  throw util::SetupError("checkpoint: slot index out of range");
-}
-
 // --- fnv-bin-v1: the whole snapshot as one varint-packed blob ---
 //
 // The wrapper document stays JSON (format/kind/encoding/digest plus the
@@ -255,37 +282,11 @@ std::size_t campaign_of_slot(const Checkpoint& ck, std::size_t slot) {
 // exactly like a hand-edited JSON sidecar.
 
 void encode_counts(util::ByteWriter& w, const RegionResult& rr) {
-  w.u64(static_cast<std::uint64_t>(rr.executions));
-  w.u64(static_cast<std::uint64_t>(rr.skipped));
-  for (unsigned m = 0; m < kNumManifestations; ++m)
-    w.u64(static_cast<std::uint64_t>(rr.counts[m]));
-  for (unsigned k = 0; k < kNumCrashKinds; ++k)
-    w.u64(static_cast<std::uint64_t>(rr.crash_kinds[k]));
-  w.u64(static_cast<std::uint64_t>(rr.pruned));
-  for (unsigned r = 0; r < kNumPruneRungs; ++r)
-    w.u64(static_cast<std::uint64_t>(rr.pruned_rungs[r]));
-  for (unsigned a = 0; a < 2; ++a) {
-    w.u64(static_cast<std::uint64_t>(rr.act_executions[a]));
-    for (unsigned m = 0; m < kNumManifestations; ++m)
-      w.u64(static_cast<std::uint64_t>(rr.act_counts[a][m]));
-  }
+  for_each_count([&](int v) { w.u64(static_cast<std::uint64_t>(v)); }, rr);
 }
 
 void decode_counts(util::ByteReader& r, RegionResult& rr) {
-  rr.executions = static_cast<int>(r.u64());
-  rr.skipped = static_cast<int>(r.u64());
-  for (unsigned m = 0; m < kNumManifestations; ++m)
-    rr.counts[m] = static_cast<int>(r.u64());
-  for (unsigned k = 0; k < kNumCrashKinds; ++k)
-    rr.crash_kinds[k] = static_cast<int>(r.u64());
-  rr.pruned = static_cast<int>(r.u64());
-  for (unsigned rg = 0; rg < kNumPruneRungs; ++rg)
-    rr.pruned_rungs[rg] = static_cast<int>(r.u64());
-  for (unsigned a = 0; a < 2; ++a) {
-    rr.act_executions[a] = static_cast<int>(r.u64());
-    for (unsigned m = 0; m < kNumManifestations; ++m)
-      rr.act_counts[a][m] = static_cast<int>(r.u64());
-  }
+  for_each_count([&](int& v) { v = static_cast<int>(r.u64()); }, rr);
 }
 
 std::string checkpoint_blob(const Checkpoint& ck) {
@@ -467,10 +468,10 @@ Checkpoint parse_checkpoint(const util::JsonValue& doc) {
     ck.goldens.push_back(read_golden_json(cv.at("golden")));
   }
 
-  std::size_t nslots = 0;
-  for (const auto& spec : ck.specs) nslots += spec.regions.size();
-  ck.slots.resize(nslots);
-  std::vector<bool> seen(nslots, false);
+  // Slots with no record are simply empty (nothing completed yet).
+  for (const auto& spec : ck.specs)
+    for (Region r : spec.regions) ck.slots.emplace_back().counts.region = r;
+  std::vector<bool> seen(ck.slots.size(), false);
   for (const auto& sv : doc.at("slots").items()) {
     const std::size_t campaign =
         static_cast<std::size_t>(sv.at("campaign").as_int());
@@ -484,14 +485,14 @@ Checkpoint parse_checkpoint(const util::JsonValue& doc) {
     if (rit == regions.end())
       throw util::SetupError(
           "checkpoint: slot region is not part of its campaign's spec");
-    const std::size_t slot = ck.slot_of(
-        campaign, static_cast<std::size_t>(rit - regions.begin()));
+    auto slot = static_cast<std::size_t>(rit - regions.begin());
+    for (std::size_t c = 0; c < campaign; ++c)
+      slot += ck.specs[c].regions.size();
     if (seen[slot])
       throw util::SetupError("checkpoint: duplicate slot record");
     seen[slot] = true;
 
     CheckpointSlot& cs = ck.slots[slot];
-    cs.counts.region = region;
     for (const auto& rv : sv.at("done").items()) {
       const auto& pair = rv.items();
       if (pair.size() != 2)
@@ -517,16 +518,6 @@ Checkpoint parse_checkpoint(const util::JsonValue& doc) {
       throw util::SetupError(
           "checkpoint: record digest mismatch (file corrupted or "
           "hand-edited)");
-  }
-  // Slots with no record are simply empty (nothing completed yet); zeroed
-  // counts with the right region tag were prepared above.
-  {
-    std::size_t slot = 0;
-    for (const auto& spec : ck.specs)
-      for (Region r : spec.regions) {
-        if (!seen[slot]) ck.slots[slot].counts.region = r;
-        ++slot;
-      }
   }
   if (doc.at("digest").as_u64() != checkpoint_digest(ck))
     throw util::SetupError(
@@ -568,37 +559,41 @@ std::string checkpoint_json(const Checkpoint& checkpoint) {
   }
   w.end_array();
   w.key("slots").begin_array();
-  for (std::size_t slot = 0; slot < checkpoint.slots.size(); ++slot) {
-    const CheckpointSlot& cs = checkpoint.slots[slot];
-    // Slots with no state are omitted. An adaptive cell with a committed
-    // frontier (or a stop decision) is state even before any run finishes:
-    // losing it would replay a different wave schedule after a crash.
-    if (cs.done.empty() && !(checkpoint.adaptive && (cs.frontier > 0 ||
-                                                     cs.stopped)))
-      continue;
-    const std::size_t campaign = campaign_of_slot(checkpoint, slot);
-    w.begin_object();
-    w.key("campaign").value(static_cast<int>(campaign));
-    w.key("region").value(region_token(cs.counts.region));
-    w.key("done").begin_array();
-    for (const auto& [first, last] : cs.done.ranges()) {
-      w.begin_array();
-      w.value(first);
-      w.value(last);
+  std::size_t slot = 0;
+  for (std::size_t campaign = 0; campaign < checkpoint.specs.size();
+       ++campaign) {
+    for (std::size_t ri = 0; ri < checkpoint.specs[campaign].regions.size();
+         ++ri, ++slot) {
+      const CheckpointSlot& cs = checkpoint.slots[slot];
+      // Slots with no state are omitted. An adaptive cell with a committed
+      // frontier (or a stop decision) is state even before any run finishes:
+      // losing it would replay a different wave schedule after a crash.
+      if (cs.done.empty() && !(checkpoint.adaptive && (cs.frontier > 0 ||
+                                                       cs.stopped)))
+        continue;
+      w.begin_object();
+      w.key("campaign").value(static_cast<int>(campaign));
+      w.key("region").value(region_token(cs.counts.region));
+      w.key("done").begin_array();
+      for (const auto& [first, last] : cs.done.ranges()) {
+        w.begin_array();
+        w.value(first);
+        w.value(last);
+        w.end_array();
+      }
       w.end_array();
+      w.key("counts");
+      w.begin_object();
+      write_region_counts(w, cs.counts);
+      w.end_object();
+      if (checkpoint.adaptive) {
+        w.key("frontier").value(cs.frontier);
+        w.key("stopped").value(cs.stopped);
+      }
+      w.key("digest").value(
+          slot_record_digest(campaign, cs, checkpoint.adaptive.has_value()));
+      w.end_object();
     }
-    w.end_array();
-    w.key("counts");
-    w.begin_object();
-    write_region_counts(w, cs.counts);
-    w.end_object();
-    if (checkpoint.adaptive) {
-      w.key("frontier").value(cs.frontier);
-      w.key("stopped").value(cs.stopped);
-    }
-    w.key("digest").value(
-        slot_record_digest(campaign, cs, checkpoint.adaptive.has_value()));
-    w.end_object();
   }
   w.end_array();
   w.key("digest").value(checkpoint_digest(checkpoint));
@@ -634,6 +629,20 @@ std::uint64_t GridSelection::total() const noexcept {
   return n;
 }
 
+GridSelection shard_selection(const std::vector<CampaignSpec>& specs,
+                              ShardSpec shard) {
+  GridSelection sel;
+  std::uint64_t g = 0;
+  for (const CampaignSpec& spec : specs) {
+    for (std::size_t ri = 0; ri < spec.regions.size(); ++ri) {
+      RunSet& runs = sel.slots.emplace_back();
+      for (int i = 0; i < spec.runs_per_region; ++i, ++g)
+        if (shard_owns(g, shard)) runs.insert(i);  // appends or extends
+    }
+  }
+  return sel;
+}
+
 // --- Status ---
 
 CheckpointStatus checkpoint_status(const Checkpoint& ck) {
@@ -646,19 +655,11 @@ CheckpointStatus checkpoint_status(const Checkpoint& ck) {
   st.cursor = ck.cursor;
   st.digest = checkpoint_digest(ck);
 
-  // Per-slot shard-owned denominators: the grid walk shard_owns defines.
-  // Adaptive cells have no a-priori denominator; their owned count is the
-  // committed frontier (0 for cells other shards own).
-  std::vector<int> owned(ck.slots.size(), 0);
-  if (!st.adaptive) {
-    std::uint64_t g = 0;
-    std::size_t slot = 0;
-    for (const auto& spec : ck.specs) {
-      for (std::size_t ri = 0; ri < spec.regions.size(); ++ri, ++slot)
-        for (int i = 0; i < spec.runs_per_region; ++i, ++g)
-          if (shard_owns(g, ck.shard)) ++owned[slot];
-    }
-  }
+  // Per-slot denominators: the shard's selection. Adaptive cells have no
+  // a-priori denominator; their owned count is the committed frontier (0
+  // for cells other shards own).
+  const GridSelection owned =
+      st.adaptive ? GridSelection{} : shard_selection(ck.specs, ck.shard);
   std::size_t slot = 0;
   for (const auto& spec : ck.specs) {
     for (std::size_t ri = 0; ri < spec.regions.size(); ++ri, ++slot) {
@@ -670,7 +671,7 @@ CheckpointStatus checkpoint_status(const Checkpoint& ck) {
       row.stopped = ck.slots[slot].stopped;
       row.owned = st.adaptive
                       ? (shard_owns_cell(slot, ck.shard) ? row.frontier : 0)
-                      : owned[slot];
+                      : owned.slots[slot].size();
       st.rows.push_back(std::move(row));
     }
   }

@@ -46,6 +46,8 @@ class RunSet {
   /// Append an inclusive range (deserialization; must arrive sorted and
   /// disjoint — throws SetupError otherwise).
   void append_range(int first, int last);
+  /// The indices of this set that `other` does not contain.
+  RunSet minus(const RunSet& other) const;
 
   bool operator==(const RunSet&) const = default;
 
@@ -54,10 +56,11 @@ class RunSet {
 };
 
 /// Explicit subset of a batch grid: one RunSet of run indices per
-/// (campaign, region) slot, in the checkpoint/batch slot order. run_batch
-/// executes exactly the selected points (ExecPolicy::selection); the
-/// service scheduler re-shards a campaign's *remaining* grid into disjoint
-/// selections, one per worker assignment (core/reshard.hpp).
+/// (campaign, region) slot, in the checkpoint/batch slot order. It is the
+/// one way to name the grid points an invocation owns: a shard is
+/// shard_selection, a resume is that minus the checkpoint's done sets
+/// (core/reshard.hpp), and a service worker runs an explicit selection
+/// (ExecPolicy::selection) carved from a campaign's remaining grid.
 struct GridSelection {
   std::vector<RunSet> slots;
 
@@ -67,6 +70,11 @@ struct GridSelection {
 
   bool operator==(const GridSelection&) const = default;
 };
+
+/// Every grid point of the spec list that `shard` owns (shard_owns over
+/// the fixed campaign-major enumeration), one RunSet per slot.
+GridSelection shard_selection(const std::vector<CampaignSpec>& specs,
+                              ShardSpec shard);
 
 /// Per-(campaign, region) checkpoint record: the partial counts and the
 /// run indices they cover. Invariant: counts.executions == done.size().
@@ -101,8 +109,6 @@ struct Checkpoint {
   /// checkpoints shard by cell (shard_owns_cell), not by grid point.
   std::optional<AdaptivePolicy> adaptive;
 
-  /// Flattened slot index of (campaign, region-index).
-  std::size_t slot_of(std::size_t campaign, std::size_t region_index) const;
   /// Total completed runs across all slots.
   int completed_runs() const noexcept;
   /// Total shard-owned grid points (the denominator of completed_runs()).
@@ -119,6 +125,16 @@ struct Checkpoint {
 /// Empty checkpoint for a batch about to start (slots sized and zeroed).
 Checkpoint make_checkpoint(std::vector<CampaignSpec> specs,
                            std::vector<Golden> goldens, ShardSpec shard);
+
+/// Refuse a checkpoint that does not belong to the batch identified by
+/// (adaptive kind, shard, specs, per-campaign goldens): any drift would
+/// silently mix counts from different fault spaces. Goldens must agree in
+/// instructions, hang budget and per-rank rx bytes. Errors are SetupErrors
+/// prefixed with `what` ("resume", "fold").
+void require_same_batch(const char* what, const Checkpoint& checkpoint,
+                        bool adaptive, const ShardSpec& shard,
+                        const std::vector<CampaignSpec>& specs,
+                        const std::vector<Golden>& goldens);
 
 /// Serialize / parse the checkpoint document. parse verifies the per-slot
 /// and whole-document digests and throws SetupError on any mismatch or on

@@ -30,6 +30,9 @@ struct ShardSpec {
   bool operator==(const ShardSpec&) const = default;
 };
 
+/// Throws SetupError ("invalid shard i/N") unless 0 <= index < count.
+void require_valid_shard(const ShardSpec& shard);
+
 /// Shard ownership is a pure function of the grid point's index in the
 /// fixed enumeration order (campaign-major, then region, then run):
 /// round-robin `g mod count == index`. Every grid point therefore belongs
@@ -106,12 +109,13 @@ struct ExecPolicy {
 
   // --- Elastic execution (service workers) ---
   /// Explicit subset of the grid to execute (borrowed; null = every
-  /// shard-owned point). The service scheduler re-shards the remaining
-  /// grid of a campaign into such selections; the per-slot done/owned
-  /// progress denominators then cover only the selected points, and the
-  /// checkpoint sidecar records exactly the selection's completions, so a
-  /// disjoint family of selections folds back to the monolithic run bit
-  /// for bit.
+  /// shard-owned point not yet in `resume`). It runs alone: combined with
+  /// a shard or a resume it is refused. The service scheduler re-shards
+  /// the remaining grid of a campaign into such selections; the per-slot
+  /// done/owned progress denominators then cover only the selected points,
+  /// and the checkpoint sidecar records exactly the selection's
+  /// completions, so a disjoint family of selections folds back to the
+  /// monolithic run bit for bit.
   const GridSelection* selection = nullptr;
 
   /// The policy subobject of a derived config, by either name.

@@ -567,20 +567,7 @@ BatchResult merge_batch(const std::vector<BatchResult>& shards) {
         if (rr.region != p.region)
           throw util::SetupError("merge: region order mismatch in campaign '" +
                                  into.app + "'");
-        rr.executions += p.executions;
-        rr.skipped += p.skipped;
-        for (unsigned m = 0; m < kNumManifestations; ++m)
-          rr.counts[m] += p.counts[m];
-        for (unsigned k = 0; k < kNumCrashKinds; ++k)
-          rr.crash_kinds[k] += p.crash_kinds[k];
-        rr.pruned += p.pruned;
-        for (unsigned pr = 0; pr < kNumPruneRungs; ++pr)
-          rr.pruned_rungs[pr] += p.pruned_rungs[pr];
-        for (unsigned a = 0; a < 2; ++a) {
-          rr.act_executions[a] += p.act_executions[a];
-          for (unsigned m = 0; m < kNumManifestations; ++m)
-            rr.act_counts[a][m] += p.act_counts[a][m];
-        }
+        merge_region_counts(rr, p);
       }
     }
   }
@@ -649,9 +636,7 @@ std::vector<CampaignSpec> parse_batch_spec(const std::string& text) {
     CampaignSpec spec = base;
     spec.app = cv.at("app").as_string();
     fill(spec, cv);
-    if (spec.runs_per_region <= 0)
-      throw util::SetupError("batch spec: runs must be positive for app '" +
-                             spec.app + "'");
+    require_positive_runs(spec.app, spec.runs_per_region);
     if (spec.regions.empty())
       throw util::SetupError("batch spec: empty region list for app '" +
                              spec.app + "'");

@@ -10,20 +10,9 @@ GridSelection remaining_selection(const Checkpoint& ck) {
   if (ck.adaptive)
     throw util::SetupError(
         "reshard: adaptive campaigns re-shard by cell, not by grid point");
-  GridSelection sel;
-  sel.slots.resize(ck.slots.size());
-  std::uint64_t g = 0;
-  std::size_t slot = 0;
-  for (const auto& spec : ck.specs) {
-    for (std::size_t ri = 0; ri < spec.regions.size(); ++ri, ++slot) {
-      const RunSet& done = ck.slots[slot].done;
-      for (int i = 0; i < spec.runs_per_region; ++i, ++g) {
-        if (!shard_owns(g, ck.shard)) continue;
-        if (done.contains(i)) continue;
-        sel.slots[slot].insert(i);
-      }
-    }
-  }
+  GridSelection sel = shard_selection(ck.specs, ck.shard);
+  for (std::size_t s = 0; s < sel.slots.size(); ++s)
+    sel.slots[s] = sel.slots[s].minus(ck.slots[s].done);
   return sel;
 }
 
@@ -54,40 +43,16 @@ GridSelection take_front(GridSelection& from, std::uint64_t n) {
 }
 
 void fold_checkpoint(Checkpoint& master, const Checkpoint& delta) {
-  if (master.adaptive || delta.adaptive)
+  if (master.adaptive)
     throw util::SetupError("fold: adaptive checkpoints cannot be re-sharded");
-  if (!(master.shard == delta.shard))
-    throw util::SetupError(
-        "fold: checkpoint covers shard " + std::to_string(delta.shard.index) +
-        "/" + std::to_string(delta.shard.count) + ", master is shard " +
-        std::to_string(master.shard.index) + "/" +
-        std::to_string(master.shard.count));
-  if (master.specs != delta.specs)
-    throw util::SetupError(
-        "fold: checkpoint was produced by a different batch spec (apps, app "
-        "params, runs, seeds, regions, dictionary sizes and prune levels "
-        "must all match)");
-  if (master.slots.size() != delta.slots.size() ||
-      master.goldens.size() != master.specs.size() ||
-      delta.goldens.size() != delta.specs.size())
-    throw util::SetupError("fold: checkpoint slot layout is corrupted");
-
   // The master never executes runs itself, so it starts with placeholder
   // goldens and adopts the first worker's. Golden runs are deterministic
   // per (app, params), so every later worker must agree exactly.
-  for (std::size_t c = 0; c < master.goldens.size(); ++c) {
-    Golden& mg = master.goldens[c];
-    const Golden& dg = delta.goldens[c];
-    if (mg.instructions == 0) {
-      mg = dg;
-      continue;
-    }
-    if (mg.instructions != dg.instructions ||
-        mg.hang_budget != dg.hang_budget || mg.rx_bytes != dg.rx_bytes)
-      throw util::SetupError(
-          "fold: golden run for campaign '" + master.specs[c].app +
-          "' disagrees with the master (the app or its config changed)");
-  }
+  std::vector<Golden> goldens = master.goldens;
+  for (std::size_t c = 0; c < goldens.size() && c < delta.goldens.size(); ++c)
+    if (goldens[c].instructions == 0) goldens[c] = delta.goldens[c];
+  require_same_batch("fold", delta, false, master.shard, master.specs,
+                     goldens);
 
   // Disjointness check before any mutation: refusing the whole delta keeps
   // fold atomic — a rejected sidecar leaves the master untouched.
@@ -108,6 +73,7 @@ void fold_checkpoint(Checkpoint& master, const Checkpoint& delta) {
     merge_region_counts(ms.counts, ds.counts);
     ms.counts.region = ds.counts.region;
   }
+  master.goldens = std::move(goldens);
   if (delta.cursor > master.cursor) master.cursor = delta.cursor;
 }
 

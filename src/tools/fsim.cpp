@@ -23,11 +23,15 @@
 //   fsim fetch     --socket=PATH --job=ID [--out=FILE]
 //   fsim shutdown  --socket=PATH             (orderly daemon stop)
 //
-// Every command is deterministic given its --seed.
+// Every command is deterministic given its --seed. Options take the
+// --name=value form only, and a command refuses any option it does not
+// read on the path it takes (docs/CLI.md).
 #include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -103,75 +107,150 @@ int usage() {
   return 2;
 }
 
-/// Send a report to --out=FILE when given, stdout otherwise.
-void write_output(const util::Cli& cli, const std::string& text) {
-  if (!cli.has("out")) {
+/// Refuse every option the command did not read: a typo, or a flag the
+/// path taken would silently ignore (say --runs next to --spec), fails
+/// before any work starts. Commands that take no files also refuse stray
+/// positional arguments.
+void reject_unused(const util::Cli& cli, bool takes_files = false) {
+  const std::vector<std::string> unused = cli.unused();
+  if (!unused.empty())
+    throw util::SetupError("unknown option --" + unused.front());
+  if (!takes_files && !cli.positional().empty())
+    throw util::SetupError("unexpected argument '" + cli.positional().front() +
+                           "'");
+}
+
+/// --name=N for a count that must be at least 1.
+int count_option(const util::Cli& cli, const std::string& name,
+                 int fallback) {
+  const std::int64_t v = cli.num(name, fallback);
+  if (v < 1 || v > std::numeric_limits<int>::max())
+    throw util::SetupError("option --" + name +
+                           " expects an integer >= 1, got " +
+                           std::to_string(v));
+  return static_cast<int>(v);
+}
+
+/// --jobs=N (default: one worker per hardware thread). The range check
+/// lives in core::BatchSession.
+int jobs_option(const util::Cli& cli) {
+  return static_cast<int>(cli.num(
+      "jobs", static_cast<std::int64_t>(util::ThreadPool::default_workers())));
+}
+
+/// --rank=K, a rank of the app's world (default 1).
+int rank_option(const util::Cli& cli, const apps::App& app) {
+  const std::int64_t rank = cli.num("rank", 1);
+  if (rank < 0 || rank >= app.world.nranks)
+    throw util::SetupError("option --rank expects 0 <= K < " +
+                           std::to_string(app.world.nranks) + ", got " +
+                           std::to_string(rank));
+  return static_cast<int>(rank);
+}
+
+/// --shard=i/N: both halves whole integers with 0 <= i < N.
+core::ShardSpec parse_shard(const std::string& text) {
+  const auto slash = text.find('/');
+  std::int64_t i = -1, n = 0;
+  if (slash == std::string::npos ||
+      !util::Cli::parse_int(text.substr(0, slash), i) ||
+      !util::Cli::parse_int(text.substr(slash + 1), n) || i < 0 || i >= n ||
+      n > std::numeric_limits<int>::max())
+    throw util::SetupError(
+        "option --shard expects i/N with 0 <= i < N, got '" + text + "'");
+  return core::ShardSpec{static_cast<int>(i), static_cast<int>(n)};
+}
+
+/// Report options shared by batch, resume and merge: --out=FILE (stdout
+/// when empty) and the --json | --csv | table surface, where --activation
+/// adds the activation splits to tables.
+struct Report {
+  std::string out;
+  bool json = false, csv = false, activation = false;
+};
+
+Report report_options(const util::Cli& cli) {
+  return Report{cli.str("out", ""), cli.flag("json"), cli.flag("csv"),
+                cli.flag("activation")};
+}
+
+/// Send a report to `path` when given, stdout otherwise.
+void write_output(const std::string& path, const std::string& text) {
+  if (path.empty()) {
     std::printf("%s", text.c_str());
     return;
   }
-  const std::string path = cli.str("out", "");
   std::ofstream out(path, std::ios::binary);
   if (!out) throw util::SetupError("cannot write '" + path + "'");
   out << text;
   std::fprintf(stderr, "wrote %s (%zu bytes)\n", path.c_str(), text.size());
 }
 
+/// Non-empty items of a comma-separated option value.
+std::vector<std::string> split_csv(const std::string& csv) {
+  std::vector<std::string> items;
+  std::istringstream ss(csv);
+  std::string tok;
+  while (std::getline(ss, tok, ','))
+    if (!tok.empty()) items.push_back(tok);
+  return items;
+}
+
 std::vector<core::Region> parse_region_list(const std::string& csv) {
   std::vector<core::Region> regions;
-  std::istringstream rs(csv);
-  std::string tok;
-  while (std::getline(rs, tok, ','))
-    if (!tok.empty()) regions.push_back(core::parse_region(tok));
+  for (const std::string& tok : split_csv(csv))
+    regions.push_back(core::parse_region(tok));
   return regions;
 }
 
-bool parse_prune(const util::Cli& cli, core::PruneLevel& prune) {
-  if (!cli.has("prune")) return true;
-  const std::string v = cli.str("prune", "full");
-  if (const auto level = core::parse_prune_level(v)) {
-    prune = *level;
-    return true;
-  }
-  std::fprintf(stderr, "option --prune expects off|regs|full, got '%s'\n",
-               v.c_str());
-  return false;
+/// --name=VALUE through `parse`, a token parser returning std::optional;
+/// `out` keeps its value when the option is absent.
+template <typename T, typename Parse>
+void enum_option(const util::Cli& cli, const std::string& name,
+                 const char* values, Parse parse, T& out) {
+  if (!cli.has(name)) return;
+  const std::string v = cli.str(name, "");
+  const auto parsed = parse(v);
+  if (!parsed)
+    throw util::SetupError("option --" + name + " expects " + values +
+                           ", got '" + v + "'");
+  out = *parsed;
 }
 
-bool parse_engine(const util::Cli& cli, svm::exec::EngineKind& engine) {
-  if (!cli.has("engine")) return true;
-  const std::string v = cli.str("engine", "threaded");
-  if (const auto kind = svm::exec::parse_engine_kind(v)) {
-    engine = *kind;
-    return true;
-  }
-  std::fprintf(stderr, "option --engine expects interp|threaded, got '%s'\n",
-               v.c_str());
-  return false;
+void parse_prune(const util::Cli& cli, core::PruneLevel& prune) {
+  enum_option(cli, "prune", "off|regs|full", core::parse_prune_level, prune);
 }
 
-/// stderr progress display for `fsim campaign`: one updating line per
-/// region, refreshed every 50 runs.
-class CampaignProgress final : public core::CampaignObserver {
+void parse_engine(const util::Cli& cli, svm::exec::EngineKind& engine) {
+  enum_option(cli, "engine", "interp|threaded", svm::exec::parse_engine_kind,
+              engine);
+}
+
+/// --ckpt-encoding=json|bin (sidecar wire format, docs/SERVICE.md).
+void parse_ckpt_encoding(const util::Cli& cli,
+                         core::CheckpointEncoding& encoding) {
+  enum_option(cli, "ckpt-encoding", "json|bin",
+              core::parse_checkpoint_encoding, encoding);
+}
+
+/// stderr progress display: one updating line per (campaign, region),
+/// refreshed every 50 runs; batch and resume prefix the app name.
+class Progress final : public core::CampaignObserver {
  public:
+  explicit Progress(bool show_app) : show_app_(show_app) {}
   void on_run_done(const core::RunEvent& ev) override {
-    if (ev.done == 1 || ev.done == ev.total || ev.done % 50 == 0)
-      std::fprintf(stderr, "\r  %-13s %4d/%d", core::region_name(ev.region),
+    if (ev.done == 1 || ev.done == ev.total || ev.done % 50 == 0) {
+      std::fprintf(stderr, "\r  ");
+      if (show_app_)
+        std::fprintf(stderr, "%-8s ", ev.app ? ev.app->c_str() : "?");
+      std::fprintf(stderr, "%-13s %4d/%d", core::region_name(ev.region),
                    ev.done, ev.total);
+    }
     if (ev.done == ev.total) std::fprintf(stderr, "\n");
   }
-};
 
-/// stderr progress display shared by `fsim batch` and `fsim resume`:
-/// the campaign line prefixed with the app name.
-class BatchProgress final : public core::CampaignObserver {
- public:
-  void on_run_done(const core::RunEvent& ev) override {
-    if (ev.done == 1 || ev.done == ev.total || ev.done % 50 == 0)
-      std::fprintf(stderr, "\r  %-8s %-13s %4d/%d",
-                   ev.app ? ev.app->c_str() : "?",
-                   core::region_name(ev.region), ev.done, ev.total);
-    if (ev.done == ev.total) std::fprintf(stderr, "\n");
-  }
+ private:
+  bool show_app_;
 };
 
 int cmd_run(const util::Cli& cli) {
@@ -179,9 +258,10 @@ int cmd_run(const util::Cli& cli) {
   const core::Region region = core::parse_region(cli.str("region", "regular"));
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.num("seed", 1));
   svm::exec::EngineKind engine = svm::exec::EngineKind::kThreaded;
-  if (!parse_engine(cli, engine)) return 1;
+  parse_engine(cli, engine);
   core::PruneLevel prune = core::PruneLevel::kOff;
-  if (!parse_prune(cli, prune)) return 1;
+  parse_prune(cli, prune);
+  reject_unused(cli);
 
   // Link once; the golden run, the dictionary and the injected run all
   // read the same image (the assembler is deterministic anyway).
@@ -225,14 +305,15 @@ int cmd_campaign(const util::Cli& cli) {
   core::CampaignConfig cfg;
   cfg.runs_per_region = static_cast<int>(cli.num("runs", 200));
   cfg.seed = static_cast<std::uint64_t>(cli.num("seed", 0xfa));
-  cfg.jobs = static_cast<int>(cli.num(
-      "jobs",
-      static_cast<std::int64_t>(util::ThreadPool::default_workers())));
+  cfg.jobs = jobs_option(cli);
   if (cli.has("regions")) cfg.regions = parse_region_list(cli.str("regions", ""));
-  if (!parse_prune(cli, cfg.prune)) return 1;
-  if (!parse_engine(cli, cfg.engine)) return 1;
-  CampaignProgress progress;
+  parse_prune(cli, cfg.prune);
+  parse_engine(cli, cfg.engine);
+  Progress progress(false);
   if (!cli.flag("quiet")) cfg.observer = &progress;
+  const bool json = cli.flag("json"), csv = cli.flag("csv");
+  const bool activation = cli.flag("activation");
+  reject_unused(cli);
   std::printf("campaign: %s, %d runs/region, seed %llu, %d jobs "
               "(d = %.1f%% at 95%%)\n\n",
               app.name.c_str(), cfg.runs_per_region,
@@ -240,13 +321,13 @@ int cmd_campaign(const util::Cli& cli) {
               100.0 * core::estimation_error(
                           0.05, static_cast<std::uint64_t>(cfg.runs_per_region)));
   const core::CampaignResult res = core::run_campaign(app, cfg);
-  if (cli.flag("json")) {
+  if (json) {
     std::printf("%s\n", core::campaign_json(res).c_str());
-  } else if (cli.flag("csv")) {
+  } else if (csv) {
     std::printf("%s", core::campaign_csv(res).c_str());
   } else {
     std::printf("%s", core::format_campaign(res).c_str());
-    if (cli.flag("activation")) {
+    if (activation) {
       const std::string act = core::format_activation(res);
       if (!act.empty()) std::printf("\n%s", act.c_str());
     }
@@ -254,14 +335,15 @@ int cmd_campaign(const util::Cli& cli) {
   return 0;
 }
 
-/// Per-campaign batch report: tables (plus optional activation splits and
-/// the batch-wide per-app activation summary), JSON or CSV, matching the
-/// single-campaign `fsim campaign` surface.
-std::string render_batch(const util::Cli& cli, const core::BatchResult& res) {
-  if (cli.flag("json")) return core::batch_json(res) + "\n";
-  if (cli.flag("csv")) return core::batch_csv(res);
-  std::string out = core::format_batch(res);
-  if (cli.flag("activation")) {
+/// Per-campaign batch report: tables (then `tables`, plus optional
+/// activation splits and the batch-wide per-app activation summary), JSON
+/// or CSV, matching the single-campaign `fsim campaign` surface.
+std::string render_batch(const Report& report, const core::BatchResult& res,
+                         const std::string& tables = "") {
+  if (report.json) return core::batch_json(res) + "\n";
+  if (report.csv) return core::batch_csv(res);
+  std::string out = core::format_batch(res) + tables;
+  if (report.activation) {
     for (const auto& campaign : res.campaigns) {
       const std::string act = core::format_activation(campaign);
       if (!act.empty()) out += "\n" + act;
@@ -272,28 +354,26 @@ std::string render_batch(const util::Cli& cli, const core::BatchResult& res) {
   return out;
 }
 
-/// --ckpt-encoding=json|bin (sidecar wire format, docs/SERVICE.md).
-bool parse_ckpt_encoding(const util::Cli& cli,
-                         core::CheckpointEncoding& encoding) {
-  if (!cli.has("ckpt-encoding")) return true;
-  const std::string v = cli.str("ckpt-encoding", "json");
-  if (const auto e = core::parse_checkpoint_encoding(v)) {
-    encoding = *e;
-    return true;
-  }
-  std::fprintf(stderr,
-               "option --ckpt-encoding expects json|bin, got '%s'\n",
-               v.c_str());
-  return false;
+/// --checkpoint=FILE (default `path`); --checkpoint-every and
+/// --ckpt-encoding are read only when a sidecar is written.
+void parse_checkpointing(const util::Cli& cli, const std::string& path,
+                         core::ExecPolicy& policy) {
+  policy.checkpoint_path = cli.str("checkpoint", path);
+  if (policy.checkpoint_path.empty()) return;
+  policy.checkpoint_every = count_option(cli, "checkpoint-every", 64);
+  parse_ckpt_encoding(cli, policy.checkpoint_encoding);
 }
 
-/// Shard partials default to the JSON that `fsim merge` consumes; tables
-/// and CSV stay available on request.
-void write_batch_output(const util::Cli& cli, const core::BatchResult& res) {
-  if (res.shard.count > 1 && !cli.flag("json") && !cli.flag("csv"))
-    write_output(cli, core::batch_json(res) + "\n");
+/// Batch and resume output: the result document `json` on --json and for
+/// shard partials (the default, since `fsim merge` consumes them), else
+/// tables with `tables` appended, or CSV.
+void write_batch_output(const Report& report, const core::BatchResult& res,
+                        const std::string& json,
+                        const std::string& tables = "") {
+  if (report.json || (res.shard.count > 1 && !report.csv))
+    write_output(report.out, json + "\n");
   else
-    write_output(cli, render_batch(cli, res));
+    write_output(report.out, render_batch(report, res, tables));
 }
 
 /// Adaptive (--ci) knobs shared by `fsim batch` and `fsim resume`.
@@ -304,7 +384,7 @@ core::AdaptivePolicy parse_adaptive_policy(const util::Cli& cli,
   policy.ci = cli.real("ci", policy.ci);
   if (cli.has("confidence"))
     policy.alpha = 1.0 - cli.real("confidence", 1.0 - policy.alpha);
-  policy.wave = static_cast<int>(cli.num("wave", policy.wave));
+  policy.wave = count_option(cli, "wave", policy.wave);
   return policy;
 }
 
@@ -317,41 +397,11 @@ void apply_max_runs(const util::Cli& cli, bool explicit_runs,
                     std::vector<core::CampaignSpec>& specs) {
   int cap = 0;
   if (cli.has("max-runs"))
-    cap = static_cast<int>(cli.num("max-runs", 0));
+    cap = count_option(cli, "max-runs", 0);
   else if (!explicit_runs)
     cap = 2000;
-  if (cap <= 0) {
-    if (cli.has("max-runs"))
-      throw util::SetupError("option --max-runs must be positive");
-    return;
-  }
-  for (auto& spec : specs) spec.runs_per_region = cap;
-}
-
-/// `render_batch` for adaptive results: the same three surfaces, with the
-/// per-cell stopping table appended to the human-readable report.
-void write_adaptive_output(const util::Cli& cli,
-                           const core::AdaptiveResult& res) {
-  if (cli.flag("json") ||
-      (res.batch.shard.count > 1 && !cli.flag("csv"))) {
-    write_output(cli, core::adaptive_json(res) + "\n");
-    return;
-  }
-  if (cli.flag("csv")) {
-    write_output(cli, core::batch_csv(res.batch));
-    return;
-  }
-  std::string out = core::format_batch(res.batch);
-  out += "\n" + core::format_adaptive(res);
-  if (cli.flag("activation")) {
-    for (const auto& campaign : res.batch.campaigns) {
-      const std::string act = core::format_activation(campaign);
-      if (!act.empty()) out += "\n" + act;
-    }
-    const std::string combined = core::format_batch_activation(res.batch);
-    if (!combined.empty()) out += "\n" + combined;
-  }
-  write_output(cli, out);
+  if (cap > 0)
+    for (auto& spec : specs) spec.runs_per_region = cap;
 }
 
 int cmd_batch(const util::Cli& cli) {
@@ -363,7 +413,7 @@ int cmd_batch(const util::Cli& cli) {
     // --engine on the command line overrides whatever the spec file says —
     // engines are bit-identical, so this never changes the batch identity.
     svm::exec::EngineKind engine = svm::exec::EngineKind::kThreaded;
-    if (!parse_engine(cli, engine)) return 1;
+    parse_engine(cli, engine);
     if (cli.has("engine"))
       for (auto& spec : specs) spec.engine = engine;
   } else {
@@ -372,48 +422,40 @@ int cmd_batch(const util::Cli& cli) {
     base.seed = static_cast<std::uint64_t>(cli.num("seed", 0xfa));
     if (cli.has("regions"))
       base.regions = parse_region_list(cli.str("regions", ""));
-    if (!parse_prune(cli, base.prune)) return 1;
-    if (!parse_engine(cli, base.engine)) return 1;
-    std::istringstream as(
-        cli.str("apps", "wavetoy,minimd,atmo"));
-    std::string name;
-    while (std::getline(as, name, ','))
-      if (!name.empty()) specs.push_back(core::spec_of(name, base));
+    parse_prune(cli, base.prune);
+    parse_engine(cli, base.engine);
+    for (const std::string& name :
+         split_csv(cli.str("apps", "wavetoy,minimd,atmo")))
+      specs.push_back(core::spec_of(name, base));
     if (specs.empty()) {
       std::fprintf(stderr, "batch: empty --apps list\n");
       return 1;
     }
   }
 
+  // Adaptive (--ci) knobs are read only on the adaptive path.
   const bool adaptive = cli.has("ci");
-  if (adaptive)
+  core::AdaptiveConfig ac;
+  if (adaptive) {
     apply_max_runs(cli, cli.has("spec") || cli.has("runs"), specs);
-
-  std::vector<core::BatchEntry> entries = core::entries_for_specs(specs);
+    ac.policy = parse_adaptive_policy(cli, core::AdaptivePolicy{});
+  }
 
   core::BatchConfig bc;
-  bc.jobs = static_cast<int>(cli.num(
-      "jobs",
-      static_cast<std::int64_t>(util::ThreadPool::default_workers())));
-  bc.checkpoint_path = cli.str("checkpoint", "");
-  bc.checkpoint_every = static_cast<int>(cli.num("checkpoint-every", 64));
-  if (!parse_ckpt_encoding(cli, bc.checkpoint_encoding)) return 1;
-  if (cli.has("shard")) {
-    const std::string s = cli.str("shard", "0/1");
-    const auto slash = s.find('/');
-    if (slash == std::string::npos)
-      throw util::SetupError("option --shard expects i/N, got '" + s + "'");
-    bc.shard.index = std::atoi(s.substr(0, slash).c_str());
-    bc.shard.count = std::atoi(s.substr(slash + 1).c_str());
-  }
-  BatchProgress progress;
-  if (!cli.flag("quiet")) bc.observer = &progress;
+  bc.jobs = jobs_option(cli);
+  parse_checkpointing(cli, "", bc);
+  if (cli.has("shard")) bc.shard = parse_shard(cli.str("shard", ""));
+  const bool quiet = cli.flag("quiet");
+  const Report report = report_options(cli);
+  reject_unused(cli);
+
+  std::vector<core::BatchEntry> entries = core::entries_for_specs(specs);
+  Progress progress(true);
+  if (!quiet) bc.observer = &progress;
 
   if (adaptive) {
-    core::AdaptiveConfig ac;
     ac.exec() = bc.exec();  // same jobs/shard/observer/checkpoint policy
-    ac.policy = parse_adaptive_policy(cli, core::AdaptivePolicy{});
-    if (!cli.flag("quiet"))
+    if (!quiet)
       std::fprintf(stderr,
                    "batch: %zu campaigns, %d jobs, shard %d/%d, adaptive "
                    "ci %.3g at %.3g%% (wave %d)\n",
@@ -421,17 +463,18 @@ int cmd_batch(const util::Cli& cli) {
                    ac.policy.ci, 100.0 * (1.0 - ac.policy.alpha),
                    ac.policy.wave);
     const core::AdaptiveResult res = core::run_adaptive(entries, ac);
-    write_adaptive_output(cli, res);
+    write_batch_output(report, res.batch, core::adaptive_json(res),
+                       "\n" + core::format_adaptive(res));
     return 0;
   }
 
-  if (!cli.flag("quiet"))
+  if (!quiet)
     std::fprintf(stderr,
                  "batch: %zu campaigns, %d jobs, shard %d/%d\n",
                  entries.size(), bc.jobs, bc.shard.index, bc.shard.count);
 
   const core::BatchResult res = core::run_batch(entries, bc);
-  write_batch_output(cli, res);
+  write_batch_output(report, res, core::batch_json(res));
   return 0;
 }
 
@@ -448,33 +491,38 @@ int cmd_resume(const util::Cli& cli) {
   // The checkpoint records the engine the shard ran under, but engines are
   // bit-identical: resuming under a different one is always legal.
   svm::exec::EngineKind engine = svm::exec::EngineKind::kThreaded;
-  if (!parse_engine(cli, engine)) return 1;
+  parse_engine(cli, engine);
   if (cli.has("engine"))
     for (auto& spec : ck.specs) spec.engine = engine;
-  // Adaptive resumes accept a new cap: it rewrites the specs (the cap is
-  // spec identity) before the entries are built, exactly as a fresh
-  // `batch --ci --max-runs` would have.
-  if (ck.adaptive && cli.has("max-runs")) {
-    const int cap = static_cast<int>(cli.num("max-runs", 0));
-    if (cap <= 0) throw util::SetupError("option --max-runs must be positive");
-    for (auto& spec : ck.specs) spec.runs_per_region = cap;
-  }
-
-  std::vector<core::BatchEntry> entries = core::entries_for_specs(ck.specs);
 
   core::BatchConfig bc;
-  bc.jobs = static_cast<int>(cli.num(
-      "jobs",
-      static_cast<std::int64_t>(util::ThreadPool::default_workers())));
+  bc.jobs = jobs_option(cli);
   bc.shard = ck.shard;
   bc.resume = &ck;
   // Keep checkpointing into the same sidecar (a second crash resumes from
   // wherever this invocation got to) unless redirected with --checkpoint.
-  bc.checkpoint_path = cli.str("checkpoint", files[0]);
-  bc.checkpoint_every = static_cast<int>(cli.num("checkpoint-every", 64));
-  if (!parse_ckpt_encoding(cli, bc.checkpoint_encoding)) return 1;
-  BatchProgress progress;
-  if (!cli.flag("quiet")) {
+  parse_checkpointing(cli, files[0], bc);
+
+  // An adaptive checkpoint resumes the wave scheduler with its recorded
+  // policy; --ci/--confidence/--wave/--max-runs override it (equivalent to
+  // a fresh run with the new policy when --wave is unchanged). A new cap
+  // rewrites the specs (the cap is spec identity) before the entries are
+  // built, exactly as a fresh `batch --ci --max-runs` would have.
+  // run_adaptive itself rejects --ci against a fixed-n checkpoint.
+  const bool adaptive = ck.adaptive || cli.has("ci");
+  core::AdaptiveConfig ac;
+  if (adaptive) {
+    if (ck.adaptive) apply_max_runs(cli, true, ck.specs);
+    ac.policy = parse_adaptive_policy(
+        cli, ck.adaptive ? *ck.adaptive : core::AdaptivePolicy{});
+  }
+  const bool quiet = cli.flag("quiet");
+  const Report report = report_options(cli);
+  reject_unused(cli, true);
+
+  std::vector<core::BatchEntry> entries = core::entries_for_specs(ck.specs);
+  Progress progress(true);
+  if (!quiet) {
     bc.observer = &progress;
     std::fprintf(stderr,
                  "resume: %zu campaigns, shard %d/%d, %d of %d runs already "
@@ -483,22 +531,16 @@ int cmd_resume(const util::Cli& cli) {
                  ck.completed_runs(), ck.owned_runs(), bc.jobs);
   }
 
-  // An adaptive checkpoint resumes the wave scheduler with its recorded
-  // policy; --ci/--confidence/--wave/--max-runs override it (equivalent to
-  // a fresh run with the new policy when --wave is unchanged). run_adaptive
-  // itself rejects --ci against a fixed-n checkpoint with a clear message.
-  if (ck.adaptive || cli.has("ci")) {
-    core::AdaptiveConfig ac;
+  if (adaptive) {
     ac.exec() = bc.exec();  // carries jobs/shard/checkpoint policy + resume
-    ac.policy = parse_adaptive_policy(
-        cli, ck.adaptive ? *ck.adaptive : core::AdaptivePolicy{});
     const core::AdaptiveResult res = core::run_adaptive(entries, ac);
-    write_adaptive_output(cli, res);
+    write_batch_output(report, res.batch, core::adaptive_json(res),
+                       "\n" + core::format_adaptive(res));
     return 0;
   }
 
   const core::BatchResult res = core::run_batch(entries, bc);
-  write_batch_output(cli, res);
+  write_batch_output(report, res, core::batch_json(res));
   return 0;
 }
 
@@ -511,6 +553,9 @@ int cmd_merge(const util::Cli& cli) {
                  "[--json] [--csv]\n");
     return 2;
   }
+  const bool allow_partial = cli.flag("partial-report");
+  const Report report = report_options(cli);
+  reject_unused(cli, true);
   // Inputs may be finished shard results or checkpoints; an incomplete
   // checkpoint only contributes with an explicit --partial-report.
   std::vector<core::BatchResult> shards;
@@ -518,7 +563,7 @@ int cmd_merge(const util::Cli& cli) {
   for (const auto& f : files) {
     core::MergeInput in = core::parse_merge_input(util::read_file(f));
     if (!in.complete) {
-      if (!cli.flag("partial-report"))
+      if (!allow_partial)
         throw util::SetupError(
             "merge: '" + f + "' is an incomplete checkpoint (" +
             std::to_string(in.completed_runs) + " of " +
@@ -530,31 +575,28 @@ int cmd_merge(const util::Cli& cli) {
     shards.push_back(std::move(in.result));
   }
   const core::BatchResult merged = core::merge_batch(shards);
-  std::string out = render_batch(cli, merged);
-  if (partial && !cli.flag("json") && !cli.flag("csv"))
+  std::string out = render_batch(report, merged);
+  if (partial && !report.json && !report.csv)
     out += "\nNOTE: partial report — one or more inputs were incomplete "
            "checkpoints; counts cover only their completed runs.\n";
-  write_output(cli, out);
+  write_output(report.out, out);
   return 0;
 }
 
-int lint_one(const apps::App& app, const util::Cli& cli, bool werror) {
+/// `suppress` (--suppress=p1,p2) replaces the app's default suppressions
+/// when given.
+int lint_one(const apps::App& app,
+             const std::optional<std::vector<std::string>>& suppress,
+             bool json, bool werror) {
   const svm::Program program = app.link();
   const svm::analysis::Cfg cfg(program);
   const svm::analysis::Liveness lint_liveness(
       cfg, svm::analysis::DefUseModel::kLint);
   svm::analysis::LintOptions opts;
-  opts.suppress = app.lint_suppress;
-  if (cli.has("suppress")) {
-    opts.suppress.clear();  // explicit list replaces the app's defaults
-    std::istringstream ss(cli.str("suppress", ""));
-    std::string tok;
-    while (std::getline(ss, tok, ','))
-      if (!tok.empty()) opts.suppress.push_back(tok);
-  }
+  opts.suppress = suppress ? *suppress : app.lint_suppress;
   const svm::analysis::LintResult res =
       svm::analysis::run_lint(cfg, lint_liveness, opts);
-  if (cli.flag("json")) {
+  if (json) {
     std::printf("%s\n", svm::analysis::lint_json(res, app.name).c_str());
   } else {
     std::printf("%s", svm::analysis::format_lint(res, app.name).c_str());
@@ -566,14 +608,18 @@ int lint_one(const apps::App& app, const util::Cli& cli, bool werror) {
 
 int cmd_lint(const util::Cli& cli) {
   const bool werror = cli.flag("werror");
+  const bool json = cli.flag("json");
   const std::string which = cli.str("app", "all");
+  std::optional<std::vector<std::string>> suppress;
+  if (cli.has("suppress")) suppress = split_csv(cli.str("suppress", ""));
+  reject_unused(cli);
   int rc = 0;
   if (which == "all") {
     for (const auto& name : apps::app_names())
-      rc |= lint_one(apps::make_app(name), cli, werror);
-    rc |= lint_one(apps::make_app("jacobi"), cli, werror);
+      rc |= lint_one(apps::make_app(name), suppress, json, werror);
+    rc |= lint_one(apps::make_app("jacobi"), suppress, json, werror);
   } else {
-    rc = lint_one(apps::make_app(which), cli, werror);
+    rc = lint_one(apps::make_app(which), suppress, json, werror);
   }
   return rc;
 }
@@ -582,18 +628,22 @@ int cmd_analyze(const util::Cli& cli) {
   apps::App app = apps::make_app(cli.str("app", "wavetoy"));
   core::AnalyzeConfig cfg;
   cfg.runs = static_cast<int>(cli.num("runs", 200));
+  if (cfg.runs < 0)
+    throw util::SetupError("option --runs expects an integer >= 0, got " +
+                           std::to_string(cfg.runs));
   cfg.seed = static_cast<std::uint64_t>(cli.num("seed", 0xfa));
-  cfg.jobs = static_cast<int>(cli.num(
-      "jobs",
-      static_cast<std::int64_t>(util::ThreadPool::default_workers())));
+  cfg.jobs = jobs_option(cli);
   if (cli.has("regions")) cfg.regions = parse_region_list(cli.str("regions", ""));
-  if (!cli.flag("quiet") && cfg.runs > 0)
+  const bool quiet = cli.flag("quiet");
+  const bool json = cli.flag("json"), csv = cli.flag("csv");
+  reject_unused(cli);
+  if (!quiet && cfg.runs > 0)
     std::fprintf(stderr, "analyze: %s, %d-run reference campaign...\n",
                  app.name.c_str(), cfg.runs);
   const core::AnalyzeResult res = core::analyze_app(app, cfg);
-  if (cli.flag("json"))
+  if (json)
     std::printf("%s\n", core::analyze_json(res).c_str());
-  else if (cli.flag("csv"))
+  else if (csv)
     std::printf("%s", core::analyze_csv(res).c_str());
   else
     std::printf("%s", core::format_analyze(res).c_str());
@@ -602,8 +652,10 @@ int cmd_analyze(const util::Cli& cli) {
 
 int cmd_profile(const util::Cli& cli) {
   std::vector<trace::ProcessProfile> profiles;
-  if (cli.has("app")) {
-    profiles.push_back(trace::profile_app(apps::make_app(cli.str("app", ""))));
+  const std::string app = cli.str("app", "");
+  reject_unused(cli);
+  if (!app.empty()) {
+    profiles.push_back(trace::profile_app(apps::make_app(app)));
   } else {
     for (const auto& name : apps::app_names())
       profiles.push_back(trace::profile_app(apps::make_app(name)));
@@ -614,12 +666,9 @@ int cmd_profile(const util::Cli& cli) {
 
 int cmd_trace(const util::Cli& cli) {
   apps::App app = apps::make_app(cli.str("app", "wavetoy"));
-  const int rank = static_cast<int>(cli.num("rank", 1));
-  const std::size_t points = static_cast<std::size_t>(cli.num("points", 20));
-  if (rank < 0 || rank >= app.world.nranks) {
-    std::fprintf(stderr, "rank out of range\n");
-    return 1;
-  }
+  const int rank = rank_option(cli, app);
+  const auto points = static_cast<std::size_t>(count_option(cli, "points", 20));
+  reject_unused(cli);
   svm::Program program = app.link();
   simmpi::World world(program, app.world);
   trace::AccessTracer tracer(world.machine(rank));
@@ -636,7 +685,8 @@ int cmd_trace(const util::Cli& cli) {
 
 int cmd_mix(const util::Cli& cli) {
   apps::App app = apps::make_app(cli.str("app", "wavetoy"));
-  const int rank = static_cast<int>(cli.num("rank", 1));
+  const int rank = rank_option(cli, app);
+  reject_unused(cli);
   svm::Program program = app.link();
   simmpi::World world(program, app.world);
   trace::InstructionMixProfiler mix(program, world.machine(rank));
@@ -657,12 +707,18 @@ std::string require_socket(const util::Cli& cli) {
   return cli.str("socket", "");
 }
 
-/// One request/reply round-trip with the daemon. Throws SetupError on a
-/// connection failure or an {"ok": false} reply.
-util::JsonValue service_request(const std::string& socket_path,
-                                const std::string& line) {
+/// One {"op": op, fields...} request/reply round-trip with the daemon.
+/// Throws SetupError on a connection failure or an {"ok": false} reply.
+util::JsonValue service_request(
+    const std::string& socket_path, const std::string& op,
+    const std::vector<std::pair<std::string, std::string>>& fields = {}) {
+  util::JsonWriter w;
+  w.begin_object();
+  w.key("op").value(op);
+  for (const auto& [key, value] : fields) w.key(key).value(value);
+  w.end_object();
   util::UnixSocket sock = util::UnixSocket::connect(socket_path);
-  sock.write_line(line);
+  sock.write_line(w.str());
   std::string reply;
   if (!sock.read_line(reply))
     throw util::SetupError("daemon closed the connection without replying");
@@ -678,8 +734,10 @@ int cmd_serve(const util::Cli& cli) {
   if (!cli.has("state"))
     throw util::SetupError("option --state=DIR is required");
   opts.state_dir = cli.str("state", "");
-  opts.chunk = static_cast<std::uint64_t>(cli.num("chunk", 0));
-  if (!parse_ckpt_encoding(cli, opts.encoding)) return 1;
+  if (cli.has("chunk"))
+    opts.chunk = static_cast<std::uint64_t>(count_option(cli, "chunk", 1));
+  parse_ckpt_encoding(cli, opts.encoding);
+  reject_unused(cli);
   return service::serve(opts);
 }
 
@@ -688,22 +746,20 @@ int cmd_worker(const util::Cli& cli) {
   opts.socket_path = require_socket(cli);
   opts.name = cli.str("name", "w" + std::to_string(::getpid()));
   opts.jobs = static_cast<int>(cli.num("jobs", 1));
-  opts.checkpoint_every =
-      static_cast<int>(cli.num("checkpoint-every", 16));
+  opts.checkpoint_every = count_option(cli, "checkpoint-every", 16);
+  reject_unused(cli);
   return service::run_worker(opts);
 }
 
 int cmd_submit(const util::Cli& cli) {
   if (!cli.has("spec"))
     throw util::SetupError("option --spec=FILE is required");
-  util::JsonWriter w;
-  w.begin_object();
-  w.key("op").value("submit");
-  w.key("tenant").value(cli.str("tenant", "default"));
-  w.key("spec").value(util::read_file(cli.str("spec", "")));
-  w.end_object();
+  const std::string socket = require_socket(cli);
+  const std::string tenant = cli.str("tenant", "default");
+  const std::string spec = util::read_file(cli.str("spec", ""));
+  reject_unused(cli);
   const util::JsonValue reply =
-      service_request(require_socket(cli), w.str());
+      service_request(socket, "submit", {{"tenant", tenant}, {"spec", spec}});
   std::printf("%s\n", reply.at("job").as_string().c_str());
   return 0;
 }
@@ -728,18 +784,20 @@ int status_of_file(const std::string& path) {
 }
 
 int cmd_status(const util::Cli& cli) {
-  if (!cli.positional().empty()) return status_of_file(cli.positional()[0]);
-  util::JsonWriter w;
-  w.begin_object();
-  w.key("op").value("status");
-  if (cli.has("job")) w.key("job").value(cli.str("job", ""));
-  w.end_object();
-  const util::JsonValue reply =
-      service_request(require_socket(cli), w.str());
+  if (!cli.positional().empty()) {
+    reject_unused(cli, true);
+    return status_of_file(cli.positional()[0]);
+  }
+  const std::string socket = require_socket(cli);
+  const bool one_job = cli.has("job");
+  std::vector<std::pair<std::string, std::string>> fields;
+  if (one_job) fields.emplace_back("job", cli.str("job", ""));
+  reject_unused(cli);
+  const util::JsonValue reply = service_request(socket, "status", fields);
   const auto& jobs = reply.at("jobs").items();
   if (jobs.empty()) {
-    std::printf("no %s\n", cli.has("job") ? "such job" : "jobs");
-    return cli.has("job") ? 1 : 0;
+    std::printf("no %s\n", one_job ? "such job" : "jobs");
+    return one_job ? 1 : 0;
   }
   for (const auto& job : jobs) {
     std::printf("job %s  tenant=%s  state=%s\n",
@@ -757,23 +815,19 @@ int cmd_status(const util::Cli& cli) {
 int cmd_fetch(const util::Cli& cli) {
   if (!cli.has("job"))
     throw util::SetupError("option --job=ID is required");
-  util::JsonWriter w;
-  w.begin_object();
-  w.key("op").value("fetch");
-  w.key("job").value(cli.str("job", ""));
-  w.end_object();
-  const util::JsonValue reply =
-      service_request(require_socket(cli), w.str());
-  write_output(cli, reply.at("result").as_string());
+  const std::string socket = require_socket(cli);
+  const std::string job = cli.str("job", "");
+  const std::string out = cli.str("out", "");
+  reject_unused(cli);
+  const util::JsonValue reply = service_request(socket, "fetch", {{"job", job}});
+  write_output(out, reply.at("result").as_string());
   return 0;
 }
 
 int cmd_shutdown(const util::Cli& cli) {
-  util::JsonWriter w;
-  w.begin_object();
-  w.key("op").value("shutdown");
-  w.end_object();
-  (void)service_request(require_socket(cli), w.str());
+  const std::string socket = require_socket(cli);
+  reject_unused(cli);
+  (void)service_request(socket, "shutdown");
   return 0;
 }
 

@@ -15,13 +15,10 @@ Cli::Cli(int argc, const char* const* argv) {
     }
     arg.erase(0, 2);
     auto eq = arg.find('=');
-    if (eq != std::string::npos) {
+    if (eq != std::string::npos)
       opts_[arg.substr(0, eq)] = arg.substr(eq + 1);
-    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      opts_[arg] = argv[++i];
-    } else {
+    else
       opts_[arg] = "true";
-    }
   }
 }
 
@@ -36,13 +33,18 @@ std::string Cli::str(const std::string& name, const std::string& fallback) const
   return it == opts_.end() ? fallback : it->second;
 }
 
+bool Cli::parse_int(const std::string& text, std::int64_t& out) {
+  char* end = nullptr;
+  out = std::strtoll(text.c_str(), &end, 0);
+  return !text.empty() && end != nullptr && *end == '\0';
+}
+
 std::int64_t Cli::num(const std::string& name, std::int64_t fallback) const {
   queried_[name] = true;
   auto it = opts_.find(name);
   if (it == opts_.end()) return fallback;
-  char* end = nullptr;
-  long long v = std::strtoll(it->second.c_str(), &end, 0);
-  if (end == nullptr || *end != '\0')
+  std::int64_t v = 0;
+  if (!parse_int(it->second, v))
     throw SetupError("option --" + name + " expects an integer, got '" + it->second + "'");
   return v;
 }

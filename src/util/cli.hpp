@@ -1,7 +1,10 @@
-// Minimal command-line option parsing shared by bench and example binaries.
+// Minimal command-line option parsing shared by fsim, bench and example
+// binaries.
 //
-// Supports `--name=value`, `--name value` and boolean `--flag` forms; unknown
-// options raise SetupError so typos in experiment scripts fail loudly.
+// Options take the `--name=value` form or the bare boolean `--flag` form;
+// every other argument is positional, so `--quiet ck.json` never reads
+// `ck.json` as the value of `--quiet`. Malformed numbers raise SetupError,
+// and unused() lists options nobody read so binaries can refuse typos.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +22,9 @@ class Cli {
   std::string str(const std::string& name, const std::string& fallback) const;
   std::int64_t num(const std::string& name, std::int64_t fallback) const;
   double real(const std::string& name, double fallback) const;
+  /// Whole-string integer parse (decimal, or 0x/0 prefixed): the check num()
+  /// applies, for callers splitting a compound value such as `--shard=i/N`.
+  static bool parse_int(const std::string& text, std::int64_t& out);
   bool flag(const std::string& name, bool fallback = false) const;
 
   /// Positional (non-option) arguments, in order.

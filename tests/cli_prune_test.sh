@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
-# CLI gate for the --prune flag on `fsim run`: an unknown spelling must be
-# rejected with a message listing the valid values, and a valid level must
-# attach the static analysis and report the activation verdict. Guards the
-# single-run entry point into the precision ladder (campaign/batch have
-# their own digest gates).
+# CLI gate for fsim's flag handling. The --prune flag on `fsim run`: an
+# unknown spelling must be rejected with a message listing the valid
+# values, and a valid level must attach the static analysis and report the
+# activation verdict (campaign/batch have their own digest gates). Strict
+# flags: unknown or ignored options, out-of-range counts and malformed
+# --shard values exit nonzero naming the flag, and only the --name=value
+# form carries a value, so a bare flag never swallows the next file.
 #
 #   tests/cli_prune_test.sh <path-to-fsim>
 set -euo pipefail
 
 fsim="${1:?usage: cli_prune_test.sh <fsim>}"
+case "$fsim" in /*) ;; *) fsim="$PWD/$fsim" ;; esac
 
 # Unknown spelling: nonzero exit, error names the valid values.
 if err="$("$fsim" run --app=wavetoy --region=heap --seed=5 --prune=bogus \
@@ -41,5 +44,63 @@ case "$out" in
   *) ;;
 esac
 echo "  --prune=off runs without the analysis attached"
+
+# Strict flags: each invocation must fail, and its error must contain the
+# given text.
+expect_fail() {
+  local needle="$1"; shift
+  local err
+  if err="$("$fsim" "$@" 2>&1 >/dev/null)"; then
+    echo "cli_prune: 'fsim $*' unexpectedly succeeded" >&2
+    exit 1
+  fi
+  case "$err" in
+    *"$needle"*) ;;
+    *) echo "cli_prune: 'fsim $*' error lacks '$needle': $err" >&2
+       exit 1 ;;
+  esac
+  echo "  fsim $* -> $err"
+}
+expect_fail "unknown option --jobz" campaign --app=jacobi --jobz=4
+expect_fail "--runs" campaign --app=jacobi --runs=-5
+expect_fail "--jobs" batch --apps=jacobi --runs=2 --jobs=0
+expect_fail "--jobs" batch --apps=jacobi --runs=2 --jobs=-3
+for bad in x/y 1/ 3/2 -1/4; do
+  expect_fail "option --shard expects i/N with 0 <= i < N, got '$bad'" \
+      batch --apps=jacobi --runs=2 --shard="$bad"
+done
+expect_fail "--checkpoint-every" batch --apps=jacobi --runs=2 \
+    --checkpoint=never.json --checkpoint-every=0
+expect_fail "--wave" batch --apps=jacobi --runs=2 --ci=0.1 --wave=0
+expect_fail "--max-runs" batch --apps=jacobi --ci=0.1 --max-runs=0
+expect_fail "--chunk" serve --socket=never.sock --state=never --chunk=0
+expect_fail "--rank" mix --app=jacobi --rank=-1
+expect_fail "--points" trace --app=jacobi --points=0
+# Flags the chosen path ignores are refused too.
+expect_fail "unknown option --wave" batch --apps=jacobi --runs=2 --wave=3
+expect_fail "unexpected argument 'extra'" campaign --app=jacobi extra
+
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+cd "$tmp"
+echo '{"runs": 4, "regions": ["regular", "message"],
+ "campaigns": [{"app": "jacobi"}]}' > spec.json
+expect_fail "unknown option --runs" batch --spec=spec.json --runs=8
+
+# A bare flag keeps the next word positional: `resume --quiet CKPT` resumes
+# and `merge a --json b` folds both files.
+"$fsim" batch --spec=spec.json --jobs=1 --quiet --json > mono.json
+"$fsim" batch --spec=spec.json --shard=0/2 --jobs=1 --quiet \
+    --checkpoint=ck.json --out=s0.json 2>/dev/null
+"$fsim" batch --spec=spec.json --shard=1/2 --jobs=1 --quiet \
+    --out=s1.json 2>/dev/null
+"$fsim" resume --quiet ck.json --out=r0.json 2>/dev/null
+"$fsim" merge r0.json --json s1.json > merged.json
+cmp -s mono.json merged.json || {
+  echo "cli_prune: resume --quiet + merge a --json b differ from the" \
+       "monolithic batch" >&2
+  exit 1
+}
+echo "  resume --quiet CKPT and merge A --json B fold back to the batch"
 
 echo "cli_prune: all checks passed"

@@ -7,6 +7,7 @@
 
 #include "apps/app.hpp"
 #include "core/campaign.hpp"
+#include "core/checkpoint.hpp"
 #include "core/report.hpp"
 #include "util/status.hpp"
 
@@ -106,6 +107,42 @@ TEST(Shard, PartitionIsTotalAndDisjoint) {
         if (shard_owns(g, ShardSpec{index, count})) ++owners;
       ASSERT_EQ(owners, 1) << "grid point " << g << " with " << count
                            << " shards";
+    }
+  }
+
+  // The same partition as GridSelections: the N shard selections agree
+  // with shard_owns point for point, so they are pairwise disjoint, their
+  // union is the whole grid and their totals sum to its size.
+  std::vector<CampaignSpec> specs(2);
+  specs[0].runs_per_region = 10;
+  specs[0].regions = {Region::kRegularReg, Region::kData, Region::kMessage};
+  specs[1].runs_per_region = 7;
+  specs[1].regions = {Region::kRegularReg, Region::kMessage};
+  const std::uint64_t grid = 10 * 3 + 7 * 2;
+  for (int count : {1, 2, 3, 5, 8, 16}) {
+    std::vector<GridSelection> sels;
+    std::uint64_t total = 0;
+    for (int index = 0; index < count; ++index) {
+      sels.push_back(shard_selection(specs, ShardSpec{index, count}));
+      ASSERT_EQ(sels.back().slots.size(), 5u);
+      total += sels.back().total();
+    }
+    EXPECT_EQ(total, grid) << count << " shards";
+    std::uint64_t g = 0;
+    std::size_t slot = 0;
+    for (const CampaignSpec& spec : specs) {
+      for (std::size_t ri = 0; ri < spec.regions.size(); ++ri, ++slot) {
+        for (int i = 0; i < spec.runs_per_region; ++i, ++g) {
+          int owners = 0;
+          for (int index = 0; index < count; ++index) {
+            const bool in = sels[index].slots[slot].contains(i);
+            EXPECT_EQ(in, shard_owns(g, ShardSpec{index, count}));
+            owners += in;
+          }
+          ASSERT_EQ(owners, 1) << "grid point " << g << " with " << count
+                               << " shard selections";
+        }
+      }
     }
   }
 }

@@ -263,6 +263,14 @@ TEST(Resume, RefusesMismatchedIdentity) {
     bc.resume = &bad;
     EXPECT_THROW(run_batch(entries, bc), util::SetupError);
   }
+  {  // Tampered golden traffic: rx bytes are golden identity too.
+    Checkpoint bad = ck;
+    ASSERT_FALSE(bad.goldens[1].rx_bytes.empty());
+    bad.goldens[1].rx_bytes[0] ^= 1;
+    BatchConfig bc;
+    bc.resume = &bad;
+    EXPECT_THROW(run_batch(entries, bc), util::SetupError);
+  }
   std::remove(path.c_str());
 }
 
@@ -529,6 +537,99 @@ TEST(Reshard, FoldedSelectionsReproduceTheMonolithicBatch) {
   std::remove(path.c_str());
   std::remove(pa.c_str());
   std::remove(pb.c_str());
+}
+
+TEST(Reshard, SelectionRunsAlone) {
+  // A selection already names exactly the points to run: combining it
+  // with a shard or a resume baseline is refused before any preparation.
+  const std::vector<BatchEntry> entries = two_campaign_batch();
+  std::vector<CampaignSpec> specs;
+  for (const BatchEntry& e : entries)
+    specs.push_back(spec_of(e.app.name, e.config));
+  const GridSelection sel = shard_selection(specs, ShardSpec{});
+  const Checkpoint ck =
+      make_checkpoint(specs, std::vector<Golden>(specs.size()), ShardSpec{});
+  BatchConfig sharded;
+  sharded.selection = &sel;
+  sharded.shard = ShardSpec{1, 2};
+  EXPECT_THROW(run_batch(entries, sharded), util::SetupError);
+  BatchConfig resumed;
+  resumed.selection = &sel;
+  resumed.resume = &ck;
+  EXPECT_THROW(run_batch(entries, resumed), util::SetupError);
+}
+
+TEST(Checkpoint, PartialShardCountsAgreeEverywhere) {
+  // A partial shard-2/3 checkpoint: owned_runs, complete, the status rows
+  // and remaining_selection all derive from shard_selection, and must
+  // agree with one another and with a brute-force shard_owns count.
+  std::vector<CampaignSpec> specs(2);
+  specs[0].app = "wavetoy";
+  specs[0].runs_per_region = 10;
+  specs[0].regions = {Region::kRegularReg, Region::kData, Region::kMessage};
+  specs[1].app = "minimd";
+  specs[1].runs_per_region = 7;
+  specs[1].regions = {Region::kRegularReg, Region::kMessage};
+  const ShardSpec shard{2, 3};
+  Checkpoint ck =
+      make_checkpoint(specs, std::vector<Golden>(specs.size()), shard);
+
+  // Brute force: walk the grid, count owned points per slot and mark the
+  // first two of every slot done.
+  std::vector<int> owned(ck.slots.size(), 0);
+  std::uint64_t g = 0;
+  std::size_t slot = 0;
+  for (const CampaignSpec& spec : specs) {
+    for (std::size_t ri = 0; ri < spec.regions.size(); ++ri, ++slot) {
+      for (int i = 0; i < spec.runs_per_region; ++i, ++g) {
+        if (!shard_owns(g, shard)) continue;
+        if (++owned[slot] > 2) continue;
+        ck.slots[slot].done.insert(i);
+        ++ck.slots[slot].counts.executions;
+      }
+    }
+  }
+  int brute = 0;
+  for (int n : owned) brute += n;
+  ASSERT_EQ(brute, 14);  // grid points 2, 5, ..., 41 of 0..43
+
+  EXPECT_EQ(ck.owned_runs(), brute);
+  EXPECT_EQ(ck.completed_runs(), 2 * 5);
+  EXPECT_FALSE(ck.complete());
+  const CheckpointStatus st = checkpoint_status(ck);
+  EXPECT_EQ(st.owned, brute);
+  EXPECT_FALSE(st.complete);
+  ASSERT_EQ(st.rows.size(), owned.size());
+  for (std::size_t s = 0; s < owned.size(); ++s)
+    EXPECT_EQ(st.rows[s].owned, owned[s]) << "slot " << s;
+  GridSelection rest = remaining_selection(ck);
+  EXPECT_EQ(rest.total(),
+            static_cast<std::uint64_t>(brute - ck.completed_runs()));
+
+  // Finishing exactly the remainder completes the shard.
+  for (std::size_t s = 0; s < rest.slots.size(); ++s)
+    for (const auto& [first, last] : rest.slots[s].ranges())
+      for (int i = first; i <= last; ++i) ck.slots[s].done.insert(i);
+  EXPECT_TRUE(ck.complete());
+  EXPECT_TRUE(remaining_selection(ck).empty());
+}
+
+TEST(RunSet, MinusCarvesOutOverlaps) {
+  RunSet a;
+  a.append_range(0, 9);
+  a.append_range(20, 29);
+  RunSet b;
+  b.append_range(3, 4);
+  b.append_range(8, 21);
+  b.append_range(25, 25);
+  const RunSet d = a.minus(b);
+  ASSERT_EQ(d.ranges().size(), 4u);
+  EXPECT_EQ(d.ranges()[0], (std::pair<int, int>{0, 2}));
+  EXPECT_EQ(d.ranges()[1], (std::pair<int, int>{5, 7}));
+  EXPECT_EQ(d.ranges()[2], (std::pair<int, int>{22, 24}));
+  EXPECT_EQ(d.ranges()[3], (std::pair<int, int>{26, 29}));
+  EXPECT_EQ(a.minus(RunSet{}), a);
+  EXPECT_TRUE(a.minus(a).empty());
 }
 
 TEST(Status, OneFormatterServesFilesAndTheWire) {

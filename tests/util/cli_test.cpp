@@ -19,9 +19,15 @@ TEST(Cli, EqualsForm) {
   EXPECT_EQ(c.str("app", ""), "wavetoy");
 }
 
-TEST(Cli, SpaceForm) {
-  Cli c = make({"--seed", "99"});
-  EXPECT_EQ(c.num("seed", 0), 99);
+TEST(Cli, BooleanFlagKeepsNextPositional) {
+  // Only `--name=value` carries a value: the word after a bare flag stays
+  // positional (`fsim resume --quiet ck.json`).
+  Cli c = make({"--quiet", "ck.json", "--json", "b.json"});
+  EXPECT_TRUE(c.flag("quiet"));
+  EXPECT_TRUE(c.flag("json"));
+  ASSERT_EQ(c.positional().size(), 2u);
+  EXPECT_EQ(c.positional()[0], "ck.json");
+  EXPECT_EQ(c.positional()[1], "b.json");
 }
 
 TEST(Cli, BooleanFlag) {
@@ -51,6 +57,7 @@ TEST(Cli, RealParsing) {
 TEST(Cli, BadNumberThrows) {
   Cli c = make({"--runs=abc"});
   EXPECT_THROW(c.num("runs", 0), SetupError);
+  EXPECT_THROW(make({"--runs="}).num("runs", 0), SetupError);
 }
 
 TEST(Cli, Positional) {
