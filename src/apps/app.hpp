@@ -118,8 +118,8 @@ App make_app(const std::string& name);
 /// Per-campaign overrides of an app's generator config — the subset a
 /// `fsim-batch-v2` spec file may set per campaign. `0` keeps the app's
 /// default; any override changes the linked image, so it is part of the
-/// campaign's identity (specs, shard partials and checkpoints all carry it,
-/// and mismatches are refused at merge/resume time).
+/// campaign's identity (specs, results and checkpoints all carry it, and
+/// mismatches are refused at merge/resume time).
 struct AppParams {
   int ranks = 0;  // world size (0 = app default)
   int steps = 0;  // timesteps; for jacobi this caps max_iterations

@@ -22,17 +22,6 @@ const char* stop_token(CellStop stop) {
   return "open";
 }
 
-void validate_policy(const AdaptivePolicy& p) {
-  if (p.ci <= 0.0 || p.ci >= 1.0)
-    throw util::SetupError("adaptive: --ci must be in (0, 1)");
-  if (p.alpha <= 0.0 || p.alpha >= 1.0)
-    throw util::SetupError("adaptive: confidence alpha must be in (0, 1)");
-  if (p.wave < 1)
-    throw util::SetupError("adaptive: --wave must be >= 1");
-  if (p.min_runs < 1)
-    throw util::SetupError("adaptive: min_runs must be >= 1");
-}
-
 /// Waves a cell needed to reach `scheduled`: every wave extends the
 /// frontier by `wave` grid points (clipped at the cap), so this is a pure
 /// function of the frontier — identical across kill/resume replays, which
@@ -46,7 +35,7 @@ int waves_of(int scheduled, int wave) {
 AdaptiveResult run_adaptive(const std::vector<BatchEntry>& entries,
                             const AdaptiveConfig& config) {
   require_valid_shard(config.shard);
-  validate_policy(config.policy);
+  require_valid_policy(config.policy);
   if (config.selection)
     throw util::SetupError(
         "adaptive: explicit grid selections are not supported (waves are "

@@ -81,10 +81,10 @@ AdaptiveResult run_adaptive(const std::vector<BatchEntry>& entries,
 /// target, waves, and how the cell stopped.
 std::string format_adaptive(const AdaptiveResult& result);
 
-/// The standard fsim-batch-v2 result document with an extra "adaptive"
-/// annex (policy + per-cell wave statistics). parse_batch_json ignores
-/// unknown keys and verifies digests by recomputation, so the document
-/// stays fully mergeable/parseable by pre-adaptive consumers.
+/// The standard fsim-batch-v2 result export with an extra "adaptive"
+/// annex (policy + per-cell wave statistics); its digests cover the same
+/// counts as the plain document, so consumers that ignore the annex read
+/// an ordinary batch result.
 std::string adaptive_json(const AdaptiveResult& result);
 
 }  // namespace fsim::core

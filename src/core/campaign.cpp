@@ -134,6 +134,17 @@ void require_positive_runs(const std::string& app, int runs) {
                            std::to_string(runs));
 }
 
+void require_valid_policy(const AdaptivePolicy& p) {
+  if (p.ci <= 0.0 || p.ci >= 1.0)
+    throw util::SetupError("adaptive: --ci must be in (0, 1)");
+  if (p.alpha <= 0.0 || p.alpha >= 1.0)
+    throw util::SetupError("adaptive: confidence alpha must be in (0, 1)");
+  if (p.wave < 1)
+    throw util::SetupError("adaptive: --wave must be >= 1");
+  if (p.min_runs < 1)
+    throw util::SetupError("adaptive: min_runs must be >= 1");
+}
+
 CampaignSpec spec_of(const std::string& app_name,
                      const CampaignConfig& config) {
   CampaignSpec spec;
@@ -440,8 +451,8 @@ BatchResult run_batch(const std::vector<BatchEntry>& entries,
     for (std::size_t s = 0; s < nslots; ++s)
       merge_region_counts(totals[s], resume->slots[s].counts);
 
-  // Leave a final (complete) checkpoint behind: `fsim merge` accepts it in
-  // place of the shard result, and resuming it is a no-op.
+  // Leave a final (complete) checkpoint behind: it equals the shard's
+  // default output (batch_to_checkpoint), and resuming it is a no-op.
   if (sink) sink->flush();
 
   result.campaigns = session.attach_regions(totals);
@@ -637,11 +648,6 @@ std::string format_batch(const BatchResult& result) {
   for (std::size_t c = 0; c < result.campaigns.size(); ++c) {
     if (c) out += "\n";
     out += format_campaign(result.campaigns[c]);
-  }
-  if (result.shard.count > 1) {
-    out += "\n(shard " + std::to_string(result.shard.index) + "/" +
-           std::to_string(result.shard.count) +
-           " — partial counts; fold all shards with `fsim merge`)\n";
   }
   return out;
 }

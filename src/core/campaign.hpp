@@ -177,7 +177,7 @@ void merge_region_counts(RegionResult& into, const RegionResult& from);
 // at any job count. run_campaign itself is a single-entry batch.
 
 /// Identity of one campaign inside a batch — everything that must match
-/// across hosts for their shard partials to be mergeable.
+/// across hosts for their shard checkpoints to be mergeable.
 struct CampaignSpec {
   std::string app;
   int runs_per_region = 0;
@@ -189,8 +189,8 @@ struct CampaignSpec {
   /// of the campaign identity: different params link a different image.
   apps::AppParams params;
   /// Engine the campaign ran under — carried for reporting only. Engines
-  /// are bit-identical, so it is NOT part of the identity: shard partials
-  /// and checkpoints from different engines merge/resume freely.
+  /// are bit-identical, so it is NOT part of the identity: checkpoints
+  /// from different engines merge/resume freely.
   svm::exec::EngineKind engine = svm::exec::EngineKind::kThreaded;
 
   bool operator==(const CampaignSpec& o) const {
@@ -224,6 +224,11 @@ struct AdaptivePolicy {
   bool operator==(const AdaptivePolicy&) const = default;
 };
 
+/// Throws SetupError unless ci and alpha lie in (0, 1) and wave and
+/// min_runs are >= 1: the one policy check run_adaptive and checkpoint
+/// parsing share.
+void require_valid_policy(const AdaptivePolicy& policy);
+
 /// One campaign in a batch. The entry's config supplies runs/seed/regions/
 /// dictionary_entries/prune/engine; its inherited ExecPolicy is ignored —
 /// the batch-level policy drives execution.
@@ -231,7 +236,7 @@ struct BatchEntry {
   apps::App app;
   CampaignConfig config;
   /// App-config overrides `app` was built with (echoed into the campaign's
-  /// spec so shard partials and checkpoints carry the full identity).
+  /// spec so results and checkpoints carry the full identity).
   apps::AppParams params;
 };
 
@@ -327,7 +332,7 @@ class BatchSession {
 BatchResult run_batch(const std::vector<BatchEntry>& entries,
                       const BatchConfig& config);
 
-/// Per-campaign paper-style tables, plus a shard footnote when partial.
+/// Per-campaign paper-style tables.
 std::string format_batch(const BatchResult& result);
 
 /// Render the campaign as a paper-style table. Detection columns are shown

@@ -275,8 +275,8 @@ namespace {
 // --- fnv-bin-v1: the whole snapshot as one varint-packed blob ---
 //
 // The wrapper document stays JSON (format/kind/encoding/digest plus the
-// base64 blob), so kind-sniffing consumers — parse_merge_input, status —
-// keep working on either encoding. Integrity comes from recomputing the
+// base64 blob), so the one reader dispatches on "encoding" and every
+// consumer accepts either. Integrity comes from recomputing the
 // whole-document FNV digest over the *decoded* checkpoint and comparing
 // it to the wrapper's: any torn, truncated or bit-flipped blob is refused
 // exactly like a hand-edited JSON sidecar.
@@ -412,9 +412,6 @@ Checkpoint parse_checkpoint_blob(const std::string& blob,
       cs.frontier = static_cast<int>(r.u64());
       cs.stopped = r.u64() != 0;
     }
-    if (cs.counts.executions != cs.done.size())
-      throw util::SetupError(
-          "checkpoint: slot counts disagree with its completed-run set");
     ck.slots.push_back(std::move(cs));
   }
   if (!r.done())
@@ -432,6 +429,11 @@ Checkpoint parse_checkpoint(const util::JsonValue& doc) {
     throw util::SetupError(
         "not an fsim checkpoint (missing format: fsim-batch-v2)");
   const util::JsonValue* k = doc.find("kind");
+  if (k && k->as_string() == "result")
+    throw util::SetupError(
+        "document is a result export, not a checkpoint: merge, resume and "
+        "status read checkpoints (a shard's default output or its "
+        "--checkpoint sidecar)");
   if (!k || k->as_string() != "checkpoint")
     throw util::SetupError(
         "fsim-batch-v2 document is not a checkpoint (kind: " +
@@ -448,19 +450,16 @@ Checkpoint parse_checkpoint(const util::JsonValue& doc) {
 
   Checkpoint ck;
   const util::JsonValue& shard = doc.at("shard");
-  ck.shard.index = static_cast<int>(shard.at("index").as_int());
-  ck.shard.count = static_cast<int>(shard.at("count").as_int());
+  ck.shard.index = shard.at("index").as_i32();
+  ck.shard.count = shard.at("count").as_i32();
   ck.cursor = doc.at("cursor").as_u64();
   // Optional adaptive stopping policy (absent in fixed-n checkpoints).
   if (const util::JsonValue* av = doc.find("adaptive")) {
     AdaptivePolicy policy;
     policy.ci = av->at("ci").as_double();
     policy.alpha = av->at("alpha").as_double();
-    policy.wave = static_cast<int>(av->at("wave").as_int());
-    policy.min_runs = static_cast<int>(av->at("min_runs").as_int());
-    if (policy.ci <= 0.0 || policy.ci >= 1.0 || policy.alpha <= 0.0 ||
-        policy.alpha >= 1.0 || policy.wave < 1 || policy.min_runs < 1)
-      throw util::SetupError("checkpoint: malformed adaptive policy");
+    policy.wave = av->at("wave").as_i32();
+    policy.min_runs = av->at("min_runs").as_i32();
     ck.adaptive = policy;
   }
   for (const auto& cv : doc.at("campaigns").items()) {
@@ -497,21 +496,12 @@ Checkpoint parse_checkpoint(const util::JsonValue& doc) {
       const auto& pair = rv.items();
       if (pair.size() != 2)
         throw util::SetupError("checkpoint: run range is not a pair");
-      cs.done.append_range(static_cast<int>(pair[0].as_int()),
-                           static_cast<int>(pair[1].as_int()));
+      cs.done.append_range(pair[0].as_i32(), pair[1].as_i32());
     }
     read_region_counts(sv.at("counts"), cs.counts);
-    if (cs.counts.executions != cs.done.size())
-      throw util::SetupError(
-          "checkpoint: slot counts disagree with its completed-run set");
     if (ck.adaptive) {
-      cs.frontier = static_cast<int>(sv.at("frontier").as_int());
+      cs.frontier = sv.at("frontier").as_i32();
       cs.stopped = sv.at("stopped").as_bool();
-      if (cs.frontier < 0 ||
-          (!cs.done.empty() &&
-           cs.done.ranges().back().second >= cs.frontier))
-        throw util::SetupError(
-            "checkpoint: completed runs outside the cell's wave frontier");
     }
     if (sv.at("digest").as_u64() !=
         slot_record_digest(campaign, cs, ck.adaptive.has_value()))
@@ -524,6 +514,54 @@ Checkpoint parse_checkpoint(const util::JsonValue& doc) {
         "checkpoint: document digest mismatch (file corrupted or "
         "hand-edited)");
   return ck;
+}
+
+/// The semantic checks both encodings share, run once the digests verify
+/// (a forged document can carry valid digests): the shard and policy are
+/// in range, every done index lies inside the grid and counts agree with
+/// the done sets. A fixed-n done set must lie inside the shard's
+/// selection; an adaptive cell holds runs only inside its frontier, and
+/// only when its shard owns it. Without this a forged input would
+/// over-count in a merge or a status report.
+void require_consistent_done_sets(const Checkpoint& ck) {
+  require_valid_shard(ck.shard);
+  if (ck.adaptive) require_valid_policy(*ck.adaptive);
+  for (const CampaignSpec& spec : ck.specs)
+    require_positive_runs(spec.app, spec.runs_per_region);
+  const GridSelection owned =
+      ck.adaptive ? GridSelection{} : shard_selection(ck.specs, ck.shard);
+  std::size_t slot = 0;
+  for (const CampaignSpec& spec : ck.specs) {
+    for (std::size_t ri = 0; ri < spec.regions.size(); ++ri, ++slot) {
+      auto fail = [&](const std::string& what) {
+        throw util::SetupError("checkpoint: " + spec.app + " " +
+                               region_token(spec.regions[ri]) + ": " + what);
+      };
+      const CheckpointSlot& cs = ck.slots[slot];
+      const int last = cs.done.empty() ? -1 : cs.done.ranges().back().second;
+      if (last >= spec.runs_per_region)
+        fail("run " + std::to_string(last) + " is outside the grid of " +
+             std::to_string(spec.runs_per_region) + " runs");
+      if (cs.counts.executions != cs.done.size())
+        fail("slot counts disagree with its completed-run set");
+      if (!ck.adaptive) {
+        const RunSet foreign = cs.done.minus(owned.slots[slot]);
+        if (!foreign.empty())
+          fail("run " + std::to_string(foreign.ranges()[0].first) +
+               " belongs to another shard than " +
+               std::to_string(ck.shard.index) + "/" +
+               std::to_string(ck.shard.count));
+      } else if (!shard_owns_cell(slot, ck.shard)) {
+        if (!cs.done.empty() || cs.frontier != 0 || cs.stopped)
+          fail("cell belongs to another shard but carries runs or wave "
+               "state");
+      } else if (cs.frontier < 0 || cs.frontier > spec.runs_per_region ||
+                 last >= cs.frontier) {
+        fail("completed runs or frontier outside the cell's wave frontier "
+             "and grid");
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -602,7 +640,9 @@ std::string checkpoint_json(const Checkpoint& checkpoint) {
 }
 
 Checkpoint parse_checkpoint_json(const std::string& text) {
-  return parse_checkpoint(util::parse_json(text));
+  Checkpoint ck = parse_checkpoint(util::parse_json(text));
+  require_consistent_done_sets(ck);
+  return ck;
 }
 
 std::string checkpoint_serialize(const Checkpoint& checkpoint,
@@ -751,21 +791,21 @@ CheckpointStatus parse_status_json(const std::string& text) {
     throw util::SetupError("not an fsim status document");
   CheckpointStatus st;
   const util::JsonValue& shard = doc.at("shard");
-  st.shard.index = static_cast<int>(shard.at("index").as_int());
-  st.shard.count = static_cast<int>(shard.at("count").as_int());
+  st.shard.index = shard.at("index").as_i32();
+  st.shard.count = shard.at("count").as_i32();
   st.adaptive = doc.at("adaptive").as_bool();
   st.complete = doc.at("complete").as_bool();
-  st.done = static_cast<int>(doc.at("done").as_int());
-  st.owned = static_cast<int>(doc.at("owned").as_int());
+  st.done = doc.at("done").as_i32();
+  st.owned = doc.at("owned").as_i32();
   st.cursor = doc.at("cursor").as_u64();
   st.digest = doc.at("digest").as_u64();
   for (const auto& rv : doc.at("rows").items()) {
     CheckpointStatus::Row row;
     row.app = rv.at("app").as_string();
     row.region = parse_region(rv.at("region").as_string());
-    row.done = static_cast<int>(rv.at("done").as_int());
-    row.owned = static_cast<int>(rv.at("owned").as_int());
-    row.frontier = static_cast<int>(rv.at("frontier").as_int());
+    row.done = rv.at("done").as_i32();
+    row.owned = rv.at("owned").as_i32();
+    row.frontier = rv.at("frontier").as_i32();
     row.stopped = rv.at("stopped").as_bool();
     st.rows.push_back(std::move(row));
   }
@@ -793,24 +833,39 @@ BatchResult checkpoint_to_batch(const Checkpoint& checkpoint) {
   return result;
 }
 
-MergeInput parse_merge_input(const std::string& text) {
-  const util::JsonValue doc = util::parse_json(text);
-  const util::JsonValue* f = doc.find("format");
-  const util::JsonValue* k = doc.find("kind");
-  if (f && f->as_string() == kBatchFormatV2 && k &&
-      k->as_string() == "checkpoint") {
-    Checkpoint ck = parse_checkpoint(doc);
-    MergeInput in;
-    in.from_checkpoint = true;
-    in.completed_runs = ck.completed_runs();
-    in.owned_runs = ck.owned_runs();
-    in.complete = ck.complete();
-    in.result = checkpoint_to_batch(ck);
-    return in;
+Checkpoint batch_to_checkpoint(const BatchResult& result,
+                               const std::optional<AdaptivePolicy>& adaptive) {
+  std::vector<Golden> goldens;
+  for (const CampaignResult& campaign : result.campaigns)
+    goldens.push_back(campaign.golden);
+  Checkpoint ck = make_checkpoint(result.specs, std::move(goldens),
+                                  result.shard);
+  ck.adaptive = adaptive;
+  const GridSelection owned =
+      adaptive ? GridSelection{} : shard_selection(result.specs, result.shard);
+  std::uint64_t base = 0;  // grid index of the slot's run 0
+  std::size_t slot = 0;
+  for (std::size_t c = 0; c < result.specs.size(); ++c) {
+    for (const RegionResult& rr : result.campaigns[c].regions) {
+      CheckpointSlot& cs = ck.slots[slot];
+      cs.counts = rr;
+      if (!adaptive) {
+        cs.done = owned.slots[slot];
+      } else if (shard_owns_cell(slot, result.shard)) {
+        if (rr.executions > 0) cs.done.append_range(0, rr.executions - 1);
+        cs.frontier = rr.executions;
+        cs.stopped = true;
+      }
+      // Slots run in grid order, so the last non-empty one sets the cursor.
+      if (!cs.done.empty())
+        ck.cursor = base +
+                    static_cast<std::uint64_t>(cs.done.ranges().back().second) +
+                    1;
+      base += static_cast<std::uint64_t>(result.specs[c].runs_per_region);
+      ++slot;
+    }
   }
-  MergeInput in;
-  in.result = parse_batch_json(text);
-  return in;
+  return ck;
 }
 
 // --- CheckpointSink ---

@@ -1,19 +1,24 @@
 // Incremental shard checkpointing and resume (crash-tolerant campaigns).
 //
-// A checkpoint is a crash-consistent snapshot of a half-finished shard:
-// for every (campaign, region) slot it records the partial aggregate
-// counts *and* the exact set of completed run indices. Run identity is
-// RNG-free — a run's seed is a pure function of (campaign seed, region,
-// index) — so "completed" is a set of grid points, not a scheduler state,
-// and resuming at any `--jobs` reproduces the uninterrupted aggregates bit
-// for bit: integer counts are summed over the same set of grid points in
-// either execution.
+// A checkpoint is a crash-consistent snapshot of a shard: for every
+// (campaign, region) slot it records the partial aggregate counts *and*
+// the exact set of completed run indices. Run identity is RNG-free — a
+// run's seed is a pure function of (campaign seed, region, index) — so
+// "completed" is a set of grid points, not a scheduler state, and resuming
+// at any `--jobs` reproduces the uninterrupted aggregates bit for bit:
+// integer counts are summed over the same set of grid points in either
+// execution.
 //
-// The sidecar file is a versioned `fsim-batch-v2` JSON document
-// (`"kind": "checkpoint"`), rewritten atomically (write-to-temp + rename)
-// every N completed runs. Every slot record carries its own FNV-1a digest
-// and the document a digest over all records, so torn or hand-edited
-// files are refused at parse time.
+// The checkpoint is the only document fsim reads back. A running shard
+// rewrites it atomically (write-to-temp + rename) as a sidecar every N
+// completed runs; a finished shard emits it as its default output
+// (batch_to_checkpoint); `fsim resume`, `fsim merge` (one fold_checkpoint
+// per input), `fsim status` and the service all parse it. It is a
+// versioned `fsim-batch-v2` JSON document (`"kind": "checkpoint"`). Every
+// slot record carries its own FNV-1a digest and the document a digest
+// over all records, so torn or hand-edited files are refused at parse
+// time, and a done set that reaches outside the grid or its shard is
+// refused even when the digests verify.
 #pragma once
 
 #include <cstdint>
@@ -137,8 +142,11 @@ void require_same_batch(const char* what, const Checkpoint& checkpoint,
                         const std::vector<Golden>& goldens);
 
 /// Serialize / parse the checkpoint document. parse verifies the per-slot
-/// and whole-document digests and throws SetupError on any mismatch or on
-/// a non-checkpoint document. It accepts either on-disk encoding: the
+/// and whole-document digests, then the done sets: every index inside the
+/// grid, a fixed-n done set inside shard_selection, an adaptive cell's
+/// runs inside its frontier and no state in cells its shard does not own.
+/// It throws SetupError on any violation or on a non-checkpoint document
+/// (result exports included). It accepts either on-disk encoding: the
 /// plain JSON layout or the compact `"encoding": "fnv-bin-v1"` wrapper
 /// (the whole snapshot packed into one digested base64 blob) — both parse
 /// to the identical Checkpoint, so resume is byte-identical across
@@ -193,25 +201,20 @@ std::string format_checkpoint_status(const CheckpointStatus& status);
 std::string status_json(const CheckpointStatus& status);
 CheckpointStatus parse_status_json(const std::string& text);
 
-/// Project a checkpoint into a shard-partial BatchResult (the shape
-/// `fsim merge` folds). Counts cover exactly the checkpoint's completed
-/// grid points.
+/// Project a checkpoint into a BatchResult whose counts cover exactly the
+/// checkpoint's completed grid points (`fsim merge` renders the folded
+/// master this way).
 BatchResult checkpoint_to_batch(const Checkpoint& checkpoint);
 
-/// One `fsim merge` input file, which may be a finished shard document or
-/// a checkpoint. `complete` is false only for a checkpoint that does not
-/// yet cover its whole shard (merging one requires --partial-report).
-struct MergeInput {
-  BatchResult result;
-  bool from_checkpoint = false;
-  bool complete = true;
-  int completed_runs = 0;  // checkpoint inputs: runs covered
-  int owned_runs = 0;      // checkpoint inputs: runs the shard owns
-};
-
-/// Parse a merge input of either kind (throws SetupError on anything that
-/// is neither a batch/shard result nor a checkpoint).
-MergeInput parse_merge_input(const std::string& text);
+/// The inverse for a finished shard: the checkpoint its sidecar holds
+/// after the last run, and what `fsim batch --shard` writes by default.
+/// Fixed-n: done = shard_selection. Adaptive (`adaptive` = the run's
+/// policy): every owned cell is done over [0, executions), with that
+/// frontier and stopped set. The cursor is one past the highest done grid
+/// index.
+Checkpoint batch_to_checkpoint(
+    const BatchResult& result,
+    const std::optional<AdaptivePolicy>& adaptive = std::nullopt);
 
 /// CampaignObserver that maintains a live Checkpoint image of the running
 /// batch and atomically rewrites the sidecar file every `every` completed

@@ -1,6 +1,5 @@
 #include "core/report.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "core/sampling.hpp"
@@ -10,35 +9,6 @@
 namespace fsim::core {
 
 namespace {
-
-/// Inverse of the display names used by the JSON exports.
-Region region_from_display(const std::string& name) {
-  for (unsigned r = 0; r < kNumRegions; ++r)
-    if (name == region_name(static_cast<Region>(r)))
-      return static_cast<Region>(r);
-  throw util::SetupError("json: unknown region '" + name + "'");
-}
-
-Manifestation manifestation_from_name(const std::string& name) {
-  for (unsigned m = 0; m < kNumManifestations; ++m)
-    if (name == manifestation_name(static_cast<Manifestation>(m)))
-      return static_cast<Manifestation>(m);
-  throw util::SetupError("json: unknown manifestation '" + name + "'");
-}
-
-CrashKind crash_kind_from_name(const std::string& name) {
-  for (unsigned k = 0; k < kNumCrashKinds; ++k)
-    if (name == crash_kind_name(static_cast<CrashKind>(k)))
-      return static_cast<CrashKind>(k);
-  throw util::SetupError("json: unknown crash kind '" + name + "'");
-}
-
-PruneRung prune_rung_from_token(const std::string& name) {
-  for (unsigned r = 0; r < kNumPruneRungs; ++r)
-    if (name == prune_rung_token(static_cast<PruneRung>(r)))
-      return static_cast<PruneRung>(r);
-  throw util::SetupError("json: unknown prune rung '" + name + "'");
-}
 
 /// Campaign result object body, shared by campaign_json and batch_json.
 void write_campaign(util::JsonWriter& w, const CampaignResult& result) {
@@ -238,8 +208,8 @@ std::uint64_t outcome_digest(const BatchResult& result) {
 namespace {
 
 /// Spec "prune" values: the level name ("off" | "regs" | "full"), with the
-/// PR-3 booleans still accepted for old spec files and shard partials
-/// (true mapped to the old behaviour, register-only pruning).
+/// early boolean spelling still accepted for old spec files and
+/// checkpoints (true mapped to the old behaviour, register-only pruning).
 PruneLevel read_prune(const util::JsonValue& v) {
   if (v.kind() == util::JsonValue::Kind::kBool)
     return v.as_bool() ? PruneLevel::kRegs : PruneLevel::kOff;
@@ -269,7 +239,7 @@ void write_campaign_spec(util::JsonWriter& w, const CampaignSpec& spec) {
 CampaignSpec read_campaign_spec(const util::JsonValue& v) {
   CampaignSpec spec;
   spec.app = v.at("app").as_string();
-  spec.runs_per_region = static_cast<int>(v.at("runs_per_region").as_int());
+  spec.runs_per_region = v.at("runs_per_region").as_i32();
   spec.seed = v.at("seed").as_u64();
   for (const auto& r : v.at("regions").items())
     spec.regions.push_back(parse_region(r.as_string()));
@@ -286,9 +256,9 @@ CampaignSpec read_campaign_spec(const util::JsonValue& v) {
   }
   // v1 documents predate app-param overrides; absent keys mean app defaults.
   if (const auto* f = v.find("ranks"))
-    spec.params.ranks = static_cast<int>(f->as_int());
+    spec.params.ranks = f->as_i32();
   if (const auto* f = v.find("steps"))
-    spec.params.steps = static_cast<int>(f->as_int());
+    spec.params.steps = f->as_i32();
   return spec;
 }
 
@@ -345,21 +315,21 @@ void read_region_counts(const util::JsonValue& v, RegionResult& rr) {
                              std::to_string(items.size()));
     return &items;
   };
-  rr.executions = static_cast<int>(v.at("executions").as_int());
-  rr.skipped = static_cast<int>(v.at("skipped").as_int());
+  rr.executions = v.at("executions").as_i32();
+  rr.skipped = v.at("skipped").as_i32();
   {
     const auto* items =
         fixed(v.at("manifestations"), kNumManifestations, "manifestation");
     for (unsigned m = 0; m < kNumManifestations; ++m)
-      rr.counts[m] = static_cast<int>((*items)[m].as_int());
+      rr.counts[m] = (*items)[m].as_i32();
   }
   {
     const auto* items =
         fixed(v.at("crash_kinds"), kNumCrashKinds, "crash-kind");
     for (unsigned k = 0; k < kNumCrashKinds; ++k)
-      rr.crash_kinds[k] = static_cast<int>((*items)[k].as_int());
+      rr.crash_kinds[k] = (*items)[k].as_i32();
   }
-  rr.pruned = static_cast<int>(v.at("pruned").as_int());
+  rr.pruned = v.at("pruned").as_i32();
   // Absent in checkpoints written before the precision ladder: all zero.
   // The ladder only ever appends rungs, so a shorter array from an older
   // checkpoint is the prefix of today's: missing tail rungs stay zero.
@@ -371,12 +341,12 @@ void read_region_counts(const util::JsonValue& v, RegionResult& rr) {
                              " prune-rung counts, got " +
                              std::to_string(items.size()));
     for (unsigned r = 0; r < items.size(); ++r)
-      rr.pruned_rungs[r] = static_cast<int>(items[r].as_int());
+      rr.pruned_rungs[r] = items[r].as_i32();
   }
   {
     const auto* items = fixed(v.at("act_executions"), 2, "activation");
     for (unsigned a = 0; a < 2; ++a)
-      rr.act_executions[a] = static_cast<int>((*items)[a].as_int());
+      rr.act_executions[a] = (*items)[a].as_i32();
   }
   {
     const auto* rows = fixed(v.at("act_manifestations"), 2, "activation");
@@ -384,58 +354,10 @@ void read_region_counts(const util::JsonValue& v, RegionResult& rr) {
       const auto* items =
           fixed((*rows)[a], kNumManifestations, "activation manifestation");
       for (unsigned m = 0; m < kNumManifestations; ++m)
-        rr.act_counts[a][m] = static_cast<int>((*items)[m].as_int());
+        rr.act_counts[a][m] = (*items)[m].as_i32();
     }
   }
 }
-
-namespace {
-
-CampaignResult read_campaign(const util::JsonValue& v) {
-  CampaignResult result;
-  result.app = v.at("app").as_string();
-  result.seed = v.at("seed").as_u64();
-  const util::JsonValue& g = v.at("golden");
-  result.golden.instructions = g.at("instructions").as_u64();
-  result.golden.hang_budget = g.at("hang_budget").as_u64();
-  for (const auto& b : g.at("rx_bytes_per_rank").items())
-    result.golden.rx_bytes.push_back(b.as_u64());
-  for (const auto& rv : v.at("regions").items()) {
-    RegionResult rr;
-    rr.region = region_from_display(rv.at("region").as_string());
-    rr.executions = static_cast<int>(rv.at("executions").as_int());
-    rr.skipped = static_cast<int>(rv.at("skipped").as_int());
-    for (const auto& [name, count] : rv.at("manifestations").members())
-      rr.counts[static_cast<unsigned>(manifestation_from_name(name))] =
-          static_cast<int>(count.as_int());
-    for (const auto& [name, count] : rv.at("crash_kinds").members())
-      rr.crash_kinds[static_cast<unsigned>(crash_kind_from_name(name))] =
-          static_cast<int>(count.as_int());
-    rr.pruned = static_cast<int>(rv.at("pruned").as_int());
-    // Optional (absent in pre-ladder documents and when nothing pruned).
-    if (const util::JsonValue* rungs = rv.find("pruned_rungs")) {
-      for (const auto& [name, count] : rungs->members())
-        rr.pruned_rungs[static_cast<unsigned>(prune_rung_from_token(name))] =
-            static_cast<int>(count.as_int());
-    }
-    if (const util::JsonValue* act = rv.find("activation")) {
-      const char* names[2] = {"live", "dead"};
-      for (unsigned a = 0; a < 2; ++a) {
-        const util::JsonValue& av = act->at(names[a]);
-        rr.act_executions[a] =
-            static_cast<int>(av.at("executions").as_int());
-        for (const auto& [name, count] : av.at("manifestations").members())
-          rr.act_counts[a][static_cast<unsigned>(
-              manifestation_from_name(name))] =
-              static_cast<int>(count.as_int());
-      }
-    }
-    result.regions.push_back(std::move(rr));
-  }
-  return result;
-}
-
-}  // namespace
 
 std::string batch_json(const BatchResult& result,
                        const std::function<void(util::JsonWriter&)>& annex) {
@@ -461,8 +383,8 @@ std::string batch_json(const BatchResult& result,
     w.end_object();
   }
   w.end_array();
-  // Derived batch-wide per-app activation totals; readers recompute these
-  // from the per-region counts, so the parser deliberately ignores them.
+  // Derived batch-wide per-app activation totals (recomputable from the
+  // per-region counts).
   if (const auto summary = batch_activation(result); !summary.empty()) {
     w.key("activation_summary").begin_array();
     for (const auto& row : summary) {
@@ -479,99 +401,6 @@ std::string batch_json(const BatchResult& result,
   if (annex) annex(w);
   w.end_object();
   return w.str();
-}
-
-BatchResult parse_batch_json(const std::string& text) {
-  const util::JsonValue doc = util::parse_json(text);
-  const util::JsonValue* f = doc.find("format");
-  if (!f || (f->as_string() != kBatchFormatV1 &&
-             f->as_string() != kBatchFormatV2))
-    throw util::SetupError(
-        "not an fsim batch/shard document (expected format: fsim-batch-v1 "
-        "or fsim-batch-v2, got " +
-        (f ? "'" + f->as_string() + "'" : std::string("none")) + ")");
-  // v1 documents predate the "kind" discriminator and are always results.
-  if (const util::JsonValue* k = doc.find("kind");
-      k && k->as_string() != "result") {
-    if (k->as_string() == "checkpoint")
-      throw util::SetupError(
-          "document is a checkpoint, not a batch result (resume it with "
-          "'fsim resume', or pass it to 'fsim merge' which accepts both)");
-    throw util::SetupError("unknown fsim-batch-v2 document kind '" +
-                           k->as_string() + "'");
-  }
-  BatchResult result;
-  const util::JsonValue& shard = doc.at("shard");
-  result.shard.index = static_cast<int>(shard.at("index").as_int());
-  result.shard.count = static_cast<int>(shard.at("count").as_int());
-  for (const auto& cv : doc.at("campaigns").items()) {
-    result.specs.push_back(read_campaign_spec(cv.at("spec")));
-    result.campaigns.push_back(read_campaign(cv.at("result")));
-  }
-  // The digest is recomputable from the counts; verify rather than trust.
-  if (const util::JsonValue* d = doc.find("digest"))
-    if (d->as_u64() != batch_digest(result))
-      throw util::SetupError("batch document digest mismatch "
-                             "(file corrupted or hand-edited)");
-  return result;
-}
-
-BatchResult merge_batch(const std::vector<BatchResult>& shards) {
-  if (shards.empty()) throw util::SetupError("merge: no shard results given");
-  const BatchResult& first = shards.front();
-  for (std::size_t s = 1; s < shards.size(); ++s) {
-    if (shards[s].specs != first.specs)
-      throw util::SetupError(
-          "merge: shard " + std::to_string(s) +
-          " was produced by a different batch spec (apps, app params "
-          "(ranks/steps), runs, seeds, regions, dictionary sizes and prune "
-          "levels must all match)");
-    if (shards[s].shard.count != first.shard.count)
-      throw util::SetupError("merge: shard counts differ (" +
-                             std::to_string(shards[s].shard.count) + " vs " +
-                             std::to_string(first.shard.count) + ")");
-  }
-  std::vector<int> seen;
-  for (const auto& s : shards) seen.push_back(s.shard.index);
-  std::sort(seen.begin(), seen.end());
-  for (std::size_t i = 0; i < seen.size(); ++i) {
-    if (seen[i] == static_cast<int>(i)) continue;
-    if (i > 0 && seen[i] == seen[i - 1])
-      throw util::SetupError("merge: duplicate shard " +
-                             std::to_string(seen[i]) + "/" +
-                             std::to_string(first.shard.count));
-    throw util::SetupError("merge: missing shard " + std::to_string(i) + "/" +
-                           std::to_string(first.shard.count));
-  }
-  if (seen.size() != static_cast<std::size_t>(first.shard.count))
-    throw util::SetupError(
-        "merge: got " + std::to_string(seen.size()) + " shards, expected " +
-        std::to_string(first.shard.count));
-
-  BatchResult merged;
-  merged.specs = first.specs;
-  merged.shard = ShardSpec{};  // the merge covers the whole grid
-  merged.campaigns = first.campaigns;
-  for (std::size_t s = 1; s < shards.size(); ++s) {
-    for (std::size_t c = 0; c < merged.campaigns.size(); ++c) {
-      CampaignResult& into = merged.campaigns[c];
-      const CampaignResult& from = shards[s].campaigns[c];
-      if (from.regions.size() != into.regions.size() ||
-          from.golden.instructions != into.golden.instructions)
-        throw util::SetupError("merge: shard " + std::to_string(s) +
-                               " disagrees with shard 0 on campaign '" +
-                               into.app + "'");
-      for (std::size_t ri = 0; ri < into.regions.size(); ++ri) {
-        RegionResult& rr = into.regions[ri];
-        const RegionResult& p = from.regions[ri];
-        if (rr.region != p.region)
-          throw util::SetupError("merge: region order mismatch in campaign '" +
-                                 into.app + "'");
-        merge_region_counts(rr, p);
-      }
-    }
-  }
-  return merged;
 }
 
 std::vector<CampaignSpec> parse_batch_spec(const std::string& text) {
@@ -592,7 +421,7 @@ std::vector<CampaignSpec> parse_batch_spec(const std::string& text) {
 
   auto fill = [v2](CampaignSpec& spec, const util::JsonValue& v) {
     if (const auto* f = v.find("runs"))
-      spec.runs_per_region = static_cast<int>(f->as_int());
+      spec.runs_per_region = f->as_i32();
     if (const auto* f = v.find("seed")) spec.seed = f->as_u64();
     if (const auto* f = v.find("prune")) spec.prune = read_prune(*f);
     if (const auto* f = v.find("dictionary_entries"))
@@ -617,9 +446,9 @@ std::vector<CampaignSpec> parse_batch_spec(const std::string& text) {
       return;
     }
     if (const auto* f = v.find("ranks"))
-      spec.params.ranks = static_cast<int>(f->as_int());
+      spec.params.ranks = f->as_i32();
     if (const auto* f = v.find("steps"))
-      spec.params.steps = static_cast<int>(f->as_int());
+      spec.params.steps = f->as_i32();
   };
 
   CampaignSpec base;

@@ -1,6 +1,7 @@
-// Machine-readable campaign exports and imports (JSON / CSV): downstream
-// tooling consumes the exports; `fsim merge` re-imports shard partials and
-// `fsim batch --spec` reads batch descriptions.
+// Machine-readable campaign exports (JSON / CSV) and the batch spec reader.
+// Result documents are write-only: downstream tooling consumes them, and
+// fsim itself reads back only checkpoints (core/checkpoint.hpp) and
+// `fsim batch --spec` batch descriptions.
 #pragma once
 
 #include <functional>
@@ -16,13 +17,10 @@ class JsonValue;
 
 namespace fsim::core {
 
-/// Versioned document headers. Every artefact the laboratory exchanges
-/// between hosts — shard results, checkpoints, spec files — carries a
-/// `"format"` field; readers accept v1 (filling defaults) and v2, and
-/// refuse anything else with a precise error. v2 documents additionally
-/// carry a `"kind"` ("result" | "checkpoint") so the two artefact types
-/// cannot be confused.
-inline constexpr const char* kBatchFormatV1 = "fsim-batch-v1";
+/// Versioned document header. Every artefact the laboratory writes —
+/// results, checkpoints, status documents — carries this `"format"` and a
+/// `"kind"` ("result" | "checkpoint" | "status"), so the readers refuse a
+/// document of the wrong kind with a precise error.
 inline constexpr const char* kBatchFormatV2 = "fsim-batch-v2";
 
 /// Full campaign result as a JSON document: app, seed, golden statistics,
@@ -49,30 +47,18 @@ std::uint64_t batch_digest(const BatchResult& result);
 /// that.
 std::uint64_t outcome_digest(const BatchResult& result);
 
-/// Batch (or shard partial) as a self-describing JSON document: shard
-/// coordinates plus, per campaign, the full spec and the campaign result.
-/// parse_batch_json inverts it exactly (Golden::baseline, a raw output
-/// stream, is deliberately not serialized; merged results keep the golden
-/// statistics, which all shards agree on).
+/// Batch result as a self-describing, write-only JSON export: shard
+/// coordinates, the batch digests and, per campaign, the full spec and the
+/// campaign result (Golden::baseline, a raw output stream, is not
+/// serialized).
 ///
 /// `annex`, when given, is invoked with the writer positioned inside the
 /// top-level object just before it closes — producers add extra top-level
 /// keys (e.g. the adaptive scheduler's "adaptive" block) without forking
-/// the schema; parse_batch_json ignores keys it does not know.
+/// the schema.
 std::string batch_json(
     const BatchResult& result,
     const std::function<void(util::JsonWriter&)>& annex = {});
-
-/// Parse a batch_json document. Throws SetupError on malformed input.
-BatchResult parse_batch_json(const std::string& text);
-
-/// Fold shard partials into one complete batch result. Requires every
-/// shard to carry the identical campaign spec list and shard count, and
-/// the index set to be exactly {0..count-1}; throws SetupError on any
-/// mismatch (different specs/seeds, duplicate or missing shards). Counts
-/// are summed field-wise, so the merge reproduces the unsharded batch bit
-/// for bit — each grid point ran in exactly one shard.
-BatchResult merge_batch(const std::vector<BatchResult>& shards);
 
 /// Per-campaign CSV rows (campaign_csv with the header emitted once).
 std::string batch_csv(const BatchResult& result);

@@ -30,13 +30,17 @@ GridSelection remaining_selection(const Checkpoint& checkpoint);
 /// produce a disjoint cover, the invariant elastic re-sharding rests on.
 GridSelection take_front(GridSelection& from, std::uint64_t n);
 
-/// Fold a worker's (possibly partial) checkpoint into the master: verify
-/// the two describe the same batch (shard, specs; golden identities when
-/// the master already has them — a fresh master adopts the delta's),
-/// require their done-sets to be disjoint, then union the done-sets and
-/// sum the per-slot counts. Throws SetupError on any identity mismatch or
-/// overlap — folding the same sidecar twice is always refused, so a crash
-/// between "fold" and "persist" cannot double-count.
+/// Fold a (possibly partial) checkpoint into the master — the one fold
+/// behind the service's sidecars and `fsim merge`. The delta may come from
+/// any shard of the master's batch: identity means the adaptive kind, the
+/// specs, the golden runs (a fresh master with placeholder goldens adopts
+/// the delta's) and, for adaptive checkpoints, an equal policy. Done sets
+/// must be disjoint from the master's; they are unioned and the per-slot
+/// counts summed. An adaptive cell takes its frontier and stop flag from
+/// the one delta that holds it. Throws SetupError on any identity mismatch
+/// or overlap, before touching the master — folding the same checkpoint
+/// twice is always refused, so a crash between "fold" and "persist"
+/// cannot double-count.
 void fold_checkpoint(Checkpoint& master, const Checkpoint& delta);
 
 }  // namespace fsim::core

@@ -36,8 +36,7 @@ core::GridSelection read_selection(const util::JsonValue& v) {
       const auto& pair = rv.items();
       if (pair.size() != 2)
         throw util::SetupError("selection: run range is not a pair");
-      slot.append_range(static_cast<int>(pair[0].as_int()),
-                        static_cast<int>(pair[1].as_int()));
+      slot.append_range(pair[0].as_i32(), pair[1].as_i32());
     }
     sel.slots.push_back(std::move(slot));
   }
@@ -62,7 +61,7 @@ std::string assign_message(const Assignment& a) {
 Assignment parse_assign(const util::JsonValue& v) {
   Assignment a;
   a.job = v.at("job").as_string();
-  a.task = static_cast<int>(v.at("task").as_int());
+  a.task = v.at("task").as_i32();
   a.spec = v.at("spec").as_string();
   a.selection = read_selection(v.at("selection"));
   a.sidecar = v.at("sidecar").as_string();

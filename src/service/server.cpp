@@ -127,7 +127,7 @@ class Server {
     }
     if (op == "task_done") {
       sched_.task_done(fd, msg.at("job").as_string(),
-                       static_cast<int>(msg.at("task").as_int()));
+                       msg.at("task").as_i32());
       return;
     }
     if (op == "submit") {

@@ -10,7 +10,7 @@
 //                  adaptive CI-targeted scheduler, docs/STATISTICS.md)
 //   fsim resume    ckpt.json [--jobs=N]  (continue a half-finished shard;
 //                  adaptive checkpoints resume the wave scheduler)
-//   fsim merge     shard0.json ckpt1.json ... (fold shards + checkpoints)
+//   fsim merge     ck0.json ck1.json ...  (fold shard checkpoints)
 //   fsim profile   [--app=NAME]            (Table 1 per-process profiles)
 //   fsim trace     --app=atmo [--rank=1]   (working-set curves, Tables 5-7)
 //   fsim mix       --app=wavetoy [--rank=1]  (instruction mix / hot spots)
@@ -41,6 +41,7 @@
 #include "core/campaign.hpp"
 #include "core/checkpoint.hpp"
 #include "core/report.hpp"
+#include "core/reshard.hpp"
 #include "core/sampling.hpp"
 #include "service/server.hpp"
 #include "service/worker.hpp"
@@ -80,7 +81,7 @@ int print_usage() {
       "            [--ci=D] [--confidence=P] [--wave=N] [--max-runs=N]\n"
       "            [--out=FILE] [--json] [--csv]\n"
       "            [--activation] [--quiet]\n"
-      "  merge     FILE... [--partial-report] [--out=FILE] [--json] [--csv]\n"
+      "  merge     CKPT... [--partial-report] [--out=FILE] [--json] [--csv]\n"
       "            [--activation]\n"
       "  analyze   --app=NAME [--runs=N] [--seed=N] [--jobs=N]\n"
       "            [--json] [--csv] [--quiet]  (static masked fractions)\n"
@@ -364,14 +365,19 @@ void parse_checkpointing(const util::Cli& cli, const std::string& path,
   parse_ckpt_encoding(cli, policy.checkpoint_encoding);
 }
 
-/// Batch and resume output: the result document `json` on --json and for
-/// shard partials (the default, since `fsim merge` consumes them), else
-/// tables with `tables` appended, or CSV.
+/// Batch and resume output: the result document `json` on --json, CSV on
+/// --csv; otherwise a shard writes its finished checkpoint (what
+/// `fsim merge` folds; `adaptive` is the run's policy) and a whole batch
+/// its tables with `tables` appended.
 void write_batch_output(const Report& report, const core::BatchResult& res,
+                        const std::optional<core::AdaptivePolicy>& adaptive,
                         const std::string& json,
                         const std::string& tables = "") {
-  if (report.json || (res.shard.count > 1 && !report.csv))
+  if (report.json)
     write_output(report.out, json + "\n");
+  else if (res.shard.count > 1 && !report.csv)
+    write_output(report.out, core::checkpoint_json(core::batch_to_checkpoint(
+                                 res, adaptive)) + "\n");
   else
     write_output(report.out, render_batch(report, res, tables));
 }
@@ -463,7 +469,7 @@ int cmd_batch(const util::Cli& cli) {
                    ac.policy.ci, 100.0 * (1.0 - ac.policy.alpha),
                    ac.policy.wave);
     const core::AdaptiveResult res = core::run_adaptive(entries, ac);
-    write_batch_output(report, res.batch, core::adaptive_json(res),
+    write_batch_output(report, res.batch, res.policy, core::adaptive_json(res),
                        "\n" + core::format_adaptive(res));
     return 0;
   }
@@ -474,7 +480,7 @@ int cmd_batch(const util::Cli& cli) {
                  entries.size(), bc.jobs, bc.shard.index, bc.shard.count);
 
   const core::BatchResult res = core::run_batch(entries, bc);
-  write_batch_output(report, res, core::batch_json(res));
+  write_batch_output(report, res, std::nullopt, core::batch_json(res));
   return 0;
 }
 
@@ -534,13 +540,13 @@ int cmd_resume(const util::Cli& cli) {
   if (adaptive) {
     ac.exec() = bc.exec();  // carries jobs/shard/checkpoint policy + resume
     const core::AdaptiveResult res = core::run_adaptive(entries, ac);
-    write_batch_output(report, res.batch, core::adaptive_json(res),
+    write_batch_output(report, res.batch, res.policy, core::adaptive_json(res),
                        "\n" + core::format_adaptive(res));
     return 0;
   }
 
   const core::BatchResult res = core::run_batch(entries, bc);
-  write_batch_output(report, res, core::batch_json(res));
+  write_batch_output(report, res, std::nullopt, core::batch_json(res));
   return 0;
 }
 
@@ -556,29 +562,39 @@ int cmd_merge(const util::Cli& cli) {
   const bool allow_partial = cli.flag("partial-report");
   const Report report = report_options(cli);
   reject_unused(cli, true);
-  // Inputs may be finished shard results or checkpoints; an incomplete
-  // checkpoint only contributes with an explicit --partial-report.
-  std::vector<core::BatchResult> shards;
-  bool partial = false;
+  // Every input is a checkpoint of some shard; they fold into one
+  // whole-grid master. Without --partial-report an unfinished input or a
+  // grid the inputs leave uncovered is refused.
+  std::optional<core::Checkpoint> master;
   for (const auto& f : files) {
-    core::MergeInput in = core::parse_merge_input(util::read_file(f));
-    if (!in.complete) {
-      if (!allow_partial)
+    try {
+      const core::Checkpoint ck =
+          core::parse_checkpoint_json(util::read_file(f));
+      if (!allow_partial && !ck.complete())
         throw util::SetupError(
-            "merge: '" + f + "' is an incomplete checkpoint (" +
-            std::to_string(in.completed_runs) + " of " +
-            std::to_string(in.owned_runs) +
+            "incomplete checkpoint (" + std::to_string(ck.completed_runs()) +
+            " of " + std::to_string(ck.owned_runs()) +
             " shard runs); finish it with 'fsim resume', or pass "
             "--partial-report to fold the partial counts anyway");
-      partial = true;
+      if (!master) {
+        master =
+            core::make_checkpoint(ck.specs, ck.goldens, core::ShardSpec{});
+        master->adaptive = ck.adaptive;
+      }
+      core::fold_checkpoint(*master, ck);
+    } catch (const util::SetupError& e) {
+      throw util::SetupError("'" + f + "': " + e.what());
     }
-    shards.push_back(std::move(in.result));
   }
-  const core::BatchResult merged = core::merge_batch(shards);
-  std::string out = render_batch(report, merged);
+  const bool partial = !master->complete();
+  if (partial && !allow_partial)
+    throw util::SetupError(
+        "the inputs leave part of the grid uncovered (a shard is missing); "
+        "pass --partial-report to fold the partial counts anyway");
+  std::string out = render_batch(report, core::checkpoint_to_batch(*master));
   if (partial && !report.json && !report.csv)
-    out += "\nNOTE: partial report — one or more inputs were incomplete "
-           "checkpoints; counts cover only their completed runs.\n";
+    out += "\nNOTE: partial report — the inputs do not cover the whole "
+           "grid; counts cover only their completed runs.\n";
   write_output(report.out, out);
   return 0;
 }
@@ -766,13 +782,14 @@ int cmd_submit(const util::Cli& cli) {
 
 /// Offline status: a checkpoint file (either encoding), or a spec file
 /// (renders the not-yet-started grid). Shares its formatter with the
-/// daemon path, so both surfaces always agree.
+/// daemon path, so both surfaces always agree. Documents with a "kind"
+/// are checkpoints (or refused as one); spec files carry none.
 int status_of_file(const std::string& path) {
   const std::string text = util::read_file(path);
   core::Checkpoint ck;
-  try {
+  if (util::parse_json(text).find("kind")) {
     ck = core::parse_checkpoint_json(text);
-  } catch (const util::SetupError&) {
+  } else {
     const std::vector<core::CampaignSpec> specs =
         core::parse_batch_spec(text);
     ck = core::make_checkpoint(

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "util/status.hpp"
 
@@ -156,6 +157,14 @@ std::int64_t JsonValue::as_int() const {
   if (errno != 0 || end == scalar_.c_str() || *end != '\0')
     throw SetupError("json: '" + scalar_ + "' is not a 64-bit integer");
   return static_cast<std::int64_t>(v);
+}
+
+int JsonValue::as_i32() const {
+  const std::int64_t v = as_int();
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max())
+    throw SetupError("json: '" + scalar_ + "' is not a 32-bit integer");
+  return static_cast<int>(v);
 }
 
 std::uint64_t JsonValue::as_u64() const {

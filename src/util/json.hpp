@@ -2,8 +2,9 @@
 //
 // Campaign results are exported as JSON so downstream tooling (plotting,
 // regression tracking) can consume them without parsing ASCII tables. The
-// parser exists for the laboratory's own artefacts: `fsim batch` spec files
-// and the shard partials that `fsim merge` folds back together.
+// parser exists for the laboratory's own inputs: `fsim batch` spec files,
+// checkpoints (which `fsim merge` folds back together) and service
+// messages.
 #pragma once
 
 #include <cstdint>
@@ -65,6 +66,9 @@ class JsonValue {
   bool as_bool() const;
   double as_double() const;
   std::int64_t as_int() const;
+  /// as_int narrowed to `int`; an out-of-range value is refused, never
+  /// wrapped (2^32 + 1 must not read back as 1).
+  int as_i32() const;
   std::uint64_t as_u64() const;
   const std::string& as_string() const;
 

@@ -16,7 +16,9 @@
 # batch-throughput bench (which itself exits nonzero on digest divergence
 # between modes or engines) — optionally repeating the whole cycle under
 # AddressSanitizer. Without --asan, a focused ASan pass still builds the
-# CLI and drives the heap/stack scans (analyze + lint) on every app.
+# CLI and drives the heap/stack scans (analyze + lint) on every app, and
+# runs the reader fuzz (mutated checkpoints, status documents and service
+# assign lines must raise SetupError only).
 #
 #   tests/ci.sh [--asan] [--build-dir=DIR] [--jobs=N]
 #
@@ -132,13 +134,16 @@ else
   scan_dir="$build-scan-asan"
   cmake -B "$scan_dir" -S "$root" -DFSIM_WERROR=ON \
         -DFSIM_SANITIZE=address > /dev/null
-  cmake --build "$scan_dir" -j "$jobs" --target fsim_cli > /dev/null
+  cmake --build "$scan_dir" -j "$jobs" --target fsim_cli reader_fuzz_tests \
+    > /dev/null
   for app in wavetoy minimd atmo jacobi; do
     "$scan_dir/src/tools/fsim" analyze --app="$app" --runs=0 --quiet \
       > /dev/null
   done
   "$scan_dir/src/tools/fsim" lint --app=all > /dev/null
   echo "  analyze+lint clean under AddressSanitizer"
+  (cd "$scan_dir" && tests/reader_fuzz_tests --gtest_brief=1)
+  echo "  reader fuzz clean under AddressSanitizer"
 fi
 
 echo "=== ci: all gates passed ==="

@@ -4,14 +4,18 @@
 # values, and a valid level must attach the static analysis and report the
 # activation verdict (campaign/batch have their own digest gates). Strict
 # flags: unknown or ignored options, out-of-range counts and malformed
-# --shard values exit nonzero naming the flag, and only the --name=value
-# form carries a value, so a bare flag never swallows the next file.
+# --shard values exit 1 naming the flag, and only the --name=value form
+# carries a value, so a bare flag never swallows the next file. `fsim
+# merge` folds checkpoints only: result exports, forged done sets (the
+# committed tests/data forgeries) and adaptive shards with different
+# policies exit 1, and `fsim status` refuses the forgeries too.
 #
 #   tests/cli_prune_test.sh <path-to-fsim>
 set -euo pipefail
 
 fsim="${1:?usage: cli_prune_test.sh <fsim>}"
 case "$fsim" in /*) ;; *) fsim="$PWD/$fsim" ;; esac
+data="$(cd "$(dirname "$0")" && pwd)/data"
 
 # Unknown spelling: nonzero exit, error names the valid values.
 if err="$("$fsim" run --app=wavetoy --region=heap --seed=5 --prune=bogus \
@@ -45,13 +49,14 @@ case "$out" in
 esac
 echo "  --prune=off runs without the analysis attached"
 
-# Strict flags: each invocation must fail, and its error must contain the
-# given text.
+# Strict flags: each invocation must exit 1, and its error must contain
+# the given text.
 expect_fail() {
   local needle="$1"; shift
-  local err
-  if err="$("$fsim" "$@" 2>&1 >/dev/null)"; then
-    echo "cli_prune: 'fsim $*' unexpectedly succeeded" >&2
+  local err status=0
+  err="$("$fsim" "$@" 2>&1 >/dev/null)" || status=$?
+  if [ "$status" -ne 1 ]; then
+    echo "cli_prune: 'fsim $*' exited $status, expected 1: $err" >&2
     exit 1
   fi
   case "$err" in
@@ -102,5 +107,26 @@ cmp -s mono.json merged.json || {
   exit 1
 }
 echo "  resume --quiet CKPT and merge A --json B fold back to the batch"
+
+# Merge reads checkpoints, never result exports.
+expect_fail "merge, resume and status read checkpoints" merge mono.json s1.json
+# Forged done sets with valid digests, in both encodings: a shard-0/2
+# checkpoint of this spec claiming run 1 (shard 1/2 owns it) or run 100.
+for enc in json bin.json; do
+  for cmd in status merge; do
+    expect_fail "run 1 belongs to another shard than 0/2" \
+        $cmd "$data/forged_foreign_run.$enc"
+    expect_fail "run 100 is outside the grid of 4 runs" \
+        $cmd "$data/forged_out_of_grid.$enc"
+  done
+done
+expect_fail "run 1 belongs to another shard than 0/2" \
+    merge "$data/forged_foreign_run.json" s1.json
+# Adaptive cell shards fold only under one stopping policy.
+"$fsim" batch --spec=spec.json --ci=0.3 --wave=2 --shard=0/2 --jobs=1 \
+    --quiet --out=a0.json 2>/dev/null
+"$fsim" batch --spec=spec.json --ci=0.3 --wave=3 --shard=1/2 --jobs=1 \
+    --quiet --out=a1.json 2>/dev/null
+expect_fail "adaptive policies differ" merge a0.json a1.json
 
 echo "cli_prune: all checks passed"

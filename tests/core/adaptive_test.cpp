@@ -14,8 +14,10 @@
 #include "core/campaign.hpp"
 #include "core/checkpoint.hpp"
 #include "core/report.hpp"
+#include "core/reshard.hpp"
 #include "core/sampling.hpp"
 #include "util/file.hpp"
+#include "util/json.hpp"
 #include "util/status.hpp"
 
 namespace fsim::core {
@@ -151,11 +153,16 @@ TEST(Adaptive, JsonStaysABackwardParseableBatchDocument) {
   const AdaptiveResult res = run(entries, 2);
   const std::string text = adaptive_json(res);
   EXPECT_NE(text.find("\"adaptive\""), std::string::npos);
-  // A pre-adaptive consumer parses it as a plain v2 result — the annex is
-  // an unknown key — and the verified digest covers the same counts.
-  const BatchResult parsed = parse_batch_json(text);
-  EXPECT_EQ(batch_digest(parsed), batch_digest(res.batch));
-  EXPECT_EQ(parsed.specs, res.batch.specs);
+  // A pre-adaptive consumer reads it as a plain v2 result — the annex is
+  // an unknown key — whose digest covers the same counts.
+  const util::JsonValue doc = util::parse_json(text);
+  EXPECT_EQ(doc.at("kind").as_string(), "result");
+  EXPECT_EQ(doc.at("digest").as_u64(), batch_digest(res.batch));
+  const auto& campaigns = doc.at("campaigns").items();
+  ASSERT_EQ(campaigns.size(), res.batch.specs.size());
+  for (std::size_t c = 0; c < campaigns.size(); ++c)
+    EXPECT_EQ(read_campaign_spec(campaigns[c].at("spec")),
+              res.batch.specs[c]);
 }
 
 TEST(Adaptive, CellShardingPartitionsTheGridAndMergesBack) {
@@ -174,10 +181,46 @@ TEST(Adaptive, CellShardingPartitionsTheGridAndMergesBack) {
     EXPECT_EQ(owned.stop, whole.cells[s].stop) << s;
     EXPECT_EQ(other.scheduled, 0) << s;
   }
-  const BatchResult merged = merge_batch(
-      {parse_batch_json(adaptive_json(s0)),
-       parse_batch_json(adaptive_json(s1))});
-  EXPECT_EQ(batch_json(merged), batch_json(whole.batch));
+  // `fsim merge`: each shard's finished checkpoint, serialized and parsed
+  // back, folds into a whole-grid master; every cell takes its frontier
+  // and stop flag from the one shard that holds it.
+  const Checkpoint c0 = parse_checkpoint_json(
+      checkpoint_json(batch_to_checkpoint(s0.batch, s0.policy)));
+  const Checkpoint c1 = parse_checkpoint_json(
+      checkpoint_json(batch_to_checkpoint(s1.batch, s1.policy)));
+  EXPECT_TRUE(c0.complete());
+  EXPECT_TRUE(c1.complete());
+  Checkpoint master = make_checkpoint(c0.specs, c0.goldens, ShardSpec{});
+  master.adaptive = c0.adaptive;
+  fold_checkpoint(master, c1);
+  EXPECT_FALSE(master.complete());  // shard 0's cells are still open
+  fold_checkpoint(master, c0);
+  EXPECT_TRUE(master.complete());
+  for (std::size_t s = 0; s < whole.cells.size(); ++s)
+    EXPECT_EQ(master.slots[s].frontier, whole.cells[s].scheduled) << s;
+  EXPECT_EQ(batch_json(checkpoint_to_batch(master)), batch_json(whole.batch));
+
+  // Duplicate and mismatched shards are refused, atomically.
+  const std::string before = checkpoint_json(master);
+  EXPECT_THROW(fold_checkpoint(master, c0), util::SetupError);
+  Checkpoint other = c1;
+  other.adaptive->wave += 1;  // same cells, different stopping rule
+  Checkpoint fresh = make_checkpoint(c0.specs, c0.goldens, ShardSpec{});
+  fresh.adaptive = c0.adaptive;
+  fold_checkpoint(fresh, c0);
+  EXPECT_THROW(fold_checkpoint(fresh, other), util::SetupError);
+  EXPECT_EQ(checkpoint_json(master), before);
+}
+
+TEST(Adaptive, CellShardOutputEqualsItsSidecar) {
+  // An adaptive cell shard's default output is its final sidecar, byte
+  // for byte: owned cells done over their frontier and stopped.
+  const std::vector<BatchEntry> entries = two_campaign_batch();
+  const std::string path = scratch("shard_sidecar");
+  const AdaptiveResult res = run(entries, 4, path, nullptr, ShardSpec{0, 2});
+  EXPECT_EQ(checkpoint_json(batch_to_checkpoint(res.batch, res.policy)) + "\n",
+            util::read_file(path));
+  std::remove(path.c_str());
 }
 
 TEST(Adaptive, FinishedRunLeavesACompleteAdaptiveCheckpoint) {

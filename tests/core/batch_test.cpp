@@ -1,14 +1,15 @@
 // Batch executor and deterministic sharding: per-campaign aggregates must
 // be bit-identical to serial run_campaign calls at any job count, the
-// shard partition must be total and disjoint, and merging every shard
-// (through the JSON round-trip `fsim merge` uses) must reproduce the
-// unsharded batch exactly.
+// shard partition must be total and disjoint, and folding every shard's
+// finished checkpoint (through the serialized form `fsim merge` reads)
+// must reproduce the unsharded batch exactly.
 #include <gtest/gtest.h>
 
 #include "apps/app.hpp"
 #include "core/campaign.hpp"
 #include "core/checkpoint.hpp"
 #include "core/report.hpp"
+#include "core/reshard.hpp"
 #include "util/status.hpp"
 
 namespace fsim::core {
@@ -47,6 +48,20 @@ std::vector<BatchEntry> two_campaign_batch() {
   entries[1].config.seed = 0x123;
   entries[1].config.regions = {Region::kRegularReg, Region::kMessage};
   return entries;
+}
+
+/// The `fsim merge` path: each shard's finished checkpoint (its default
+/// output) serialized, parsed back and folded into a whole-grid master.
+Checkpoint fold_shards(const std::vector<BatchResult>& parts) {
+  Checkpoint master;
+  for (const BatchResult& part : parts) {
+    const Checkpoint ck =
+        parse_checkpoint_json(checkpoint_json(batch_to_checkpoint(part)));
+    if (master.specs.empty())
+      master = make_checkpoint(ck.specs, ck.goldens, ShardSpec{});
+    fold_checkpoint(master, ck);
+  }
+  return master;
 }
 
 void expect_identical(const CampaignResult& a, const CampaignResult& b) {
@@ -181,8 +196,10 @@ TEST(Shard, AllShardsTogetherCoverTheGridExactlyOnce) {
     }
   }
 
-  // And the merge reproduces the unsharded batch bit for bit.
-  const BatchResult merged = merge_batch(parts);
+  // And the fold reproduces the unsharded batch bit for bit.
+  const Checkpoint master = fold_shards(parts);
+  EXPECT_TRUE(master.complete());
+  const BatchResult merged = checkpoint_to_batch(master);
   ASSERT_EQ(merged.campaigns.size(), whole.campaigns.size());
   for (std::size_t c = 0; c < whole.campaigns.size(); ++c)
     expect_identical(merged.campaigns[c], whole.campaigns[c]);
@@ -190,28 +207,31 @@ TEST(Shard, AllShardsTogetherCoverTheGridExactlyOnce) {
 }
 
 TEST(Shard, MergeSurvivesTheJsonRoundTrip) {
-  // The exact path `fsim merge` takes: each shard serialized to JSON,
-  // parsed back, then folded.
+  // The exact path `fsim merge` takes: each shard's finished checkpoint
+  // serialized, parsed back, then folded.
   const std::vector<BatchEntry> entries = two_campaign_batch();
   BatchConfig bc;
   bc.jobs = 2;
   const BatchResult whole = run_batch(entries, bc);
 
   constexpr int kShards = 4;
-  std::vector<BatchResult> parsed;
+  std::vector<BatchResult> parts;
   for (int s = 0; s < kShards; ++s) {
     BatchConfig sc;
     sc.jobs = 2;
     sc.shard = ShardSpec{s, kShards};
     const BatchResult part = run_batch(entries, sc);
-    const BatchResult round = parse_batch_json(batch_json(part));
-    EXPECT_EQ(round.shard, part.shard);
-    EXPECT_EQ(round.specs, part.specs);
-    EXPECT_EQ(batch_digest(round), batch_digest(part));
-    parsed.push_back(round);
+    // The checkpoint round trip loses nothing the result carries.
+    const Checkpoint ck =
+        parse_checkpoint_json(checkpoint_json(batch_to_checkpoint(part)));
+    EXPECT_TRUE(ck.complete());
+    EXPECT_EQ(ck.shard, part.shard);
+    EXPECT_EQ(ck.specs, part.specs);
+    EXPECT_EQ(batch_json(checkpoint_to_batch(ck)), batch_json(part));
+    parts.push_back(part);
   }
 
-  const BatchResult merged = merge_batch(parsed);
+  const BatchResult merged = checkpoint_to_batch(fold_shards(parts));
   EXPECT_EQ(batch_digest(merged), batch_digest(whole));
   // The merged JSON document is byte-identical to the monolithic one.
   EXPECT_EQ(batch_json(merged), batch_json(whole));
@@ -228,20 +248,24 @@ TEST(Merge, RejectsMismatchedShards) {
   };
   const std::uint64_t seed = entries[0].config.seed;
 
-  // Different campaign seed.
-  EXPECT_THROW(merge_batch({shard(0, 2, seed), shard(1, 2, seed + 1)}),
+  // Different campaign seed: a different batch.
+  EXPECT_THROW(fold_shards({shard(0, 2, seed), shard(1, 2, seed + 1)}),
                util::SetupError);
-  // Duplicate shard index.
-  EXPECT_THROW(merge_batch({shard(0, 2, seed), shard(0, 2, seed)}),
+  // Duplicate shard: its runs are already in the master.
+  EXPECT_THROW(fold_shards({shard(0, 2, seed), shard(0, 2, seed)}),
                util::SetupError);
-  // Missing shard.
-  EXPECT_THROW(merge_batch({shard(0, 3, seed), shard(2, 3, seed)}),
+  // Missing shard: the fold leaves part of the grid uncovered, which
+  // `fsim merge` refuses without --partial-report.
+  EXPECT_FALSE(fold_shards({shard(0, 3, seed), shard(2, 3, seed)}).complete());
+  // Different shard counts: 0/2 and 1/3 overlap at grid point 4.
+  EXPECT_THROW(fold_shards({shard(0, 2, seed), shard(1, 3, seed)}),
                util::SetupError);
-  // Different shard count.
-  EXPECT_THROW(merge_batch({shard(0, 2, seed), shard(1, 3, seed)}),
+  // A refused fold leaves the master untouched.
+  Checkpoint master = fold_shards({shard(0, 2, seed)});
+  const std::string before = checkpoint_json(master);
+  EXPECT_THROW(fold_checkpoint(master, batch_to_checkpoint(shard(0, 2, seed))),
                util::SetupError);
-  // Empty input.
-  EXPECT_THROW(merge_batch({}), util::SetupError);
+  EXPECT_EQ(checkpoint_json(master), before);
 }
 
 TEST(Batch, SpecFileParsing) {

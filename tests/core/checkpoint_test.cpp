@@ -1,11 +1,13 @@
 // Crash-tolerant campaigns: checkpoint serialization must round-trip and
-// refuse corruption, resuming a half-finished shard must reproduce the
-// uninterrupted aggregates bit for bit at any job count, identity
-// mismatches must be refused with precise errors, and `fsim merge` inputs
-// may mix finished shards with checkpoints.
+// refuse corruption and forged done sets, resuming a half-finished shard
+// must reproduce the uninterrupted aggregates bit for bit at any job
+// count, identity mismatches must be refused with precise errors, a
+// finished shard's output must equal its sidecar, and `fsim merge` folds
+// any mixture of them.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -173,11 +175,11 @@ TEST(Checkpoint, CorruptedOrForeignDocumentsAreRefused) {
   tampered[pos + 14] = tampered[pos + 14] == '9' ? '8' : '9';
   EXPECT_THROW(parse_checkpoint_json(tampered), util::SetupError);
 
-  // A result document is not a checkpoint, and vice versa.
+  // A result document is not a checkpoint, nor a checkpoint a status.
   BatchConfig bc;
   const BatchResult res = run_batch(entries, bc);
   EXPECT_THROW(parse_checkpoint_json(batch_json(res)), util::SetupError);
-  EXPECT_THROW(parse_batch_json(text), util::SetupError);
+  EXPECT_THROW(parse_status_json(text), util::SetupError);
   EXPECT_THROW(parse_checkpoint_json("not json"), util::SetupError);
   std::remove(path.c_str());
 }
@@ -280,26 +282,34 @@ TEST(Merge, AcceptsMixedShardsAndCheckpoints) {
   mono.jobs = 2;
   const BatchResult whole = run_batch(entries, mono);
 
-  // Shard 0 finishes and leaves its complete checkpoint; shard 1 exports
-  // the usual result document. Merging the mixture reproduces the whole.
+  // Shard 0 leaves its binary sidecar behind; shard 1 only writes its
+  // default output, the finished checkpoint. Folding the mixture, in
+  // either order, reproduces the whole.
   const std::string path = scratch("merge");
   BatchConfig s0;
   s0.jobs = 2;
   s0.shard = ShardSpec{0, 2};
   s0.checkpoint_path = path;
+  s0.checkpoint_encoding = CheckpointEncoding::kBinary;
   (void)run_batch(entries, s0);
   BatchConfig s1;
   s1.jobs = 2;
   s1.shard = ShardSpec{1, 2};
   const BatchResult part1 = run_batch(entries, s1);
 
-  const MergeInput in0 = parse_merge_input(util::read_file(path));
-  EXPECT_TRUE(in0.from_checkpoint);
-  EXPECT_TRUE(in0.complete);
-  const MergeInput in1 = parse_merge_input(batch_json(part1));
-  EXPECT_FALSE(in1.from_checkpoint);
-  const BatchResult merged = merge_batch({in0.result, in1.result});
-  EXPECT_EQ(batch_json(merged), batch_json(whole));
+  const Checkpoint in0 = parse_checkpoint_json(util::read_file(path));
+  const Checkpoint in1 =
+      parse_checkpoint_json(checkpoint_json(batch_to_checkpoint(part1)));
+  EXPECT_TRUE(in0.complete());
+  EXPECT_TRUE(in1.complete());
+  for (const bool zero_first : {true, false}) {
+    Checkpoint master = make_checkpoint(in0.specs, in0.goldens, ShardSpec{});
+    fold_checkpoint(master, zero_first ? in0 : in1);
+    EXPECT_FALSE(master.complete());
+    fold_checkpoint(master, zero_first ? in1 : in0);
+    EXPECT_TRUE(master.complete());
+    EXPECT_EQ(batch_json(checkpoint_to_batch(master)), batch_json(whole));
+  }
   std::remove(path.c_str());
 }
 
@@ -307,17 +317,18 @@ TEST(Merge, IncompleteCheckpointIsFlaggedAndFoldsPartialCounts) {
   const std::vector<BatchEntry> entries = two_campaign_batch();
   const std::string path = scratch("partial");
   const Checkpoint ck = partial_checkpoint(entries, {6, 5}, path);
-  const MergeInput in = parse_merge_input(checkpoint_json(ck));
-  EXPECT_TRUE(in.from_checkpoint);
-  EXPECT_FALSE(in.complete);
-  EXPECT_EQ(in.completed_runs, 6 * 3 + 5 * 2);
-  EXPECT_EQ(in.owned_runs, 10 * 3 + 8 * 2);
+  const Checkpoint in = parse_checkpoint_json(checkpoint_json(ck));
+  EXPECT_FALSE(in.complete());
+  EXPECT_EQ(in.completed_runs(), 6 * 3 + 5 * 2);
+  EXPECT_EQ(in.owned_runs(), 10 * 3 + 8 * 2);
 
-  // The projected result merges (shard count 1 here), yielding exactly the
-  // checkpointed partial counts.
-  const BatchResult merged = merge_batch({in.result});
+  // Folded anyway (what --partial-report does), the master holds exactly
+  // the checkpointed partial counts and stays incomplete.
+  Checkpoint master = make_checkpoint(in.specs, in.goldens, ShardSpec{});
+  fold_checkpoint(master, in);
+  EXPECT_FALSE(master.complete());
   int total = 0;
-  for (const auto& campaign : merged.campaigns)
+  for (const auto& campaign : checkpoint_to_batch(master).campaigns)
     for (const auto& rr : campaign.regions) total += rr.executions;
   EXPECT_EQ(total, 6 * 3 + 5 * 2);
   std::remove(path.c_str());
@@ -353,33 +364,6 @@ TEST(Observer, HooksFireSerializedAndCountEveryRun) {
   EXPECT_GE(counter.checkpoints, 46 / 8);
   EXPECT_EQ(counter.max_done, 10);
   std::remove(path.c_str());
-}
-
-TEST(Format, LegacyV1ResultDocumentsStillParse) {
-  // A pinned pre-v2 shard document (no "kind", no app params, no digest —
-  // all optional in v1). The reader must fill defaults, not refuse.
-  const std::string v1 = R"({
-    "format": "fsim-batch-v1",
-    "shard": {"index": 0, "count": 1},
-    "campaigns": [{
-      "spec": {"app": "wavetoy", "runs_per_region": 2, "seed": 7,
-               "regions": ["regular"], "dictionary_entries": 16,
-               "prune": "full"},
-      "result": {"app": "wavetoy", "seed": 7,
-                 "golden": {"instructions": 100, "hang_budget": 200,
-                            "rx_bytes_per_rank": [0, 8]},
-                 "regions": [{"region": "Regular Reg.",
-                              "executions": 2, "skipped": 0,
-                              "manifestations": {}, "crash_kinds": {},
-                              "pruned": 0}]}
-    }]})";
-  const BatchResult res = parse_batch_json(v1);
-  ASSERT_EQ(res.specs.size(), 1u);
-  EXPECT_EQ(res.specs[0].params, apps::AppParams{});
-  EXPECT_EQ(res.campaigns[0].regions[0].executions, 2);
-
-  EXPECT_THROW(parse_batch_json("{\"format\": \"fsim-batch-v3\"}"),
-               util::SetupError);
 }
 
 TEST(Format, V2SpecFilesCarryAppParams) {
@@ -654,6 +638,123 @@ TEST(Status, OneFormatterServesFilesAndTheWire) {
             std::string::npos);
   EXPECT_THROW(parse_status_json("{\"format\":\"nope\"}"), util::SetupError);
   std::remove(path.c_str());
+}
+
+TEST(Checkpoint, ShardOutputEqualsItsSidecar) {
+  // A finished shard's default output (batch_to_checkpoint of its result)
+  // and the last sidecar its CheckpointSink flushes are the same bytes, so
+  // either artifact merges identically.
+  const std::vector<BatchEntry> entries = two_campaign_batch();
+  const std::string path = scratch("output_sidecar");
+  {  // Fixed-n shard 1/3, straight through.
+    BatchConfig bc;
+    bc.jobs = 2;
+    bc.shard = ShardSpec{1, 3};
+    bc.checkpoint_path = path;
+    const BatchResult res = run_batch(entries, bc);
+    EXPECT_EQ(checkpoint_json(batch_to_checkpoint(res)) + "\n",
+              util::read_file(path));
+  }
+  {  // Shard 1/3 killed after 5 runs, then resumed into a binary sidecar.
+    struct Crash : CampaignObserver {
+      int left = 5;
+      void on_run_done(const RunEvent&) override {
+        if (--left == 0) throw std::runtime_error("simulated crash");
+      }
+    } crash;
+    std::remove(path.c_str());
+    BatchConfig bc;
+    bc.jobs = 1;  // serial: the crash surfaces from run_batch directly
+    bc.shard = ShardSpec{1, 3};
+    bc.checkpoint_path = path;
+    bc.checkpoint_every = 1;
+    bc.observer = &crash;
+    EXPECT_THROW(run_batch(entries, bc), std::runtime_error);
+    const Checkpoint partial = parse_checkpoint_json(util::read_file(path));
+    ASSERT_EQ(partial.completed_runs(), 4);
+    ASSERT_FALSE(partial.complete());
+
+    BatchConfig rc;
+    rc.jobs = 2;
+    rc.shard = ShardSpec{1, 3};
+    rc.resume = &partial;
+    rc.checkpoint_path = path;
+    rc.checkpoint_encoding = CheckpointEncoding::kBinary;
+    const BatchResult res = run_batch(entries, rc);
+    EXPECT_EQ(checkpoint_serialize(batch_to_checkpoint(res),
+                                   CheckpointEncoding::kBinary) +
+                  "\n",
+              util::read_file(path));
+  }
+  std::remove(path.c_str());
+}
+
+/// Parsing `text` must fail with a SetupError whose message names `why`.
+void expect_refused(const std::string& text, const std::string& why) {
+  try {
+    (void)parse_checkpoint_json(text);
+    ADD_FAILURE() << "accepted a forged checkpoint (" << why << ")";
+  } catch (const util::SetupError& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos) << e.what();
+  }
+}
+
+TEST(Checkpoint, ForgedDoneSetsAreRefused) {
+  // Digests only prove a document was written by checkpoint_json; these
+  // documents are, yet their done sets claim runs the shard cannot hold.
+  std::vector<CampaignSpec> specs(1);
+  specs[0].app = "jacobi";
+  specs[0].runs_per_region = 4;
+  specs[0].regions = {Region::kRegularReg, Region::kMessage};
+  const std::vector<Golden> goldens(1);
+  auto with_runs = [&](ShardSpec shard, std::initializer_list<int> runs) {
+    Checkpoint ck = make_checkpoint(specs, goldens, shard);
+    for (int i : runs) {
+      ck.slots[0].done.insert(i);
+      ++ck.slots[0].counts.executions;
+    }
+    return ck;
+  };
+  const auto encodings = {CheckpointEncoding::kJson,
+                          CheckpointEncoding::kBinary};
+  for (const CheckpointEncoding enc : encodings) {
+    // Shard 0/2 owns runs 0 and 2 of slot 0: fine.
+    EXPECT_NO_THROW(parse_checkpoint_json(
+        checkpoint_serialize(with_runs({0, 2}, {0, 2}), enc)));
+    // Run 1 belongs to shard 1/2.
+    expect_refused(checkpoint_serialize(with_runs({0, 2}, {0, 1, 2}), enc),
+                   "belongs to another shard");
+    // Run 100 lies outside a 4-run grid.
+    expect_refused(checkpoint_serialize(with_runs({0, 1}, {0, 100}), enc),
+                   "outside the grid");
+
+    // Adaptive: shard 0/2 owns cell 0 only, and a frontier stays in the
+    // grid.
+    Checkpoint adaptive = make_checkpoint(specs, goldens, ShardSpec{0, 2});
+    adaptive.adaptive = AdaptivePolicy{};
+    adaptive.slots[0].frontier = 4;
+    EXPECT_NO_THROW(
+        parse_checkpoint_json(checkpoint_serialize(adaptive, enc)));
+    Checkpoint foreign = adaptive;
+    foreign.slots[1].frontier = 2;
+    expect_refused(checkpoint_serialize(foreign, enc),
+                   "belongs to another shard");
+    Checkpoint beyond = adaptive;
+    beyond.slots[0].frontier = 5;
+    expect_refused(checkpoint_serialize(beyond, enc), "outside the cell");
+  }
+
+  // The committed forgeries the CLI tests feed to `fsim status` and `fsim
+  // merge`: a real jacobi shard-0/2 checkpoint with run 1 (or run 100)
+  // added to its first slot and the digests recomputed.
+  for (const std::string ext : {".json", ".bin.json"}) {
+    expect_refused(
+        util::read_file(FSIM_TEST_DATA "/forged_foreign_run" + ext),
+        "run 1 belongs to another shard than 0/2");
+    expect_refused(
+        util::read_file(FSIM_TEST_DATA "/forged_out_of_grid" + ext),
+        "run 100 is outside the grid of 4 runs");
+  }
 }
 
 }  // namespace

@@ -92,6 +92,11 @@ TEST(JsonParse, Scalars) {
   EXPECT_FALSE(parse_json("false").as_bool());
   EXPECT_EQ(parse_json("42").as_int(), 42);
   EXPECT_EQ(parse_json("-7").as_int(), -7);
+  // as_i32 refuses what does not fit an int instead of wrapping it.
+  EXPECT_EQ(parse_json("2147483647").as_i32(), 2147483647);
+  EXPECT_EQ(parse_json("-2147483648").as_i32(), -2147483647 - 1);
+  EXPECT_THROW(parse_json("2147483648").as_i32(), SetupError);
+  EXPECT_THROW(parse_json("4294967297").as_i32(), SetupError);
   EXPECT_DOUBLE_EQ(parse_json("0.5").as_double(), 0.5);
   EXPECT_DOUBLE_EQ(parse_json("1e3").as_double(), 1000.0);
   EXPECT_EQ(parse_json("\"hi\"").as_string(), "hi");
