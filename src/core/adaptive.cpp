@@ -1,12 +1,11 @@
 #include "core/adaptive.hpp"
 
 #include <algorithm>
-#include <memory>
 
+#include "core/batch_run.hpp"
 #include "core/report.hpp"
 #include "core/sampling.hpp"
 #include "util/json.hpp"
-#include "util/status.hpp"
 #include "util/table.hpp"
 
 namespace fsim::core {
@@ -34,109 +33,28 @@ int waves_of(int scheduled, int wave) {
 
 AdaptiveResult run_adaptive(const std::vector<BatchEntry>& entries,
                             const AdaptiveConfig& config) {
-  require_valid_shard(config.shard);
-  require_valid_policy(config.policy);
-  if (config.selection)
-    throw util::SetupError(
-        "adaptive: explicit grid selections are not supported (waves are "
-        "data-dependent)");
+  // BatchRun has already finished the wave a crash interrupted: every cell
+  // sits at a wave boundary with exactly the counts the uninterrupted run
+  // had there, so the re-evaluated decisions below reproduce its schedule.
   const AdaptivePolicy& policy = config.policy;
-
-  BatchSession session(entries, config.jobs);
-  const std::size_t ncamp = entries.size();
+  BatchRun run(entries, config, policy);
+  const BatchSession& session = run.session();
+  const std::vector<CampaignSpec>& specs = session.specs();
   const std::size_t nslots = session.slots();
+  const GridSelection owned = shard_selection(specs, config.shard, true);
 
-  AdaptiveResult result;
-  result.policy = policy;
-  result.batch.shard = config.shard;
-  result.batch.specs = session.specs();
-
-  // Per-slot coordinates and caps (the campaign's runs_per_region).
-  std::vector<std::size_t> campaign_of(nslots, 0);
-  std::vector<std::size_t> region_index_of(nslots, 0);
-  std::vector<int> cap(nslots, 0);
-  for (std::size_t c = 0; c < ncamp; ++c) {
-    const CampaignConfig& cc = entries[c].config;
-    for (std::size_t ri = 0; ri < cc.regions.size(); ++ri) {
-      const std::size_t slot = session.slot_of(c, ri);
-      campaign_of[slot] = c;
-      region_index_of[slot] = ri;
-      cap[slot] = cc.runs_per_region;
-    }
-  }
-
-  // Resume baseline: an adaptive checkpoint of this exact batch (its
-  // frontiers are the wave state we replay from). The *policy* is taken
-  // from config — callers reuse the recorded one unless the user
-  // explicitly overrides it.
-  const Checkpoint* resume = config.resume;
-  if (resume)
-    require_same_batch("resume", *resume, true, config.shard,
-                       result.batch.specs, session.goldens());
-
-  // Cell state. The resume baseline's counts fold in *up front* (unlike
-  // run_batch, which folds at the end): stopping decisions must see the
-  // cumulative per-cell counts, and integer sums commute either way.
+  // Cell state. A resumed cell starts from its committed frontier.
   std::vector<CellStatus> cells(nslots);
-  std::vector<RegionResult> totals(nslots);
-  std::vector<int> done(nslots, 0);
-  std::vector<int> frontier(nslots, 0);  // RunEvent denominators
-  for (std::size_t s = 0; s < nslots; ++s) {
-    cells[s].campaign = campaign_of[s];
-    cells[s].region =
-        entries[campaign_of[s]].config.regions[region_index_of[s]];
-    cells[s].owned = shard_owns_cell(s, config.shard);
-    if (resume) {
-      merge_region_counts(totals[s], resume->slots[s].counts);
-      done[s] = resume->slots[s].counts.executions;
-      cells[s].scheduled = resume->slots[s].frontier;
-      frontier[s] = cells[s].scheduled;
+  std::vector<int> cap(nslots, 0);  // the campaign's runs_per_region
+  for (std::size_t c = 0; c < specs.size(); ++c) {
+    for (std::size_t ri = 0; ri < specs[c].regions.size(); ++ri) {
+      const std::size_t s = session.slot_of(c, ri);
+      cells[s].campaign = c;
+      cells[s].region = specs[c].regions[ri];
+      cells[s].owned = !owned.slots[s].empty();
+      if (config.resume) cells[s].scheduled = config.resume->slots[s].frontier;
+      cap[s] = specs[c].runs_per_region;
     }
-  }
-
-  // Checkpoint sink, seeded with the policy: adaptive sidecars record the
-  // stopping rule and each cell's frontier alongside the usual state.
-  std::unique_ptr<CheckpointSink> sink;
-  if (!config.checkpoint_path.empty()) {
-    Checkpoint initial =
-        resume ? *resume
-               : make_checkpoint(result.batch.specs, session.goldens(),
-                                 config.shard);
-    initial.adaptive = policy;  // an override replaces the recorded policy
-    sink = std::make_unique<CheckpointSink>(config.checkpoint_path,
-                                            config.checkpoint_every,
-                                            std::move(initial),
-                                            config.observer,
-                                            config.checkpoint_encoding);
-  }
-
-  // Per-run fan-in (serialized by the session). on_region_done is *not*
-  // derived from done == total here — a cell is only finished when its
-  // interval says so; the wave loop below fires it at stop time.
-  BatchSession::Notify notify;
-  if (config.observer || sink) {
-    notify = [&config, &sink](const RunEvent& ev) {
-      if (config.observer) config.observer->on_run_done(ev);
-      if (sink) sink->on_run_done(ev);
-    };
-  }
-
-  // Catch-up: finish the partial frontier wave of a resumed campaign.
-  // After this, every cell sits at a wave boundary with exactly the counts
-  // the uninterrupted run had there, so the re-evaluated decisions below
-  // reproduce the uninterrupted schedule.
-  if (resume) {
-    std::vector<BatchSession::Point> points;
-    for (std::size_t s = 0; s < nslots; ++s) {
-      if (!cells[s].owned) continue;
-      for (int i = 0; i < cells[s].scheduled; ++i) {
-        if (resume->slots[s].done.contains(i)) continue;
-        points.push_back(BatchSession::Point{
-            campaign_of[s], region_index_of[s], i,
-            session.grid_index_of(campaign_of[s], region_index_of[s], i)});
-      }
-    }
-    session.run_points(points, totals, done, frontier, notify);
   }
 
   // Wave loop: evaluate every open cell at its boundary, stop the resolved
@@ -144,6 +62,7 @@ AdaptiveResult run_adaptive(const std::vector<BatchEntry>& entries,
   // only on per-cell integer counts at boundaries, so the schedule is a
   // pure function of (entries, policy, shard) — bit-identical at any
   // --jobs and across kill/resume.
+  const std::vector<RegionResult>& totals = run.totals();
   while (true) {
     for (std::size_t s = 0; s < nslots; ++s) {
       CellStatus& cell = cells[s];
@@ -159,39 +78,32 @@ AdaptiveResult run_adaptive(const std::vector<BatchEntry>& entries,
       } else {
         continue;
       }
-      if (sink) sink->update_cell(s, cell.scheduled, true);
+      run.commit_cell(s, cell.scheduled, true);
       if (config.observer)
         config.observer->on_region_done(cell.campaign,
                                         entries[cell.campaign].app.name,
                                         cell.region, totals[s].executions);
     }
 
-    std::vector<BatchSession::Point> points;
+    GridSelection wave;
+    wave.slots.resize(nslots);
     for (std::size_t s = 0; s < nslots; ++s) {
       CellStatus& cell = cells[s];
       if (!cell.owned || cell.stop != CellStop::kOpen) continue;
-      const int from = cell.scheduled;
-      const int to = std::min(from + policy.wave, cap[s]);
-      for (int i = from; i < to; ++i)
-        points.push_back(BatchSession::Point{
-            campaign_of[s], region_index_of[s], i,
-            session.grid_index_of(campaign_of[s], region_index_of[s], i)});
+      const int to = std::min(cell.scheduled + policy.wave, cap[s]);
+      wave.slots[s].append_range(cell.scheduled, to - 1);
       cell.scheduled = to;
-      frontier[s] = to;
       // Commit the frontier to the checkpoint image *before* the wave
       // runs: any snapshot then satisfies done ⊆ [0, frontier), and a
       // crash mid-wave resumes by finishing exactly this wave.
-      if (sink) sink->update_cell(s, to, false);
+      run.commit_cell(s, to, false);
     }
-    if (points.empty()) break;
-    session.run_points(points, totals, done, frontier, notify);
+    if (wave.empty()) break;
+    run.run(wave);
   }
 
-  // Leave a final checkpoint behind: every owned cell stopped with its
-  // frontier executed, so the file parses as complete.
-  if (sink) sink->flush();
-
-  result.batch.campaigns = session.attach_regions(totals);
+  AdaptiveResult result;
+  result.policy = policy;
   for (std::size_t s = 0; s < nslots; ++s) {
     cells[s].waves = waves_of(cells[s].scheduled, policy.wave);
     if (cells[s].owned) {
@@ -199,6 +111,7 @@ AdaptiveResult run_adaptive(const std::vector<BatchEntry>& entries,
       result.pruned_runs += static_cast<std::uint64_t>(totals[s].pruned);
     }
   }
+  result.batch = run.finish();
   result.cells = std::move(cells);
   return result;
 }

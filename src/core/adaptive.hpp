@@ -47,14 +47,14 @@ struct CellStatus {
 
 /// Adaptive execution = the shared ExecPolicy plus the stopping policy.
 /// Differences from fixed-n batches: the shard is cell-level
-/// (shard_owns_cell — each (campaign, region) cell is wholly owned by one
-/// shard, so stopping decisions are local and `fsim merge` over all shards
-/// reproduces the unsharded run bit for bit); on_region_done fires when a
-/// cell *stops*; checkpoints additionally record the policy and each
-/// cell's wave frontier; `resume` must be an adaptive checkpoint for this
-/// exact batch whose recorded policy equals `policy` (callers reuse the
-/// checkpoint's policy unless the user explicitly overrides it); and
-/// `selection` is not supported (waves are data-dependent).
+/// (shard_selection by cell: each (campaign, region) cell is wholly owned
+/// by one shard, so stopping decisions are local and `fsim merge` over all
+/// shards reproduces the unsharded run bit for bit); on_region_done fires
+/// when a cell *stops*; checkpoints additionally record the policy and
+/// each cell's wave frontier; `resume` must be an adaptive checkpoint for
+/// this exact batch (callers reuse its recorded policy unless the user
+/// explicitly overrides it); and `selection` is not supported (waves are
+/// data-dependent).
 struct AdaptiveConfig : ExecPolicy {
   AdaptivePolicy policy;
 };

@@ -5,6 +5,7 @@
 #include <mutex>
 #include <utility>
 
+#include "core/batch_run.hpp"
 #include "core/checkpoint.hpp"
 #include "core/dictionary.hpp"
 #include "core/reshard.hpp"
@@ -135,9 +136,10 @@ void require_positive_runs(const std::string& app, int runs) {
 }
 
 void require_valid_policy(const AdaptivePolicy& p) {
-  if (p.ci <= 0.0 || p.ci >= 1.0)
+  // Written as !(inside) so that NaN is refused too.
+  if (!(p.ci > 0.0 && p.ci < 1.0))
     throw util::SetupError("adaptive: --ci must be in (0, 1)");
-  if (p.alpha <= 0.0 || p.alpha >= 1.0)
+  if (!(p.alpha > 0.0 && p.alpha < 1.0))
     throw util::SetupError("adaptive: confidence alpha must be in (0, 1)");
   if (p.wave < 1)
     throw util::SetupError("adaptive: --wave must be >= 1");
@@ -246,10 +248,6 @@ const std::vector<CampaignSpec>& BatchSession::specs() const noexcept {
   return impl_->specs;
 }
 
-const std::vector<CampaignResult>& BatchSession::campaigns() const noexcept {
-  return impl_->campaigns;
-}
-
 std::vector<Golden> BatchSession::goldens() const {
   std::vector<Golden> out;
   for (const CampaignResult& c : impl_->campaigns) out.push_back(c.golden);
@@ -355,108 +353,132 @@ std::vector<CampaignResult> BatchSession::attach_regions(
   return out;
 }
 
-BatchResult run_batch(const std::vector<BatchEntry>& entries,
-                      const BatchConfig& config) {
-  require_valid_shard(config.shard);
-  const Checkpoint* resume = config.resume;
-  const GridSelection* sel = config.selection;
-  if (sel && (resume || config.shard.count > 1))
+// --- BatchRun ---
+
+namespace {
+
+/// Every check that needs no prepared campaign, made before the session
+/// prepares any.
+const std::vector<BatchEntry>& validated(
+    const std::vector<BatchEntry>& entries, const ExecPolicy& exec,
+    const std::optional<AdaptivePolicy>& adaptive) {
+  require_valid_shard(exec.shard);
+  if (adaptive) require_valid_policy(*adaptive);
+  if (exec.selection && (adaptive || exec.resume || exec.shard.count > 1))
     throw util::SetupError(
         "selection: an explicit grid selection runs alone (no shard, no "
-        "resume)");
+        "resume, no adaptive waves)");
+  return entries;
+}
 
-  BatchSession session(entries, config.jobs);
-  const std::size_t ncamp = entries.size();
-  const std::size_t nslots = session.slots();
-  const std::vector<Golden> goldens = session.goldens();
+}  // namespace
 
-  BatchResult result;
-  result.shard = config.shard;
-  result.specs = session.specs();
+BatchRun::BatchRun(const std::vector<BatchEntry>& entries,
+                   const ExecPolicy& exec,
+                   const std::optional<AdaptivePolicy>& adaptive)
+    : exec_(exec),
+      adaptive_(adaptive.has_value()),
+      session_(validated(entries, exec, adaptive), exec.jobs) {
+  const std::size_t nslots = session_.slots();
+  const Checkpoint* resume = exec.resume;
   if (resume)
-    require_same_batch("resume", *resume, false, config.shard, result.specs,
-                       goldens);
+    require_same_batch("resume", *resume, adaptive_, exec.shard,
+                       session_.specs(), session_.goldens());
 
-  // The grid points this invocation runs: an explicit selection (service
-  // workers), else the shard's points not yet in the resume baseline.
-  const GridSelection scope =
-      sel ? *sel
-          : resume ? remaining_selection(*resume)
-                   : shard_selection(result.specs, config.shard);
-  if (scope.slots.size() != nslots)
+  // The resume baseline's counts seed the totals up front, because the
+  // adaptive stopping rule must see cumulative per-cell counts; integer
+  // sums commute, so the totals still equal an uninterrupted run's.
+  // Progress counters continue from the baseline too, so RunEvent
+  // denominators and on_region_done see the cumulative shard state.
+  totals_.resize(nslots);
+  done_.assign(nslots, 0);
+  if (resume)
+    for (std::size_t s = 0; s < nslots; ++s) {
+      totals_[s] = resume->slots[s].counts;
+      done_[s] = totals_[s].executions;
+    }
+  owned_ = done_;
+
+  Checkpoint baseline =
+      resume ? *resume
+             : make_checkpoint(session_.specs(), session_.goldens(),
+                               exec.shard);
+  baseline.adaptive = adaptive;  // an override replaces the recorded policy
+  const GridSelection owed =
+      exec.selection ? *exec.selection : remaining_selection(baseline);
+
+  // Checkpoint sink: an internal observer fed through the same serialized
+  // dispatch as the caller's hooks. Seeded from the baseline so the
+  // sidecar file always covers the union of old and new grid points.
+  if (!exec.checkpoint_path.empty())
+    sink_ = std::make_unique<CheckpointSink>(
+        exec.checkpoint_path, exec.checkpoint_every, std::move(baseline),
+        exec.observer, exec.checkpoint_encoding);
+
+  // Observer fan-in: caller observer, then checkpoint sink — the session
+  // serializes the whole callback under one mutex, at any job count. A
+  // fixed-n slot is done when its owned points drain; an adaptive cell
+  // only when its interval says so (run_adaptive fires that at stop time).
+  if (exec.observer || sink_)
+    notify_ = [this](const RunEvent& ev) {
+      if (exec_.observer) {
+        exec_.observer->on_run_done(ev);
+        if (!adaptive_ && ev.done == ev.total)
+          exec_.observer->on_region_done(ev.campaign, *ev.app, ev.region,
+                                         ev.done);
+      }
+      if (sink_) sink_->on_run_done(ev);
+    };
+  run(owed);
+}
+
+BatchRun::~BatchRun() = default;
+
+void BatchRun::run(const GridSelection& selection) {
+  const std::size_t nslots = session_.slots();
+  if (selection.slots.size() != nslots)
     throw util::SetupError(
         "selection: slot layout does not match the batch (" +
-        std::to_string(scope.slots.size()) + " slots vs " +
+        std::to_string(selection.slots.size()) + " slots vs " +
         std::to_string(nslots) + ")");
-
-  // Work list in enumeration order. Completion counters continue from the
-  // checkpoint baseline, so progress denominators (`owned`) and
-  // on_region_done see the cumulative shard state.
-  std::vector<int> owned(nslots, 0);
-  std::vector<int> done(nslots, 0);
   std::vector<BatchSession::Point> points;
-  for (std::size_t c = 0; c < ncamp; ++c) {
-    const CampaignConfig& cc = entries[c].config;
-    for (std::size_t ri = 0; ri < cc.regions.size(); ++ri) {
-      const std::size_t slot = session.slot_of(c, ri);
-      const RunSet& runs = scope.slots[slot];
-      if (!runs.empty() && runs.ranges().back().second >= cc.runs_per_region)
+  const std::vector<CampaignSpec>& specs = session_.specs();
+  for (std::size_t c = 0; c < specs.size(); ++c) {
+    for (std::size_t ri = 0; ri < specs[c].regions.size(); ++ri) {
+      const std::size_t slot = session_.slot_of(c, ri);
+      const RunSet& runs = selection.slots[slot];
+      if (!runs.empty() &&
+          runs.ranges().back().second >= specs[c].runs_per_region)
         throw util::SetupError("selection: run index outside the grid");
-      if (resume) done[slot] = resume->slots[slot].counts.executions;
-      owned[slot] = done[slot] + runs.size();
+      owned_[slot] += runs.size();
       for (const auto& [first, last] : runs.ranges())
         for (int i = first; i <= last; ++i)
           points.push_back(BatchSession::Point{
-              c, ri, i, session.grid_index_of(c, ri, i)});
+              c, ri, i, session_.grid_index_of(c, ri, i)});
     }
   }
+  session_.run_points(points, totals_, done_, owned_, notify_);
+}
 
-  // Checkpoint sink: an internal observer fed through the same serialized
-  // dispatch as the caller's hooks. Seeded from the resume baseline so the
-  // sidecar file always covers the union of old and new grid points.
-  std::unique_ptr<CheckpointSink> sink;
-  if (!config.checkpoint_path.empty()) {
-    Checkpoint initial =
-        resume ? *resume
-               : make_checkpoint(result.specs, goldens, config.shard);
-    sink = std::make_unique<CheckpointSink>(config.checkpoint_path,
-                                            config.checkpoint_every,
-                                            std::move(initial),
-                                            config.observer,
-                                            config.checkpoint_encoding);
-  }
+void BatchRun::commit_cell(std::size_t slot, int frontier, bool stopped) {
+  if (sink_) sink_->update_cell(slot, frontier, stopped);
+}
 
-  // Observer fan-in: caller observer, then checkpoint sink — the session
-  // serializes the whole callback under one mutex, at any job count.
-  BatchSession::Notify notify;
-  if (config.observer || sink) {
-    notify = [&config, &sink](const RunEvent& ev) {
-      if (config.observer) {
-        config.observer->on_run_done(ev);
-        if (ev.done == ev.total)
-          config.observer->on_region_done(ev.campaign, *ev.app, ev.region,
-                                          ev.done);
-      }
-      if (sink) sink->on_run_done(ev);
-    };
-  }
-
-  std::vector<RegionResult> totals(nslots);
-  session.run_points(points, totals, done, owned, notify);
-
-  // Fold the checkpoint baseline back in: the resumed grid points ran in
-  // the interrupted invocation, the rest just ran here, and every field is
-  // an integer sum over the union — byte-identical to an uninterrupted run.
-  if (resume)
-    for (std::size_t s = 0; s < nslots; ++s)
-      merge_region_counts(totals[s], resume->slots[s].counts);
-
-  // Leave a final (complete) checkpoint behind: it equals the shard's
-  // default output (batch_to_checkpoint), and resuming it is a no-op.
-  if (sink) sink->flush();
-
-  result.campaigns = session.attach_regions(totals);
+BatchResult BatchRun::finish() {
+  // Leave a final checkpoint behind: it equals the shard's default output
+  // (batch_to_checkpoint), it parses as complete and resuming it is a
+  // no-op.
+  if (sink_) sink_->flush();
+  BatchResult result;
+  result.shard = exec_.shard;
+  result.specs = session_.specs();
+  result.campaigns = session_.attach_regions(totals_);
   return result;
+}
+
+BatchResult run_batch(const std::vector<BatchEntry>& entries,
+                      const BatchConfig& config) {
+  return BatchRun(entries, config, std::nullopt).finish();
 }
 
 CampaignResult run_campaign(const apps::App& app,

@@ -298,8 +298,6 @@ class BatchSession {
                               int run) const;
   /// Spec list in entry order (params included).
   const std::vector<CampaignSpec>& specs() const noexcept;
-  /// Campaign result skeletons (app, seed, golden; regions still empty).
-  const std::vector<CampaignResult>& campaigns() const noexcept;
   /// Per-campaign golden runs, in entry order.
   std::vector<Golden> goldens() const;
 

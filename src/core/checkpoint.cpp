@@ -94,6 +94,15 @@ RunSet RunSet::minus(const RunSet& other) const {
   return out;
 }
 
+RunSet RunSet::below(int end) const {
+  RunSet out;
+  for (const auto& [first, last] : ranges_) {
+    if (first >= end) break;
+    out.ranges_.push_back({first, std::min(last, end - 1)});
+  }
+  return out;
+}
+
 // --- Checkpoint ---
 
 int Checkpoint::completed_runs() const noexcept {
@@ -102,28 +111,23 @@ int Checkpoint::completed_runs() const noexcept {
   return n;
 }
 
+GridSelection Checkpoint::committed() const {
+  GridSelection sel = shard_selection(specs, shard, adaptive.has_value());
+  if (adaptive)
+    for (std::size_t s = 0; s < sel.slots.size(); ++s)
+      sel.slots[s] = sel.slots[s].below(slots[s].frontier);
+  return sel;
+}
+
 int Checkpoint::owned_runs() const {
-  if (adaptive) {
-    // No a-priori denominator: the scheduler decides the grid as it goes.
-    // Count what it has committed to so far (owned cells' frontiers).
-    int n = 0;
-    for (std::size_t s = 0; s < slots.size(); ++s)
-      if (shard_owns_cell(s, shard)) n += slots[s].frontier;
-    return n;
-  }
-  return static_cast<int>(shard_selection(specs, shard).total());
+  return static_cast<int>(committed().total());
 }
 
 bool Checkpoint::complete() const {
   if (adaptive) {
-    // Complete once every owned cell has stopped (target met or cap hit)
-    // with its whole frontier executed; other shards' cells don't count.
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-      if (!shard_owns_cell(s, shard)) continue;
-      const CheckpointSlot& cs = slots[s];
-      if (!cs.stopped || cs.done.size() != cs.frontier) return false;
-    }
-    return true;
+    const GridSelection owned = shard_selection(specs, shard, true);
+    for (std::size_t s = 0; s < slots.size(); ++s)
+      if (!owned.slots[s].empty() && !slots[s].stopped) return false;
   }
   return remaining_selection(*this).empty();
 }
@@ -518,18 +522,19 @@ Checkpoint parse_checkpoint(const util::JsonValue& doc) {
 
 /// The semantic checks both encodings share, run once the digests verify
 /// (a forged document can carry valid digests): the shard and policy are
-/// in range, every done index lies inside the grid and counts agree with
-/// the done sets. A fixed-n done set must lie inside the shard's
-/// selection; an adaptive cell holds runs only inside its frontier, and
-/// only when its shard owns it. Without this a forged input would
-/// over-count in a merge or a status report.
+/// in range, every done index lies inside the grid, counts agree with the
+/// done sets and every done set lies inside the committed grid. An
+/// adaptive cell's frontier must be exactly its committed size, so it
+/// stays inside the grid and is zero in cells other shards own. Without
+/// this a forged input would over-count in a merge or a status report.
 void require_consistent_done_sets(const Checkpoint& ck) {
   require_valid_shard(ck.shard);
   if (ck.adaptive) require_valid_policy(*ck.adaptive);
   for (const CampaignSpec& spec : ck.specs)
     require_positive_runs(spec.app, spec.runs_per_region);
-  const GridSelection owned =
-      ck.adaptive ? GridSelection{} : shard_selection(ck.specs, ck.shard);
+  const std::string shard = std::to_string(ck.shard.index) + "/" +
+                            std::to_string(ck.shard.count);
+  const GridSelection committed = ck.committed();
   std::size_t slot = 0;
   for (const CampaignSpec& spec : ck.specs) {
     for (std::size_t ri = 0; ri < spec.regions.size(); ++ri, ++slot) {
@@ -544,22 +549,17 @@ void require_consistent_done_sets(const Checkpoint& ck) {
              std::to_string(spec.runs_per_region) + " runs");
       if (cs.counts.executions != cs.done.size())
         fail("slot counts disagree with its completed-run set");
-      if (!ck.adaptive) {
-        const RunSet foreign = cs.done.minus(owned.slots[slot]);
-        if (!foreign.empty())
-          fail("run " + std::to_string(foreign.ranges()[0].first) +
-               " belongs to another shard than " +
-               std::to_string(ck.shard.index) + "/" +
-               std::to_string(ck.shard.count));
-      } else if (!shard_owns_cell(slot, ck.shard)) {
-        if (!cs.done.empty() || cs.frontier != 0 || cs.stopped)
-          fail("cell belongs to another shard but carries runs or wave "
-               "state");
-      } else if (cs.frontier < 0 || cs.frontier > spec.runs_per_region ||
-                 last >= cs.frontier) {
-        fail("completed runs or frontier outside the cell's wave frontier "
-             "and grid");
-      }
+      // A stopped cell has run at least one wave, so it holds a frontier.
+      if (ck.adaptive && (committed.slots[slot].size() != cs.frontier ||
+                          (cs.stopped && cs.frontier == 0)))
+        fail("wave frontier " + std::to_string(cs.frontier) +
+             " lies outside the cell, or the cell belongs to another shard "
+             "than " + shard);
+      const RunSet stray = cs.done.minus(committed.slots[slot]);
+      if (!stray.empty())
+        fail("run " + std::to_string(stray.ranges()[0].first) +
+             (ck.adaptive ? " lies beyond its cell's wave frontier"
+                          : " belongs to another shard than " + shard));
     }
   }
 }
@@ -670,14 +670,16 @@ std::uint64_t GridSelection::total() const noexcept {
 }
 
 GridSelection shard_selection(const std::vector<CampaignSpec>& specs,
-                              ShardSpec shard) {
+                              ShardSpec shard, bool by_cell) {
   GridSelection sel;
   std::uint64_t g = 0;
   for (const CampaignSpec& spec : specs) {
     for (std::size_t ri = 0; ri < spec.regions.size(); ++ri) {
+      const std::size_t slot = sel.slots.size();
       RunSet& runs = sel.slots.emplace_back();
       for (int i = 0; i < spec.runs_per_region; ++i, ++g)
-        if (shard_owns(g, shard)) runs.insert(i);  // appends or extends
+        if (by_cell ? shard_owns_cell(slot, shard) : shard_owns(g, shard))
+          runs.insert(i);  // appends or extends
     }
   }
   return sel;
@@ -695,11 +697,8 @@ CheckpointStatus checkpoint_status(const Checkpoint& ck) {
   st.cursor = ck.cursor;
   st.digest = checkpoint_digest(ck);
 
-  // Per-slot denominators: the shard's selection. Adaptive cells have no
-  // a-priori denominator; their owned count is the committed frontier (0
-  // for cells other shards own).
-  const GridSelection owned =
-      st.adaptive ? GridSelection{} : shard_selection(ck.specs, ck.shard);
+  // Per-slot denominators: the committed grid.
+  const GridSelection committed = ck.committed();
   std::size_t slot = 0;
   for (const auto& spec : ck.specs) {
     for (std::size_t ri = 0; ri < spec.regions.size(); ++ri, ++slot) {
@@ -709,9 +708,7 @@ CheckpointStatus checkpoint_status(const Checkpoint& ck) {
       row.done = ck.slots[slot].done.size();
       row.frontier = ck.slots[slot].frontier;
       row.stopped = ck.slots[slot].stopped;
-      row.owned = st.adaptive
-                      ? (shard_owns_cell(slot, ck.shard) ? row.frontier : 0)
-                      : owned.slots[slot].size();
+      row.owned = committed.slots[slot].size();
       st.rows.push_back(std::move(row));
     }
   }
@@ -842,19 +839,19 @@ Checkpoint batch_to_checkpoint(const BatchResult& result,
                                   result.shard);
   ck.adaptive = adaptive;
   const GridSelection owned =
-      adaptive ? GridSelection{} : shard_selection(result.specs, result.shard);
+      shard_selection(result.specs, result.shard, adaptive.has_value());
   std::uint64_t base = 0;  // grid index of the slot's run 0
   std::size_t slot = 0;
   for (std::size_t c = 0; c < result.specs.size(); ++c) {
     for (const RegionResult& rr : result.campaigns[c].regions) {
       CheckpointSlot& cs = ck.slots[slot];
       cs.counts = rr;
-      if (!adaptive) {
-        cs.done = owned.slots[slot];
-      } else if (shard_owns_cell(slot, result.shard)) {
-        if (rr.executions > 0) cs.done.append_range(0, rr.executions - 1);
+      cs.done = owned.slots[slot];
+      if (adaptive && !cs.done.empty()) {
+        // An owned cell ends stopped, committed up to its last run.
         cs.frontier = rr.executions;
         cs.stopped = true;
+        cs.done = cs.done.below(cs.frontier);
       }
       // Slots run in grid order, so the last non-empty one sets the cursor.
       if (!cs.done.empty())

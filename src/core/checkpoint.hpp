@@ -53,6 +53,8 @@ class RunSet {
   void append_range(int first, int last);
   /// The indices of this set that `other` does not contain.
   RunSet minus(const RunSet& other) const;
+  /// The indices of this set below `end`.
+  RunSet below(int end) const;
 
   bool operator==(const RunSet&) const = default;
 
@@ -63,9 +65,11 @@ class RunSet {
 /// Explicit subset of a batch grid: one RunSet of run indices per
 /// (campaign, region) slot, in the checkpoint/batch slot order. It is the
 /// one way to name the grid points an invocation owns: a shard is
-/// shard_selection, a resume is that minus the checkpoint's done sets
-/// (core/reshard.hpp), and a service worker runs an explicit selection
-/// (ExecPolicy::selection) carved from a campaign's remaining grid.
+/// shard_selection, a checkpoint's committed grid is that (clipped to the
+/// wave frontiers of an adaptive one), a resume is the committed grid
+/// minus the done sets (core/reshard.hpp), and a service worker runs an
+/// explicit selection (ExecPolicy::selection) carved from a campaign's
+/// remaining grid.
 struct GridSelection {
   std::vector<RunSet> slots;
 
@@ -76,10 +80,13 @@ struct GridSelection {
   bool operator==(const GridSelection&) const = default;
 };
 
-/// Every grid point of the spec list that `shard` owns (shard_owns over
-/// the fixed campaign-major enumeration), one RunSet per slot.
+/// Every grid point of the spec list that `shard` owns, one RunSet per
+/// slot: round-robin points (shard_owns over the fixed campaign-major
+/// enumeration) for fixed-n batches, or every point of each whole cell the
+/// shard owns (shard_owns_cell) when `by_cell` — the adaptive sharding.
+/// The only caller of either ownership function.
 GridSelection shard_selection(const std::vector<CampaignSpec>& specs,
-                              ShardSpec shard);
+                              ShardSpec shard, bool by_cell = false);
 
 /// Per-(campaign, region) checkpoint record: the partial counts and the
 /// run indices they cover. Invariant: counts.executions == done.size().
@@ -111,19 +118,19 @@ struct Checkpoint {
   /// The policy is part of the artefact's identity: it is mixed into the
   /// document digest and resume re-applies it, so an unchanged-policy
   /// resume replays the uninterrupted wave schedule exactly. Adaptive
-  /// checkpoints shard by cell (shard_owns_cell), not by grid point.
+  /// checkpoints shard by whole cell, not by grid point.
   std::optional<AdaptivePolicy> adaptive;
 
+  /// The grid points the shard has committed to run: its shard_selection,
+  /// clipped to each cell's frontier in an adaptive checkpoint (the wave
+  /// scheduler commits the rest of a cell one wave at a time).
+  GridSelection committed() const;
   /// Total completed runs across all slots.
   int completed_runs() const noexcept;
-  /// Total shard-owned grid points (the denominator of completed_runs()).
-  /// Adaptive checkpoints have no a-priori denominator; there this is the
-  /// number of grid points the wave scheduler has committed so far (the
-  /// sum of owned cells' frontiers).
+  /// Size of the committed grid (the denominator of completed_runs()).
   int owned_runs() const;
-  /// Does the checkpoint cover every shard-owned grid point? An adaptive
-  /// checkpoint is complete when every owned cell is stopped and has
-  /// executed its whole frontier.
+  /// Has every committed grid point run? An adaptive checkpoint is
+  /// complete only once every cell its shard owns has also stopped.
   bool complete() const;
 };
 
@@ -143,8 +150,9 @@ void require_same_batch(const char* what, const Checkpoint& checkpoint,
 
 /// Serialize / parse the checkpoint document. parse verifies the per-slot
 /// and whole-document digests, then the done sets: every index inside the
-/// grid, a fixed-n done set inside shard_selection, an adaptive cell's
-/// runs inside its frontier and no state in cells its shard does not own.
+/// grid and every done set inside the committed grid (an adaptive cell's
+/// frontier inside its grid, and no wave state in cells its shard does not
+/// own).
 /// It throws SetupError on any violation or on a non-checkpoint document
 /// (result exports included). It accepts either on-disk encoding: the
 /// plain JSON layout or the compact `"encoding": "fnv-bin-v1"` wrapper
@@ -208,10 +216,9 @@ BatchResult checkpoint_to_batch(const Checkpoint& checkpoint);
 
 /// The inverse for a finished shard: the checkpoint its sidecar holds
 /// after the last run, and what `fsim batch --shard` writes by default.
-/// Fixed-n: done = shard_selection. Adaptive (`adaptive` = the run's
-/// policy): every owned cell is done over [0, executions), with that
-/// frontier and stopped set. The cursor is one past the highest done grid
-/// index.
+/// Every done set is the committed grid. Adaptive (`adaptive` = the run's
+/// policy): every owned cell is stopped with its frontier at its
+/// executions. The cursor is one past the highest done grid index.
 Checkpoint batch_to_checkpoint(
     const BatchResult& result,
     const std::optional<AdaptivePolicy>& adaptive = std::nullopt);

@@ -1,12 +1,9 @@
 // Shared execution policy for every campaign driver.
 //
-// run_campaign, run_batch, run_adaptive and the service scheduler all used
-// to carry their own copies of the jobs/shard/observer/checkpoint knobs;
-// ExecPolicy is the one struct they now share. CampaignConfig, BatchConfig
-// and AdaptiveConfig derive from it, so the historical field spellings
-// (`config.jobs`, `config.shard`, ...) keep compiling as thin delegating
-// accessors for one release while new code passes the policy around as a
-// unit (`config.exec()`).
+// run_campaign, run_batch, run_adaptive and the service worker share one
+// ExecPolicy: the jobs/shard/observer/checkpoint/resume/selection knobs.
+// CampaignConfig, BatchConfig and AdaptiveConfig derive from it, and code
+// that forwards a policy passes it as a unit (`config.exec()`).
 #pragma once
 
 #include <cstdint>
@@ -37,7 +34,9 @@ void require_valid_shard(const ShardSpec& shard);
 /// fixed enumeration order (campaign-major, then region, then run):
 /// round-robin `g mod count == index`. Every grid point therefore belongs
 /// to exactly one of the N shards, independent of scheduling, job count or
-/// host — the partition is total and disjoint by construction.
+/// host — the partition is total and disjoint by construction. Only
+/// shard_selection (core/checkpoint.hpp) calls it; everything else asks
+/// that selection.
 constexpr bool shard_owns(std::uint64_t grid_index,
                           const ShardSpec& shard) noexcept {
   return shard.count <= 1 ||
@@ -50,7 +49,8 @@ constexpr bool shard_owns(std::uint64_t grid_index,
 /// `slot mod count`, round-robin like shard_owns. Keeping every run of a
 /// cell on one host makes the per-cell stopping decisions local — each
 /// shard reaches exactly the decisions the unsharded run would, so
-/// `fsim merge` over cell shards reproduces it bit for bit.
+/// `fsim merge` over cell shards reproduces it bit for bit. Only
+/// shard_selection calls it, with `by_cell` set.
 constexpr bool shard_owns_cell(std::size_t slot,
                                const ShardSpec& shard) noexcept {
   return shard.count <= 1 ||

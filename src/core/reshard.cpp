@@ -7,10 +7,7 @@
 namespace fsim::core {
 
 GridSelection remaining_selection(const Checkpoint& ck) {
-  if (ck.adaptive)
-    throw util::SetupError(
-        "reshard: adaptive campaigns re-shard by cell, not by grid point");
-  GridSelection sel = shard_selection(ck.specs, ck.shard);
+  GridSelection sel = ck.committed();
   for (std::size_t s = 0; s < sel.slots.size(); ++s)
     sel.slots[s] = sel.slots[s].minus(ck.slots[s].done);
   return sel;

@@ -17,10 +17,10 @@
 
 namespace fsim::core {
 
-/// Every shard-owned grid point the checkpoint has NOT completed, as a
-/// per-slot selection in enumeration order. Empty selection == complete
-/// shard. Throws SetupError on an adaptive checkpoint (adaptive campaigns
-/// re-shard by cell, not by grid point).
+/// Every committed grid point the checkpoint has NOT completed, as a
+/// per-slot selection in enumeration order: the rest of a fixed-n shard,
+/// or the unfinished part of an adaptive checkpoint's frontier waves.
+/// Resume runs it first, whichever the scheduler.
 GridSelection remaining_selection(const Checkpoint& checkpoint);
 
 /// Split off the first `n` grid points of `from` (slot-major enumeration

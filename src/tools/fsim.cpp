@@ -121,22 +121,24 @@ void reject_unused(const util::Cli& cli, bool takes_files = false) {
                            "'");
 }
 
-/// --name=N for a count that must be at least 1.
+/// --name=N for a count of at least `min`. Every count fsim reads goes
+/// through here, so a value beyond the int range is refused, not wrapped.
 int count_option(const util::Cli& cli, const std::string& name,
-                 int fallback) {
+                 int fallback, int min = 1) {
   const std::int64_t v = cli.num(name, fallback);
-  if (v < 1 || v > std::numeric_limits<int>::max())
-    throw util::SetupError("option --" + name +
-                           " expects an integer >= 1, got " +
-                           std::to_string(v));
+  if (v < min || v > std::numeric_limits<int>::max())
+    throw util::SetupError(
+        "option --" + name + " expects an integer from " +
+        std::to_string(min) + " to " +
+        std::to_string(std::numeric_limits<int>::max()) + ", got " +
+        std::to_string(v));
   return static_cast<int>(v);
 }
 
-/// --jobs=N (default: one worker per hardware thread). The range check
-/// lives in core::BatchSession.
+/// --jobs=N (default: one worker per hardware thread).
 int jobs_option(const util::Cli& cli) {
-  return static_cast<int>(cli.num(
-      "jobs", static_cast<std::int64_t>(util::ThreadPool::default_workers())));
+  return count_option(cli, "jobs",
+                      static_cast<int>(util::ThreadPool::default_workers()));
 }
 
 /// --rank=K, a rank of the app's world (default 1).
@@ -304,7 +306,7 @@ int cmd_run(const util::Cli& cli) {
 int cmd_campaign(const util::Cli& cli) {
   apps::App app = apps::make_app(cli.str("app", "wavetoy"));
   core::CampaignConfig cfg;
-  cfg.runs_per_region = static_cast<int>(cli.num("runs", 200));
+  cfg.runs_per_region = count_option(cli, "runs", 200);
   cfg.seed = static_cast<std::uint64_t>(cli.num("seed", 0xfa));
   cfg.jobs = jobs_option(cli);
   if (cli.has("regions")) cfg.regions = parse_region_list(cli.str("regions", ""));
@@ -365,14 +367,31 @@ void parse_checkpointing(const util::Cli& cli, const std::string& path,
   parse_ckpt_encoding(cli, policy.checkpoint_encoding);
 }
 
-/// Batch and resume output: the result document `json` on --json, CSV on
-/// --csv; otherwise a shard writes its finished checkpoint (what
-/// `fsim merge` folds; `adaptive` is the run's policy) and a whole batch
-/// its tables with `tables` appended.
-void write_batch_output(const Report& report, const core::BatchResult& res,
-                        const std::optional<core::AdaptivePolicy>& adaptive,
-                        const std::string& json,
-                        const std::string& tables = "") {
+/// The one dispatch behind `fsim batch` and `fsim resume`: run the batch
+/// under `exec` (in CI-targeted waves when `adaptive` holds a policy) and
+/// write its output — the result document on --json, CSV on --csv;
+/// otherwise a shard writes its finished checkpoint (what `fsim merge`
+/// folds) and a whole batch its tables.
+void run_and_report(const std::vector<core::BatchEntry>& entries,
+                    const core::ExecPolicy& exec,
+                    const std::optional<core::AdaptivePolicy>& adaptive,
+                    const Report& report) {
+  core::BatchResult res;
+  std::string json, tables;
+  if (adaptive) {
+    core::AdaptiveConfig ac;
+    ac.exec() = exec;
+    ac.policy = *adaptive;
+    core::AdaptiveResult ar = core::run_adaptive(entries, ac);
+    json = core::adaptive_json(ar);
+    tables = "\n" + core::format_adaptive(ar);
+    res = std::move(ar.batch);
+  } else {
+    core::BatchConfig bc;
+    bc.exec() = exec;
+    res = core::run_batch(entries, bc);
+    json = core::batch_json(res);
+  }
   if (report.json)
     write_output(report.out, json + "\n");
   else if (res.shard.count > 1 && !report.csv)
@@ -424,7 +443,7 @@ int cmd_batch(const util::Cli& cli) {
       for (auto& spec : specs) spec.engine = engine;
   } else {
     core::CampaignConfig base;
-    base.runs_per_region = static_cast<int>(cli.num("runs", 200));
+    base.runs_per_region = count_option(cli, "runs", 200);
     base.seed = static_cast<std::uint64_t>(cli.num("seed", 0xfa));
     if (cli.has("regions"))
       base.regions = parse_region_list(cli.str("regions", ""));
@@ -440,47 +459,34 @@ int cmd_batch(const util::Cli& cli) {
   }
 
   // Adaptive (--ci) knobs are read only on the adaptive path.
-  const bool adaptive = cli.has("ci");
-  core::AdaptiveConfig ac;
-  if (adaptive) {
+  std::optional<core::AdaptivePolicy> adaptive;
+  if (cli.has("ci")) {
     apply_max_runs(cli, cli.has("spec") || cli.has("runs"), specs);
-    ac.policy = parse_adaptive_policy(cli, core::AdaptivePolicy{});
+    adaptive = parse_adaptive_policy(cli, core::AdaptivePolicy{});
   }
 
-  core::BatchConfig bc;
-  bc.jobs = jobs_option(cli);
-  parse_checkpointing(cli, "", bc);
-  if (cli.has("shard")) bc.shard = parse_shard(cli.str("shard", ""));
+  core::ExecPolicy exec;
+  exec.jobs = jobs_option(cli);
+  parse_checkpointing(cli, "", exec);
+  if (cli.has("shard")) exec.shard = parse_shard(cli.str("shard", ""));
   const bool quiet = cli.flag("quiet");
   const Report report = report_options(cli);
   reject_unused(cli);
 
   std::vector<core::BatchEntry> entries = core::entries_for_specs(specs);
   Progress progress(true);
-  if (!quiet) bc.observer = &progress;
-
-  if (adaptive) {
-    ac.exec() = bc.exec();  // same jobs/shard/observer/checkpoint policy
-    if (!quiet)
-      std::fprintf(stderr,
-                   "batch: %zu campaigns, %d jobs, shard %d/%d, adaptive "
-                   "ci %.3g at %.3g%% (wave %d)\n",
-                   entries.size(), ac.jobs, ac.shard.index, ac.shard.count,
-                   ac.policy.ci, 100.0 * (1.0 - ac.policy.alpha),
-                   ac.policy.wave);
-    const core::AdaptiveResult res = core::run_adaptive(entries, ac);
-    write_batch_output(report, res.batch, res.policy, core::adaptive_json(res),
-                       "\n" + core::format_adaptive(res));
-    return 0;
+  if (!quiet) {
+    exec.observer = &progress;
+    std::fprintf(stderr, "batch: %zu campaigns, %d jobs, shard %d/%d",
+                 entries.size(), exec.jobs, exec.shard.index,
+                 exec.shard.count);
+    if (adaptive)
+      std::fprintf(stderr, ", adaptive ci %.3g at %.3g%% (wave %d)",
+                   adaptive->ci, 100.0 * (1.0 - adaptive->alpha),
+                   adaptive->wave);
+    std::fprintf(stderr, "\n");
   }
-
-  if (!quiet)
-    std::fprintf(stderr,
-                 "batch: %zu campaigns, %d jobs, shard %d/%d\n",
-                 entries.size(), bc.jobs, bc.shard.index, bc.shard.count);
-
-  const core::BatchResult res = core::run_batch(entries, bc);
-  write_batch_output(report, res, std::nullopt, core::batch_json(res));
+  run_and_report(entries, exec, adaptive, report);
   return 0;
 }
 
@@ -501,13 +507,13 @@ int cmd_resume(const util::Cli& cli) {
   if (cli.has("engine"))
     for (auto& spec : ck.specs) spec.engine = engine;
 
-  core::BatchConfig bc;
-  bc.jobs = jobs_option(cli);
-  bc.shard = ck.shard;
-  bc.resume = &ck;
+  core::ExecPolicy exec;
+  exec.jobs = jobs_option(cli);
+  exec.shard = ck.shard;
+  exec.resume = &ck;
   // Keep checkpointing into the same sidecar (a second crash resumes from
   // wherever this invocation got to) unless redirected with --checkpoint.
-  parse_checkpointing(cli, files[0], bc);
+  parse_checkpointing(cli, files[0], exec);
 
   // An adaptive checkpoint resumes the wave scheduler with its recorded
   // policy; --ci/--confidence/--wave/--max-runs override it (equivalent to
@@ -515,11 +521,10 @@ int cmd_resume(const util::Cli& cli) {
   // rewrites the specs (the cap is spec identity) before the entries are
   // built, exactly as a fresh `batch --ci --max-runs` would have.
   // run_adaptive itself rejects --ci against a fixed-n checkpoint.
-  const bool adaptive = ck.adaptive || cli.has("ci");
-  core::AdaptiveConfig ac;
-  if (adaptive) {
+  std::optional<core::AdaptivePolicy> adaptive;
+  if (ck.adaptive || cli.has("ci")) {
     if (ck.adaptive) apply_max_runs(cli, true, ck.specs);
-    ac.policy = parse_adaptive_policy(
+    adaptive = parse_adaptive_policy(
         cli, ck.adaptive ? *ck.adaptive : core::AdaptivePolicy{});
   }
   const bool quiet = cli.flag("quiet");
@@ -529,24 +534,14 @@ int cmd_resume(const util::Cli& cli) {
   std::vector<core::BatchEntry> entries = core::entries_for_specs(ck.specs);
   Progress progress(true);
   if (!quiet) {
-    bc.observer = &progress;
+    exec.observer = &progress;
     std::fprintf(stderr,
                  "resume: %zu campaigns, shard %d/%d, %d of %d runs already "
                  "checkpointed, %d jobs\n",
-                 entries.size(), bc.shard.index, bc.shard.count,
-                 ck.completed_runs(), ck.owned_runs(), bc.jobs);
+                 entries.size(), exec.shard.index, exec.shard.count,
+                 ck.completed_runs(), ck.owned_runs(), exec.jobs);
   }
-
-  if (adaptive) {
-    ac.exec() = bc.exec();  // carries jobs/shard/checkpoint policy + resume
-    const core::AdaptiveResult res = core::run_adaptive(entries, ac);
-    write_batch_output(report, res.batch, res.policy, core::adaptive_json(res),
-                       "\n" + core::format_adaptive(res));
-    return 0;
-  }
-
-  const core::BatchResult res = core::run_batch(entries, bc);
-  write_batch_output(report, res, std::nullopt, core::batch_json(res));
+  run_and_report(entries, exec, adaptive, report);
   return 0;
 }
 
@@ -643,10 +638,7 @@ int cmd_lint(const util::Cli& cli) {
 int cmd_analyze(const util::Cli& cli) {
   apps::App app = apps::make_app(cli.str("app", "wavetoy"));
   core::AnalyzeConfig cfg;
-  cfg.runs = static_cast<int>(cli.num("runs", 200));
-  if (cfg.runs < 0)
-    throw util::SetupError("option --runs expects an integer >= 0, got " +
-                           std::to_string(cfg.runs));
+  cfg.runs = count_option(cli, "runs", 200, 0);
   cfg.seed = static_cast<std::uint64_t>(cli.num("seed", 0xfa));
   cfg.jobs = jobs_option(cli);
   if (cli.has("regions")) cfg.regions = parse_region_list(cli.str("regions", ""));
@@ -761,7 +753,7 @@ int cmd_worker(const util::Cli& cli) {
   service::WorkerOptions opts;
   opts.socket_path = require_socket(cli);
   opts.name = cli.str("name", "w" + std::to_string(::getpid()));
-  opts.jobs = static_cast<int>(cli.num("jobs", 1));
+  opts.jobs = count_option(cli, "jobs", 1);
   opts.checkpoint_every = count_option(cli, "checkpoint-every", 16);
   reject_unused(cli);
   return service::run_worker(opts);

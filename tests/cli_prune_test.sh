@@ -3,12 +3,13 @@
 # unknown spelling must be rejected with a message listing the valid
 # values, and a valid level must attach the static analysis and report the
 # activation verdict (campaign/batch have their own digest gates). Strict
-# flags: unknown or ignored options, out-of-range counts and malformed
-# --shard values exit 1 naming the flag, and only the --name=value form
-# carries a value, so a bare flag never swallows the next file. `fsim
-# merge` folds checkpoints only: result exports, forged done sets (the
-# committed tests/data forgeries) and adaptive shards with different
-# policies exit 1, and `fsim status` refuses the forgeries too.
+# flags: unknown or ignored options, out-of-range counts (beyond the int
+# range too), NaN --ci/--confidence and malformed --shard values exit 1
+# naming the flag, and only the --name=value form carries a value, so a
+# bare flag never swallows the next file. `fsim merge` folds checkpoints
+# only: result exports, forged done sets (the committed tests/data
+# forgeries) and adaptive shards with different policies exit 1, and
+# `fsim status` refuses the forgeries too.
 #
 #   tests/cli_prune_test.sh <path-to-fsim>
 set -euo pipefail
@@ -70,6 +71,14 @@ expect_fail "unknown option --jobz" campaign --app=jacobi --jobz=4
 expect_fail "--runs" campaign --app=jacobi --runs=-5
 expect_fail "--jobs" batch --apps=jacobi --runs=2 --jobs=0
 expect_fail "--jobs" batch --apps=jacobi --runs=2 --jobs=-3
+# Counts beyond the int range are refused, not wrapped (to 2 runs, 1 job).
+expect_fail "--runs" campaign --app=jacobi --runs=4294967298
+expect_fail "--jobs" campaign --app=jacobi --runs=2 --jobs=4294967297
+# NaN is outside (0, 1) too.
+expect_fail "--ci must be in (0, 1)" batch --apps=jacobi --runs=2 --ci=nan \
+    --quiet
+expect_fail "confidence alpha must be in (0, 1)" batch --apps=jacobi \
+    --runs=2 --ci=0.1 --confidence=nan --quiet
 for bad in x/y 1/ 3/2 -1/4; do
   expect_fail "option --shard expects i/N with 0 <= i < N, got '$bad'" \
       batch --apps=jacobi --runs=2 --shard="$bad"

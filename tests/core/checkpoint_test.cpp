@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "apps/app.hpp"
+#include "core/adaptive.hpp"
 #include "core/campaign.hpp"
 #include "core/checkpoint.hpp"
 #include "core/report.hpp"
@@ -544,9 +546,10 @@ TEST(Reshard, SelectionRunsAlone) {
 }
 
 TEST(Checkpoint, PartialShardCountsAgreeEverywhere) {
-  // A partial shard-2/3 checkpoint: owned_runs, complete, the status rows
-  // and remaining_selection all derive from shard_selection, and must
-  // agree with one another and with a brute-force shard_owns count.
+  // Partial shard checkpoints: owned_runs, complete, the status rows and
+  // remaining_selection all derive from the committed grid, and must agree
+  // with one another and with a brute-force count. First a fixed-n
+  // shard 2/3, against a walk of shard_owns.
   std::vector<CampaignSpec> specs(2);
   specs[0].app = "wavetoy";
   specs[0].runs_per_region = 10;
@@ -596,6 +599,76 @@ TEST(Checkpoint, PartialShardCountsAgreeEverywhere) {
       for (int i = first; i <= last; ++i) ck.slots[s].done.insert(i);
   EXPECT_TRUE(ck.complete());
   EXPECT_TRUE(remaining_selection(ck).empty());
+
+  {
+    // An adaptive cell shard 1/3 (cells 1 and 4 of 5) killed mid-wave: its
+    // committed grid is each owned cell's frontier, and owned_runs,
+    // complete, the status rows and remaining_selection must all agree
+    // with a brute-force walk of the frontiers.
+    const std::vector<BatchEntry> entries = two_campaign_batch();
+    const std::string path = scratch("adaptive_partial");
+    struct Crash : CampaignObserver {
+      int left = 8;  // wave 1 is 2 x 3 runs; die inside wave 2
+      void on_run_done(const RunEvent&) override {
+        if (--left == 0) throw std::runtime_error("simulated crash");
+      }
+    } crash;
+    AdaptiveConfig ac;
+    ac.policy.ci = 0.3;
+    ac.policy.wave = 3;
+    ac.jobs = 1;  // serial: the crash surfaces from run_adaptive directly
+    ac.shard = ShardSpec{1, 3};
+    ac.checkpoint_path = path;
+    ac.checkpoint_every = 1;
+    ac.observer = &crash;
+    EXPECT_THROW(run_adaptive(entries, ac), std::runtime_error);
+    Checkpoint ack = parse_checkpoint_json(util::read_file(path));
+    ASSERT_EQ(ack.completed_runs(), 7);
+
+    // Brute force: a cell is owned iff slot mod 3 == 1, its committed grid
+    // is [0, frontier), and what of that is not done is the rest of the
+    // interrupted wave, which a resume must run before anything else.
+    int frontiers = 0;
+    GridSelection catch_up;
+    catch_up.slots.resize(ack.slots.size());
+    for (std::size_t s = 0; s < ack.slots.size(); ++s) {
+      const CheckpointSlot& cs = ack.slots[s];
+      if (s % 3 != 1) {
+        EXPECT_EQ(cs.frontier, 0) << "slot " << s;
+        continue;
+      }
+      EXPECT_EQ(cs.frontier, 6) << "slot " << s;
+      frontiers += cs.frontier;
+      for (int i = 0; i < cs.frontier; ++i)
+        if (!cs.done.contains(i)) catch_up.slots[s].insert(i);
+    }
+    ASSERT_EQ(frontiers, 12);
+
+    EXPECT_EQ(ack.owned_runs(), frontiers);
+    EXPECT_FALSE(ack.complete());
+    const CheckpointStatus ast = checkpoint_status(ack);
+    EXPECT_EQ(ast.owned, frontiers);
+    EXPECT_FALSE(ast.complete);
+    ASSERT_EQ(ast.rows.size(), ack.slots.size());
+    for (std::size_t s = 0; s < ack.slots.size(); ++s)
+      EXPECT_EQ(ast.rows[s].owned, s % 3 == 1 ? ack.slots[s].frontier : 0)
+          << "slot " << s;
+    const GridSelection owed = remaining_selection(ack);
+    EXPECT_EQ(owed, catch_up);
+    EXPECT_EQ(owed.total(),
+              static_cast<std::uint64_t>(frontiers - ack.completed_runs()));
+
+    // Finishing the wave empties the remainder; the shard is complete only
+    // once its owned cells have stopped as well.
+    for (std::size_t s = 0; s < owed.slots.size(); ++s)
+      for (const auto& [first, last] : owed.slots[s].ranges())
+        for (int i = first; i <= last; ++i) ack.slots[s].done.insert(i);
+    EXPECT_TRUE(remaining_selection(ack).empty());
+    EXPECT_FALSE(ack.complete());
+    ack.slots[1].stopped = ack.slots[4].stopped = true;
+    EXPECT_TRUE(ack.complete());
+    std::remove(path.c_str());
+  }
 }
 
 TEST(RunSet, MinusCarvesOutOverlaps) {
@@ -743,6 +816,15 @@ TEST(Checkpoint, ForgedDoneSetsAreRefused) {
     beyond.slots[0].frontier = 5;
     expect_refused(checkpoint_serialize(beyond, enc), "outside the cell");
   }
+
+  // A NaN policy is outside (0, 1) too. The binary blob carries the double
+  // bit for bit and its digests are recomputed, so only the range check
+  // stands between this file and a `fsim resume` that aborts.
+  Checkpoint nan_policy = make_checkpoint(specs, goldens, ShardSpec{});
+  nan_policy.adaptive = AdaptivePolicy{};
+  nan_policy.adaptive->ci = std::numeric_limits<double>::quiet_NaN();
+  expect_refused(checkpoint_serialize(nan_policy, CheckpointEncoding::kBinary),
+                 "--ci must be in (0, 1)");
 
   // The committed forgeries the CLI tests feed to `fsim status` and `fsim
   // merge`: a real jacobi shard-0/2 checkpoint with run 1 (or run 100)

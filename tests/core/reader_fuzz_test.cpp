@@ -203,7 +203,7 @@ void read_checkpoint(const std::string& text) {
   const core::Checkpoint ck = core::parse_checkpoint_json(text);
   (void)core::format_checkpoint_status(core::checkpoint_status(ck));
   (void)core::batch_json(core::checkpoint_to_batch(ck));
-  if (!ck.adaptive) (void)core::remaining_selection(ck);
+  (void)core::remaining_selection(ck);
   core::Checkpoint master =
       core::make_checkpoint(ck.specs, ck.goldens, core::ShardSpec{});
   master.adaptive = ck.adaptive;
