@@ -36,7 +36,7 @@ inline BenchArgs parse_args(int argc, char** argv, int default_runs) {
   util::Cli cli(argc, argv);
   BenchArgs a;
   a.runs = static_cast<int>(cli.num("runs", default_runs));
-  a.seed = static_cast<std::uint64_t>(cli.num("seed", 0xfa));
+  a.seed = cli.u64("seed", 0xfa);
   a.jobs = static_cast<int>(cli.num(
       "jobs", static_cast<std::int64_t>(util::ThreadPool::default_workers())));
   a.csv = cli.flag("csv");

@@ -51,7 +51,7 @@ void dump_code_window(const svm::Program& program, svm::Machine& m,
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const core::Region region = core::parse_region(cli.str("region", "regular"));
-  std::uint64_t seed = static_cast<std::uint64_t>(cli.num("seed", 0));
+  std::uint64_t seed = cli.u64("seed", 0);
 
   apps::App app = apps::make_wavetoy();
   const core::Golden golden = core::run_golden(app);

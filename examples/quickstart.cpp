@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   using namespace fsim;
   util::Cli cli(argc, argv);
   const std::string name = cli.str("app", "wavetoy");
-  const std::uint64_t seed = static_cast<std::uint64_t>(cli.num("seed", 7));
+  const std::uint64_t seed = cli.u64("seed", 7);
 
   // 1. Pick an application: a generated SVM assembly program plus its
   //    world configuration (ranks, scheduler, baseline stream).

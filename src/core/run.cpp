@@ -28,6 +28,15 @@ CrashKind classify_trap(svm::Trap t) {
   }
 }
 
+// Every injected run uses this world seed, so differences in the baseline
+// stream are attributable to the fault alone — and a golden run with it
+// passes through exactly the states an injected run does before its fault.
+constexpr std::uint64_t kRunWorldSeed = 1;
+
+// Fast-forward ladder shape (see run_golden in run.hpp).
+constexpr std::size_t kMaxRungs = 32;
+constexpr std::uint64_t kFirstStride = 1u << 15;
+
 const std::string& baseline_stream(const apps::App& app,
                                    const simmpi::World& world,
                                    std::string& storage) {
@@ -72,7 +81,27 @@ Golden run_golden(const apps::App& app, const svm::Program& program,
   opts.machine.engine = engine;
   opts.machine.compiled = std::move(compiled);
   simmpi::World world(program, opts);
-  const simmpi::JobStatus status = world.run(4'000'000'000ull);
+  auto ladder = std::make_shared<std::vector<simmpi::Snapshot>>();
+  std::uint64_t stride = kFirstStride;
+  while (world.status() == simmpi::JobStatus::kRunning &&
+         world.global_instructions() < 4'000'000'000ull) {
+    world.advance();
+    const bool rung_due =
+        seed == kRunWorldSeed &&
+        world.status() == simmpi::JobStatus::kRunning &&
+        world.global_instructions() >= (ladder->size() + 1) * stride;
+    if (!rung_due) continue;
+    ladder->push_back(simmpi::Snapshot::capture(world));
+    if (ladder->size() == kMaxRungs) {
+      // Keep the rungs at multiples of the doubled stride.
+      std::vector<simmpi::Snapshot> kept;
+      for (std::size_t i = 1; i < ladder->size(); i += 2)
+        kept.push_back(std::move((*ladder)[i]));
+      *ladder = std::move(kept);
+      stride *= 2;
+    }
+  }
+  const simmpi::JobStatus status = world.status();
   if (status != simmpi::JobStatus::kCompleted)
     throw util::SetupError("golden run of '" + app.name +
                            "' did not complete (status " +
@@ -88,6 +117,7 @@ Golden run_golden(const apps::App& app, const svm::Program& program,
                       static_cast<double>(g.instructions) *
                       app.hang_budget_factor) +
                   200'000;
+  if (!ladder->empty()) g.ladder = std::move(ladder);
   return g;
 }
 
@@ -116,8 +146,7 @@ RunOutcome run_injected(const apps::App& app, const svm::Program& program,
   // fully independent (and safe to execute concurrently); the fault is
   // injected into the World's memory, never into `program`.
   simmpi::WorldOptions opts = app.world;
-  opts.seed = 1;  // the same world seed as the golden run: differences in
-                  // the baseline stream are attributable to the fault alone
+  opts.seed = kRunWorldSeed;
   opts.machine.engine = ctx.engine;
   opts.machine.compiled = ctx.compiled;
   simmpi::World world(program, opts);
@@ -127,6 +156,18 @@ RunOutcome run_injected(const apps::App& app, const svm::Program& program,
 
   const std::uint64_t t_inject =
       golden.instructions ? rng.below(golden.instructions) : 0;
+
+  // Fast-forward: restore the last rung the from-zero run would pass
+  // through unchanged (see run_injected in run.hpp).
+  auto fast_forward = [&](auto before_fault) {
+    if (!golden.ladder) return;
+    const simmpi::Snapshot* start = nullptr;
+    for (const simmpi::Snapshot& rung : *golden.ladder) {
+      if (!before_fault(rung)) break;
+      start = &rung;
+    }
+    if (start != nullptr) start->restore(world);
+  };
 
   if (region == Region::kMessage) {
     // §3.3: choose a process, then a uniformly random point in its golden
@@ -143,11 +184,19 @@ RunOutcome run_injected(const apps::App& app, const svm::Program& program,
     const std::uint64_t byte =
         rng.below(golden.rx_bytes[static_cast<std::size_t>(rank)]);
     const unsigned bit = static_cast<unsigned>(rng.below(8));
+    // Arm after the restore: it rewinds the channel, fault slot included.
+    fast_forward([&](const simmpi::Snapshot& rung) {
+      return rung.received_bytes(rank) <= byte;
+    });
     world.process(rank).channel().arm_fault(byte, bit);
     outcome.fault_applied = true;
     desc << "message stream of rank " << rank << " byte " << byte << " bit "
          << bit;
     outcome.injected_at = byte;
+  } else {
+    fast_forward([&](const simmpi::Snapshot& rung) {
+      return rung.instructions() < t_inject;
+    });
   }
 
   Injector injector(region, dictionary, ctx.analysis);

@@ -12,6 +12,7 @@
 #include "apps/app.hpp"
 #include "core/dictionary.hpp"
 #include "core/outcome.hpp"
+#include "simmpi/snapshot.hpp"
 #include "svm/exec/engine.hpp"
 #include "util/rng.hpp"
 
@@ -30,10 +31,19 @@ struct Golden {
   std::string baseline;                 // output file or console (per app)
   std::vector<std::uint64_t> rx_bytes;  // received volume per rank (§3.3)
   std::uint64_t hang_budget = 0;        // instructions before we call it a hang
+  /// Snapshots of the golden run at scheduler-round boundaries, in order,
+  /// that injected runs fast-forward from. Shared read-only by every run;
+  /// never serialized (a Golden read back from a document has none, and
+  /// its runs simply start from t=0).
+  std::shared_ptr<const std::vector<simmpi::Snapshot>> ladder;
 };
 
 /// Run the application fault-free. Throws SetupError if it does not
-/// complete — a broken golden run invalidates the whole campaign.
+/// complete — a broken golden run invalidates the whole campaign. With the
+/// injected runs' world seed (1), it also records the fast-forward ladder:
+/// a rung at the first round boundary past every multiple of a stride,
+/// the stride doubling (and every other rung dropped) whenever the ladder
+/// reaches 32 rungs, so a long run ends with 16–32 evenly spread rungs.
 Golden run_golden(const apps::App& app, std::uint64_t seed = 1);
 
 /// Same, against an already-linked image. The assembler is deterministic,
@@ -50,6 +60,12 @@ Golden run_golden(
 ///    instruction t in [0, golden.instructions);
 ///  * message region: a {byte, bit} fault is armed on a random rank's
 ///    channel with the byte uniform in that rank's golden received volume.
+/// The run is identical to the golden one until the fault, so it starts
+/// from the last ladder rung the fault cannot precede: the last rung
+/// strictly below t (the fault belongs to the first boundary whose count
+/// reaches t, and a rung at t would be it only if no earlier boundary had
+/// the same count), or for a message fault the last rung where the target
+/// rank has received no more than the armed byte.
 RunOutcome run_injected(const apps::App& app, const Golden& golden,
                         Region region, const FaultDictionary* dictionary,
                         std::uint64_t seed);

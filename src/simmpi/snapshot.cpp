@@ -10,7 +10,7 @@ namespace fsim::simmpi {
 struct Snapshot::Impl {
   struct RankState {
     svm::Machine::CoreState core;
-    std::array<std::vector<std::byte>, svm::kNumSegments> memory;
+    svm::Memory::Contents memory;
     svm::Heap::State heap;
     svm::BasicEnv::IoState io;
     Channel::State channel;
@@ -64,11 +64,16 @@ std::uint64_t Snapshot::instructions() const noexcept {
   return impl_->instructions;
 }
 
+std::uint64_t Snapshot::received_bytes(int rank) const {
+  return impl_->ranks.at(static_cast<std::size_t>(rank))
+      .channel.received_bytes;
+}
+
 std::uint64_t Snapshot::size_bytes() const noexcept {
   std::uint64_t total = sizeof(Impl);
   for (const auto& rs : impl_->ranks) {
     total += sizeof(rs);
-    for (const auto& seg : rs.memory) total += seg.size();
+    for (const auto& seg : rs.memory.bytes) total += seg.size();
     total += rs.io.console.size() + rs.io.output.size();
     for (const auto& pkt : rs.channel.queue) total += pkt.size();
     total += rs.mpi.inbox.size() * sizeof(MsgHeader);

@@ -10,8 +10,13 @@
 //
 // A Snapshot is a value: copying the World's complete state is legitimate
 // here because the simulation owns everything (no external descriptors).
-// Restoring rewinds a *compatible* World (same program, same options) to the
-// captured point; determinism then guarantees the re-execution is exact.
+// It costs what the job touched: each segment contributes only its backed
+// window (svm/memory.hpp), and text that still equals the loaded image is
+// not copied at all. Restoring rewinds a *compatible* World (same program,
+// same options) to the captured point, rewriting text — and invalidating
+// compiled code — only where it actually differs; determinism then
+// guarantees the re-execution is exact. The golden run keeps a ladder of
+// these to fast-forward injected runs (core/run.hpp).
 #pragma once
 
 #include <cstdint>
@@ -39,6 +44,9 @@ class Snapshot {
 
   /// Global instruction count at capture time.
   std::uint64_t instructions() const noexcept;
+
+  /// Cumulative bytes rank `rank` had received at capture time.
+  std::uint64_t received_bytes(int rank) const;
 
   /// Serialised size in bytes (for checkpoint-cost accounting).
   std::uint64_t size_bytes() const noexcept;

@@ -1,18 +1,19 @@
-// Flat segment snapshot used by the threaded engine's memory fast path.
+// Flat window snapshot used by the threaded engine's memory fast path.
 //
-// A FastMem caches the base/size/data-pointer of every mapped segment so
-// loads and stores resolve with a short probe loop (last-hit segment first)
-// instead of Memory::locate's enum-order scan. The membership test is
-// identical to Memory::locate, so every access traps exactly as the
-// interpreter's would.
+// A FastMem caches the backed window (start address, size, data pointer) of
+// every segment so loads and stores that hit a window resolve with a short
+// probe loop (last-hit segment first) instead of Memory::locate's
+// enum-order scan. Everything else — an access outside every window, whether
+// it lands in a segment's unbacked capacity or nowhere — falls back to the
+// Memory accessor, which reads zeros, grows the window or traps exactly as
+// the interpreter's would.
 //
-// Validity: segment extents are fixed at Memory construction and the
-// backing storage never moves under privileged pokes (they write in place),
-// so a snapshot stays valid until the whole contents are replaced — which
-// `Memory::restore_contents` signals by bumping the code version. `valid()`
-// keys the snapshot to the owning Memory's address and code version;
-// engines re-`refresh()` when either changes (a text poke also bumps the
-// version, forcing a harmless early refresh alongside the repatch).
+// Validity: backing storage never moves (windows grow in place inside a
+// fixed reservation), so the cached copy goes stale only when a window
+// changes. Memory counts those changes in `window_version()`; `valid()`
+// keys the snapshot to the owning Memory's address and that version, and
+// a fallback store re-`refresh()`es as soon as it sees the version move.
+// Text pokes leave windows alone, so they never force a refresh.
 #pragma once
 
 #include <array>
@@ -26,64 +27,70 @@ namespace fsim::svm::exec {
 class FastMem {
  public:
   bool valid(const Memory& m) const noexcept {
-    return source_ == &m && version_ == m.code_version();
+    return source_ == &m && version_ == m.window_version();
   }
 
   void refresh(Memory& m) noexcept {
     for (unsigned i = 0; i < kNumSegments; ++i) {
       const Segment s = kOrder[i];
-      const SegmentExtent& e = m.extent(s);
-      segs_[i].base = e.base;
-      segs_[i].size = e.size;
-      segs_[i].data = m.segment_bytes(s).data();
+      const std::span<std::byte> backed = m.segment_bytes(s);
+      segs_[i].base = m.extent(s).base + m.window(s).lo;
+      segs_[i].size = static_cast<std::uint32_t>(backed.size());
+      segs_[i].data = backed.data();
       segs_[i].exec = s == Segment::kText || s == Segment::kLibText;
     }
     source_ = &m;
-    version_ = m.code_version();
+    version_ = m.window_version();
   }
 
-  Trap load32(Addr addr, std::uint32_t& out) const noexcept {
+  Trap load32(Addr addr, std::uint32_t& out) noexcept {
     if (addr % 4 != 0) return Trap::kMisaligned;
-    const Seg* s = find(addr, 4);
-    if (!s) return Trap::kBadAddress;
-    std::memcpy(&out, s->data + (addr - s->base), 4);
-    return Trap::kNone;
+    if (const Seg* s = find(addr, 4)) {
+      std::memcpy(&out, s->data + (addr - s->base), 4);
+      return Trap::kNone;
+    }
+    return source_->load32(addr, out);
   }
   Trap store32(Addr addr, std::uint32_t value) noexcept {
     if (addr % 4 != 0) return Trap::kMisaligned;
-    Seg* s = find(addr, 4);
-    if (!s) return Trap::kBadAddress;
-    if (s->exec) return Trap::kWriteProtected;
-    std::memcpy(s->data + (addr - s->base), &value, 4);
-    return Trap::kNone;
+    if (Seg* s = find(addr, 4)) {
+      if (s->exec) return Trap::kWriteProtected;
+      std::memcpy(s->data + (addr - s->base), &value, 4);
+      return Trap::kNone;
+    }
+    return resync(source_->store32(addr, value));
   }
-  Trap load8(Addr addr, std::uint8_t& out) const noexcept {
-    const Seg* s = find(addr, 1);
-    if (!s) return Trap::kBadAddress;
-    out = static_cast<std::uint8_t>(s->data[addr - s->base]);
-    return Trap::kNone;
+  Trap load8(Addr addr, std::uint8_t& out) noexcept {
+    if (const Seg* s = find(addr, 1)) {
+      out = static_cast<std::uint8_t>(s->data[addr - s->base]);
+      return Trap::kNone;
+    }
+    return source_->load8(addr, out);
   }
   Trap store8(Addr addr, std::uint8_t value) noexcept {
-    Seg* s = find(addr, 1);
-    if (!s) return Trap::kBadAddress;
-    if (s->exec) return Trap::kWriteProtected;
-    s->data[addr - s->base] = static_cast<std::byte>(value);
-    return Trap::kNone;
+    if (Seg* s = find(addr, 1)) {
+      if (s->exec) return Trap::kWriteProtected;
+      s->data[addr - s->base] = static_cast<std::byte>(value);
+      return Trap::kNone;
+    }
+    return resync(source_->store8(addr, value));
   }
-  Trap load64(Addr addr, std::uint64_t& out) const noexcept {
+  Trap load64(Addr addr, std::uint64_t& out) noexcept {
     if (addr % 4 != 0) return Trap::kMisaligned;
-    const Seg* s = find(addr, 8);
-    if (!s) return Trap::kBadAddress;
-    std::memcpy(&out, s->data + (addr - s->base), 8);
-    return Trap::kNone;
+    if (const Seg* s = find(addr, 8)) {
+      std::memcpy(&out, s->data + (addr - s->base), 8);
+      return Trap::kNone;
+    }
+    return source_->load64(addr, out);
   }
   Trap store64(Addr addr, std::uint64_t value) noexcept {
     if (addr % 4 != 0) return Trap::kMisaligned;
-    Seg* s = find(addr, 8);
-    if (!s) return Trap::kBadAddress;
-    if (s->exec) return Trap::kWriteProtected;
-    std::memcpy(s->data + (addr - s->base), &value, 8);
-    return Trap::kNone;
+    if (Seg* s = find(addr, 8)) {
+      if (s->exec) return Trap::kWriteProtected;
+      std::memcpy(s->data + (addr - s->base), &value, 8);
+      return Trap::kNone;
+    }
+    return resync(source_->store64(addr, value));
   }
 
  private:
@@ -101,9 +108,9 @@ class FastMem {
       Segment::kStack,   Segment::kData,   Segment::kBss,  Segment::kHeap,
       Segment::kLibData, Segment::kLibBss, Segment::kText, Segment::kLibText};
 
-  // Same membership test as Memory::locate: inside the extent with `bytes`
-  // of headroom. Extents are disjoint, so at most one segment matches and
-  // probing the last-hit segment first is semantics-neutral.
+  // Inside a window with `bytes` of headroom. Windows lie inside disjoint
+  // extents, so at most one segment matches and probing the last-hit
+  // segment first is semantics-neutral.
   Seg* find(Addr addr, unsigned bytes) noexcept {
     Seg& m = segs_[mru_];
     const Addr moff = addr - m.base;
@@ -118,14 +125,17 @@ class FastMem {
     }
     return nullptr;
   }
-  const Seg* find(Addr addr, unsigned bytes) const noexcept {
-    return const_cast<FastMem*>(this)->find(addr, bytes);
+  /// A store through Memory may have grown a window: pick it up now, since
+  /// the engine re-checks valid() only between quanta and after syscalls.
+  Trap resync(Trap t) noexcept {
+    if (version_ != source_->window_version()) refresh(*source_);
+    return t;
   }
 
   std::array<Seg, kNumSegments> segs_{};
   unsigned mru_ = 0;
-  const Memory* source_ = nullptr;  // snapshot identity: owner ...
-  std::uint64_t version_ = 0;       // ... at this code version
+  Memory* source_ = nullptr;    // snapshot identity: owner ...
+  std::uint64_t version_ = 0;  // ... at this window version
 };
 
 }  // namespace fsim::svm::exec

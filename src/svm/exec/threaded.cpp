@@ -11,10 +11,10 @@
 //  * traps carry the same Trap code and fault address, and leave pc on the
 //    faulting instruction;
 //  * syscalls run with pc still on the SYS word and may charge extra cycles;
-//    after a completed syscall the segment snapshot (exec/fastmem.hpp) and
+//    after a completed syscall the window snapshot (exec/fastmem.hpp) and
 //    compiled stream are re-validated, since handlers poke memory through
-//    the privileged interface (pokes land in place; only a contents restore
-//    or text poke bumps the code version and forces a refresh);
+//    the privileged interface (a poke that grows a window bumps the window
+//    version; a text poke bumps the code version);
 //  * text flips between quanta are caught by the Memory code-version check
 //    on entry; the machine then repatches a private copy of the stream.
 //
@@ -43,10 +43,9 @@ namespace fsim::svm {
 std::uint64_t Machine::step_threaded(std::uint64_t max_instructions) {
   if (state_ != RunState::kReady) return 0;
   const exec::CompiledProgram* code = refresh_code();
-  // The segment snapshot persists across quanta: privileged pokes between
-  // quanta mutate the backing storage in place, so only a contents
-  // replacement (signalled through the code version) or a different owner
-  // (this machine was copied) invalidates it.
+  // The window snapshot persists across quanta: backing storage never
+  // moves, so only a window change (a growing poke, a restore) or a
+  // different owner invalidates it.
   exec::FastMem& fm = fastmem_;
   if (!fm.valid(mem_)) fm.refresh(mem_);
 

@@ -42,7 +42,10 @@ Machine::Machine(const Program& program, const Config& config, int rank)
   regs_.set_fp(stack_top - 4);
   FSIM_CHECK(mem_.poke32(regs_.sp(), kExitSentinel));
   // Text now equals the image any CompiledProgram was lowered from; pokes
-  // after this point are what refresh_code() must catch.
+  // after this point are what refresh_code() must catch (and what makes
+  // snapshots copy text).
+  mem_.seal_code(program.image(Segment::kText),
+                 program.image(Segment::kLibText));
   code_version_seen_ = mem_.code_version();
 }
 

@@ -1,5 +1,6 @@
 #include "svm/memory.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/status.hpp"
@@ -16,7 +17,18 @@ Memory::Memory(const std::array<std::uint32_t, kNumSegments>& image_sizes,
   for (unsigned i = 0; i < kNumSegments; ++i) {
     extents_[i].base = bases[i];
     extents_[i].size = sizes[i];
-    bytes_[i].assign(sizes[i], std::byte{0});
+    if (sizes[i] == 0) continue;
+    const auto seg = static_cast<Segment>(i);
+    if (seg == Segment::kHeap || seg == Segment::kStack) {
+      // Reserved, never touched here: the window starts empty at the end
+      // the segment grows from.
+      bytes_[i] = std::make_unique_for_overwrite<std::byte[]>(sizes[i]);
+      const std::uint32_t at = seg == Segment::kStack ? sizes[i] : 0;
+      windows_[i] = Window{at, at};
+    } else {
+      bytes_[i] = std::make_unique<std::byte[]>(sizes[i]);
+      windows_[i] = Window{0, sizes[i]};
+    }
   }
   // The heap must never collide with the stack reservation.
   const auto& heap = extents_[static_cast<unsigned>(Segment::kHeap)];
@@ -31,164 +43,138 @@ std::optional<Segment> Memory::resolve(Addr addr) const noexcept {
   return std::nullopt;
 }
 
-std::byte* Memory::locate(Addr addr, unsigned size, Segment& seg) noexcept {
+bool Memory::locate(Addr addr, unsigned size, unsigned& seg,
+                    std::uint32_t& off) const noexcept {
   for (unsigned i = 0; i < kNumSegments; ++i) {
     const auto& e = extents_[i];
-    if (e.contains(addr) && addr - e.base + size <= e.size) {
-      seg = static_cast<Segment>(i);
-      return bytes_[i].data() + (addr - e.base);
+    if (e.contains(addr) &&
+        std::uint64_t{addr - e.base} + size <= std::uint64_t{e.size}) {
+      seg = i;
+      off = addr - e.base;
+      return true;
     }
   }
-  return nullptr;
+  return false;
 }
 
-const std::byte* Memory::locate(Addr addr, unsigned size,
-                                Segment& seg) const noexcept {
-  return const_cast<Memory*>(this)->locate(addr, size, seg);
+void Memory::read(unsigned seg, std::uint32_t off, void* out,
+                  std::size_t n) const noexcept {
+  const Window& w = windows_[seg];
+  const std::byte* data = bytes_[seg].get();
+  if (off >= w.lo && off + n <= w.hi) {
+    std::memcpy(out, data + off, n);
+    return;
+  }
+  std::memset(out, 0, n);
+  const std::size_t lo = std::max<std::size_t>(off, w.lo);
+  const std::size_t hi = std::min<std::size_t>(off + n, w.hi);
+  if (lo < hi)
+    std::memcpy(static_cast<std::byte*>(out) + (lo - off), data + lo, hi - lo);
+}
+
+std::byte* Memory::writable(unsigned seg, std::uint32_t off,
+                            std::size_t n) noexcept {
+  Window& w = windows_[seg];
+  std::byte* data = bytes_[seg].get();
+  const auto end = static_cast<std::uint32_t>(off + n);
+  if (n != 0 && (off < w.lo || end > w.hi)) {
+    const std::uint32_t lo = std::min(off, w.lo);
+    const std::uint32_t hi = std::max(end, w.hi);
+    std::memset(data + lo, 0, w.lo - lo);
+    std::memset(data + w.hi, 0, hi - w.hi);
+    w = Window{lo, hi};
+    ++window_version_;
+  }
+  return data + off;
+}
+
+// Multi-byte accesses need 4-byte alignment; 8-byte FPU accesses need no
+// more, as x86 tolerates.
+Trap Memory::load(Addr addr, void* out, unsigned n) noexcept {
+  if (n > 1 && addr % 4 != 0) return Trap::kMisaligned;
+  unsigned seg = 0;
+  std::uint32_t off = 0;
+  if (!locate(addr, n, seg, off)) return Trap::kBadAddress;
+  read(seg, off, out, n);
+  if (observer_) observer_->on_load(addr, n, static_cast<Segment>(seg));
+  return Trap::kNone;
+}
+
+Trap Memory::store(Addr addr, const void* in, unsigned n) noexcept {
+  if (n > 1 && addr % 4 != 0) return Trap::kMisaligned;
+  unsigned seg = 0;
+  std::uint32_t off = 0;
+  if (!locate(addr, n, seg, off)) return Trap::kBadAddress;
+  if (is_code(seg)) return Trap::kWriteProtected;
+  std::memcpy(writable(seg, off, n), in, n);
+  if (observer_) observer_->on_store(addr, n, static_cast<Segment>(seg));
+  return Trap::kNone;
 }
 
 Trap Memory::fetch32(Addr addr, std::uint32_t& out) noexcept {
   if (addr % 4 != 0) return Trap::kMisaligned;
-  Segment seg{};
-  const std::byte* p = locate(addr, 4, seg);
-  if (p == nullptr) return Trap::kBadAddress;
-  if (seg != Segment::kText && seg != Segment::kLibText)
-    return Trap::kBadAddress;  // only code segments are executable
-  std::memcpy(&out, p, 4);
+  unsigned seg = 0;
+  std::uint32_t off = 0;
+  if (!locate(addr, 4, seg, off)) return Trap::kBadAddress;
+  if (!is_code(seg)) return Trap::kBadAddress;  // only code is executable
+  read(seg, off, &out, 4);
   if (observer_) observer_->on_fetch(addr);
   return Trap::kNone;
 }
 
 Trap Memory::load32(Addr addr, std::uint32_t& out) noexcept {
-  if (addr % 4 != 0) return Trap::kMisaligned;
-  Segment seg{};
-  const std::byte* p = locate(addr, 4, seg);
-  if (p == nullptr) return Trap::kBadAddress;
-  std::memcpy(&out, p, 4);
-  if (observer_) observer_->on_load(addr, 4, seg);
-  return Trap::kNone;
+  return load(addr, &out, 4);
 }
-
 Trap Memory::store32(Addr addr, std::uint32_t value) noexcept {
-  if (addr % 4 != 0) return Trap::kMisaligned;
-  Segment seg{};
-  std::byte* p = locate(addr, 4, seg);
-  if (p == nullptr) return Trap::kBadAddress;
-  if (seg == Segment::kText || seg == Segment::kLibText)
-    return Trap::kWriteProtected;
-  std::memcpy(p, &value, 4);
-  if (observer_) observer_->on_store(addr, 4, seg);
-  return Trap::kNone;
+  return store(addr, &value, 4);
 }
-
 Trap Memory::load8(Addr addr, std::uint8_t& out) noexcept {
-  Segment seg{};
-  const std::byte* p = locate(addr, 1, seg);
-  if (p == nullptr) return Trap::kBadAddress;
-  out = static_cast<std::uint8_t>(*p);
-  if (observer_) observer_->on_load(addr, 1, seg);
-  return Trap::kNone;
+  return load(addr, &out, 1);
 }
-
 Trap Memory::store8(Addr addr, std::uint8_t value) noexcept {
-  Segment seg{};
-  std::byte* p = locate(addr, 1, seg);
-  if (p == nullptr) return Trap::kBadAddress;
-  if (seg == Segment::kText || seg == Segment::kLibText)
-    return Trap::kWriteProtected;
-  *p = static_cast<std::byte>(value);
-  if (observer_) observer_->on_store(addr, 1, seg);
-  return Trap::kNone;
+  return store(addr, &value, 1);
 }
-
 Trap Memory::load64(Addr addr, std::uint64_t& out) noexcept {
-  if (addr % 4 != 0) return Trap::kMisaligned;  // x86 tolerates 4-byte alignment
-  Segment seg{};
-  const std::byte* p = locate(addr, 8, seg);
-  if (p == nullptr) return Trap::kBadAddress;
-  std::memcpy(&out, p, 8);
-  if (observer_) observer_->on_load(addr, 8, seg);
-  return Trap::kNone;
+  return load(addr, &out, 8);
 }
-
 Trap Memory::store64(Addr addr, std::uint64_t value) noexcept {
-  if (addr % 4 != 0) return Trap::kMisaligned;
-  Segment seg{};
-  std::byte* p = locate(addr, 8, seg);
-  if (p == nullptr) return Trap::kBadAddress;
-  if (seg == Segment::kText || seg == Segment::kLibText)
-    return Trap::kWriteProtected;
-  std::memcpy(p, &value, 8);
-  if (observer_) observer_->on_store(addr, 8, seg);
-  return Trap::kNone;
-}
-
-bool Memory::peek8(Addr addr, std::uint8_t& out) const noexcept {
-  Segment seg{};
-  const std::byte* p = locate(addr, 1, seg);
-  if (!p) return false;
-  out = static_cast<std::uint8_t>(*p);
-  return true;
-}
-
-bool Memory::poke8(Addr addr, std::uint8_t value) noexcept {
-  Segment seg{};
-  std::byte* p = locate(addr, 1, seg);
-  if (!p) return false;
-  *p = static_cast<std::byte>(value);
-  note_poke(seg);
-  return true;
-}
-
-bool Memory::peek32(Addr addr, std::uint32_t& out) const noexcept {
-  Segment seg{};
-  const std::byte* p = locate(addr, 4, seg);
-  if (!p) return false;
-  std::memcpy(&out, p, 4);
-  return true;
-}
-
-bool Memory::poke32(Addr addr, std::uint32_t value) noexcept {
-  Segment seg{};
-  std::byte* p = locate(addr, 4, seg);
-  if (!p) return false;
-  std::memcpy(p, &value, 4);
-  note_poke(seg);
-  return true;
-}
-
-bool Memory::peek64(Addr addr, std::uint64_t& out) const noexcept {
-  Segment seg{};
-  const std::byte* p = locate(addr, 8, seg);
-  if (!p) return false;
-  std::memcpy(&out, p, 8);
-  return true;
-}
-
-bool Memory::poke64(Addr addr, std::uint64_t value) noexcept {
-  Segment seg{};
-  std::byte* p = locate(addr, 8, seg);
-  if (!p) return false;
-  std::memcpy(p, &value, 8);
-  note_poke(seg);
-  return true;
+  return store(addr, &value, 8);
 }
 
 bool Memory::peek_span(Addr addr, std::span<std::byte> out) const noexcept {
-  Segment seg{};
-  const std::byte* p = locate(addr, static_cast<unsigned>(out.size()), seg);
-  if (!p) return false;
-  std::memcpy(out.data(), p, out.size());
+  unsigned seg = 0;
+  std::uint32_t off = 0;
+  if (!locate(addr, static_cast<unsigned>(out.size()), seg, off)) return false;
+  read(seg, off, out.data(), out.size());
   return true;
 }
 
 bool Memory::poke_span(Addr addr, std::span<const std::byte> in) noexcept {
-  Segment seg{};
-  std::byte* p = locate(addr, static_cast<unsigned>(in.size()), seg);
-  if (!p) return false;
-  std::memcpy(p, in.data(), in.size());
+  unsigned seg = 0;
+  std::uint32_t off = 0;
+  if (!locate(addr, static_cast<unsigned>(in.size()), seg, off)) return false;
+  std::memcpy(writable(seg, off, in.size()), in.data(), in.size());
   note_poke(seg);
   return true;
+}
+
+bool Memory::peek8(Addr addr, std::uint8_t& out) const noexcept {
+  return peek_span(addr, std::as_writable_bytes(std::span(&out, 1)));
+}
+bool Memory::poke8(Addr addr, std::uint8_t value) noexcept {
+  return poke_span(addr, std::as_bytes(std::span(&value, 1)));
+}
+bool Memory::peek32(Addr addr, std::uint32_t& out) const noexcept {
+  return peek_span(addr, std::as_writable_bytes(std::span(&out, 1)));
+}
+bool Memory::poke32(Addr addr, std::uint32_t value) noexcept {
+  return poke_span(addr, std::as_bytes(std::span(&value, 1)));
+}
+bool Memory::peek64(Addr addr, std::uint64_t& out) const noexcept {
+  return peek_span(addr, std::as_writable_bytes(std::span(&out, 1)));
+}
+bool Memory::poke64(Addr addr, std::uint64_t value) noexcept {
+  return poke_span(addr, std::as_bytes(std::span(&value, 1)));
 }
 
 bool Memory::flip_bit(Addr addr, unsigned bit) noexcept {
@@ -198,11 +184,58 @@ bool Memory::flip_bit(Addr addr, unsigned bit) noexcept {
 }
 
 std::span<std::byte> Memory::segment_bytes(Segment s) noexcept {
-  return bytes_[static_cast<unsigned>(s)];
+  const auto i = static_cast<unsigned>(s);
+  return {bytes_[i].get() + windows_[i].lo, windows_[i].hi - windows_[i].lo};
 }
 
 std::span<const std::byte> Memory::segment_bytes(Segment s) const noexcept {
-  return bytes_[static_cast<unsigned>(s)];
+  return const_cast<Memory*>(this)->segment_bytes(s);
+}
+
+void Memory::seal_code(std::span<const std::byte> text,
+                       std::span<const std::byte> libtext) noexcept {
+  sealed_code_[static_cast<unsigned>(Segment::kText)] = text;
+  sealed_code_[static_cast<unsigned>(Segment::kLibText)] = libtext;
+  sealed_code_version_ = code_version_;
+}
+
+Memory::Contents Memory::snapshot_contents() const {
+  Contents c;
+  c.windows = windows_;
+  c.code_pristine = code_pristine();
+  for (unsigned i = 0; i < kNumSegments; ++i) {
+    if (c.code_pristine && is_code(i)) continue;
+    const auto b = segment_bytes(static_cast<Segment>(i));
+    c.bytes[i].assign(b.begin(), b.end());
+  }
+  return c;
+}
+
+void Memory::restore_code(unsigned seg, std::span<const std::byte> bytes) noexcept {
+  FSIM_CHECK(bytes.size() == extents_[seg].size);
+  if (bytes.empty() ||
+      std::memcmp(bytes_[seg].get(), bytes.data(), bytes.size()) == 0)
+    return;
+  std::memcpy(bytes_[seg].get(), bytes.data(), bytes.size());
+  ++code_version_;
+}
+
+void Memory::restore_contents(const Contents& c) {
+  for (unsigned i = 0; i < kNumSegments; ++i) {
+    if (is_code(i)) {
+      if (c.code_pristine && code_pristine()) continue;
+      restore_code(i, c.code_pristine ? sealed_code_[i] : c.bytes[i]);
+      continue;
+    }
+    const Window& w = c.windows[i];
+    FSIM_CHECK(w.lo <= w.hi && w.hi <= extents_[i].size &&
+               c.bytes[i].size() == w.hi - w.lo);
+    windows_[i] = w;
+    if (!c.bytes[i].empty())
+      std::memcpy(bytes_[i].get() + w.lo, c.bytes[i].data(), c.bytes[i].size());
+  }
+  if (c.code_pristine) sealed_code_version_ = code_version_;
+  ++window_version_;
 }
 
 }  // namespace fsim::svm

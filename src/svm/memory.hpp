@@ -5,10 +5,19 @@
 // write-protection trap — while the fault injector uses the privileged
 // peek/poke interface that bypasses protection, exactly as ptrace() lets the
 // paper's injector overwrite a halted process (§3.1).
+//
+// An address space costs what it touches. Every segment reserves its full
+// capacity up front (so its data pointer never moves) but backs only a
+// window of it: text, data and BSS back their whole image, the heap backs
+// [0, high-water) and the stack [low-water, top). A load between the window
+// and the capacity reads 0; a store (or poke) there grows the window and
+// zero-fills just the bytes it adds. Bounds and traps follow the capacity,
+// never the window, so windows are invisible to the program.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -44,6 +53,13 @@ class Memory {
     std::uint32_t stack_capacity = 1u << 16;  // 64 KiB stack reservation
   };
 
+  /// Backed part of a segment, as offsets from its base: [lo, hi).
+  struct Window {
+    std::uint32_t lo = 0;
+    std::uint32_t hi = 0;
+    bool operator==(const Window&) const = default;
+  };
+
   /// Lay out segments given the image sizes (text/data/... contents are
   /// copied in by the loader afterwards via poke_span).
   Memory(const std::array<std::uint32_t, kNumSegments>& image_sizes,
@@ -51,6 +67,9 @@ class Memory {
 
   const SegmentExtent& extent(Segment s) const noexcept {
     return extents_[static_cast<unsigned>(s)];
+  }
+  const Window& window(Segment s) const noexcept {
+    return windows_[static_cast<unsigned>(s)];
   }
 
   /// Segment containing `addr`, if mapped.
@@ -83,36 +102,76 @@ class Memory {
   AccessObserver* observer() const noexcept { return observer_; }
 
   /// Monotonic counter bumped whenever a privileged poke lands in a code
-  /// segment (or whole contents are restored). Execution engines compare it
-  /// against the version their pre-decoded stream was lowered at and
-  /// re-lower stale blocks — this is how injected text flips invalidate
-  /// compiled code.
+  /// segment (or a restore actually changes text). Execution engines
+  /// compare it against the version their pre-decoded stream was lowered
+  /// at and re-lower stale blocks — this is how injected text flips
+  /// invalidate compiled code.
   std::uint64_t code_version() const noexcept { return code_version_; }
 
-  /// Raw backing bytes of a segment (host-side, e.g. for output capture).
+  /// Monotonic counter bumped whenever a window changes: a store or poke
+  /// grows one, a restore replaces them. Engines that cache windows
+  /// (exec/fastmem.hpp) key their copy to it.
+  std::uint64_t window_version() const noexcept { return window_version_; }
+
+  /// Backed bytes of a segment — its window (host-side, e.g. for text
+  /// re-lowering). Valid until the window next changes; the segment's
+  /// backing itself never moves.
   std::span<std::byte> segment_bytes(Segment s) noexcept;
   std::span<const std::byte> segment_bytes(Segment s) const noexcept;
 
-  // --- Checkpoint/restart support ---
-  std::array<std::vector<std::byte>, kNumSegments> snapshot_contents() const {
-    return bytes_;
-  }
-  void restore_contents(const std::array<std::vector<std::byte>, kNumSegments>& b) {
-    bytes_ = b;
-    ++code_version_;  // restored text may differ from what was compiled
+  /// Mark the current text as the loaded image (`text`, `libtext`: the
+  /// program's code images, which must outlive this Memory). Until the
+  /// next text poke, snapshots skip the code segments.
+  void seal_code(std::span<const std::byte> text,
+                 std::span<const std::byte> libtext) noexcept;
+  bool code_pristine() const noexcept {
+    return code_version_ == sealed_code_version_;
   }
 
+  // --- Checkpoint/restart support ---
+  /// Every window and its bytes; code segments are left empty while
+  /// code_pristine() holds.
+  struct Contents {
+    std::array<Window, kNumSegments> windows{};
+    std::array<std::vector<std::byte>, kNumSegments> bytes{};
+    bool code_pristine = false;
+  };
+  Contents snapshot_contents() const;
+  /// Rewind to `c`. Text is rewritten — and code_version bumped — only
+  /// where its bytes actually differ.
+  void restore_contents(const Contents& c);
+
  private:
-  std::byte* locate(Addr addr, unsigned size, Segment& seg) noexcept;
-  const std::byte* locate(Addr addr, unsigned size, Segment& seg) const noexcept;
-  void note_poke(Segment seg) noexcept {
-    if (seg == Segment::kText || seg == Segment::kLibText) ++code_version_;
+  /// Segment index holding [addr, addr + size) within its capacity and the
+  /// offset of `addr` in it; false when unmapped.
+  bool locate(Addr addr, unsigned size, unsigned& seg,
+              std::uint32_t& off) const noexcept;
+  /// The program-visible accessors: alignment, bounds, protection, observer.
+  Trap load(Addr addr, void* out, unsigned n) noexcept;
+  Trap store(Addr addr, const void* in, unsigned n) noexcept;
+  /// Copy [off, off + n) of segment `seg` out, reading 0 outside its window.
+  void read(unsigned seg, std::uint32_t off, void* out,
+            std::size_t n) const noexcept;
+  /// Backing of [off, off + n) in segment `seg`, growing its window over it.
+  std::byte* writable(unsigned seg, std::uint32_t off, std::size_t n) noexcept;
+  /// Overwrite code segment `seg` with `bytes` if they differ.
+  void restore_code(unsigned seg, std::span<const std::byte> bytes) noexcept;
+  static bool is_code(unsigned seg) noexcept {
+    return seg == static_cast<unsigned>(Segment::kText) ||
+           seg == static_cast<unsigned>(Segment::kLibText);
+  }
+  void note_poke(unsigned seg) noexcept {
+    if (is_code(seg)) ++code_version_;
   }
 
   std::array<SegmentExtent, kNumSegments> extents_{};
-  std::array<std::vector<std::byte>, kNumSegments> bytes_{};
+  std::array<std::unique_ptr<std::byte[]>, kNumSegments> bytes_{};
+  std::array<Window, kNumSegments> windows_{};
+  std::array<std::span<const std::byte>, kNumSegments> sealed_code_{};
   AccessObserver* observer_ = nullptr;
   std::uint64_t code_version_ = 0;
+  std::uint64_t sealed_code_version_ = ~std::uint64_t{0};
+  std::uint64_t window_version_ = 0;
 };
 
 }  // namespace fsim::svm

@@ -259,7 +259,7 @@ class Progress final : public core::CampaignObserver {
 int cmd_run(const util::Cli& cli) {
   apps::App app = apps::make_app(cli.str("app", "wavetoy"));
   const core::Region region = core::parse_region(cli.str("region", "regular"));
-  const std::uint64_t seed = static_cast<std::uint64_t>(cli.num("seed", 1));
+  const std::uint64_t seed = cli.u64("seed", 1);
   svm::exec::EngineKind engine = svm::exec::EngineKind::kThreaded;
   parse_engine(cli, engine);
   core::PruneLevel prune = core::PruneLevel::kOff;
@@ -307,7 +307,7 @@ int cmd_campaign(const util::Cli& cli) {
   apps::App app = apps::make_app(cli.str("app", "wavetoy"));
   core::CampaignConfig cfg;
   cfg.runs_per_region = count_option(cli, "runs", 200);
-  cfg.seed = static_cast<std::uint64_t>(cli.num("seed", 0xfa));
+  cfg.seed = cli.u64("seed", 0xfa);
   cfg.jobs = jobs_option(cli);
   if (cli.has("regions")) cfg.regions = parse_region_list(cli.str("regions", ""));
   parse_prune(cli, cfg.prune);
@@ -362,7 +362,13 @@ std::string render_batch(const Report& report, const core::BatchResult& res,
 void parse_checkpointing(const util::Cli& cli, const std::string& path,
                          core::ExecPolicy& policy) {
   policy.checkpoint_path = cli.str("checkpoint", path);
-  if (policy.checkpoint_path.empty()) return;
+  if (policy.checkpoint_path.empty()) {
+    for (const char* dependent : {"checkpoint-every", "ckpt-encoding"})
+      if (cli.has(dependent))
+        throw util::SetupError("option --" + std::string(dependent) +
+                               " requires --checkpoint=FILE");
+    return;
+  }
   policy.checkpoint_every = count_option(cli, "checkpoint-every", 64);
   parse_ckpt_encoding(cli, policy.checkpoint_encoding);
 }
@@ -444,7 +450,7 @@ int cmd_batch(const util::Cli& cli) {
   } else {
     core::CampaignConfig base;
     base.runs_per_region = count_option(cli, "runs", 200);
-    base.seed = static_cast<std::uint64_t>(cli.num("seed", 0xfa));
+    base.seed = cli.u64("seed", 0xfa);
     if (cli.has("regions"))
       base.regions = parse_region_list(cli.str("regions", ""));
     parse_prune(cli, base.prune);
@@ -639,7 +645,7 @@ int cmd_analyze(const util::Cli& cli) {
   apps::App app = apps::make_app(cli.str("app", "wavetoy"));
   core::AnalyzeConfig cfg;
   cfg.runs = count_option(cli, "runs", 200, 0);
-  cfg.seed = static_cast<std::uint64_t>(cli.num("seed", 0xfa));
+  cfg.seed = cli.u64("seed", 0xfa);
   cfg.jobs = jobs_option(cli);
   if (cli.has("regions")) cfg.regions = parse_region_list(cli.str("regions", ""));
   const bool quiet = cli.flag("quiet");

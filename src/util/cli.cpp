@@ -1,10 +1,27 @@
 #include "util/cli.hpp"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 #include "util/status.hpp"
 
 namespace fsim::util {
+
+namespace {
+
+// Digits only (decimal, or 0x/0 prefixed) within 0..2^64-1: strtoull alone
+// would skip blanks and negate a leading '-'.
+bool parse_u64(const std::string& text, std::uint64_t& out) {
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
+    return false;
+  char* end = nullptr;
+  errno = 0;
+  out = std::strtoull(text.c_str(), &end, 0);
+  return end != nullptr && *end == '\0' && errno != ERANGE;
+}
+
+}  // namespace
 
 Cli::Cli(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -35,8 +52,21 @@ std::string Cli::str(const std::string& name, const std::string& fallback) const
 
 bool Cli::parse_int(const std::string& text, std::int64_t& out) {
   char* end = nullptr;
+  errno = 0;
   out = std::strtoll(text.c_str(), &end, 0);
-  return !text.empty() && end != nullptr && *end == '\0';
+  return !text.empty() && end != nullptr && *end == '\0' && errno != ERANGE;
+}
+
+std::uint64_t Cli::u64(const std::string& name, std::uint64_t fallback) const {
+  queried_[name] = true;
+  auto it = opts_.find(name);
+  if (it == opts_.end()) return fallback;
+  std::uint64_t v = 0;
+  if (!parse_u64(it->second, v))
+    throw SetupError("option --" + name +
+                     " expects an integer from 0 to 18446744073709551615, got '" +
+                     it->second + "'");
+  return v;
 }
 
 std::int64_t Cli::num(const std::string& name, std::int64_t fallback) const {

@@ -22,8 +22,11 @@ class Cli {
   std::string str(const std::string& name, const std::string& fallback) const;
   std::int64_t num(const std::string& name, std::int64_t fallback) const;
   double real(const std::string& name, double fallback) const;
-  /// Whole-string integer parse (decimal, or 0x/0 prefixed): the check num()
-  /// applies, for callers splitting a compound value such as `--shard=i/N`.
+  /// A seed: an unsigned 64-bit integer, the whole range and nothing else.
+  std::uint64_t u64(const std::string& name, std::uint64_t fallback) const;
+  /// Whole-string integer parse (decimal, or 0x/0 prefixed) that fails on
+  /// overflow: the check num() applies, for callers splitting a compound
+  /// value such as `--shard=i/N`.
   static bool parse_int(const std::string& text, std::int64_t& out);
   bool flag(const std::string& name, bool fallback = false) const;
 

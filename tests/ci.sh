@@ -16,9 +16,10 @@
 # batch-throughput bench (which itself exits nonzero on digest divergence
 # between modes or engines) — optionally repeating the whole cycle under
 # AddressSanitizer. Without --asan, a focused ASan pass still builds the
-# CLI and drives the heap/stack scans (analyze + lint) on every app, and
-# runs the reader fuzz (mutated checkpoints, status documents and service
-# assign lines must raise SetupError only).
+# CLI and drives the heap/stack scans (analyze + lint) on every app, runs
+# the reader fuzz (mutated checkpoints, status documents and service
+# assign lines must raise SetupError only), and runs the memory-window,
+# snapshot, engine-lockstep and golden fast-forward tests.
 #
 #   tests/ci.sh [--asan] [--build-dir=DIR] [--jobs=N]
 #
@@ -135,7 +136,7 @@ else
   cmake -B "$scan_dir" -S "$root" -DFSIM_WERROR=ON \
         -DFSIM_SANITIZE=address > /dev/null
   cmake --build "$scan_dir" -j "$jobs" --target fsim_cli reader_fuzz_tests \
-    > /dev/null
+    svm_tests simmpi_tests core_tests > /dev/null
   for app in wavetoy minimd atmo jacobi; do
     "$scan_dir/src/tools/fsim" analyze --app="$app" --runs=0 --quiet \
       > /dev/null
@@ -144,6 +145,15 @@ else
   echo "  analyze+lint clean under AddressSanitizer"
   (cd "$scan_dir" && tests/reader_fuzz_tests --gtest_brief=1)
   echo "  reader fuzz clean under AddressSanitizer"
+  # Memory windows grow in place inside fixed reservations, and the
+  # threaded engine caches pointers into them: the window, snapshot,
+  # engine-lockstep and fast-forward tests run under ASan too.
+  (cd "$scan_dir" &&
+     tests/svm_tests --gtest_brief=1 \
+       --gtest_filter='Memory.*:EngineDiff.*:AllApps/EngineDiffTest.*' &&
+     tests/simmpi_tests --gtest_brief=1 --gtest_filter='Snapshot.*' &&
+     tests/core_tests --gtest_brief=1 --gtest_filter='*FastForward*')
+  echo "  memory windows, snapshots and fast-forward clean under AddressSanitizer"
 fi
 
 echo "=== ci: all gates passed ==="

@@ -4,8 +4,9 @@
 # values, and a valid level must attach the static analysis and report the
 # activation verdict (campaign/batch have their own digest gates). Strict
 # flags: unknown or ignored options, out-of-range counts (beyond the int
-# range too), NaN --ci/--confidence and malformed --shard values exit 1
-# naming the flag, and only the --name=value form carries a value, so a
+# range too), seeds outside 0..2^64-1, NaN --ci/--confidence, malformed
+# --shard values and --checkpoint-every without --checkpoint exit 1 naming
+# the flag, and only the --name=value form carries a value, so a
 # bare flag never swallows the next file. `fsim merge` folds checkpoints
 # only: result exports, forged done sets (the committed tests/data
 # forgeries) and adaptive shards with different policies exit 1, and
@@ -74,6 +75,20 @@ expect_fail "--jobs" batch --apps=jacobi --runs=2 --jobs=-3
 # Counts beyond the int range are refused, not wrapped (to 2 runs, 1 job).
 expect_fail "--runs" campaign --app=jacobi --runs=4294967298
 expect_fail "--jobs" campaign --app=jacobi --runs=2 --jobs=4294967297
+# Seeds are strict u64 everywhere: no clamping, no wrapping of negatives.
+for cmd in "run --app=jacobi" "campaign --app=jacobi --runs=2" \
+           "batch --apps=jacobi --runs=2" "analyze --app=jacobi --runs=0"; do
+  for bad in 99999999999999999999999 18446744073709551616 -1; do
+    # shellcheck disable=SC2086
+    expect_fail "option --seed expects an integer from 0 to 18446744073709551615" \
+        $cmd --seed="$bad"
+  done
+done
+# A flag that needs another one says so instead of "unknown option".
+expect_fail "option --checkpoint-every requires --checkpoint=FILE" \
+    batch --apps=jacobi --runs=2 --checkpoint-every=5
+expect_fail "option --ckpt-encoding requires --checkpoint=FILE" \
+    batch --apps=jacobi --runs=2 --ckpt-encoding=bin
 # NaN is outside (0, 1) too.
 expect_fail "--ci must be in (0, 1)" batch --apps=jacobi --runs=2 --ci=nan \
     --quiet

@@ -176,10 +176,11 @@ TEST(CfcSignatures, TableMatchesOnlineDecodeEverywhere) {
       EXPECT_EQ(s->kind, svm::analysis::flow_of(word)) << name;
       using svm::analysis::FlowKind;
       if (s->kind == FlowKind::kBranch || s->kind == FlowKind::kJump ||
-          s->kind == FlowKind::kCall)
+          s->kind == FlowKind::kCall) {
         EXPECT_EQ(s->target,
                   svm::analysis::rel_target(pc, svm::decode(word)))
             << name;
+      }
     }
     // Outside user text: no signature.
     EXPECT_EQ(sigs.at(cfg.user_text_base() - 4), nullptr);

@@ -85,9 +85,11 @@ TEST(Prune, RegsLevelRestrictsPruningToIntegerRegisters) {
   const CampaignResult res = run_campaign(app, cfg);
 
   EXPECT_GT(pruned_in(res, Region::kRegularReg), 0);
-  for (const auto& rr : res.regions)
-    if (rr.region != Region::kRegularReg)
+  for (const auto& rr : res.regions) {
+    if (rr.region != Region::kRegularReg) {
       EXPECT_EQ(rr.pruned, 0) << region_name(rr.region);
+    }
+  }
 
   cfg.prune = PruneLevel::kOff;
   expect_same_aggregates(res, run_campaign(app, cfg));

@@ -128,15 +128,82 @@ sender:
   EXPECT_EQ(job.world.machine(0).exit_code(), 1234);
 }
 
+/// Backed bytes of every rank's data segments (text stays pristine here).
+std::uint64_t touched_bytes(World& w) {
+  std::uint64_t total = 0;
+  for (int r = 0; r < w.size(); ++r)
+    for (unsigned s = 0; s < svm::kNumSegments; ++s) {
+      const auto seg = static_cast<svm::Segment>(s);
+      if (seg != svm::Segment::kText && seg != svm::Segment::kLibText)
+        total += w.machine(r).memory().segment_bytes(seg).size();
+    }
+  return total;
+}
+
 TEST(Snapshot, SizeAccountsForMemory) {
   apps::App app = small_app();
   svm::Program program = app.link();
   World w(program, app.world);
   for (int i = 0; i < 20; ++i) w.advance();
+  // Every touched byte and little else: untouched heap/stack capacity and
+  // pristine text cost nothing, the rest is per-rank bookkeeping.
+  constexpr std::uint64_t kPerRank = 4096;
+  const std::uint64_t early = touched_bytes(w);
   const Snapshot snap = Snapshot::capture(w);
-  // At minimum the four address spaces (1 MiB heap + 64 KiB stack each).
-  EXPECT_GT(snap.size_bytes(), 4ull << 20);
+  EXPECT_GE(snap.size_bytes(), early);
+  EXPECT_LE(snap.size_bytes(), early + kPerRank * w.size());
   EXPECT_GT(snap.instructions(), 0u);
+  // Touching more memory costs proportionally more.
+  while (w.run(w.global_instructions() + 20000) == JobStatus::kRunning &&
+         touched_bytes(w) < 2 * early) {
+  }
+  const std::uint64_t late = touched_bytes(w);
+  EXPECT_GT(late, early);
+  const Snapshot later = Snapshot::capture(w);
+  EXPECT_GE(later.size_bytes(), late);
+  EXPECT_LE(later.size_bytes(), late + kPerRank * w.size());
+}
+
+TEST(Snapshot, RestoreRewritesTextOnlyWhereItDiffers) {
+  apps::App app = small_app();
+  svm::Program program = app.link();
+  World ref(program, app.world);
+  ASSERT_EQ(ref.run(1'000'000'000ull), JobStatus::kCompleted);
+
+  World w(program, app.world);
+  for (int i = 0; i < 30; ++i) w.advance();
+  const Snapshot snap = Snapshot::capture(w);
+  auto versions = [&] {
+    std::vector<std::uint64_t> v;
+    for (int r = 0; r < w.size(); ++r)
+      v.push_back(w.machine(r).memory().code_version());
+    return v;
+  };
+  // Pristine over pristine: compiled code stays valid everywhere.
+  const std::vector<std::uint64_t> before = versions();
+  snap.restore(w);
+  EXPECT_EQ(versions(), before);
+  // A text flip on rank 1 is undone by the restore, and only rank 1's code
+  // is invalidated.
+  const svm::Addr pc = w.machine(1).regs().pc;
+  std::uint32_t word = 0;
+  ASSERT_TRUE(w.machine(1).memory().peek32(pc, word));
+  ASSERT_TRUE(w.machine(1).memory().flip_bit(pc, 17));
+  (void)w.advance();
+  snap.restore(w);
+  const std::vector<std::uint64_t> after = versions();
+  for (int r = 0; r < w.size(); ++r) {
+    if (r != 1) {
+      EXPECT_EQ(after[static_cast<std::size_t>(r)],
+                before[static_cast<std::size_t>(r)]);
+    }
+  }
+  EXPECT_NE(after[1], before[1]);
+  std::uint32_t restored = 0;
+  ASSERT_TRUE(w.machine(1).memory().peek32(pc, restored));
+  EXPECT_EQ(restored, word);
+  ASSERT_EQ(w.run(1'000'000'000ull), JobStatus::kCompleted);
+  EXPECT_EQ(w.output(), ref.output());
 }
 
 TEST(Snapshot, RestoreToMismatchedWorldIsRejected) {

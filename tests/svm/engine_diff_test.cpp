@@ -7,7 +7,8 @@
 // bit-for-bit: run state, trap, fault address, exit code, instruction
 // count, pc, every GPR, the whole x87 state (stack TOP, tag word, control/
 // status words, raw register bits) and, periodically, a digest of every
-// memory segment.
+// memory segment's backed window (its bounds and bytes, so both engines
+// must also grow windows identically).
 //
 // Mid-stream the test injects the same faults into both worlds between
 // rounds, exactly as the campaign injector does between quanta: a text-word
@@ -35,8 +36,13 @@ namespace {
 
 using namespace fsim;
 
+/// Digest of a segment's backed window: its bounds and its bytes.
 std::uint64_t segment_digest(const svm::Memory& mem, svm::Segment seg) {
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a 64
+  for (std::uint32_t edge : {mem.window(seg).lo, mem.window(seg).hi}) {
+    h ^= edge;
+    h *= 1099511628211ull;
+  }
   for (std::byte b : mem.segment_bytes(seg)) {
     h ^= static_cast<std::uint64_t>(b);
     h *= 1099511628211ull;
@@ -190,7 +196,72 @@ std::vector<QuantumSetup> quantum_setups() {
   return qs;
 }
 
+/// Grows the heap and stack windows every way the engines can: heap
+/// stores past the high-water mark, byte stores that leave the stack's
+/// low-water mark off word alignment, loads that straddle it, and loads
+/// from unbacked capacity, which read 0.
+apps::App window_growth_app() {
+  apps::App app;
+  app.name = "grow";
+  app.world.nranks = 2;
+  app.user_asm = R"(
+.text
+main:
+    enter 16
+    call MPI_Init
+    ldi r10, 0
+    ldi r11, 0
+heap_loop:
+    ldi r1, 200
+    sys 8
+    mov r9, r1
+    stw [r9+196], r11
+    stb [r9+1], r11
+    ldw r4, [r9+0]
+    add r10, r10, r4
+    ldw r4, [r9+100]
+    add r10, r10, r4
+    ldw r4, [r9+8192]
+    add r10, r10, r4
+    fldz
+    fld1
+    faddp
+    fst [r9+188]
+    addi r11, r11, 1
+    ldi r5, 12
+    blt r11, r5, heap_loop
+    ldi r1, 24
+    call deep
+    add r10, r10, r1
+    call MPI_Finalize
+    mov r1, r10
+    leave
+    ret
+deep:
+    enter 48
+    stw [fp-8], r1
+    stb [fp-45], r1
+    ldw r4, [fp-48]
+    ldw r5, [sp-512]
+    add r4, r4, r5
+    stw [fp-12], r4
+    ldi r5, 0
+    beq r1, r5, deep_done
+    addi r1, r1, -1
+    call deep
+    ldw r4, [fp-12]
+    add r1, r1, r4
+    ldw r4, [fp-8]
+    add r1, r1, r4
+deep_done:
+    leave
+    ret
+)";
+  return app;
+}
+
 apps::App small_app(const std::string& name) {
+  if (name == "grow") return window_growth_app();
   if (name == "wavetoy") {
     apps::WavetoyConfig c;
     c.ranks = 4;
@@ -227,6 +298,19 @@ apps::App small_app(const std::string& name) {
   return apps::make_jacobi(c);
 }
 
+// The growth program must really exercise the windows — and finish.
+TEST(EngineDiff, GrowthProgramGrowsWindows) {
+  const apps::App app = window_growth_app();
+  const svm::Program program = app.link();
+  simmpi::World w(program, app.world);
+  ASSERT_EQ(w.run(10'000'000), simmpi::JobStatus::kCompleted);
+  const svm::Memory& mem = w.machine(0).memory();
+  EXPECT_GT(mem.window(svm::Segment::kHeap).hi, 12u * 200u);
+  EXPECT_GT(mem.segment_bytes(svm::Segment::kStack).size(), 24u * 48u);
+  EXPECT_LT(mem.segment_bytes(svm::Segment::kStack).size(),
+            mem.extent(svm::Segment::kStack).size);
+}
+
 class EngineDiffTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(EngineDiffTest, LockstepCleanAndWithFlips) {
@@ -241,7 +325,7 @@ TEST_P(EngineDiffTest, LockstepCleanAndWithFlips) {
 
 INSTANTIATE_TEST_SUITE_P(AllApps, EngineDiffTest,
                          ::testing::Values("wavetoy", "minimd", "atmo",
-                                           "jacobi"),
+                                           "jacobi", "grow"),
                          [](const auto& info) { return info.param; });
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "svm/exec/fastmem.hpp"
+
 namespace fsim::svm {
 namespace {
 
@@ -127,6 +131,163 @@ TEST(Memory, SpanAccessors) {
   std::array<std::byte, 4> out{};
   EXPECT_TRUE(m.peek_span(a, out));
   EXPECT_EQ(out, in);
+}
+
+TEST(Memory, LoadBeyondWindowReadsZero) {
+  Memory m = make();
+  // Heap and stack start unbacked; their whole capacity reads as zero.
+  EXPECT_TRUE(m.segment_bytes(Segment::kHeap).empty());
+  EXPECT_TRUE(m.segment_bytes(Segment::kStack).empty());
+  std::uint32_t v = 1;
+  const Addr heap = m.extent(Segment::kHeap).base;
+  EXPECT_EQ(m.load32(heap + 0x800, v), Trap::kNone);
+  EXPECT_EQ(v, 0u);
+  std::uint64_t v64 = 1;
+  EXPECT_EQ(m.load64(kStackTop - 0x400, v64), Trap::kNone);
+  EXPECT_EQ(v64, 0u);
+  std::uint8_t b = 1;
+  EXPECT_TRUE(m.peek8(heap + 3, b));
+  EXPECT_EQ(b, 0u);
+  // Reads never back anything.
+  const std::uint64_t version = m.window_version();
+  EXPECT_TRUE(m.segment_bytes(Segment::kHeap).empty());
+  EXPECT_TRUE(m.segment_bytes(Segment::kStack).empty());
+  EXPECT_EQ(m.window_version(), version);
+}
+
+TEST(Memory, StoreGrowsWindow) {
+  Memory m = make();
+  const Addr heap = m.extent(Segment::kHeap).base;
+  const std::uint64_t version = m.window_version();
+  // Heap: [0, high-water). Bytes skipped over are zero-filled.
+  ASSERT_EQ(m.store32(heap + 0x100, 0xdeadbeef), Trap::kNone);
+  EXPECT_EQ(m.window(Segment::kHeap), (Memory::Window{0, 0x104}));
+  EXPECT_GT(m.window_version(), version);
+  std::uint32_t v = 1;
+  EXPECT_EQ(m.load32(heap + 0x80, v), Trap::kNone);
+  EXPECT_EQ(v, 0u);
+  // A load straddling the high-water mark sees the backed half and zeros.
+  std::uint64_t v64 = 0;
+  ASSERT_EQ(m.load64(heap + 0x100, v64), Trap::kNone);
+  EXPECT_EQ(v64, 0xdeadbeefull);
+  // Stack: [low-water, top), grown by a privileged poke as well.
+  const std::uint32_t cap = m.extent(Segment::kStack).size;
+  ASSERT_EQ(m.store8(kStackTop - 0x21, 0x5a), Trap::kNone);
+  EXPECT_EQ(m.window(Segment::kStack), (Memory::Window{cap - 0x21, cap}));
+  ASSERT_TRUE(m.poke32(kStackTop - 0x40, 7));
+  EXPECT_EQ(m.window(Segment::kStack), (Memory::Window{cap - 0x40, cap}));
+  EXPECT_EQ(m.load32(kStackTop - 0x24, v), Trap::kNone);
+  EXPECT_EQ(v, 0x5a000000u);
+  EXPECT_EQ(m.segment_bytes(Segment::kStack).size(), 0x40u);
+  // Stores inside the window leave it (and its version) alone.
+  const std::uint64_t grown = m.window_version();
+  ASSERT_EQ(m.store32(heap, 1), Trap::kNone);
+  EXPECT_EQ(m.window_version(), grown);
+}
+
+TEST(Memory, AccessPastCapacityStillTraps) {
+  Memory m = make();
+  const SegmentExtent heap = m.extent(Segment::kHeap);
+  const SegmentExtent stack = m.extent(Segment::kStack);
+  std::uint32_t v = 0;
+  std::uint64_t v64 = 0;
+  // The window is empty, but bounds follow the capacity: the last word of
+  // the arena is fine, the next one is unmapped.
+  EXPECT_EQ(m.store32(heap.end() - 4, 1), Trap::kNone);
+  EXPECT_EQ(m.load32(heap.end(), v), Trap::kBadAddress);
+  EXPECT_EQ(m.store32(heap.end(), 1), Trap::kBadAddress);
+  EXPECT_EQ(m.load64(heap.end() - 4, v64), Trap::kBadAddress);
+  EXPECT_EQ(m.store32(stack.base - 4, 1), Trap::kBadAddress);
+  EXPECT_EQ(m.load32(kStackTop, v), Trap::kBadAddress);
+  EXPECT_FALSE(m.poke32(heap.end(), 1));
+  EXPECT_FALSE(m.peek32(stack.base - 4, v));
+  // A failed store grows nothing.
+  EXPECT_EQ(m.window(Segment::kHeap), (Memory::Window{0, heap.size}));
+  EXPECT_TRUE(m.segment_bytes(Segment::kStack).empty());
+}
+
+TEST(Memory, RestoreRewindsWindows) {
+  Memory m = make();
+  const Addr heap = m.extent(Segment::kHeap).base;
+  ASSERT_EQ(m.store32(heap + 8, 11), Trap::kNone);
+  const Memory::Contents saved = m.snapshot_contents();
+  ASSERT_EQ(m.store32(heap + 0x1000, 22), Trap::kNone);
+  ASSERT_EQ(m.store32(kStackTop - 4, 33), Trap::kNone);
+  const std::uint64_t version = m.window_version();
+  m.restore_contents(saved);
+  EXPECT_GT(m.window_version(), version);
+  EXPECT_EQ(m.window(Segment::kHeap), (Memory::Window{0, 12}));
+  EXPECT_TRUE(m.segment_bytes(Segment::kStack).empty());
+  // The backing still holds the later stores; the window hides them.
+  std::uint32_t v = 1;
+  EXPECT_EQ(m.load32(heap + 0x1000, v), Trap::kNone);
+  EXPECT_EQ(v, 0u);
+  EXPECT_EQ(m.load32(kStackTop - 4, v), Trap::kNone);
+  EXPECT_EQ(v, 0u);
+  EXPECT_EQ(m.load32(heap + 8, v), Trap::kNone);
+  EXPECT_EQ(v, 11u);
+}
+
+TEST(Memory, SealedTextIsNotCopiedAndRestoresOnlyWhenChanged) {
+  Memory m = make();
+  const std::vector<std::byte> text(m.extent(Segment::kText).size);
+  m.seal_code(text, {});
+  ASSERT_TRUE(m.code_pristine());
+  const Memory::Contents pristine = m.snapshot_contents();
+  EXPECT_TRUE(pristine.code_pristine);
+  EXPECT_TRUE(pristine.bytes[static_cast<unsigned>(Segment::kText)].empty());
+  // Restoring pristine text over pristine text touches nothing.
+  const std::uint64_t code = m.code_version();
+  m.restore_contents(pristine);
+  EXPECT_EQ(m.code_version(), code);
+  // A text poke makes snapshots copy text; restoring the pristine snapshot
+  // rewrites it from the sealed image and re-seals.
+  ASSERT_TRUE(m.poke32(kTextBase, 0x12345678));
+  EXPECT_FALSE(m.code_pristine());
+  const Memory::Contents dirty = m.snapshot_contents();
+  EXPECT_EQ(dirty.bytes[static_cast<unsigned>(Segment::kText)].size(),
+            text.size());
+  m.restore_contents(pristine);
+  EXPECT_GT(m.code_version(), code + 1);
+  EXPECT_TRUE(m.code_pristine());
+  std::uint32_t v = 1;
+  EXPECT_TRUE(m.peek32(kTextBase, v));
+  EXPECT_EQ(v, 0u);
+  // Equal text is left alone even when the snapshot carries a copy.
+  m.restore_contents(dirty);
+  const std::uint64_t after = m.code_version();
+  m.restore_contents(dirty);
+  EXPECT_EQ(m.code_version(), after);
+}
+
+TEST(Memory, FastMemFollowsWindows) {
+  Memory m = make();
+  exec::FastMem fm;
+  fm.refresh(m);
+  const Addr heap = m.extent(Segment::kHeap).base;
+  const Memory::Contents empty = m.snapshot_contents();
+  // Misses fall back to Memory: unbacked capacity reads 0, a store grows
+  // the window and the cache picks it up at once.
+  std::uint32_t v = 1;
+  EXPECT_EQ(fm.load32(heap + 64, v), Trap::kNone);
+  EXPECT_EQ(v, 0u);
+  EXPECT_EQ(fm.store32(heap + 64, 5), Trap::kNone);
+  EXPECT_TRUE(fm.valid(m));
+  EXPECT_EQ(fm.load32(heap + 64, v), Trap::kNone);
+  EXPECT_EQ(v, 5u);
+  // Bounds and protection are unchanged.
+  EXPECT_EQ(fm.store32(m.extent(Segment::kHeap).end(), 1), Trap::kBadAddress);
+  EXPECT_EQ(fm.store32(kTextBase, 1), Trap::kWriteProtected);
+  EXPECT_EQ(fm.load32(heap + 2, v), Trap::kMisaligned);
+  // A text poke leaves the cache valid; a restore that shrinks a window
+  // does not, and after a refresh the stale bytes behind it read 0.
+  ASSERT_TRUE(m.poke32(kTextBase, 7));
+  EXPECT_TRUE(fm.valid(m));
+  m.restore_contents(empty);
+  EXPECT_FALSE(fm.valid(m));
+  fm.refresh(m);
+  EXPECT_EQ(fm.load32(heap + 64, v), Trap::kNone);
+  EXPECT_EQ(v, 0u);
 }
 
 class ObserverRecorder : public AccessObserver {

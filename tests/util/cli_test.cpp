@@ -78,6 +78,30 @@ TEST(Cli, UnusedDetectsTypos) {
 TEST(Cli, HexNumbers) {
   Cli c = make({"--seed=0xff"});
   EXPECT_EQ(c.num("seed", 0), 255);
+  EXPECT_EQ(c.u64("seed", 0), 255u);
+}
+
+TEST(Cli, OverflowThrows) {
+  EXPECT_THROW(make({"--runs=99999999999999999999999"}).num("runs", 0),
+               SetupError);
+  EXPECT_THROW(make({"--runs=-99999999999999999999999"}).num("runs", 0),
+               SetupError);
+  std::int64_t v = 0;
+  EXPECT_TRUE(Cli::parse_int("9223372036854775807", v));
+  EXPECT_EQ(v, INT64_MAX);
+  EXPECT_FALSE(Cli::parse_int("9223372036854775808", v));
+}
+
+TEST(Cli, SeedsAreStrictU64) {
+  EXPECT_EQ(make({}).u64("seed", 7), 7u);
+  EXPECT_EQ(make({"--seed=18446744073709551615"}).u64("seed", 0),
+            UINT64_MAX);
+  EXPECT_EQ(make({"--seed=9223372036854775808"}).u64("seed", 0),
+            9223372036854775808ull);
+  for (const char* bad : {"--seed=18446744073709551616",
+                          "--seed=99999999999999999999999", "--seed=-1",
+                          "--seed=+1", "--seed= 1", "--seed=", "--seed=1x"})
+    EXPECT_THROW(make({bad}).u64("seed", 0), SetupError) << bad;
 }
 
 }  // namespace
