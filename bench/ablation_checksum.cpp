@@ -20,10 +20,10 @@ struct MsgStats {
   int hang = 0;
 };
 
-MsgStats message_campaign(const apps::App& app, const core::Golden& golden,
-                          int runs, std::uint64_t seed, int jobs) {
+MsgStats message_campaign(const apps::App& app, const svm::Program& program,
+                          const core::Golden& golden, int runs,
+                          std::uint64_t seed, int jobs) {
   MsgStats s;
-  const svm::Program program = app.link();
   const auto outcomes = bench::parallel_outcomes(
       app, program, golden, core::Region::kMessage, nullptr, runs,
       [seed](int i) {
@@ -57,8 +57,10 @@ int main(int argc, char** argv) {
 
   const apps::App app_on = apps::make_minimd(with);
   const apps::App app_off = apps::make_minimd(without);
-  const core::Golden g_on = core::run_golden(app_on);
-  const core::Golden g_off = core::run_golden(app_off);
+  const svm::Program p_on = app_on.link();
+  const svm::Program p_off = app_off.link();
+  const core::Golden g_on = core::run_golden(app_on, p_on);
+  const core::Golden g_off = core::run_golden(app_off, p_off);
 
   // Overhead: checksum work is charged per received byte.
   const double overhead =
@@ -69,9 +71,9 @@ int main(int argc, char** argv) {
               overhead);
 
   const MsgStats on =
-      message_campaign(app_on, g_on, args.runs, args.seed, args.jobs);
+      message_campaign(app_on, p_on, g_on, args.runs, args.seed, args.jobs);
   const MsgStats off =
-      message_campaign(app_off, g_off, args.runs, args.seed, args.jobs);
+      message_campaign(app_off, p_off, g_off, args.runs, args.seed, args.jobs);
 
   util::Table t("Message-fault outcomes (" + std::to_string(args.runs) +
                 " armed faults each)");

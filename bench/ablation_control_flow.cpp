@@ -34,8 +34,8 @@ int main(int argc, char** argv) {
       "=== Ablation: control-flow checking vs text faults (wavetoy) ===\n\n");
 
   apps::App app = apps::make_wavetoy();
-  const core::Golden golden = core::run_golden(app);
   const svm::Program program = app.link();
+  const core::Golden golden = core::run_golden(app, program);
   util::Rng drng(util::hash_seed({args.seed, 0xcfc}));
   core::FaultDictionary dict(program, core::Region::kText, drng);
   // One pre-generated signature table, shared read-only by every rank's

@@ -18,8 +18,8 @@ int main(int argc, char** argv) {
   std::printf("=== Ablation: single-bit vs multi-bit register upsets ===\n\n");
 
   apps::App app = apps::make_wavetoy();
-  const core::Golden golden = core::run_golden(app);
   const svm::Program program = app.link();
+  const core::Golden golden = core::run_golden(app, program);
 
   util::Table t("Register faults per run vs outcome (" +
                 std::to_string(args.runs) + " runs each)");

@@ -21,12 +21,13 @@ struct Split {
   int payload_runs = 0, payload_errors = 0;
 };
 
-Split message_split(const apps::App& app, const core::Golden& golden,
-                    int runs, std::uint64_t seed) {
+Split message_split(const apps::App& app, int runs, std::uint64_t seed) {
+  const svm::Program program = app.link();
+  const core::Golden golden = core::run_golden(app, program);
   Split s;
   for (int i = 0; i < runs; ++i) {
     const core::RunOutcome out = core::run_injected(
-        app, golden, core::Region::kMessage, nullptr,
+        app, program, golden, core::Region::kMessage, nullptr,
         util::hash_seed({seed, 0x6d, static_cast<std::uint64_t>(i)}));
     if (!out.msg_fired) continue;
     const bool error = out.manifestation != core::Manifestation::kCorrect;
@@ -48,11 +49,8 @@ int main(int argc, char** argv) {
 
   std::printf("=== Sec 6.2: Cactus Wavetoy message-fault analysis ===\n\n");
 
-  apps::App app = apps::make_wavetoy();
-  const core::Golden golden = core::run_golden(app);
-
   // 1. Header vs payload sensitivity.
-  const Split s = message_split(app, golden, args.runs, args.seed);
+  const Split s = message_split(apps::make_wavetoy(), args.runs, args.seed);
   util::Table t("Header vs user-data sensitivity (" +
                 std::to_string(args.runs) + " armed faults)");
   t.header({"Stream region", "Fired", "Errors", "Error rate"});
@@ -74,9 +72,8 @@ int main(int argc, char** argv) {
   {
     apps::WavetoyConfig bin_cfg;
     bin_cfg.binary_output = true;
-    apps::App bin_app = apps::make_wavetoy(bin_cfg);
-    const core::Golden bin_golden = core::run_golden(bin_app);
-    const Split b = message_split(bin_app, bin_golden, args.runs, args.seed);
+    const Split b =
+        message_split(apps::make_wavetoy(bin_cfg), args.runs, args.seed);
     util::Table t2("Same faults, full-precision (binary) output");
     t2.header({"Stream region", "Fired", "Errors", "Error rate"});
     t2.row({"Header bytes", std::to_string(b.header_runs),
@@ -103,12 +100,13 @@ int main(int argc, char** argv) {
     apps::WavetoyConfig cfg;
     cfg.steps = steps;
     apps::App a = apps::make_wavetoy(cfg);
-    const core::Golden g = core::run_golden(a);
+    const svm::Program program = a.link();
+    const core::Golden g = core::run_golden(a, program);
     int incorrect = 0, errors = 0, fired = 0;
     const int n = args.runs / 2;
     for (int i = 0; i < n; ++i) {
       const core::RunOutcome out = core::run_injected(
-          a, g, core::Region::kMessage, nullptr,
+          a, program, g, core::Region::kMessage, nullptr,
           util::hash_seed({args.seed, 0xa2, static_cast<std::uint64_t>(steps),
                            static_cast<std::uint64_t>(i)}));
       if (!out.msg_fired) continue;

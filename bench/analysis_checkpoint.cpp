@@ -20,8 +20,8 @@ int main(int argc, char** argv) {
   std::printf("=== Conclusions: checkpoint/restart economics ===\n\n");
 
   apps::App app = apps::make_wavetoy();
-  const core::Golden golden = core::run_golden(app);
   const svm::Program program = app.link();
+  const core::Golden golden = core::run_golden(app, program);
 
   util::Table t("Work lost to a crash, by checkpoint interval (" +
                 std::to_string(args.runs) + " crash injections)");

@@ -80,8 +80,8 @@ void flip_wavetoy_solution(const svm::Program& program, simmpi::World& world,
 Tally campaign(const apps::App& app, SolutionFlipper flip, int runs,
                std::uint64_t seed, bool track_iters) {
   Tally t;
-  const core::Golden golden = core::run_golden(app);
   const svm::Program program = app.link();
+  const core::Golden golden = core::run_golden(app, program);
 
   int golden_iters = 0;
   if (track_iters) {

@@ -38,8 +38,8 @@ int main(int argc, char** argv) {
   std::printf("=== Sec 7: hang detection via progress metrics ===\n\n");
 
   apps::App app = apps::make_wavetoy();
-  const core::Golden golden = core::run_golden(app);
   const svm::Program program = app.link();
+  const core::Golden golden = core::run_golden(app, program);
   util::Rng drng(util::hash_seed({args.seed, 0x99}));
   core::FaultDictionary text_dict(program, core::Region::kText, drng);
 

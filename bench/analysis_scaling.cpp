@@ -32,13 +32,14 @@ int main(int argc, char** argv) {
     apps::WavetoyConfig cfg;
     cfg.ranks = ranks;
     apps::App app = apps::make_wavetoy(cfg);
-    const core::Golden golden = core::run_golden(app);
+    const svm::Program program = app.link();
+    const core::Golden golden = core::run_golden(app, program);
 
     auto rate = [&](core::Region region, std::uint64_t salt) {
       int errors = 0;
       for (int i = 0; i < args.runs; ++i) {
         const core::RunOutcome out = core::run_injected(
-            app, golden, region, nullptr,
+            app, program, golden, region, nullptr,
             util::hash_seed({args.seed, salt,
                              static_cast<std::uint64_t>(ranks),
                              static_cast<std::uint64_t>(i)}));

@@ -16,8 +16,8 @@ int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   apps::App app = apps::make_app(cli.str("app", "wavetoy"));
 
-  const core::Golden golden = core::run_golden(app);
-  svm::Program program = app.link();
+  const svm::Program program = app.link();
+  const core::Golden golden = core::run_golden(app, program);
   simmpi::WorldOptions opts = app.world;
   opts.seed = 1;
   simmpi::World world(program, opts);

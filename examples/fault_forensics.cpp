@@ -54,8 +54,8 @@ int main(int argc, char** argv) {
   std::uint64_t seed = cli.u64("seed", 0);
 
   apps::App app = apps::make_wavetoy();
-  const core::Golden golden = core::run_golden(app);
   const svm::Program program = app.link();
+  const core::Golden golden = core::run_golden(app, program);
   util::Rng drng(1);
   core::FaultDictionary dict(program, core::Region::kText, drng);
   const core::FaultDictionary* dict_ptr =
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   if (seed == 0) {
     for (std::uint64_t s = 1; s < 500; ++s) {
       const core::RunOutcome out =
-          core::run_injected(app, golden, region, dict_ptr, s);
+          core::run_injected(app, program, golden, region, dict_ptr, s);
       if (out.manifestation == core::Manifestation::kCrash) {
         seed = s;
         std::printf("seed %llu crashes: %s\n\n",

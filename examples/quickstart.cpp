@@ -1,12 +1,12 @@
-// Quickstart: run a benchmark application fault-free, then inject a single
-// register bit flip and classify the outcome — the whole public API in
-// thirty lines.
+// Quickstart: prepare a benchmark application (golden run included), then
+// inject a single register bit flip and classify the outcome — the whole
+// public API in thirty lines.
 //
 //   ./build/examples/quickstart [--app=wavetoy|minimd|atmo] [--seed=N]
 #include <cstdio>
 
 #include "apps/app.hpp"
-#include "core/run.hpp"
+#include "core/campaign.hpp"
 #include "util/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -21,17 +21,19 @@ int main(int argc, char** argv) {
   std::printf("app: %s (%d ranks, %zu bytes of assembly)\n", app.name.c_str(),
               app.world.nranks, app.user_asm.size());
 
-  // 2. Fault-free reference execution.
-  core::Golden golden = core::run_golden(app);
+  // 2. Prepare its fault space once, fault-free reference run included;
+  //    without static pruning every run is simulated to its end.
+  core::CampaignConfig config;
+  config.prune = core::PruneLevel::kOff;
+  const core::Prepared prepared = core::prepare(app, config);
+  const core::Golden& golden = prepared.golden();
   std::printf("golden run: %llu instructions, %zu baseline bytes\n",
               static_cast<unsigned long long>(golden.instructions),
               golden.baseline.size());
 
   // 3. One injected run: a single bit flip in a random integer register of
   //    a random rank at a random instant.
-  core::RunOutcome out =
-      core::run_injected(app, golden, core::Region::kRegularReg,
-                         /*dictionary=*/nullptr, seed);
+  const core::RunOutcome out = prepared.run(core::Region::kRegularReg, seed);
 
   std::printf("fault:   %s\n", out.fault_description.c_str());
   std::printf("outcome: %s%s%s\n", core::manifestation_name(out.manifestation),

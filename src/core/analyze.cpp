@@ -2,14 +2,12 @@
 
 #include <bit>
 #include <cstdio>
-#include <memory>
 #include <sstream>
 
 #include "core/dictionary.hpp"
 #include "core/sampling.hpp"
 #include "svm/analysis/analysis.hpp"
 #include "util/json.hpp"
-#include "util/rng.hpp"
 
 namespace fsim::core {
 
@@ -34,10 +32,10 @@ std::uint16_t reachable_live_union(const svm::analysis::ProgramAnalysis& pa) {
   return live;
 }
 
-double dict_dead_fraction(const FaultDictionary* dict) {
-  if (dict == nullptr || dict->size() == 0) return 0.0;
-  return static_cast<double>(dict->dead_entries()) /
-         static_cast<double>(dict->size());
+double dict_dead_fraction(const FaultDictionary& dict) {
+  if (dict.empty()) return 0.0;
+  return static_cast<double>(dict.dead_entries()) /
+         static_cast<double>(dict.size());
 }
 
 std::string percent(double f) {
@@ -54,29 +52,22 @@ double ci95_pts(int successes, int n) {
 
 }  // namespace
 
-AnalyzeResult analyze_app(const apps::App& app, const AnalyzeConfig& config) {
+AnalyzeResult analyze_app(const apps::App& app, const CampaignConfig& config) {
   AnalyzeResult out;
   out.app = app.name;
   out.seed = config.seed;
-  out.runs = config.runs;
+  out.runs = config.runs_per_region;
 
-  const svm::Program program = app.link();
-  const svm::analysis::ProgramAnalysis analysis(program);
-
-  // The same seed-derived dictionaries a campaign with this seed draws its
-  // static-region targets from, annotated with the same dead predicates —
-  // the predicted fractions and the measured counts share one fault space.
-  util::Rng dict_rng(util::hash_seed({config.seed, 0xd1c7}));
-  std::unique_ptr<FaultDictionary> dicts[3];
-  const Region dict_regions[3] = {Region::kText, Region::kData, Region::kBss};
-  for (int i = 0; i < 3; ++i)
-    dicts[i] = std::make_unique<FaultDictionary>(
-        program, dict_regions[i], dict_rng, config.dictionary_entries);
-  dicts[0]->annotate(
-      [&](svm::Addr a) { return analysis.text_reachable(a); });
-  for (int i = 1; i < 3; ++i)
-    dicts[i]->annotate(
-        [&](svm::Addr a) { return !analysis.data_byte_dead(a); });
+  // The campaign's own preparation: the same seed-derived dictionaries a
+  // campaign with this seed draws its static-region targets from, tagged by
+  // the same dead predicates, so the predicted fractions and the measured
+  // counts share one fault space.
+  require_distinct_regions(app.name, config.regions);
+  const Prepared prepared = prepare(app, config);
+  const svm::analysis::ProgramAnalysis& analysis = prepared.analysis();
+  const FaultDictionary& text = *prepared.dictionary(Region::kText);
+  const FaultDictionary& data = *prepared.dictionary(Region::kData);
+  const FaultDictionary& bss = *prepared.dictionary(Region::kBss);
 
   const std::uint16_t live = reachable_live_union(analysis);
   out.dead_register_mask = static_cast<std::uint16_t>(~live);
@@ -84,12 +75,12 @@ AnalyzeResult analyze_app(const apps::App& app, const AnalyzeConfig& config) {
       std::popcount(static_cast<unsigned>(out.dead_register_mask) & 0xffffu));
   out.empty_fp_slots = analysis.fpdepth().always_empty_slots();
   out.fp_max_depth = analysis.fpdepth().max_depth_bound();
-  out.text_entries = dicts[0]->size();
-  out.text_dead = dicts[0]->dead_entries();
-  out.data_entries = dicts[1]->size();
-  out.data_dead = dicts[1]->dead_entries();
-  out.bss_entries = dicts[2]->size();
-  out.bss_dead = dicts[2]->dead_entries();
+  out.text_entries = text.size();
+  out.text_dead = text.dead_entries();
+  out.data_entries = data.size();
+  out.data_dead = data.dead_entries();
+  out.bss_entries = bss.size();
+  out.bss_dead = bss.dead_entries();
   out.data_segment = analysis.memliveness().segment(svm::Segment::kData);
   out.bss_segment = analysis.memliveness().segment(svm::Segment::kBss);
   out.stack_frames = static_cast<int>(analysis.memliveness().frames().size());
@@ -110,11 +101,9 @@ AnalyzeResult analyze_app(const apps::App& app, const AnalyzeConfig& config) {
       case Region::kFpReg:
         return static_cast<double>(out.empty_fp_slots) * 64.0 / kFpuStateBits;
       case Region::kText:
-        return dict_dead_fraction(dicts[0].get());
       case Region::kData:
-        return dict_dead_fraction(dicts[1].get());
       case Region::kBss:
-        return dict_dead_fraction(dicts[2].get());
+        return dict_dead_fraction(*prepared.dictionary(r));
       default:
         // stack/heap: the sampled population is dynamic (live chunks and
         // frames at the injection instant), so no static fraction is
@@ -131,15 +120,8 @@ AnalyzeResult analyze_app(const apps::App& app, const AnalyzeConfig& config) {
     out.regions.push_back(ra);
   }
 
-  if (config.runs > 0) {
-    CampaignConfig cc;
-    cc.runs_per_region = config.runs;
-    cc.seed = config.seed;
-    cc.regions = config.regions;
-    cc.dictionary_entries = config.dictionary_entries;
-    cc.jobs = config.jobs;
-    cc.prune = PruneLevel::kFull;
-    const CampaignResult measured = run_campaign(app, cc);
+  if (config.runs_per_region > 0) {
+    const CampaignResult measured = run_campaign(app, config);
     for (RegionAnalysis& ra : out.regions) {
       const RegionResult* rr = measured.find(ra.region);
       if (rr == nullptr) continue;

@@ -30,24 +30,12 @@
 
 namespace fsim::core {
 
-struct AnalyzeConfig {
-  /// Reference-campaign runs per region; 0 = static analysis only.
-  int runs = 200;
-  std::uint64_t seed = 0xfau;
-  int jobs = 1;
-  std::size_t dictionary_entries = 4096;
-  std::vector<Region> regions = {
-      Region::kRegularReg, Region::kFpReg, Region::kBss,   Region::kData,
-      Region::kStack,      Region::kText,  Region::kHeap,  Region::kMessage,
-  };
-};
-
 /// One region's predicted-vs-measured row.
 struct RegionAnalysis {
   Region region{};
   /// Statically proven masked share of the region's fault space, in [0,1].
   double predicted_masked = 0.0;
-  /// Reference-campaign counts (all zero when AnalyzeConfig::runs == 0).
+  /// Reference-campaign counts (all zero for a static-only report).
   int executions = 0;
   int correct = 0;
   int pruned = 0;
@@ -92,9 +80,11 @@ struct AnalyzeResult {
   std::vector<RegionAnalysis> regions;
 };
 
-/// Run the static pre-analysis (and, when config.runs > 0, the reference
-/// campaign) for one application.
-AnalyzeResult analyze_app(const apps::App& app, const AnalyzeConfig& config);
+/// Read the static pre-analysis of `app` from its campaign preparation
+/// under `config` and, when config.runs_per_region > 0 (0 = static only),
+/// run that campaign as the reference (`fsim analyze` keeps the default
+/// prune level, full).
+AnalyzeResult analyze_app(const apps::App& app, const CampaignConfig& config);
 
 /// Human-readable report: inventory block plus the per-region table.
 std::string format_analyze(const AnalyzeResult& result);

@@ -1,5 +1,6 @@
 #include "core/campaign.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -7,7 +8,6 @@
 
 #include "core/batch_run.hpp"
 #include "core/checkpoint.hpp"
-#include "core/dictionary.hpp"
 #include "core/reshard.hpp"
 #include "core/sampling.hpp"
 #include "util/status.hpp"
@@ -18,49 +18,32 @@
 
 namespace fsim::core {
 
-// Named (not anonymous) so BatchSession::Impl can hold CampaignPlans
-// without tripping GCC's -Wsubobject-linkage; still internal to this file.
-namespace batch_detail {
-
-std::uint64_t run_seed_for(const CampaignConfig& config, Region region,
+std::uint64_t run_seed_for(std::uint64_t campaign_seed, Region region,
                            int i) {
-  return util::hash_seed({config.seed, static_cast<std::uint64_t>(region),
+  return util::hash_seed({campaign_seed, static_cast<std::uint64_t>(region),
                           static_cast<std::uint64_t>(i)});
 }
 
-/// Per-campaign immutable state shared read-only by every worker: the
-/// linked image, the golden reference, the static-region fault
-/// dictionaries and the static analysis that tags/prunes injections.
-struct CampaignPlan {
-  svm::Program program;
-  std::array<std::unique_ptr<FaultDictionary>, kNumRegions> dicts;
-  std::unique_ptr<svm::analysis::ProgramAnalysis> analysis;
-  /// Pre-decoded instruction stream, lowered once per campaign in the
-  /// basic-block order of the analysis CFG and shared read-only by every
-  /// worker's machines (each machine clones it privately only if a text
-  /// flip lands).
-  std::shared_ptr<const svm::exec::CompiledProgram> compiled;
-  RunContext ctx;
-};
+RunOutcome Prepared::run(Region region, std::uint64_t run_seed) const {
+  return run_injected(app_, program_, golden_, region, dictionary(region),
+                      run_seed, ctx_);
+}
 
-CampaignPlan prepare_campaign(const apps::App& app,
-                              const CampaignConfig& config,
-                              CampaignResult& result) {
-  CampaignPlan plan;
-  result.app = app.name;
-  result.seed = config.seed;
+Prepared prepare(const apps::App& app, const CampaignConfig& config) {
+  Prepared p;
+  p.app_ = app;
 
   // Link exactly once per campaign: the assembler is deterministic and the
   // image is only ever read after this point, so the golden run, the fault
   // dictionaries and every injected run (on any worker) share it.
-  plan.program = app.link();
+  p.program_ = app.link();
 
   // Dictionaries for the static regions are built once per campaign from
   // the linked image (§3.2: "several thousand addresses randomly selected").
   util::Rng dict_rng(util::hash_seed({config.seed, 0xd1c7}));
   for (Region r : {Region::kText, Region::kData, Region::kBss}) {
-    plan.dicts[static_cast<unsigned>(r)] = std::make_unique<FaultDictionary>(
-        plan.program, r, dict_rng, config.dictionary_entries);
+    p.dicts_[static_cast<unsigned>(r)] = std::make_unique<FaultDictionary>(
+        p.program_, r, dict_rng, config.dictionary_entries);
   }
 
   // Static analysis of the linked image, built once and shared read-only
@@ -68,42 +51,32 @@ CampaignPlan prepare_campaign(const apps::App& app,
   // tag FP data-slot faults, reachability tags text entries and the memory
   // liveness scan tags data/BSS entries. Dead-tagged faults are pruned for
   // the regions config.prune covers.
-  plan.analysis =
-      std::make_unique<svm::analysis::ProgramAnalysis>(plan.program);
-  if (auto& d = plan.dicts[static_cast<unsigned>(Region::kText)]; d)
-    d->annotate(
-        [&](svm::Addr a) { return plan.analysis->text_reachable_refined(a); },
-        [&](svm::Addr a) {
-          // Ladder attribution: base reachability already proves most dead
-          // text; only entries the branch-deciding refinement alone kills
-          // are credited to the value-range rung.
-          return plan.analysis->text_reachable(a) ? PruneRung::kValueRange
-                                                  : PruneRung::kBase;
-        });
-  for (Region r : {Region::kData, Region::kBss}) {
-    if (auto& d = plan.dicts[static_cast<unsigned>(r)]; d)
-      d->annotate(
-          [&](svm::Addr a) { return !plan.analysis->data_byte_dead(a); });
-  }
+  p.analysis_ = std::make_shared<svm::analysis::ProgramAnalysis>(p.program_);
+  const svm::analysis::ProgramAnalysis& an = *p.analysis_;
+  p.dicts_[static_cast<unsigned>(Region::kText)]->annotate(
+      [&](svm::Addr a) { return an.text_reachable_refined(a); },
+      [&](svm::Addr a) {
+        // Ladder attribution: base reachability already proves most dead
+        // text; only entries the branch-deciding refinement alone kills
+        // are credited to the value-range rung.
+        return an.text_reachable(a) ? PruneRung::kValueRange
+                                    : PruneRung::kBase;
+      });
+  for (Region r : {Region::kData, Region::kBss})
+    p.dicts_[static_cast<unsigned>(r)]->annotate(
+        [&](svm::Addr a) { return !an.data_byte_dead(a); });
 
   // Compile stage: lower the image once in the CFG's basic-block order;
-  // the golden run and every injected run share the stream read-only.
-  plan.compiled = std::make_shared<svm::exec::CompiledProgram>(
-      plan.program, plan.analysis->cfg());
+  // the golden run and every injected run share the stream read-only
+  // (each machine clones it privately only if a text flip lands).
+  auto compiled =
+      std::make_shared<svm::exec::CompiledProgram>(p.program_, an.cfg());
 
-  result.golden = run_golden(app, plan.program, 1, config.engine,
-                             plan.compiled);
-
-  plan.ctx = RunContext{plan.analysis.get(), config.prune, config.engine,
-                        plan.compiled};
-  return plan;
+  p.golden_ = run_golden(app, p.program_, 1, config.engine, compiled);
+  p.ctx_ = RunContext{p.analysis_.get(), config.prune, config.engine,
+                      std::move(compiled)};
+  return p;
 }
-
-}  // namespace batch_detail
-
-using batch_detail::CampaignPlan;
-using batch_detail::prepare_campaign;
-using batch_detail::run_seed_for;
 
 void accumulate_outcome(RegionResult& rr, const RunOutcome& out) {
   ++rr.executions;
@@ -133,6 +106,17 @@ void require_positive_runs(const std::string& app, int runs) {
     throw util::SetupError("runs per region (--runs, or a spec's \"runs\") "
                            "must be >= 1 for app '" + app + "', got " +
                            std::to_string(runs));
+}
+
+void require_distinct_regions(const std::string& app,
+                              const std::vector<Region>& regions) {
+  if (regions.empty())
+    throw util::SetupError("empty region list (--regions, or a spec's "
+                           "\"regions\") for app '" + app + "'");
+  for (auto r = regions.begin(); r != regions.end(); ++r)
+    if (std::find(regions.begin(), r, *r) != r)
+      throw util::SetupError("region '" + std::string(region_token(*r)) +
+                             "' listed twice for app '" + app + "'");
 }
 
 void require_valid_policy(const AdaptivePolicy& p) {
@@ -183,9 +167,8 @@ std::vector<BatchEntry> entries_for_specs(
 
 struct BatchSession::Impl {
   const std::vector<BatchEntry>& entries;
-  std::vector<CampaignPlan> plans;
+  std::vector<Prepared> plans;
   std::vector<CampaignSpec> specs;
-  std::vector<CampaignResult> campaigns;  // skeletons: app/seed/golden
   std::vector<std::size_t> slot_base;     // ncamp + 1 cumulative regions
   std::vector<std::uint64_t> grid_base;   // ncamp + 1 cumulative grid sizes
   std::unique_ptr<util::ThreadPool> pool; // created only for jobs > 1
@@ -199,16 +182,16 @@ BatchSession::BatchSession(const std::vector<BatchEntry>& entries, int jobs)
   if (jobs < 1)
     throw util::SetupError("worker count (--jobs) must be >= 1, got " +
                            std::to_string(jobs));
-  for (const BatchEntry& e : entries)
+  for (const BatchEntry& e : entries) {
     require_positive_runs(e.app.name, e.config.runs_per_region);
+    require_distinct_regions(e.app.name, e.config.regions);
+  }
   const std::size_t ncamp = entries.size();
   impl_->plans.reserve(ncamp);
-  impl_->campaigns.resize(ncamp);
   impl_->slot_base.assign(ncamp + 1, 0);
   impl_->grid_base.assign(ncamp + 1, 0);
   for (std::size_t c = 0; c < ncamp; ++c) {
-    impl_->plans.push_back(prepare_campaign(entries[c].app, entries[c].config,
-                                            impl_->campaigns[c]));
+    impl_->plans.push_back(prepare(entries[c].app, entries[c].config));
     impl_->specs.push_back(spec_of(entries[c].app.name, entries[c].config));
     impl_->specs.back().params = entries[c].params;
     const CampaignConfig& cc = entries[c].config;
@@ -250,7 +233,7 @@ const std::vector<CampaignSpec>& BatchSession::specs() const noexcept {
 
 std::vector<Golden> BatchSession::goldens() const {
   std::vector<Golden> out;
-  for (const CampaignResult& c : impl_->campaigns) out.push_back(c.golden);
+  for (const Prepared& p : impl_->plans) out.push_back(p.golden());
   return out;
 }
 
@@ -283,14 +266,10 @@ void BatchSession::run_points(const std::vector<Point>& points,
     // get the exact legacy execution order.
     for (const Point& pt : points) {
       const BatchEntry& e = im.entries[pt.campaign];
-      const CampaignPlan& plan = im.plans[pt.campaign];
       const Region region = e.config.regions[pt.region_index];
       const std::size_t slot = im.slot_base[pt.campaign] + pt.region_index;
-      const FaultDictionary* dict =
-          plan.dicts[static_cast<unsigned>(region)].get();
-      const RunOutcome out = run_injected(
-          e.app, plan.program, im.campaigns[pt.campaign].golden, region, dict,
-          run_seed_for(e.config, region, pt.run_index), plan.ctx);
+      const RunOutcome out = im.plans[pt.campaign].run(
+          region, run_seed_for(e.config.seed, region, pt.run_index));
       accumulate_outcome(totals[slot], out);
       const int d = ++done[slot];
       if (observing) notify_locked(pt, e.app.name, region, slot, out, d);
@@ -311,22 +290,18 @@ void BatchSession::run_points(const std::vector<Point>& points,
     adone[s].store(done[s], std::memory_order_relaxed);
 
   for (const Point& pt : points) {
-    const apps::App* app = &im.entries[pt.campaign].app;
-    const CampaignConfig& cc = im.entries[pt.campaign].config;
-    const CampaignPlan* plan = &im.plans[pt.campaign];
-    const Golden* golden = &im.campaigns[pt.campaign].golden;
-    const Region region = cc.regions[pt.region_index];
+    const BatchEntry* e = &im.entries[pt.campaign];
+    const Prepared* plan = &im.plans[pt.campaign];
+    const Region region = e->config.regions[pt.region_index];
     const std::size_t slot = im.slot_base[pt.campaign] + pt.region_index;
-    const FaultDictionary* dict =
-        plan->dicts[static_cast<unsigned>(region)].get();
-    const std::uint64_t run_seed = run_seed_for(cc, region, pt.run_index);
-    pool.submit([&, app, plan, golden, pt, slot, region, dict, run_seed] {
-      const RunOutcome out = run_injected(*app, plan->program, *golden,
-                                          region, dict, run_seed, plan->ctx);
+    const std::uint64_t run_seed =
+        run_seed_for(e->config.seed, region, pt.run_index);
+    pool.submit([&, e, plan, pt, slot, region, run_seed] {
+      const RunOutcome out = plan->run(region, run_seed);
       const int w = util::ThreadPool::current_worker();
       accumulate_outcome(partials[static_cast<std::size_t>(w)][slot], out);
       if (observing)
-        notify_locked(pt, app->name, region, slot, out,
+        notify_locked(pt, e->app.name, region, slot, out,
                       1 + adone[slot].fetch_add(1, std::memory_order_relaxed));
     });
   }
@@ -341,9 +316,12 @@ void BatchSession::run_points(const std::vector<Point>& points,
 
 std::vector<CampaignResult> BatchSession::attach_regions(
     const std::vector<RegionResult>& totals) const {
-  std::vector<CampaignResult> out = impl_->campaigns;
+  std::vector<CampaignResult> out;
   for (std::size_t c = 0; c < impl_->entries.size(); ++c) {
-    const auto& regions = impl_->entries[c].config.regions;
+    const CampaignConfig& cc = impl_->entries[c].config;
+    out.push_back(CampaignResult{impl_->entries[c].app.name,
+                                 impl_->plans[c].golden(), {}, cc.seed});
+    const auto& regions = cc.regions;
     for (std::size_t ri = 0; ri < regions.size(); ++ri) {
       RegionResult rr = totals[impl_->slot_base[c] + ri];
       rr.region = regions[ri];

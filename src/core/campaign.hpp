@@ -70,20 +70,60 @@ struct CampaignConfig : ExecPolicy {
       Region::kStack,      Region::kText,  Region::kHeap,  Region::kMessage,
   };
   std::size_t dictionary_entries = 4096;
-  /// Pre-injection pruning level: classify faults whose target is
-  /// statically dead as Correct without resuming the run. Sound at every
-  /// level (the flip is provably never observed), so aggregates are
-  /// bit-identical across levels; higher levels merely skip the simulation
-  /// of more runs whose outcome is already decided. kRegs restricts the
-  /// proof to integer registers (the PR-2 scope); kFull adds provably
-  /// empty FP-stack slots, unreachable text and dead data/BSS symbols.
+  /// Pre-injection pruning level (see PruneLevel); aggregates are
+  /// bit-identical at every level.
   PruneLevel prune = PruneLevel::kFull;
-  /// Execution engine for every run (golden and injected). Both engines
-  /// are bit-identical at quantum boundaries, so aggregates never depend
-  /// on this — it is a pure throughput knob and excluded from the
-  /// campaign's spec identity.
+  /// Execution engine for every run, golden and injected (see RunContext):
+  /// a pure throughput knob, excluded from the campaign's spec identity.
   svm::exec::EngineKind engine = svm::exec::EngineKind::kThreaded;
 };
+
+/// Seed of run `i` of `region` in a campaign seeded `campaign_seed`. It
+/// depends on nothing else, so a grid point injects the same fault under
+/// any scheduler, shard split or job count.
+std::uint64_t run_seed_for(std::uint64_t campaign_seed, Region region, int i);
+
+/// One campaign's fault space, prepared once and read by every run: the
+/// linked image, its static analysis, the annotated text/data/BSS fault
+/// dictionaries, the compiled instruction stream, the golden run with its
+/// ladder and the run context. Built only by prepare(), immutable and safe
+/// to share across threads; campaigns, `fsim run` and `fsim analyze` all
+/// inject into the fault space it describes.
+class Prepared {
+ public:
+  const apps::App& app() const noexcept { return app_; }
+  const svm::Program& program() const noexcept { return program_; }
+  const svm::analysis::ProgramAnalysis& analysis() const noexcept {
+    return *analysis_;
+  }
+  /// The annotated dictionary of a static region (text, data or BSS);
+  /// null for every other region.
+  const FaultDictionary* dictionary(Region region) const noexcept {
+    return dicts_[static_cast<unsigned>(region)].get();
+  }
+  const Golden& golden() const noexcept { return golden_; }
+  const RunContext& context() const noexcept { return ctx_; }
+
+  /// One injected run into this fault space (see run_injected); a
+  /// campaign's grid point i of `region` is run_seed_for(seed, region, i).
+  RunOutcome run(Region region, std::uint64_t run_seed) const;
+
+ private:
+  friend Prepared prepare(const apps::App& app, const CampaignConfig& config);
+  Prepared() = default;
+
+  apps::App app_;
+  svm::Program program_;
+  std::array<std::unique_ptr<FaultDictionary>, kNumRegions> dicts_;
+  std::shared_ptr<const svm::analysis::ProgramAnalysis> analysis_;
+  Golden golden_;
+  RunContext ctx_;
+};
+
+/// Prepare `app` under `config`, reading only its seed, dictionary size,
+/// prune level and engine. Throws SetupError when the golden run does not
+/// complete.
+Prepared prepare(const apps::App& app, const CampaignConfig& config);
 
 struct RegionResult {
   Region region{};
@@ -204,6 +244,12 @@ struct CampaignSpec {
 /// Throws SetupError unless runs >= 1: the one range check that spec
 /// files (parse_batch_spec) and the --runs flag (BatchSession) share.
 void require_positive_runs(const std::string& app, int runs);
+
+/// Throws SetupError, naming the region, unless `regions` is non-empty and
+/// lists no region twice: the region-list check that --regions
+/// (BatchSession), spec files and checkpoint specs share.
+void require_distinct_regions(const std::string& app,
+                              const std::vector<Region>& regions);
 
 /// The spec a (app name, config) pair induces.
 CampaignSpec spec_of(const std::string& app_name, const CampaignConfig& config);

@@ -530,8 +530,10 @@ Checkpoint parse_checkpoint(const util::JsonValue& doc) {
 void require_consistent_done_sets(const Checkpoint& ck) {
   require_valid_shard(ck.shard);
   if (ck.adaptive) require_valid_policy(*ck.adaptive);
-  for (const CampaignSpec& spec : ck.specs)
+  for (const CampaignSpec& spec : ck.specs) {
     require_positive_runs(spec.app, spec.runs_per_region);
+    require_distinct_regions(spec.app, spec.regions);
+  }
   const std::string shard = std::to_string(ck.shard.index) + "/" +
                             std::to_string(ck.shard.count);
   const GridSelection committed = ck.committed();

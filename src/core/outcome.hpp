@@ -187,6 +187,8 @@ struct RunOutcome {
   bool msg_fired = false;       // the armed channel fault actually flipped
   bool msg_hit_header = false;  // the flipped byte was inside a header
   std::uint64_t msg_offset_in_packet = 0;
+
+  bool operator==(const RunOutcome&) const = default;
 };
 
 }  // namespace fsim::core

@@ -466,9 +466,7 @@ std::vector<CampaignSpec> parse_batch_spec(const std::string& text) {
     spec.app = cv.at("app").as_string();
     fill(spec, cv);
     require_positive_runs(spec.app, spec.runs_per_region);
-    if (spec.regions.empty())
-      throw util::SetupError("batch spec: empty region list for app '" +
-                             spec.app + "'");
+    require_distinct_regions(spec.app, spec.regions);
     specs.push_back(std::move(spec));
   }
   if (specs.empty())

@@ -62,15 +62,10 @@ const char* prune_level_name(PruneLevel level) noexcept {
 }
 
 std::optional<PruneLevel> parse_prune_level(std::string_view text) noexcept {
-  if (text == "off" || text == "false") return PruneLevel::kOff;
-  if (text == "regs") return PruneLevel::kRegs;
-  if (text == "full" || text == "on" || text == "true")
-    return PruneLevel::kFull;
+  for (const auto level :
+       {PruneLevel::kOff, PruneLevel::kRegs, PruneLevel::kFull})
+    if (text == prune_level_name(level)) return level;
   return std::nullopt;
-}
-
-Golden run_golden(const apps::App& app, std::uint64_t seed) {
-  return run_golden(app, app.link(), seed);
 }
 
 Golden run_golden(const apps::App& app, const svm::Program& program,
@@ -119,22 +114,6 @@ Golden run_golden(const apps::App& app, const svm::Program& program,
                   200'000;
   if (!ladder->empty()) g.ladder = std::move(ladder);
   return g;
-}
-
-RunOutcome run_injected(const apps::App& app, const Golden& golden,
-                        Region region, const FaultDictionary* dictionary,
-                        std::uint64_t seed) {
-  // Convenience path for one-off runs; campaigns link once and use the
-  // shared-Program overload to avoid ~3200 redundant assembler passes.
-  return run_injected(app, app.link(), golden, region, dictionary, seed);
-}
-
-RunOutcome run_injected(const apps::App& app, const svm::Program& program,
-                        const Golden& golden, Region region,
-                        const FaultDictionary* dictionary,
-                        std::uint64_t seed) {
-  return run_injected(app, program, golden, region, dictionary, seed,
-                      RunContext{});
 }
 
 RunOutcome run_injected(const apps::App& app, const svm::Program& program,
@@ -214,14 +193,9 @@ RunOutcome run_injected(const apps::App& app, const svm::Program& program,
         outcome.injected_at = world.global_instructions();
         desc << "rank " << fault->rank << ": " << fault->target << " at t="
              << outcome.injected_at;
-        // Pre-injection pruning: a fault tagged statically dead carries a
-        // proof that the flipped bit is never observed (register
-        // overwritten before any read on every path, FP slot provably
-        // empty behind its tag, text never fetched, data/BSS symbol never
-        // read, heap chunk whose allocation site is read-free, stack slot
-        // its activation never reads again) — resuming would replay the
-        // golden run to completion. Classify Correct now and skip the
-        // simulation, for the regions the configured level covers.
+        // Pre-injection pruning (see PruneLevel): resuming a statically
+        // dead fault would replay the golden run, so classify it Correct
+        // now, for the regions the configured level covers.
         if (prune_allows(ctx.prune, region) &&
             fault->activation == Activation::kDead) {
           outcome.pruned = true;

@@ -38,46 +38,28 @@ struct Golden {
   std::shared_ptr<const std::vector<simmpi::Snapshot>> ladder;
 };
 
-/// Run the application fault-free. Throws SetupError if it does not
-/// complete — a broken golden run invalidates the whole campaign. With the
-/// injected runs' world seed (1), it also records the fast-forward ladder:
-/// a rung at the first round boundary past every multiple of a stride,
-/// the stride doubling (and every other rung dropped) whenever the ladder
-/// reaches 32 rungs, so a long run ends with 16–32 evenly spread rungs.
-Golden run_golden(const apps::App& app, std::uint64_t seed = 1);
-
-/// Same, against an already-linked image. The assembler is deterministic,
-/// so drivers that execute many runs (campaigns, single-run CLI paths) link
-/// once and share the `Program` read-only across every run — including
-/// across the campaign executor's worker threads.
+/// Run the application fault-free against an already-linked image. Throws
+/// SetupError if it does not complete — a broken golden run invalidates
+/// the whole campaign. With the injected runs' world seed (1), it also
+/// records the fast-forward ladder: a rung at the first round boundary
+/// past every multiple of a stride, the stride doubling (and every other
+/// rung dropped) whenever the ladder reaches 32 rungs, so a long run ends
+/// with 16–32 evenly spread rungs. The assembler is deterministic, so a
+/// caller links once and shares the `Program` read-only across every run,
+/// on any thread; core::prepare (campaign.hpp) does all of this.
 Golden run_golden(
     const apps::App& app, const svm::Program& program, std::uint64_t seed = 1,
     svm::exec::EngineKind engine = svm::exec::EngineKind::kThreaded,
     std::shared_ptr<const svm::exec::CompiledProgram> compiled = nullptr);
 
-/// Run once with a single injected fault and classify the outcome.
-///  * memory/register regions: the fault fires at a uniformly random global
-///    instruction t in [0, golden.instructions);
-///  * message region: a {byte, bit} fault is armed on a random rank's
-///    channel with the byte uniform in that rank's golden received volume.
-/// The run is identical to the golden one until the fault, so it starts
-/// from the last ladder rung the fault cannot precede: the last rung
-/// strictly below t (the fault belongs to the first boundary whose count
-/// reaches t, and a rung at t would be it only if no earlier boundary had
-/// the same count), or for a message fault the last rung where the target
-/// rank has received no more than the armed byte.
-RunOutcome run_injected(const apps::App& app, const Golden& golden,
-                        Region region, const FaultDictionary* dictionary,
-                        std::uint64_t seed);
-
-/// Same, against a shared pre-linked image (see run_golden above).
-RunOutcome run_injected(const apps::App& app, const svm::Program& program,
-                        const Golden& golden, Region region,
-                        const FaultDictionary* dictionary, std::uint64_t seed);
-
 /// Which statically-dead fault classes may be classified Correct without
-/// resuming the run. Every level is sound — aggregates are bit-identical
-/// across levels; higher levels merely skip more already-decided runs.
+/// resuming the run. A dead tag proves the flipped bit is never observed
+/// (register overwritten before any read, FP slot behind an empty tag,
+/// text never fetched, data/BSS byte never read, heap chunk whose
+/// allocation site is read-free, stack slot its activation never reads
+/// again), so the resumed run would replay the golden one. Every level is
+/// therefore sound — aggregates are bit-identical across levels; higher
+/// levels merely skip more already-decided runs.
 enum class PruneLevel : std::uint8_t {
   kOff,   // never prune
   kRegs,  // integer register faults only (the PR-2 scope)
@@ -88,8 +70,8 @@ enum class PruneLevel : std::uint8_t {
 /// "off" | "regs" | "full".
 const char* prune_level_name(PruneLevel level) noexcept;
 
-/// Parse a --prune value. Accepts the level names plus the legacy booleans
-/// ("on"/"true" -> kFull, "false" -> kOff); nullopt on anything else.
+/// Parse a --prune value: exactly one of the level names; nullopt on
+/// anything else.
 std::optional<PruneLevel> parse_prune_level(std::string_view text) noexcept;
 
 /// Does `level` allow pruning a statically-dead fault in `region`?
@@ -114,13 +96,7 @@ struct RunContext {
   /// Built once per campaign from the linked image; tags faults with their
   /// static activation class. May be null (no tagging, no pruning).
   const svm::analysis::ProgramAnalysis* analysis = nullptr;
-  /// Pre-injection pruning level: a fault tagged statically dead in a
-  /// region the level covers is classified Correct immediately, without
-  /// resuming the run — sound because the flip is provably never observed
-  /// (register overwritten before any read, FP slot behind an empty tag,
-  /// text never fetched, data/BSS symbol never read, heap chunk whose
-  /// allocation site is write-only, stack-frame slot never read by its
-  /// activation), so the full run would replay the golden execution.
+  /// Pre-injection pruning level (see PruneLevel).
   PruneLevel prune = PruneLevel::kOff;
   /// Execution engine for every machine of the run. Both engines are
   /// bit-identical at quantum boundaries, so this never changes outcomes —
@@ -131,11 +107,22 @@ struct RunContext {
   std::shared_ptr<const svm::exec::CompiledProgram> compiled;
 };
 
-/// Same, with activation tagging and optional pre-injection pruning. The
-/// context-free overloads delegate here with a default (inactive) context.
+/// Run once with a single injected fault and classify the outcome.
+///  * memory/register regions: the fault fires at a uniformly random global
+///    instruction t in [0, golden.instructions);
+///  * message region: a {byte, bit} fault is armed on a random rank's
+///    channel with the byte uniform in that rank's golden received volume.
+/// Text, data and BSS faults draw their targets from `dictionary`, which
+/// must then be non-null; `ctx` tags and prunes (the default context does
+/// neither). The run is identical to the golden one until the fault, so it
+/// starts from the last ladder rung the fault cannot precede: the last
+/// rung strictly below t (the fault belongs to the first boundary whose
+/// count reaches t, and a rung at t would be it only if no earlier
+/// boundary had the same count), or for a message fault the last rung
+/// where the target rank has received no more than the armed byte.
 RunOutcome run_injected(const apps::App& app, const svm::Program& program,
                         const Golden& golden, Region region,
                         const FaultDictionary* dictionary, std::uint64_t seed,
-                        const RunContext& ctx);
+                        const RunContext& ctx = {});
 
 }  // namespace fsim::core

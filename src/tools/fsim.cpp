@@ -259,39 +259,22 @@ class Progress final : public core::CampaignObserver {
 int cmd_run(const util::Cli& cli) {
   apps::App app = apps::make_app(cli.str("app", "wavetoy"));
   const core::Region region = core::parse_region(cli.str("region", "regular"));
-  const std::uint64_t seed = cli.u64("seed", 1);
-  svm::exec::EngineKind engine = svm::exec::EngineKind::kThreaded;
-  parse_engine(cli, engine);
-  core::PruneLevel prune = core::PruneLevel::kOff;
-  parse_prune(cli, prune);
+  core::CampaignConfig cfg;
+  cfg.seed = cli.u64("seed", 1);
+  parse_engine(cli, cfg.engine);
+  cfg.prune = core::PruneLevel::kOff;
+  parse_prune(cli, cfg.prune);
   reject_unused(cli);
 
-  // Link once; the golden run, the dictionary and the injected run all
-  // read the same image (the assembler is deterministic anyway).
-  const svm::Program program = app.link();
-  const core::Golden golden = core::run_golden(app, program, 1, engine);
-  std::unique_ptr<core::FaultDictionary> dict;
-  if (region == core::Region::kText || region == core::Region::kData ||
-      region == core::Region::kBss) {
-    util::Rng drng(seed ^ 0xd1c7);
-    dict = std::make_unique<core::FaultDictionary>(program, region, drng);
-  }
-  core::RunContext ctx;
-  ctx.engine = engine;
-  ctx.prune = prune;
-  std::unique_ptr<svm::analysis::ProgramAnalysis> analysis;
-  if (prune != core::PruneLevel::kOff) {
-    analysis = std::make_unique<svm::analysis::ProgramAnalysis>(program);
-    ctx.analysis = analysis.get();
-  }
-  const core::RunOutcome out =
-      core::run_injected(app, program, golden, region, dict.get(), seed, ctx);
+  // The campaign's preparation: the fault space (dictionaries, analysis,
+  // golden ladder) is exactly the one `fsim campaign --seed=S` draws from.
+  const core::RunOutcome out = core::prepare(app, cfg).run(region, cfg.seed);
   std::printf("app:     %s\nregion:  %s\nseed:    %llu\nfault:   %s\n",
               app.name.c_str(), core::region_name(region),
-              static_cast<unsigned long long>(seed),
+              static_cast<unsigned long long>(cfg.seed),
               out.fault_applied ? out.fault_description.c_str()
                                 : "(no viable target)");
-  if (ctx.analysis != nullptr)
+  if (cfg.prune != core::PruneLevel::kOff)
     std::printf("static:  activation %s%s%s\n",
                 core::activation_name(out.activation),
                 out.pruned ? ", pruned by rung " : "",
@@ -643,17 +626,17 @@ int cmd_lint(const util::Cli& cli) {
 
 int cmd_analyze(const util::Cli& cli) {
   apps::App app = apps::make_app(cli.str("app", "wavetoy"));
-  core::AnalyzeConfig cfg;
-  cfg.runs = count_option(cli, "runs", 200, 0);
+  core::CampaignConfig cfg;
+  cfg.runs_per_region = count_option(cli, "runs", 200, 0);
   cfg.seed = cli.u64("seed", 0xfa);
   cfg.jobs = jobs_option(cli);
   if (cli.has("regions")) cfg.regions = parse_region_list(cli.str("regions", ""));
   const bool quiet = cli.flag("quiet");
   const bool json = cli.flag("json"), csv = cli.flag("csv");
   reject_unused(cli);
-  if (!quiet && cfg.runs > 0)
+  if (!quiet && cfg.runs_per_region > 0)
     std::fprintf(stderr, "analyze: %s, %d-run reference campaign...\n",
-                 app.name.c_str(), cfg.runs);
+                 app.name.c_str(), cfg.runs_per_region);
   const core::AnalyzeResult res = core::analyze_app(app, cfg);
   if (json)
     std::printf("%s\n", core::analyze_json(res).c_str());

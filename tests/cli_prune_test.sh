@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # CLI gate for fsim's flag handling. The --prune flag on `fsim run`: an
-# unknown spelling must be rejected with a message listing the valid
-# values, and a valid level must attach the static analysis and report the
-# activation verdict (campaign/batch have their own digest gates). Strict
+# unknown spelling (the old on/true/false included) must be rejected with a
+# message listing the valid values, and a valid level must report the
+# activation verdict, live or dead for every dictionary fault
+# (campaign/batch have their own digest gates). Empty or duplicate region
+# lists exit 1 from the CLI and from spec files. Strict
 # flags: unknown or ignored options, out-of-range counts (beyond the int
 # range too), seeds outside 0..2^64-1, NaN --ci/--confidence, malformed
 # --shard values and --checkpoint-every without --checkpoint exit 1 naming
@@ -42,14 +44,24 @@ case "$out" in
 esac
 echo "  --prune=full reports a static activation verdict"
 
-# --prune=off must not attach the analysis (no static line).
+# --prune=off prints no static verdict.
 out="$("$fsim" run --app=wavetoy --region=heap --seed=5 --prune=off)"
 case "$out" in
   *"static:"*) echo "cli_prune: --prune=off printed a static verdict" >&2
                exit 1 ;;
   *) ;;
 esac
-echo "  --prune=off runs without the analysis attached"
+echo "  --prune=off prints no static verdict"
+
+# A single run draws from the campaign's annotated dictionary, so every
+# data fault carries a live or dead verdict, never "unknown".
+for seed in 1 2 3 4 5 6; do
+  out="$("$fsim" run --app=wavetoy --region=data --seed="$seed" --prune=full)"
+  grep -Eq '^static:  activation (live|dead)' <<<"$out" || {
+    echo "cli_prune: data seed $seed has no live/dead verdict: $out" >&2
+    exit 1; }
+done
+echo "  --region=data --prune=full: every fault tagged live or dead"
 
 # Strict flags: each invocation must exit 1, and its error must contain
 # the given text.
@@ -105,6 +117,17 @@ expect_fail "--max-runs" batch --apps=jacobi --ci=0.1 --max-runs=0
 expect_fail "--chunk" serve --socket=never.sock --state=never --chunk=0
 expect_fail "--rank" mix --app=jacobi --rank=-1
 expect_fail "--points" trace --app=jacobi --points=0
+# One spelling per prune level: the old boolean words are refused.
+for bad in on true false; do
+  expect_fail "option --prune expects off|regs|full, got '$bad'" \
+      run --app=jacobi --prune="$bad"
+done
+# Region lists: empty or with a region twice, refused naming the region.
+expect_fail "empty region list" campaign --app=jacobi --runs=2 --regions=
+expect_fail "region 'regular' listed twice" campaign --app=jacobi --runs=2 \
+    --regions=regular,regular
+expect_fail "region 'message' listed twice" batch --apps=jacobi --runs=2 \
+    --regions=message,regular,message --quiet
 # Flags the chosen path ignores are refused too.
 expect_fail "unknown option --wave" batch --apps=jacobi --runs=2 --wave=3
 expect_fail "unexpected argument 'extra'" campaign --app=jacobi extra
@@ -115,6 +138,9 @@ cd "$tmp"
 echo '{"runs": 4, "regions": ["regular", "message"],
  "campaigns": [{"app": "jacobi"}]}' > spec.json
 expect_fail "unknown option --runs" batch --spec=spec.json --runs=8
+echo '{"regions": ["regular", "regular"], "campaigns": [{"app": "jacobi"}]}' \
+    > dup.json
+expect_fail "region 'regular' listed twice" batch --spec=dup.json --quiet
 
 # A bare flag keeps the next word positional: `resume --quiet CKPT` resumes
 # and `merge a --json b` folds both files.

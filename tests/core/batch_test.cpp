@@ -295,6 +295,12 @@ TEST(Batch, SpecFileParsing) {
   EXPECT_THROW(parse_batch_spec("{\"campaigns\": []}"), util::SetupError);
   EXPECT_THROW(parse_batch_spec("{\"campaigns\": [{}]}"), util::SetupError);
   EXPECT_THROW(parse_batch_spec("not json"), util::SetupError);
+  // One spelling per level: the words are the level names, never booleans.
+  for (const char* word : {"on", "true", "false"})
+    EXPECT_THROW(parse_batch_spec(std::string(R"({"prune": ")") + word +
+                                  R"(", "campaigns": [{"app": "jacobi"}]})"),
+                 util::SetupError)
+        << word;
 }
 
 TEST(Batch, RegionTokensRoundTrip) {

@@ -183,6 +183,13 @@ TEST(Checkpoint, CorruptedOrForeignDocumentsAreRefused) {
   EXPECT_THROW(parse_checkpoint_json(batch_json(res)), util::SetupError);
   EXPECT_THROW(parse_status_json(text), util::SetupError);
   EXPECT_THROW(parse_checkpoint_json("not json"), util::SetupError);
+
+  // A spec listing a region twice, digests intact.
+  CampaignSpec dup = ck.specs.front();
+  dup.regions = {Region::kMessage, Region::kMessage};
+  EXPECT_THROW(parse_checkpoint_json(checkpoint_json(make_checkpoint(
+                   {dup}, {ck.goldens.front()}, ShardSpec{}))),
+               util::SetupError);
   std::remove(path.c_str());
 }
 

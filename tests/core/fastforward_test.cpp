@@ -10,17 +10,14 @@
 #include <array>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "apps/app.hpp"
-#include "core/dictionary.hpp"
-#include "core/run.hpp"
+#include "core/campaign.hpp"
 #include "simmpi/world.hpp"
-#include "svm/analysis/analysis.hpp"
-#include "svm/exec/compiled.hpp"
 #include "util/rng.hpp"
 
 namespace fsim::core {
@@ -32,68 +29,36 @@ constexpr std::array<Region, 8> kAllRegions = {
     Region::kRegularReg, Region::kFpReg, Region::kBss,  Region::kData,
     Region::kStack,      Region::kText,  Region::kHeap, Region::kMessage};
 
-/// Everything a campaign prepares for one app, as BatchSession does it.
+/// A campaign's preparation for one app (the default CampaignConfig, as
+/// BatchSession prepares it), plus its golden run without the ladder.
 struct Plan {
-  apps::App app;
-  svm::Program program;
-  std::array<std::unique_ptr<FaultDictionary>, kNumRegions> dicts;
-  std::unique_ptr<svm::analysis::ProgramAnalysis> analysis;
-  std::shared_ptr<const svm::exec::CompiledProgram> compiled;
-  Golden golden;     // with its ladder
-  Golden from_zero;  // the same, without one
+  const Prepared prepared;
+  const apps::App& app = prepared.app();
+  const svm::Program& program = prepared.program();
+  const Golden& golden = prepared.golden();  // with its ladder
+  Golden from_zero = golden;                 // the same, without one
 
-  explicit Plan(const std::string& name) : app(apps::make_app(name)) {
-    program = app.link();
-    analysis = std::make_unique<svm::analysis::ProgramAnalysis>(program);
-    util::Rng dict_rng(util::hash_seed({0xfa, 0xd1c7}));
-    for (Region r : {Region::kText, Region::kData, Region::kBss})
-      dicts[static_cast<unsigned>(r)] =
-          std::make_unique<FaultDictionary>(program, r, dict_rng);
-    const svm::analysis::ProgramAnalysis& an = *analysis;
-    dicts[static_cast<unsigned>(Region::kText)]->annotate(
-        [&](svm::Addr a) { return an.text_reachable_refined(a); },
-        [&](svm::Addr a) {
-          return an.text_reachable(a) ? PruneRung::kValueRange
-                                      : PruneRung::kBase;
-        });
-    for (Region r : {Region::kData, Region::kBss})
-      dicts[static_cast<unsigned>(r)]->annotate(
-          [&](svm::Addr a) { return !an.data_byte_dead(a); });
-    compiled =
-        std::make_shared<svm::exec::CompiledProgram>(program, an.cfg());
-    golden = run_golden(app, program, 1, EngineKind::kThreaded, compiled);
-    from_zero = golden;
+  explicit Plan(const std::string& name)
+      : prepared(prepare(apps::make_app(name), CampaignConfig{})) {
     from_zero.ladder = nullptr;
   }
-
-  const FaultDictionary* dict(Region r) const {
-    return dicts[static_cast<unsigned>(r)].get();
-  }
+  Plan(const Plan&) = delete;  // the references point into `prepared`
 
   /// Run `seed` both ways and require identical outcomes; returns the
   /// fast-forwarded one.
   RunOutcome expect_same(Region region, std::uint64_t seed, EngineKind engine,
                          PruneLevel prune) const {
-    const RunContext ctx{analysis.get(), prune, engine, compiled};
-    const RunOutcome a = run_injected(app, program, from_zero, region,
-                                      dict(region), seed, ctx);
-    const RunOutcome b = run_injected(app, program, golden, region,
-                                      dict(region), seed, ctx);
-    SCOPED_TRACE(app.name + " " + region_name(region) + " seed " +
-                 std::to_string(seed) + " " + a.fault_description);
-    EXPECT_EQ(a.manifestation, b.manifestation);
-    EXPECT_EQ(a.fault_description, b.fault_description);
-    EXPECT_EQ(a.failure_detail, b.failure_detail);
-    EXPECT_EQ(a.injected_at, b.injected_at);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.fault_applied, b.fault_applied);
-    EXPECT_EQ(a.crash_kind, b.crash_kind);
-    EXPECT_EQ(a.activation, b.activation);
-    EXPECT_EQ(a.pruned, b.pruned);
-    EXPECT_EQ(a.prune_rung, b.prune_rung);
-    EXPECT_EQ(a.msg_fired, b.msg_fired);
-    EXPECT_EQ(a.msg_hit_header, b.msg_hit_header);
-    EXPECT_EQ(a.msg_offset_in_packet, b.msg_offset_in_packet);
+    RunContext ctx = prepared.context();
+    ctx.prune = prune;
+    ctx.engine = engine;
+    const FaultDictionary* dict = prepared.dictionary(region);
+    const RunOutcome a =
+        run_injected(app, program, from_zero, region, dict, seed, ctx);
+    const RunOutcome b =
+        run_injected(app, program, golden, region, dict, seed, ctx);
+    EXPECT_TRUE(a == b) << app.name << " " << region_name(region)
+                        << " seed " << seed << ": '" << a.fault_description
+                        << "' vs '" << b.fault_description << "'";
     return b;
   }
 };
@@ -105,8 +70,18 @@ const Plan& plan_for(const std::string& name) {
   return *p;
 }
 
-class FastForward
-    : public ::testing::TestWithParam<std::tuple<const char*, EngineKind>> {};
+/// One app on one engine. Printed by name (never by the address of the
+/// app's string), so the test names stay the same from build to build.
+struct AppEngine {
+  const char* app;
+  EngineKind engine;
+};
+
+void PrintTo(const AppEngine& p, std::ostream* os) {
+  *os << p.app << (p.engine == EngineKind::kInterp ? "_interp" : "_threaded");
+}
+
+class FastForward : public ::testing::TestWithParam<AppEngine> {};
 
 TEST_P(FastForward, OutcomesEqualFromZero) {
   const auto [name, engine] = GetParam();
@@ -122,14 +97,13 @@ TEST_P(FastForward, OutcomesEqualFromZero) {
 
 INSTANTIATE_TEST_SUITE_P(
     PaperApps, FastForward,
-    ::testing::Combine(::testing::Values("wavetoy", "minimd", "atmo"),
-                       ::testing::Values(EngineKind::kInterp,
-                                         EngineKind::kThreaded)),
-    [](const auto& info) {
-      return std::string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) == EngineKind::kInterp ? "_interp"
-                                                             : "_threaded");
-    });
+    ::testing::Values(AppEngine{"wavetoy", EngineKind::kInterp},
+                      AppEngine{"wavetoy", EngineKind::kThreaded},
+                      AppEngine{"minimd", EngineKind::kInterp},
+                      AppEngine{"minimd", EngineKind::kThreaded},
+                      AppEngine{"atmo", EngineKind::kInterp},
+                      AppEngine{"atmo", EngineKind::kThreaded}),
+    [](const auto& info) { return ::testing::PrintToString(info.param); });
 
 // The fault time is the first draw of the run's RNG (run.cpp); these
 // searches replay that draw to pick seeds that land on a chosen count.

@@ -26,22 +26,17 @@ apps::App tiny_wavetoy() {
 }
 
 TEST(Fuzz, EveryRegionEveryOutcomeIsDefined) {
-  apps::App app = tiny_wavetoy();
-  const Golden golden = run_golden(app);
-  const svm::Program program = app.link();
-  util::Rng drng(0xd1);
-  std::array<std::unique_ptr<FaultDictionary>, kNumRegions> dicts;
-  for (Region r : {Region::kText, Region::kData, Region::kBss})
-    dicts[static_cast<unsigned>(r)] =
-        std::make_unique<FaultDictionary>(program, r, drng, 512);
+  CampaignConfig cfg;
+  cfg.dictionary_entries = 512;
+  cfg.prune = PruneLevel::kOff;  // simulate every run to its end
+  const Prepared prepared = prepare(tiny_wavetoy(), cfg);
 
   for (unsigned region = 0; region < kNumRegions; ++region) {
     for (std::uint64_t seed = 0; seed < 12; ++seed) {
-      const RunOutcome out =
-          run_injected(app, golden, static_cast<Region>(region),
-                       dicts[region].get(), seed);
+      const RunOutcome out = prepared.run(static_cast<Region>(region), seed);
       EXPECT_LT(static_cast<unsigned>(out.manifestation), kNumManifestations);
-      EXPECT_LE(out.instructions, golden.hang_budget + 1'000'000);
+      EXPECT_LE(out.instructions,
+                prepared.golden().hang_budget + 1'000'000);
     }
   }
 }
@@ -143,7 +138,7 @@ TEST(Fuzz, CampaignRepeatabilityUnderReuse) {
   cfg.regions = {Region::kRegularReg, Region::kMessage};
   cfg.seed = 4242;
   const CampaignResult a = run_campaign(app, cfg);
-  run_golden(app);  // interleaved unrelated work
+  run_golden(app, app.link());  // interleaved unrelated work
   const CampaignResult b = run_campaign(app, cfg);
   for (std::size_t i = 0; i < a.regions.size(); ++i)
     EXPECT_EQ(a.regions[i].counts, b.regions[i].counts);

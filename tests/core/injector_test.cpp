@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/app.hpp"
+#include "core/campaign.hpp"
 #include "svm/stackwalk.hpp"
 
 namespace fsim::core {
@@ -100,27 +101,26 @@ TEST(Injector, StackFaultHitsUserFrame) {
   EXPECT_NE(fault->target.find("stack at"), std::string::npos);
 }
 
-TEST(Injector, StaticRegionUsesDictionary) {
-  apps::App app = apps::make_wavetoy();
-  svm::Program program = app.link();
-  util::Rng drng(15);
-  FaultDictionary dict(program, Region::kData, drng, 512);
+/// A campaign's prepared dictionaries, 512 entries each.
+Prepared prepared_wavetoy() {
+  CampaignConfig cfg;
+  cfg.dictionary_entries = 512;
+  return prepare(apps::make_wavetoy(), cfg);
+}
 
-  Paused p(app);
+TEST(Injector, StaticRegionUsesDictionary) {
+  const Prepared prepared = prepared_wavetoy();
+  Paused p(prepared.app());
   util::Rng rng(16);
-  Injector inj(Region::kData, &dict);
+  Injector inj(Region::kData, prepared.dictionary(Region::kData));
   auto fault = inj.inject(p.world, rng);
   ASSERT_TRUE(fault.has_value());
   EXPECT_NE(fault->target.find("Data"), std::string::npos);
 }
 
 TEST(Injector, TextFaultChangesInstructionByte) {
-  apps::App app = apps::make_wavetoy();
-  svm::Program program = app.link();
-  util::Rng drng(17);
-  FaultDictionary dict(program, Region::kText, drng, 512);
-
-  Paused p(app);
+  const Prepared prepared = prepared_wavetoy();
+  Paused p(prepared.app());
   // Snapshot text of every rank.
   std::vector<std::vector<std::byte>> before;
   for (int r = 0; r < p.world.size(); ++r) {
@@ -128,7 +128,7 @@ TEST(Injector, TextFaultChangesInstructionByte) {
     before.emplace_back(span.begin(), span.end());
   }
   util::Rng rng(18);
-  Injector inj(Region::kText, &dict);
+  Injector inj(Region::kText, prepared.dictionary(Region::kText));
   auto fault = inj.inject(p.world, rng);
   ASSERT_TRUE(fault.has_value());
   std::uint64_t changed = 0;

@@ -136,11 +136,10 @@ TEST(Prune, LevelParsingRoundTrips) {
   EXPECT_EQ(parse_prune_level("off"), PruneLevel::kOff);
   EXPECT_EQ(parse_prune_level("regs"), PruneLevel::kRegs);
   EXPECT_EQ(parse_prune_level("full"), PruneLevel::kFull);
-  // Legacy boolean spellings from the two-level era.
-  EXPECT_EQ(parse_prune_level("on"), PruneLevel::kFull);
-  EXPECT_EQ(parse_prune_level("true"), PruneLevel::kFull);
-  EXPECT_EQ(parse_prune_level("false"), PruneLevel::kOff);
-  EXPECT_FALSE(parse_prune_level("half").has_value());
+  // One spelling per level: the two-level era's booleans are gone as
+  // strings (a spec's JSON true still means "regs", never "full").
+  for (const char* legacy : {"on", "true", "false", "half", "Full", ""})
+    EXPECT_FALSE(parse_prune_level(legacy).has_value()) << legacy;
   for (const auto level :
        {PruneLevel::kOff, PruneLevel::kRegs, PruneLevel::kFull})
     EXPECT_EQ(parse_prune_level(prune_level_name(level)), level);

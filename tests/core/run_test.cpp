@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
+#include "core/analyze.hpp"
 #include "core/campaign.hpp"
 #include "core/report.hpp"
 #include "util/status.hpp"
@@ -21,9 +25,21 @@ apps::App small_wavetoy() {
   return apps::make_wavetoy(cfg);
 }
 
-TEST(RunGolden, CollectsReferenceData) {
+/// The small wavetoy linked once, with its golden run; runs inject without
+/// a dictionary or a static context.
+struct Linked {
   apps::App app = small_wavetoy();
-  Golden g = run_golden(app);
+  svm::Program program = app.link();
+  Golden golden = run_golden(app, program);
+
+  RunOutcome run(Region region, std::uint64_t seed) const {
+    return run_injected(app, program, golden, region, nullptr, seed);
+  }
+};
+
+TEST(RunGolden, CollectsReferenceData) {
+  const Linked l;
+  const Golden& g = l.golden;
   EXPECT_GT(g.instructions, 1000u);
   EXPECT_FALSE(g.baseline.empty());
   ASSERT_EQ(g.rx_bytes.size(), 4u);
@@ -32,46 +48,37 @@ TEST(RunGolden, CollectsReferenceData) {
 }
 
 TEST(RunGolden, Deterministic) {
-  apps::App app = small_wavetoy();
-  Golden a = run_golden(app);
-  Golden b = run_golden(app);
-  EXPECT_EQ(a.instructions, b.instructions);
-  EXPECT_EQ(a.baseline, b.baseline);
-  EXPECT_EQ(a.rx_bytes, b.rx_bytes);
+  const Linked l;
+  const Golden b = run_golden(l.app, l.program);
+  EXPECT_EQ(l.golden.instructions, b.instructions);
+  EXPECT_EQ(l.golden.baseline, b.baseline);
+  EXPECT_EQ(l.golden.rx_bytes, b.rx_bytes);
 }
 
 TEST(RunInjected, SeedReproducibility) {
-  apps::App app = small_wavetoy();
-  Golden g = run_golden(app);
-  const RunOutcome a = run_injected(app, g, Region::kRegularReg, nullptr, 5);
-  const RunOutcome b = run_injected(app, g, Region::kRegularReg, nullptr, 5);
-  EXPECT_EQ(a.manifestation, b.manifestation);
-  EXPECT_EQ(a.fault_description, b.fault_description);
-  EXPECT_EQ(a.instructions, b.instructions);
+  const Linked l;
+  EXPECT_TRUE(l.run(Region::kRegularReg, 5) == l.run(Region::kRegularReg, 5));
 }
 
 TEST(RunInjected, OutcomesAreWellFormed) {
-  apps::App app = small_wavetoy();
-  Golden g = run_golden(app);
+  const Linked l;
   int applied = 0;
   for (std::uint64_t seed = 0; seed < 25; ++seed) {
-    const RunOutcome out =
-        run_injected(app, g, Region::kRegularReg, nullptr, seed);
+    const RunOutcome out = l.run(Region::kRegularReg, seed);
     if (out.fault_applied) {
       ++applied;
       EXPECT_FALSE(out.fault_description.empty());
-      EXPECT_LE(out.injected_at, g.instructions);
+      EXPECT_LE(out.injected_at, l.golden.instructions);
     }
-    EXPECT_LE(out.instructions, g.hang_budget + 100000);
+    EXPECT_LE(out.instructions, l.golden.hang_budget + 100000);
   }
   EXPECT_GT(applied, 20);  // register targets almost always exist
 }
 
 TEST(RunInjected, MessageFaultsUseGoldenVolume) {
-  apps::App app = small_wavetoy();
-  Golden g = run_golden(app);
+  const Linked l;
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    const RunOutcome out = run_injected(app, g, Region::kMessage, nullptr, seed);
+    const RunOutcome out = l.run(Region::kMessage, seed);
     EXPECT_TRUE(out.fault_applied);
     EXPECT_NE(out.fault_description.find("message stream"), std::string::npos);
   }
@@ -80,12 +87,10 @@ TEST(RunInjected, MessageFaultsUseGoldenVolume) {
 TEST(RunInjected, CrashOutcomeCarriesSignal) {
   // Sweep seeds until a crash occurs; its detail must name a signal or an
   // MPICH fatal condition.
-  apps::App app = small_wavetoy();
-  Golden g = run_golden(app);
+  const Linked l;
   bool found = false;
   for (std::uint64_t seed = 0; seed < 60 && !found; ++seed) {
-    const RunOutcome out =
-        run_injected(app, g, Region::kRegularReg, nullptr, seed);
+    const RunOutcome out = l.run(Region::kRegularReg, seed);
     if (out.manifestation == Manifestation::kCrash) {
       found = true;
       EXPECT_FALSE(out.failure_detail.empty());
@@ -97,15 +102,14 @@ TEST(RunInjected, CrashOutcomeCarriesSignal) {
 TEST(RunInjected, UninjectedRunMatchesGolden) {
   // A message fault armed beyond the traffic volume never fires: the run
   // must classify as Correct.
-  apps::App app = small_wavetoy();
-  Golden g = run_golden(app);
+  const Linked l;
   // Find a seed whose chosen byte is near the end and force no-fire by
   // shrinking: simplest honest check — run with the message region many
   // times; those that fired must be classified, those that did not must be
   // Correct. (Firing is recorded by fault_applied + channel state.)
   int corrects = 0, total = 0;
   for (std::uint64_t seed = 100; seed < 130; ++seed) {
-    const RunOutcome out = run_injected(app, g, Region::kMessage, nullptr, seed);
+    const RunOutcome out = l.run(Region::kMessage, seed);
     ++total;
     if (out.manifestation == Manifestation::kCorrect) ++corrects;
   }
@@ -161,6 +165,54 @@ TEST(Campaign, DeterministicForSeed) {
   const CampaignResult a = run_campaign(app, cfg);
   const CampaignResult b = run_campaign(app, cfg);
   EXPECT_EQ(a.regions[0].counts, b.regions[0].counts);
+}
+
+TEST(Prepare, AnalyzePredictsFromTheCampaignDictionaries) {
+  CampaignConfig cc;
+  cc.runs_per_region = 0;  // static only
+  cc.seed = 250;
+  for (const char* name : {"wavetoy", "minimd", "atmo"}) {
+    const AnalyzeResult res = analyze_app(apps::make_app(name), cc);
+    const Prepared p = prepare(apps::make_app(name), cc);
+    EXPECT_EQ(res.text_dead, p.dictionary(Region::kText)->dead_entries());
+    EXPECT_EQ(res.data_dead, p.dictionary(Region::kData)->dead_entries());
+    EXPECT_EQ(res.bss_dead, p.dictionary(Region::kBss)->dead_entries());
+  }
+}
+
+TEST(Prepare, RunReplaysTheBatchGridPoint) {
+  CampaignConfig cfg;  // every region
+  cfg.runs_per_region = 6;
+  cfg.seed = 31;
+  cfg.jobs = 1;
+  struct Recorder final : CampaignObserver {
+    std::map<std::pair<Region, int>, RunOutcome> outcomes;
+    void on_run_done(const RunEvent& ev) override {
+      outcomes[{ev.region, ev.run_index}] = *ev.outcome;
+    }
+  } recorder;
+  cfg.observer = &recorder;
+  run_campaign(small_wavetoy(), cfg);
+  ASSERT_EQ(recorder.outcomes.size(), 8u * 6u);
+
+  const Prepared prepared = prepare(small_wavetoy(), cfg);
+  for (const auto& [point, batch] : recorder.outcomes) {
+    const auto [region, i] = point;
+    const RunOutcome out =
+        prepared.run(region, run_seed_for(cfg.seed, region, i));
+    EXPECT_TRUE(out == batch) << region_name(region) << " run " << i << ": '"
+                              << out.fault_description << "' vs '"
+                              << batch.fault_description << "'";
+  }
+}
+
+TEST(Prepare, ReadmeCallPatternCoversTheStaticRegions) {
+  const Prepared prepared = prepare(apps::make_app("wavetoy"), {});
+  for (Region region : {Region::kText, Region::kData, Region::kBss}) {
+    const RunOutcome out = prepared.run(region, /*seed=*/7);
+    EXPECT_TRUE(out.fault_applied) << region_name(region);
+    EXPECT_NE(out.activation, Activation::kUnknown) << region_name(region);
+  }
 }
 
 TEST(Report, JsonExportIsWellFormedAndComplete) {
