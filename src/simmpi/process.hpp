@@ -20,6 +20,7 @@
 #include <deque>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,51 +49,21 @@ class Process : public svm::BasicEnv {
   /// Did any syscall complete (or any packet get drained) since the flag was
   /// last cleared? The scheduler's deadlock detector uses this.
   bool take_progress() noexcept {
-    const bool p = progress_;
-    progress_ = false;
+    const bool p = state_.progress;
+    state_.progress = false;
     return p;
   }
 
-  bool errhandler_registered() const noexcept { return errhandler_; }
+  bool errhandler_registered() const noexcept { return state_.errhandler; }
 
   /// ADI-level view of validated incoming traffic (Table 1 companion).
-  const TrafficStats& adi_stats() const noexcept { return adi_stats_; }
-
-  // --- Checkpoint/restart support ---
-  // The MPI library's complete per-rank state. Opaque to callers: hold it,
-  // copy it, hand it back to restore_state(); its member types are
-  // implementation details.
-  struct State;
-  State snapshot_state() const;
-  void restore_state(const State& s);
-
- protected:
-  svm::SysResult on_mpi_syscall(svm::Machine& m, svm::Sys number) override;
+  const TrafficStats& adi_stats() const noexcept { return state_.adi_stats; }
 
  private:
   struct InMsg {
     MsgHeader header;
     svm::Addr buffer = 0;  // simulated-heap chunk holding the payload
   };
-
-  // --- API-level helpers ---
-  svm::SysResult arg_error(const std::string& which, const std::string& why);
-  svm::SysResult mpich_fatal(const std::string& why);
-  svm::SysResult done() {
-    progress_ = true;
-    return svm::SysResult::kDone;
-  }
-
-  // --- ADI ---
-  /// Drain and validate everything pending on the channel into the inbox.
-  /// Returns false if a fatal protocol error was raised.
-  bool pump_channel();
-  /// Find-and-remove the first inbox message matching the predicate.
-  template <typename Pred>
-  std::optional<InMsg> match(Pred pred);
-  void push_packet_to(int dest, const MsgHeader& h,
-                      std::span<const std::byte> payload);
-  void release(const InMsg& msg);
 
   // --- Nonblocking requests (MPI 1.1 §3.7) ---
   struct Request {
@@ -113,61 +84,11 @@ class Process : public svm::BasicEnv {
     std::uint32_t bytes = 0;  // delivered payload size
   };
 
-  std::uint32_t alloc_request();
-  Request* request(std::uint32_t id);
-  /// Drive pending nonblocking operations: finish rendezvous sends whose
-  /// CTS arrived, deliver inbox messages to posted receives (in post
-  /// order), and answer rendezvous requests for posted receives. Returns
-  /// false if a fatal protocol error was raised.
-  bool progress();
-
-  // --- Individual operations ---
-  svm::SysResult do_init(svm::Machine& m);
-  svm::SysResult do_finalize(svm::Machine& m);
-  svm::SysResult do_send(svm::Machine& m);
-  svm::SysResult do_recv(svm::Machine& m);
-  svm::SysResult do_barrier(svm::Machine& m);
-  svm::SysResult do_bcast(svm::Machine& m);
-  svm::SysResult do_reduce(svm::Machine& m, bool all);
-  // Binomial-tree variants (dispatched on WorldOptions::collectives).
-  svm::SysResult do_barrier_tree(svm::Machine& m);
-  svm::SysResult do_bcast_tree(svm::Machine& m, svm::Addr buf,
-                               std::uint32_t len, int root);
-  svm::SysResult do_reduce_tree(svm::Machine& m, bool all, svm::Addr sendbuf,
-                                svm::Addr recvbuf, std::uint32_t count,
-                                int root);
-  svm::SysResult do_isend(svm::Machine& m);
-  svm::SysResult do_irecv(svm::Machine& m);
-  svm::SysResult do_wait(svm::Machine& m);
-  svm::SysResult do_test(svm::Machine& m);
-  svm::SysResult do_probe(svm::Machine& m);
-  svm::SysResult do_sendrecv(svm::Machine& m);
-  svm::SysResult do_gather(svm::Machine& m);
-  svm::SysResult do_scatter(svm::Machine& m);
-
-  World* world_;
-  svm::Machine* machine_;
-  Channel channel_;
-  TrafficStats adi_stats_;
-  int rank_ = 0;
-  bool initialized_ = false;
-  bool finalized_ = false;
-  bool errhandler_ = false;
-  bool progress_ = false;
-  std::uint32_t send_seq_ = 0;
-
-  std::deque<InMsg> inbox_;
-
   // Rendezvous sender state (one outstanding blocking send).
   struct RndvState {
     bool active = false;
     std::uint32_t seq = 0;
-  } rndv_;
-  std::vector<Request> requests_;
-  std::uint32_t blocking_sendrecv_ = 0;  // request id of an in-flight
-                                         // MPI_Sendrecv receive half
-  // CTS already issued for these (src, seq) pairs; cleared on data match.
-  std::set<std::pair<int, std::uint32_t>> cts_sent_;
+  };
 
   // Collective progress (one outstanding blocking collective).
   struct CollState {
@@ -177,32 +98,133 @@ class Process : public svm::BasicEnv {
     std::uint32_t mask = 0;   // binomial-tree stage (gather/scatter)
     std::uint32_t mask2 = 0;  // binomial-tree stage of a second sub-phase
     std::vector<double> accum;
-  } coll_;
-  std::uint32_t barrier_epoch_ = 0;
-  std::uint32_t bcast_epoch_ = 0;
-  std::uint32_t reduce_epoch_ = 0;
-  std::uint32_t gather_epoch_ = 0;
-  std::uint32_t scatter_epoch_ = 0;
-};
+  };
 
-struct Process::State {
-  TrafficStats adi_stats;
-  bool initialized = false;
-  bool finalized = false;
-  bool errhandler = false;
-  bool progress = false;
-  std::uint32_t send_seq = 0;
-  std::deque<InMsg> inbox;
-  RndvState rndv;
-  std::vector<Request> requests;
-  std::uint32_t blocking_sendrecv = 0;
-  std::set<std::pair<int, std::uint32_t>> cts_sent;
-  CollState coll;
-  std::uint32_t barrier_epoch = 0;
-  std::uint32_t bcast_epoch = 0;
-  std::uint32_t reduce_epoch = 0;
-  std::uint32_t gather_epoch = 0;
-  std::uint32_t scatter_epoch = 0;
+ public:
+  // --- Checkpoint/restart support ---
+  // The MPI library's complete per-rank state, kept as this one value: a
+  // field added here is snapshotted with no further code. Opaque to
+  // callers: hold it, copy it, hand it back to restore_state(); its member
+  // types are implementation details.
+  struct State {
+    TrafficStats adi_stats;
+    bool initialized = false;
+    bool finalized = false;
+    bool errhandler = false;
+    bool progress = false;
+    std::uint32_t send_seq = 0;
+    std::deque<InMsg> inbox;
+    RndvState rndv;
+    std::vector<Request> requests;
+    std::uint32_t blocking_sendrecv = 0;  // request id of an in-flight
+                                          // MPI_Sendrecv receive half
+    // CTS already issued for these (src, seq) pairs; cleared on data match.
+    std::set<std::pair<int, std::uint32_t>> cts_sent;
+    CollState coll;
+    std::uint32_t barrier_epoch = 0;
+    std::uint32_t bcast_epoch = 0;
+    std::uint32_t reduce_epoch = 0;
+    std::uint32_t gather_epoch = 0;
+    std::uint32_t scatter_epoch = 0;
+  };
+  State snapshot_state() const { return state_; }
+  void restore_state(const State& s) { state_ = s; }
+
+ protected:
+  svm::SysResult on_mpi_syscall(svm::Machine& m, svm::Sys number) override;
+
+ private:
+  /// The argument registers of Send/Isend and Recv/Irecv.
+  struct P2pArgs {
+    svm::Addr buf = 0;
+    std::uint32_t count = 0;
+    int peer = 0;  // destination, or source (kAnySource allowed)
+    std::int32_t tag = 0;
+  };
+  static P2pArgs p2p_args(const svm::Machine& m);
+
+  // --- API-level helpers ---
+  svm::SysResult arg_error(const std::string& which, const std::string& why);
+  svm::SysResult mpich_fatal(const std::string& why);
+  svm::SysResult done() {
+    state_.progress = true;
+    return svm::SysResult::kDone;
+  }
+  /// The argument checks of MPI_Send and MPI_Isend (`call` names the
+  /// routine in the error). On success `payload` holds the send buffer and
+  /// nothing is returned; otherwise the result of the raised error.
+  std::optional<svm::SysResult> check_send(const char* call, const P2pArgs& a,
+                                           std::vector<std::byte>& payload);
+  /// The argument checks of MPI_Recv and MPI_Irecv.
+  std::optional<svm::SysResult> check_recv(const char* call, const P2pArgs& a);
+
+  // --- Wire: the only code that fills a MsgHeader for sending ---
+  /// Push a data packet (header + payload) from this rank to `dest`.
+  void send_data(int dest, std::int32_t tag, std::uint32_t seq,
+                 std::uint32_t ctrl_arg, std::span<const std::byte> payload);
+  /// Push a header-only control packet from this rank to `dest`. An RTS
+  /// takes the next sequence number, which the data packet answering its
+  /// CTS reuses, and returns it; other control packets carry sequence 0.
+  std::uint32_t send_control(int dest, CtrlOp op, std::int32_t tag,
+                             std::uint32_t ctrl_arg);
+
+  // --- ADI ---
+  /// Drain and validate everything pending on the channel into the inbox.
+  /// Returns false if a fatal protocol error was raised.
+  bool pump_channel();
+  /// Find-and-remove the first inbox message matching the predicate.
+  template <typename Pred>
+  std::optional<InMsg> match(Pred pred);
+  /// Find-and-remove the CTS `peer` sent for our rendezvous `seq`.
+  bool take_cts(int peer, std::uint32_t seq);
+  /// Answer the first unanswered rendezvous request from `src` (or any
+  /// source) with `tag` by a CTS, so its sender pushes the payload.
+  void answer_rts(int src, std::int32_t tag);
+  /// Read a matched data message's payload out of its MPI-owned heap
+  /// buffer, and release the buffer.
+  std::vector<std::byte> take_payload(const InMsg& msg);
+  /// take_payload() into user memory at `dest`. False if `dest` is
+  /// unwritable; the buffer is released on every path.
+  bool deliver(const InMsg& msg, svm::Addr dest);
+  /// Release a matched message the operation cannot accept and abort the
+  /// job with `why`.
+  svm::SysResult reject(const InMsg& msg, const std::string& why);
+  bool read_doubles(svm::Addr addr, std::uint32_t count,
+                    std::vector<double>& out) const;
+  bool write_doubles(svm::Addr addr, const std::vector<double>& in);
+
+  std::uint32_t alloc_request();
+  Request* request(std::uint32_t id);
+  /// Drive pending nonblocking operations: finish rendezvous sends whose
+  /// CTS arrived, deliver inbox messages to posted receives (in post
+  /// order), and answer rendezvous requests for posted receives. Returns
+  /// false if a fatal protocol error was raised.
+  bool progress();
+
+  // --- Individual operations ---
+  svm::SysResult do_send(svm::Machine& m);
+  svm::SysResult do_recv(svm::Machine& m);
+  svm::SysResult do_barrier(svm::Machine& m);
+  svm::SysResult do_bcast(svm::Machine& m);
+  svm::SysResult do_reduce(svm::Machine& m, bool all);
+  // Binomial-tree variants (dispatched on WorldOptions::collectives).
+  svm::SysResult do_barrier_tree();
+  svm::SysResult do_bcast_tree(svm::Addr buf, std::uint32_t len, int root);
+  svm::SysResult do_reduce_tree(bool all, svm::Addr sendbuf, svm::Addr recvbuf,
+                                std::uint32_t count, int root);
+  svm::SysResult do_isend(svm::Machine& m);
+  svm::SysResult do_irecv(svm::Machine& m);
+  svm::SysResult do_wait(svm::Machine& m, bool test);
+  svm::SysResult do_probe(svm::Machine& m);
+  svm::SysResult do_sendrecv(svm::Machine& m);
+  svm::SysResult do_gather(svm::Machine& m);
+  svm::SysResult do_scatter(svm::Machine& m);
+
+  World* world_;
+  svm::Machine* machine_;
+  Channel channel_;
+  int rank_ = 0;
+  State state_;
 };
 
 }  // namespace fsim::simmpi
