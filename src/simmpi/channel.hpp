@@ -50,29 +50,31 @@ class Channel {
   /// Enqueue a serialised packet for this rank (called by the sender side;
   /// the underlying transport is reliable and ordered, like TCP).
   void enqueue(std::vector<std::byte> packet) {
-    pending_bytes_ += packet.size();
-    queue_.push_back(std::move(packet));
+    state_.pending_bytes += packet.size();
+    state_.queue.push_back(std::move(packet));
   }
 
   /// Drain the next packet, applying traffic accounting and any armed fault.
   /// Returns nothing when the queue is empty.
   std::optional<std::vector<std::byte>> drain();
 
-  bool empty() const noexcept { return queue_.empty(); }
-  std::size_t queued_packets() const noexcept { return queue_.size(); }
-  std::uint64_t pending_bytes() const noexcept { return pending_bytes_; }
+  bool empty() const noexcept { return state_.queue.empty(); }
+  std::size_t queued_packets() const noexcept { return state_.queue.size(); }
+  std::uint64_t pending_bytes() const noexcept { return state_.pending_bytes; }
 
   /// Cumulative bytes drained so far (the paper's received-volume counter).
-  std::uint64_t received_bytes() const noexcept { return received_bytes_; }
+  std::uint64_t received_bytes() const noexcept {
+    return state_.received_bytes;
+  }
 
-  const TrafficStats& stats() const noexcept { return stats_; }
+  const TrafficStats& stats() const noexcept { return state_.stats; }
 
   void arm_fault(std::uint64_t byte_index, unsigned bit) {
-    fault_ = ChannelFault{byte_index, bit, true, false, false, 0};
+    state_.fault = ChannelFault{byte_index, bit, true, false, false, 0};
   }
-  const ChannelFault& fault() const noexcept { return fault_; }
+  const ChannelFault& fault() const noexcept { return state_.fault; }
 
-  // --- Checkpoint/restart support ---
+  // --- Checkpoint/restart support: the channel's whole state, one value ---
   struct State {
     std::deque<std::vector<std::byte>> queue;
     std::uint64_t received_bytes = 0;
@@ -80,23 +82,11 @@ class Channel {
     TrafficStats stats;
     ChannelFault fault;
   };
-  State snapshot_state() const {
-    return State{queue_, received_bytes_, pending_bytes_, stats_, fault_};
-  }
-  void restore_state(const State& s) {
-    queue_ = s.queue;
-    received_bytes_ = s.received_bytes;
-    pending_bytes_ = s.pending_bytes;
-    stats_ = s.stats;
-    fault_ = s.fault;
-  }
+  State snapshot_state() const { return state_; }
+  void restore_state(const State& s) { state_ = s; }
 
  private:
-  std::deque<std::vector<std::byte>> queue_;
-  std::uint64_t received_bytes_ = 0;
-  std::uint64_t pending_bytes_ = 0;
-  TrafficStats stats_;
-  ChannelFault fault_;
+  State state_;
 };
 
 }  // namespace fsim::simmpi

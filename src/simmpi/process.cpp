@@ -74,7 +74,8 @@ std::optional<SysResult> Process::check_send(const char* call,
   if (!state_.initialized || state_.finalized)
     return mpich_fatal(std::string(call) + " outside init/finalize window");
   if (a.peer < 0 || a.peer >= world_->size())
-    return arg_error(call, "invalid destination rank " + std::to_string(a.peer));
+    return arg_error(call,
+                     "invalid destination rank " + std::to_string(a.peer));
   if (a.count > kMaxMessageBytes)
     return arg_error(call, "invalid count " + std::to_string(a.count));
   if (a.tag < 0 || a.tag >= kReservedTagBase)

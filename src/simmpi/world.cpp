@@ -7,7 +7,8 @@
 namespace fsim::simmpi {
 
 World::World(const svm::Program& program, const WorldOptions& options)
-    : options_(options), jitter_rng_(options.seed) {
+    : options_(options) {
+  state_.jitter_rng = util::Rng(options.seed);
   FSIM_CHECK(options.nranks >= 1);
   machines_.reserve(static_cast<std::size_t>(options.nranks));
   processes_.reserve(static_cast<std::size_t>(options.nranks));
@@ -29,25 +30,26 @@ std::uint64_t World::global_instructions() const {
 }
 
 void World::post_fatal(int rank, const std::string& msg) {
-  if (status_ == JobStatus::kRunning) {
-    status_ = JobStatus::kMpiFatal;
-    failed_rank_ = rank;
-    failure_msg_ = msg;
+  if (state_.status == JobStatus::kRunning) {
+    state_.status = JobStatus::kMpiFatal;
+    state_.failed_rank = rank;
+    state_.failure_msg = msg;
   }
 }
 
 JobStatus World::advance() {
-  if (status_ != JobStatus::kRunning) return status_;
+  if (state_.status != JobStatus::kRunning) return state_.status;
 
   for (auto& m : machines_) {
     if (m->state() != svm::RunState::kReady) continue;
     const std::uint64_t quantum =
         options_.quantum +
         (options_.quantum_jitter > 0
-             ? jitter_rng_.below(options_.quantum_jitter + 1)
+             ? state_.jitter_rng.below(options_.quantum_jitter + 1)
              : 0);
     m->step(quantum);
-    if (status_ != JobStatus::kRunning) return status_;  // fatal during step
+    // A fatal MPI error during the step ends the job at once.
+    if (state_.status != JobStatus::kRunning) return state_.status;
   }
 
   // Job-level outcome checks (MPI 1.1: one task failing kills the job).
@@ -56,29 +58,29 @@ JobStatus World::advance() {
     auto& m = *machines_[r];
     switch (m.state()) {
       case svm::RunState::kTrapped:
-        status_ = JobStatus::kCrashed;
-        failed_rank_ = static_cast<int>(r);
-        crash_trap_ = m.trap();
-        failure_msg_ = std::string("rank ") + std::to_string(r) +
+        state_.status = JobStatus::kCrashed;
+        state_.failed_rank = static_cast<int>(r);
+        state_.crash_trap = m.trap();
+        state_.failure_msg = std::string("rank ") + std::to_string(r) +
                        " received signal " + svm::trap_name(m.trap());
         processes_[r]->append_console("MPICH: process terminated by " +
                                       std::string(svm::trap_name(m.trap())) +
                                       "\n");
-        return status_;
+        return state_.status;
       case svm::RunState::kExited:
         switch (m.exit_kind()) {
           case svm::ExitKind::kAppAbort:
-            status_ = JobStatus::kAppAborted;
-            failed_rank_ = static_cast<int>(r);
-            return status_;
+            state_.status = JobStatus::kAppAborted;
+            state_.failed_rank = static_cast<int>(r);
+            return state_.status;
           case svm::ExitKind::kMpiFatal:
-            status_ = JobStatus::kMpiFatal;
-            failed_rank_ = static_cast<int>(r);
-            return status_;
+            state_.status = JobStatus::kMpiFatal;
+            state_.failed_rank = static_cast<int>(r);
+            return state_.status;
           case svm::ExitKind::kMpiHandler:
-            status_ = JobStatus::kMpiHandler;
-            failed_rank_ = static_cast<int>(r);
-            return status_;
+            state_.status = JobStatus::kMpiHandler;
+            state_.failed_rank = static_cast<int>(r);
+            return state_.status;
           case svm::ExitKind::kNormal:
             break;
         }
@@ -89,8 +91,8 @@ JobStatus World::advance() {
     }
   }
   if (all_exited) {
-    status_ = JobStatus::kCompleted;
-    return status_;
+    state_.status = JobStatus::kCompleted;
+    return state_.status;
   }
 
   // Deadlock detection: once every rank is parked on a blocking syscall (or
@@ -107,23 +109,23 @@ JobStatus World::advance() {
     if (m->state() == svm::RunState::kReady) all_parked = false;
   if (all_parked && !any_progress) {
     if (options_.deadlock_rounds > 0 &&
-        ++stall_rounds_ >= options_.deadlock_rounds) {
-      status_ = JobStatus::kDeadlocked;
-      return status_;
+        ++state_.stall_rounds >= options_.deadlock_rounds) {
+      state_.status = JobStatus::kDeadlocked;
+      return state_.status;
     }
   } else {
-    stall_rounds_ = 0;
+    state_.stall_rounds = 0;
   }
 
   // Wake every blocked rank so its syscall retries next round.
   for (auto& m : machines_) m->wake();
-  return status_;
+  return state_.status;
 }
 
 JobStatus World::run(std::uint64_t budget) {
-  while (status_ == JobStatus::kRunning && global_instructions() < budget)
+  while (state_.status == JobStatus::kRunning && global_instructions() < budget)
     advance();
-  return status_;
+  return state_.status;
 }
 
 std::string World::console() const {

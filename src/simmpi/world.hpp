@@ -70,7 +70,7 @@ class World {
   /// the caller classifies that as a hang).
   JobStatus run(std::uint64_t budget);
 
-  JobStatus status() const noexcept { return status_; }
+  JobStatus status() const noexcept { return state_.status; }
   std::uint64_t global_instructions() const;
 
   int size() const noexcept { return static_cast<int>(processes_.size()); }
@@ -90,9 +90,11 @@ class World {
   const std::string& output() const { return processes_[0]->output(); }
 
   /// Crash diagnostics, valid when status is kCrashed / kMpiFatal.
-  int failed_rank() const noexcept { return failed_rank_; }
-  svm::Trap crash_trap() const noexcept { return crash_trap_; }
-  const std::string& failure_message() const noexcept { return failure_msg_; }
+  int failed_rank() const noexcept { return state_.failed_rank; }
+  svm::Trap crash_trap() const noexcept { return state_.crash_trap; }
+  const std::string& failure_message() const noexcept {
+    return state_.failure_msg;
+  }
 
   // --- Called by Process ---
   void enqueue_to(int dest, std::vector<std::byte> packet) {
@@ -102,38 +104,23 @@ class World {
   /// A rank hit an unrecoverable MPI-library error: the job dies.
   void post_fatal(int rank, const std::string& msg);
 
-  // --- Checkpoint/restart support ---
+  // --- Checkpoint/restart support: the job-level state, one value ---
   struct State {
     JobStatus status = JobStatus::kRunning;
     int failed_rank = -1;
     svm::Trap crash_trap = svm::Trap::kNone;
     std::string failure_msg;
     int stall_rounds = 0;
-    std::array<std::uint64_t, 4> jitter_rng_state{};
+    util::Rng jitter_rng;
   };
-  State snapshot_state() const {
-    return State{status_, failed_rank_, crash_trap_, failure_msg_,
-                 stall_rounds_, jitter_rng_.state()};
-  }
-  void restore_state(const State& s) {
-    status_ = s.status;
-    failed_rank_ = s.failed_rank;
-    crash_trap_ = s.crash_trap;
-    failure_msg_ = s.failure_msg;
-    stall_rounds_ = s.stall_rounds;
-    jitter_rng_.set_state(s.jitter_rng_state);
-  }
+  State snapshot_state() const { return state_; }
+  void restore_state(const State& s) { state_ = s; }
 
  private:
   WorldOptions options_;
   std::vector<std::unique_ptr<svm::Machine>> machines_;
   std::vector<std::unique_ptr<Process>> processes_;
-  util::Rng jitter_rng_;
-  JobStatus status_ = JobStatus::kRunning;
-  int failed_rank_ = -1;
-  svm::Trap crash_trap_ = svm::Trap::kNone;
-  std::string failure_msg_;
-  int stall_rounds_ = 0;
+  State state_;
 };
 
 }  // namespace fsim::simmpi

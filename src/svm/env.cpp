@@ -5,7 +5,8 @@
 namespace fsim::svm {
 
 BasicEnv::BasicEnv(Machine& machine, std::uint64_t rand_seed)
-    : heap_(machine.memory()), rand_(rand_seed) {
+    : heap_(machine.memory()) {
+  io_.rand = util::Rng(rand_seed);
   machine.set_handler(this);
 }
 
@@ -65,23 +66,23 @@ SysResult BasicEnv::on_syscall(Machine& m, std::uint16_t number) {
         }
         text[i] = static_cast<char>(byte);
       }
-      (sys == Sys::kPrintStr ? console_ : output_) += text;
+      (sys == Sys::kPrintStr ? io_.console : io_.output) += text;
       return SysResult::kDone;
     }
 
     case Sys::kPrintI32:
-      console_ += std::to_string(static_cast<std::int32_t>(m.arg(0)));
+      io_.console += std::to_string(static_cast<std::int32_t>(m.arg(0)));
       return SysResult::kDone;
 
     case Sys::kOutI32:
-      output_ += std::to_string(static_cast<std::int32_t>(m.arg(0)));
+      io_.output += std::to_string(static_cast<std::int32_t>(m.arg(0)));
       return SysResult::kDone;
 
     case Sys::kOutF64: {
       double v = 0;
       if (SysResult r = read_f64(m, m.arg(0), v); r != SysResult::kDone)
         return r;
-      output_ += format_f64(v, m.arg(1));
+      io_.output += format_f64(v, m.arg(1));
       return SysResult::kDone;
     }
 
@@ -89,7 +90,7 @@ SysResult BasicEnv::on_syscall(Machine& m, std::uint16_t number) {
       double v = 0;
       if (SysResult r = read_f64(m, m.arg(0), v); r != SysResult::kDone)
         return r;
-      console_ += format_f64(v, m.arg(1));
+      io_.console += format_f64(v, m.arg(1));
       return SysResult::kDone;
     }
 
@@ -104,7 +105,7 @@ SysResult BasicEnv::on_syscall(Machine& m, std::uint16_t number) {
       char buf[20];
       std::snprintf(buf, sizeof buf, "%016llx",
                     static_cast<unsigned long long>(bits));
-      output_ += buf;
+      io_.output += buf;
       return SysResult::kDone;
     }
 
@@ -142,7 +143,7 @@ SysResult BasicEnv::on_syscall(Machine& m, std::uint16_t number) {
         }
         msg[i] = static_cast<char>(byte);
       }
-      console_ += "APPLICATION ERROR: " + msg + "\n";
+      io_.console += "APPLICATION ERROR: " + msg + "\n";
       m.finish(134, ExitKind::kAppAbort);
       return SysResult::kExit;
     }
@@ -164,7 +165,7 @@ SysResult BasicEnv::on_syscall(Machine& m, std::uint16_t number) {
     }
 
     case Sys::kRand:
-      m.set_result(static_cast<std::uint32_t>(rand_() & 0x7fffffffu));
+      m.set_result(static_cast<std::uint32_t>(io_.rand() & 0x7fffffffu));
       return SysResult::kDone;
 
     case Sys::kRealloc:

@@ -29,27 +29,21 @@ class BasicEnv : public SyscallHandler {
 
   SysResult on_syscall(Machine& m, std::uint16_t number) override;
 
-  const std::string& console() const noexcept { return console_; }
-  const std::string& output() const noexcept { return output_; }
+  const std::string& console() const noexcept { return io_.console; }
+  const std::string& output() const noexcept { return io_.output; }
   Heap& heap() noexcept { return heap_; }
   const Heap& heap() const noexcept { return heap_; }
 
-  void append_console(const std::string& text) { console_ += text; }
+  void append_console(const std::string& text) { io_.console += text; }
 
-  // --- Checkpoint/restart support ---
+  // --- Checkpoint/restart support: the process's I/O and PRNG, one value ---
   struct IoState {
     std::string console;
     std::string output;
-    std::array<std::uint64_t, 4> rng_state{};
+    util::Rng rand;
   };
-  IoState io_state() const {
-    return IoState{console_, output_, rand_.state()};
-  }
-  void restore_io_state(const IoState& s) {
-    console_ = s.console;
-    output_ = s.output;
-    rand_.set_state(s.rng_state);
-  }
+  IoState io_state() const { return io_; }
+  void restore_io_state(const IoState& s) { io_ = s; }
 
  protected:
   /// Hook for the MPI syscall family (numbers >= 32). The base class raises
@@ -65,9 +59,7 @@ class BasicEnv : public SyscallHandler {
   SysResult read_f64(Machine& m, Addr addr, double& out);
 
   Heap heap_;
-  std::string console_;
-  std::string output_;
-  util::Rng rand_;
+  IoState io_;
 };
 
 /// Fletcher-style 32-bit checksum over simulated memory; also the costing

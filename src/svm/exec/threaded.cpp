@@ -41,7 +41,7 @@
 namespace fsim::svm {
 
 std::uint64_t Machine::step_threaded(std::uint64_t max_instructions) {
-  if (state_ != RunState::kReady) return 0;
+  if (core_.state != RunState::kReady) return 0;
   const exec::CompiledProgram* code = refresh_code();
   // The window snapshot persists across quanta: backing storage never
   // moves, so only a window change (a growing poke, a restore) or a
@@ -49,13 +49,13 @@ std::uint64_t Machine::step_threaded(std::uint64_t max_instructions) {
   exec::FastMem& fm = fastmem_;
   if (!fm.valid(mem_)) fm.refresh(mem_);
 
-  auto& g = regs_.gpr;
-  Fpu& f = regs_.fpu;
-  std::uint32_t pc = regs_.pc;
+  auto& g = core_.regs.gpr;
+  Fpu& f = core_.regs.fpu;
+  std::uint32_t pc = core_.regs.pc;
   const exec::DOp* d = nullptr;
-  // `ic` counts ops entered since the last icount_ flush; `acc` holds
+  // `ic` counts ops entered since the last core_.icount flush; `acc` holds
   // executed cycles already fully accounted (syscall charges, slow-path
-  // ops). The architectural icount_ and pc are flushed only at exits.
+  // ops). The architectural core_.icount and pc are flushed only at exits.
   std::uint64_t ic = 0;
   std::uint64_t acc = 0;
   std::uint64_t quota = max_instructions;
@@ -63,12 +63,12 @@ std::uint64_t Machine::step_threaded(std::uint64_t max_instructions) {
 // An aborting op leaves pc on the faulting instruction and, exactly like the
 // interpreter, is excluded from the executed count even though icount was
 // bumped (the op did enter, so `ic` covers it).
-#define VM_FAIL(trap, addr)  \
-  do {                       \
-    icount_ += ic;           \
-    regs_.pc = pc;           \
-    raise((trap), (addr));   \
-    return acc + ic - 1;     \
+#define VM_FAIL(trap, addr) \
+  do {                      \
+    core_.icount += ic;     \
+    core_.regs.pc = pc;     \
+    raise((trap), (addr));  \
+    return acc + ic - 1;    \
   } while (0)
 
 #if defined(FSIM_HAVE_COMPUTED_GOTO)
@@ -140,26 +140,26 @@ slow:
   // the quantum: if the op that brought us here exhausted the budget, stop
   // at the boundary exactly like the interpreter's pre-op check does — the
   // trap/finish belongs to the next quantum.
-  icount_ += ic;
+  core_.icount += ic;
   acc += ic;
   ic = 0;
-  regs_.pc = pc;
+  core_.regs.pc = pc;
   if (acc >= max_instructions) return acc;
   {
-    const std::uint64_t before = icount_;
+    const std::uint64_t before = core_.icount;
     if (!exec_one()) return acc;
-    acc += icount_ - before;
+    acc += core_.icount - before;
   }
   if (acc >= max_instructions) return acc;
   quota = max_instructions - acc;
-  pc = regs_.pc;
+  pc = core_.regs.pc;
   if (mem_.code_version() != code_version_seen_) code = refresh_code();
   if (!fm.valid(mem_)) fm.refresh(mem_);
   goto lookup;
 
 quantum_end:
-  icount_ += ic;
-  regs_.pc = pc;
+  core_.icount += ic;
+  core_.regs.pc = pc;
   return acc + ic;
 
 #if !defined(FSIM_HAVE_COMPUTED_GOTO)
@@ -393,15 +393,15 @@ dispatch_switch:
     if (handler_ == nullptr) VM_FAIL(Trap::kBadSyscall, pc);
     // Flush: handlers read pc (still on the SYS word), may charge icount
     // and may peek/poke any architectural state.
-    icount_ += ic;
-    regs_.pc = pc;
-    const std::uint64_t sys_base = icount_;
+    core_.icount += ic;
+    core_.regs.pc = pc;
+    const std::uint64_t sys_base = core_.icount;
     const SysResult r = handler_->on_syscall(*this, d->imm);
     switch (r) {
       case SysResult::kDone:
         break;
       case SysResult::kBlock:
-        state_ = RunState::kBlocked;
+        core_.state = RunState::kBlocked;
         return acc + ic - 1;  // PC stays on the SYS instruction
       case SysResult::kExit:
         return acc + ic - 1;  // finish() already called by the handler
@@ -409,10 +409,10 @@ dispatch_switch:
         return acc + ic - 1;  // raise() already called by the handler
     }
     // The SYS op plus whatever it charged counts as executed work.
-    acc += ic + (icount_ - sys_base);
+    acc += ic + (core_.icount - sys_base);
     ic = 0;
     quota = max_instructions > acc ? max_instructions - acc : 0;
-    if (state_ != RunState::kReady) return acc;
+    if (core_.state != RunState::kReady) return acc;
     // The handler may have poked memory (message delivery, heap growth
     // bookkeeping, checkpoint restore): pokes land in place, but a text
     // poke or contents restore bumps the code version — re-validate the
@@ -543,15 +543,15 @@ L_bad:
   // validity check precedes the charge there), so an illegal op is neither
   // executed nor counted — undo the dispatch charge before flushing.
   --ic;
-  icount_ += ic;
-  regs_.pc = pc;
+  core_.icount += ic;
+  core_.regs.pc = pc;
   raise(Trap::kIllegalInstruction, pc);
   return acc + ic;
 #else
   default:  // dispatch byte 0: invalid word
     --ic;  // see L_bad above: illegal ops are neither executed nor counted
-    icount_ += ic;
-    regs_.pc = pc;
+    core_.icount += ic;
+    core_.regs.pc = pc;
     raise(Trap::kIllegalInstruction, pc);
     return acc + ic;
   }  // switch

@@ -23,68 +23,69 @@ Addr Heap::malloc(std::uint32_t size, Addr site) {
       (size + kHeaderBytes + kAlign - 1) & ~(kAlign - 1);
 
   // First fit from the free list.
-  for (std::size_t i = 0; i < free_list_.size(); ++i) {
-    FreeBlock& fb = free_list_[i];
+  std::vector<FreeBlock>& free_list = state_.free_list;
+  for (std::size_t i = 0; i < free_list.size(); ++i) {
+    FreeBlock& fb = free_list[i];
     if (fb.size < need) continue;
     const std::uint32_t off = fb.offset;
     if (fb.size - need >= kHeaderBytes + kAlign) {
       fb.offset += need;
       fb.size -= need;
     } else {
-      free_list_.erase(free_list_.begin() + static_cast<std::ptrdiff_t>(i));
+      free_list.erase(free_list.begin() + static_cast<std::ptrdiff_t>(i));
     }
-    const AllocTag tag = mpi_context_ ? AllocTag::kMpi : AllocTag::kUser;
+    const AllocTag tag = state_.mpi_context ? AllocTag::kMpi : AllocTag::kUser;
     write_header(base_ + off, tag, size);
     const Addr payload = base_ + off + kHeaderBytes;
-    live_[payload] = Chunk{payload, size, tag, site};
+    state_.live[payload] = Chunk{payload, size, tag, site};
     return payload;
   }
 
   // Extend the brk.
-  if (brk_ + need > capacity_) return 0;  // arena exhausted
-  const std::uint32_t off = brk_;
-  brk_ += need;
-  peak_ = std::max(peak_, brk_);
-  const AllocTag tag = mpi_context_ ? AllocTag::kMpi : AllocTag::kUser;
+  if (state_.brk + need > capacity_) return 0;  // arena exhausted
+  const std::uint32_t off = state_.brk;
+  state_.brk += need;
+  state_.peak = std::max(state_.peak, state_.brk);
+  const AllocTag tag = state_.mpi_context ? AllocTag::kMpi : AllocTag::kUser;
   write_header(base_ + off, tag, size);
   const Addr payload = base_ + off + kHeaderBytes;
-  live_[payload] = Chunk{payload, size, tag, site};
+  state_.live[payload] = Chunk{payload, size, tag, site};
   return payload;
 }
 
 void Heap::free(Addr payload) {
-  auto it = live_.find(payload);
-  if (it == live_.end()) return;
+  auto it = state_.live.find(payload);
+  if (it == state_.live.end()) return;
   const std::uint32_t payload_span =
       (it->second.size + kHeaderBytes + kAlign - 1) & ~(kAlign - 1);
   FreeBlock fb{payload - kHeaderBytes - base_, payload_span};
-  live_.erase(it);
+  state_.live.erase(it);
 
   // Insert in address order and coalesce with neighbours.
   auto pos = std::lower_bound(
-      free_list_.begin(), free_list_.end(), fb,
+      state_.free_list.begin(), state_.free_list.end(), fb,
       [](const FreeBlock& a, const FreeBlock& b) { return a.offset < b.offset; });
-  pos = free_list_.insert(pos, fb);
+  pos = state_.free_list.insert(pos, fb);
   // Coalesce with the next block.
-  if (pos + 1 != free_list_.end() &&
+  if (pos + 1 != state_.free_list.end() &&
       pos->offset + pos->size == (pos + 1)->offset) {
     pos->size += (pos + 1)->size;
-    free_list_.erase(pos + 1);
+    state_.free_list.erase(pos + 1);
   }
   // Coalesce with the previous block.
-  if (pos != free_list_.begin()) {
+  if (pos != state_.free_list.begin()) {
     auto prev = pos - 1;
     if (prev->offset + prev->size == pos->offset) {
       prev->size += pos->size;
-      free_list_.erase(pos);
+      state_.free_list.erase(pos);
     }
   }
 }
 
 Addr Heap::realloc(Addr payload, std::uint32_t new_size) {
   if (payload == 0) return malloc(new_size);
-  auto it = live_.find(payload);
-  if (it == live_.end()) return 0;  // garbage pointer: refuse
+  auto it = state_.live.find(payload);
+  if (it == state_.live.end()) return 0;  // garbage pointer: refuse
   if (new_size == 0) {
     free(payload);
     return 0;
@@ -97,10 +98,10 @@ Addr Heap::realloc(Addr payload, std::uint32_t new_size) {
     return payload;
   }
   // Grow: allocate under the ORIGINAL tag, copy, free the old chunk.
-  const bool saved_context = mpi_context_;
-  mpi_context_ = old.tag == AllocTag::kMpi;
+  const bool saved_context = state_.mpi_context;
+  state_.mpi_context = old.tag == AllocTag::kMpi;
   const Addr fresh = malloc(new_size);
-  mpi_context_ = saved_context;
+  state_.mpi_context = saved_context;
   if (fresh == 0) return 0;
   std::vector<std::byte> bytes(old.size);
   FSIM_CHECK(mem_->peek_span(payload, bytes));
@@ -111,14 +112,14 @@ Addr Heap::realloc(Addr payload, std::uint32_t new_size) {
 
 std::vector<Heap::Chunk> Heap::live_chunks() const {
   std::vector<Chunk> out;
-  out.reserve(live_.size());
-  for (const auto& [addr, chunk] : live_) out.push_back(chunk);
+  out.reserve(state_.live.size());
+  for (const auto& [addr, chunk] : state_.live) out.push_back(chunk);
   return out;
 }
 
 std::uint64_t Heap::live_bytes(AllocTag tag) const {
   std::uint64_t total = 0;
-  for (const auto& [addr, chunk] : live_)
+  for (const auto& [addr, chunk] : state_.live)
     if (chunk.tag == tag) total += chunk.size;
   return total;
 }

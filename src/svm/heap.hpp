@@ -51,8 +51,8 @@ class Heap {
 
   /// Paper §3.2: "At entry to an MPI routine, a flag is set, and on exit,
   /// the flag is unset" — chunks allocated while set are tagged MPI.
-  void set_mpi_context(bool inside) noexcept { mpi_context_ = inside; }
-  bool mpi_context() const noexcept { return mpi_context_; }
+  void set_mpi_context(bool inside) noexcept { state_.mpi_context = inside; }
+  bool mpi_context() const noexcept { return state_.mpi_context; }
 
   struct Chunk {
     Addr payload = 0;
@@ -70,7 +70,7 @@ class Heap {
   std::uint64_t live_bytes(AllocTag tag) const;
 
   /// High-water mark of arena usage in bytes.
-  std::uint32_t peak_usage() const noexcept { return peak_; }
+  std::uint32_t peak_usage() const noexcept { return state_.peak; }
 
   std::uint32_t capacity() const noexcept { return capacity_; }
 
@@ -79,25 +79,18 @@ class Heap {
     std::uint32_t size;
   };
 
-  // --- Checkpoint/restart support (heap *metadata*; the arena bytes are
-  // part of the Memory snapshot) ---
+  // --- Checkpoint/restart support: the heap *metadata*, one value (the
+  // arena bytes are part of the Memory snapshot) ---
   struct State {
-    std::uint32_t brk = 0;
+    std::uint32_t brk = 0;  // bump pointer past the highest block ever carved
     std::uint32_t peak = 0;
     bool mpi_context = false;
-    std::map<Addr, Chunk> live;
-    std::vector<FreeBlock> free_list;
+    // Host-side authoritative book-keeping (survives simulated corruption).
+    std::map<Addr, Chunk> live;         // keyed by payload address
+    std::vector<FreeBlock> free_list;   // address-ordered, coalesced
   };
-  State snapshot_state() const {
-    return State{brk_, peak_, mpi_context_, live_, free_list_};
-  }
-  void restore_state(const State& s) {
-    brk_ = s.brk;
-    peak_ = s.peak;
-    mpi_context_ = s.mpi_context;
-    live_ = s.live;
-    free_list_ = s.free_list;
-  }
+  State snapshot_state() const { return state_; }
+  void restore_state(const State& s) { state_ = s; }
 
  private:
   static constexpr std::uint32_t kHeaderBytes = 8;
@@ -108,12 +101,7 @@ class Heap {
   Memory* mem_;
   Addr base_ = 0;
   std::uint32_t capacity_ = 0;
-  std::uint32_t brk_ = 0;  // bump pointer past the highest block ever carved
-  std::uint32_t peak_ = 0;
-  bool mpi_context_ = false;
-  // Host-side authoritative book-keeping (survives simulated corruption).
-  std::map<Addr, Chunk> live_;              // keyed by payload address
-  std::vector<FreeBlock> free_list_;        // address-ordered, coalesced
+  State state_;
 };
 
 }  // namespace fsim::svm

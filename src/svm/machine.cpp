@@ -36,11 +36,11 @@ Machine::Machine(const Program& program, const Config& config, int rank)
   }
   // Start at main with the exit sentinel as its return address, the same
   // fiction crt0 provides on a real system.
-  regs_.pc = program.entry();
+  core_.regs.pc = program.entry();
   const Addr stack_top = mem_.extent(Segment::kStack).end();
-  regs_.set_sp(stack_top - 4);
-  regs_.set_fp(stack_top - 4);
-  FSIM_CHECK(mem_.poke32(regs_.sp(), kExitSentinel));
+  core_.regs.set_sp(stack_top - 4);
+  core_.regs.set_fp(stack_top - 4);
+  FSIM_CHECK(mem_.poke32(core_.regs.sp(), kExitSentinel));
   // Text now equals the image any CompiledProgram was lowered from; pokes
   // after this point are what refresh_code() must catch (and what makes
   // snapshots copy text).
@@ -76,23 +76,23 @@ std::uint64_t Machine::step(std::uint64_t max_instructions) {
   if (engine_ == exec::EngineKind::kThreaded && mem_.observer() == nullptr)
     return step_threaded(max_instructions);
   std::uint64_t executed = 0;
-  while (executed < max_instructions && state_ == RunState::kReady) {
-    const std::uint64_t before = icount_;
+  while (executed < max_instructions && core_.state == RunState::kReady) {
+    const std::uint64_t before = core_.icount;
     if (!exec_one()) break;
-    // exec_one advances icount_ by >= 1 (syscalls may charge extra).
-    executed += icount_ - before;
+    // exec_one advances core_.icount by >= 1 (syscalls may charge extra).
+    executed += core_.icount - before;
   }
   return executed;
 }
 
 bool Machine::exec_one() {
   std::uint32_t word = 0;
-  if (regs_.pc == kExitSentinel) {
-    finish(static_cast<int>(regs_.gpr[1]));
+  if (core_.regs.pc == kExitSentinel) {
+    finish(static_cast<int>(core_.regs.gpr[1]));
     return false;
   }
-  if (Trap t = mem_.fetch32(regs_.pc, word); t != Trap::kNone) {
-    raise(t, regs_.pc);
+  if (Trap t = mem_.fetch32(core_.regs.pc, word); t != Trap::kNone) {
+    raise(t, core_.regs.pc);
     return false;
   }
   // Decode cache: reuse the pre-lowered op when the fetched word still
@@ -100,22 +100,22 @@ bool Machine::exec_one() {
   // the one-off slow decode for just that word.
   ensure_code();
   exec::DOp d;
-  if (const std::uint32_t idx = cur_code_->index_of(regs_.pc);
+  if (const std::uint32_t idx = cur_code_->index_of(core_.regs.pc);
       idx != exec::CompiledProgram::kNoIndex &&
       cur_code_->ops()[idx].raw == word) {
     d = cur_code_->ops()[idx];
   } else {
-    d = exec::lower_op(regs_.pc, word);
+    d = exec::lower_op(core_.regs.pc, word);
   }
   if (!d.valid) {
-    raise(Trap::kIllegalInstruction, regs_.pc);
+    raise(Trap::kIllegalInstruction, core_.regs.pc);
     return false;
   }
 
-  ++icount_;
-  auto& g = regs_.gpr;
-  Fpu& f = regs_.fpu;
-  std::uint32_t next_pc = regs_.pc + 4;
+  ++core_.icount;
+  auto& g = core_.regs.gpr;
+  Fpu& f = core_.regs.fpu;
+  std::uint32_t next_pc = core_.regs.pc + 4;
 
   auto mem_fail = [&](Trap t, Addr a) {
     raise(t, a);
@@ -145,20 +145,20 @@ bool Machine::exec_one() {
       break;
     case Op::kDivs: {
       const std::int32_t dv = static_cast<std::int32_t>(g[d.c]);
-      if (dv == 0) return mem_fail(Trap::kIntDivideByZero, regs_.pc);
+      if (dv == 0) return mem_fail(Trap::kIntDivideByZero, core_.regs.pc);
       const std::int32_t n = static_cast<std::int32_t>(g[d.b]);
       // INT_MIN / -1 overflows on x86 (SIGFPE); model the same.
       if (n == std::numeric_limits<std::int32_t>::min() && dv == -1)
-        return mem_fail(Trap::kIntDivideByZero, regs_.pc);
+        return mem_fail(Trap::kIntDivideByZero, core_.regs.pc);
       g[d.a] = static_cast<std::uint32_t>(n / dv);
       break;
     }
     case Op::kRems: {
       const std::int32_t dv = static_cast<std::int32_t>(g[d.c]);
-      if (dv == 0) return mem_fail(Trap::kIntDivideByZero, regs_.pc);
+      if (dv == 0) return mem_fail(Trap::kIntDivideByZero, core_.regs.pc);
       const std::int32_t n = static_cast<std::int32_t>(g[d.b]);
       if (n == std::numeric_limits<std::int32_t>::min() && dv == -1)
-        return mem_fail(Trap::kIntDivideByZero, regs_.pc);
+        return mem_fail(Trap::kIntDivideByZero, core_.regs.pc);
       g[d.a] = static_cast<std::uint32_t>(n % dv);
       break;
     }
@@ -287,7 +287,7 @@ bool Machine::exec_one() {
       break;
     case Op::kCall: {
       const Addr a = g[kSp] - 4;
-      if (Trap t = mem_.store32(a, regs_.pc + 4); t != Trap::kNone)
+      if (Trap t = mem_.store32(a, core_.regs.pc + 4); t != Trap::kNone)
         return mem_fail(t == Trap::kBadAddress ? Trap::kStackOverflow : t, a);
       g[kSp] = a;
       next_pc = d.target;
@@ -295,7 +295,7 @@ bool Machine::exec_one() {
     }
     case Op::kCallr: {
       const Addr a = g[kSp] - 4;
-      if (Trap t = mem_.store32(a, regs_.pc + 4); t != Trap::kNone)
+      if (Trap t = mem_.store32(a, core_.regs.pc + 4); t != Trap::kNone)
         return mem_fail(t == Trap::kBadAddress ? Trap::kStackOverflow : t, a);
       g[kSp] = a;
       next_pc = g[d.a];
@@ -328,13 +328,14 @@ bool Machine::exec_one() {
       break;
     }
     case Op::kSys: {
-      if (handler_ == nullptr) return mem_fail(Trap::kBadSyscall, regs_.pc);
+      if (handler_ == nullptr)
+        return mem_fail(Trap::kBadSyscall, core_.regs.pc);
       const SysResult r = handler_->on_syscall(*this, d.imm);
       switch (r) {
         case SysResult::kDone:
           break;
         case SysResult::kBlock:
-          state_ = RunState::kBlocked;
+          core_.state = RunState::kBlocked;
           return false;  // PC stays on the SYS instruction
         case SysResult::kExit:
           return false;  // finish() already called by the handler
@@ -446,7 +447,7 @@ bool Machine::exec_one() {
       break;
   }
 
-  regs_.pc = next_pc;
+  core_.regs.pc = next_pc;
   return true;
 }
 

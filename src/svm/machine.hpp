@@ -63,43 +63,43 @@ class Machine {
 
   /// Unblock a machine parked on a syscall (the syscall will re-execute).
   void wake() {
-    if (state_ == RunState::kBlocked) state_ = RunState::kReady;
+    if (core_.state == RunState::kBlocked) core_.state = RunState::kReady;
   }
 
-  RunState state() const noexcept { return state_; }
-  Trap trap() const noexcept { return trap_; }
-  std::uint32_t fault_addr() const noexcept { return fault_addr_; }
-  int exit_code() const noexcept { return exit_code_; }
-  ExitKind exit_kind() const noexcept { return exit_kind_; }
-  std::uint64_t instructions() const noexcept { return icount_; }
+  RunState state() const noexcept { return core_.state; }
+  Trap trap() const noexcept { return core_.trap; }
+  std::uint32_t fault_addr() const noexcept { return core_.fault_addr; }
+  int exit_code() const noexcept { return core_.exit_code; }
+  ExitKind exit_kind() const noexcept { return core_.exit_kind; }
+  std::uint64_t instructions() const noexcept { return core_.icount; }
   int rank() const noexcept { return rank_; }
   exec::EngineKind engine() const noexcept { return engine_; }
 
   // --- Architectural state (fault-injection surface) ---
-  RegFile& regs() noexcept { return regs_; }
-  const RegFile& regs() const noexcept { return regs_; }
+  RegFile& regs() noexcept { return core_.regs; }
+  const RegFile& regs() const noexcept { return core_.regs; }
   Memory& memory() noexcept { return mem_; }
   const Memory& memory() const noexcept { return mem_; }
   const Program& program() const noexcept { return *program_; }
 
   // --- Used by syscall handlers ---
   void set_handler(SyscallHandler* h) noexcept { handler_ = h; }
-  std::uint32_t arg(unsigned i) const noexcept { return regs_.gpr[1 + i]; }
-  void set_result(std::uint32_t v) noexcept { regs_.gpr[1] = v; }
+  std::uint32_t arg(unsigned i) const noexcept { return core_.regs.gpr[1 + i]; }
+  void set_result(std::uint32_t v) noexcept { core_.regs.gpr[1] = v; }
   void finish(int code, ExitKind kind = ExitKind::kNormal) noexcept {
-    exit_code_ = code;
-    exit_kind_ = kind;
-    state_ = RunState::kExited;
+    core_.exit_code = code;
+    core_.exit_kind = kind;
+    core_.state = RunState::kExited;
   }
   void raise(Trap t, Addr addr = 0) noexcept {
-    trap_ = t;
-    fault_addr_ = addr;
-    state_ = RunState::kTrapped;
+    core_.trap = t;
+    core_.fault_addr = addr;
+    core_.state = RunState::kTrapped;
   }
   /// Charge extra simulated cycles (e.g. checksum syscalls cost ~len/8).
-  void charge(std::uint64_t cycles) noexcept { icount_ += cycles; }
+  void charge(std::uint64_t cycles) noexcept { core_.icount += cycles; }
 
-  // --- Checkpoint/restart support ---
+  // --- Checkpoint/restart support: the architectural state, one value ---
   struct CoreState {
     RegFile regs;
     RunState state = RunState::kReady;
@@ -109,19 +109,8 @@ class Machine {
     ExitKind exit_kind = ExitKind::kNormal;
     std::uint64_t icount = 0;
   };
-  CoreState core_state() const {
-    return CoreState{regs_, state_, trap_, fault_addr_,
-                     exit_code_, exit_kind_, icount_};
-  }
-  void restore_core_state(const CoreState& s) {
-    regs_ = s.regs;
-    state_ = s.state;
-    trap_ = s.trap;
-    fault_addr_ = s.fault_addr;
-    exit_code_ = s.exit_code;
-    exit_kind_ = s.exit_kind;
-    icount_ = s.icount;
-  }
+  CoreState core_state() const { return core_; }
+  void restore_core_state(const CoreState& s) { core_ = s; }
 
  private:
   bool exec_one();  // returns false when execution must stop
@@ -135,15 +124,9 @@ class Machine {
   const exec::CompiledProgram* refresh_code();
 
   Memory mem_;
-  RegFile regs_;
+  CoreState core_;
   const Program* program_;
   SyscallHandler* handler_ = nullptr;
-  RunState state_ = RunState::kReady;
-  Trap trap_ = Trap::kNone;
-  Addr fault_addr_ = 0;
-  int exit_code_ = 0;
-  ExitKind exit_kind_ = ExitKind::kNormal;
-  std::uint64_t icount_ = 0;
   int rank_ = 0;
 
   // --- Execution-engine state ---

@@ -73,10 +73,6 @@ class Rng {
   /// Bernoulli trial with probability p.
   bool chance(double p) noexcept { return uniform() < p; }
 
-  /// Raw generator state, for checkpoint/restart of deterministic runs.
-  const std::array<std::uint64_t, 4>& state() const noexcept { return state_; }
-  void set_state(const std::array<std::uint64_t, 4>& s) noexcept { state_ = s; }
-
   /// Derive an independent child generator; `salt` distinguishes siblings.
   Rng child(std::uint64_t salt) noexcept {
     std::uint64_t mix = (*this)() ^ (salt * 0x9e3779b97f4a7c15ULL);
