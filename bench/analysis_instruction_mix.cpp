@@ -8,15 +8,20 @@
 #include "simmpi/world.hpp"
 #include "trace/mix.hpp"
 #include "util/cli.hpp"
+#include "util/status.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fsim;
   util::Cli cli(argc, argv);
-  const int rank = static_cast<int>(cli.num("rank", 1));
+  const int rank = cli.count("rank", 1, 0);
+  cli.reject_unused();
 
   std::printf("=== Workload characterisation: instruction mix ===\n\n");
   for (const auto& name : apps::app_names()) {
     apps::App app = apps::make_app(name);
+    if (rank >= app.world.nranks)
+      throw util::SetupError("option --rank: " + name + " has only " +
+                             std::to_string(app.world.nranks) + " ranks");
     svm::Program program = app.link();
     simmpi::World world(program, app.world);
     trace::InstructionMixProfiler mix(program, world.machine(rank));
@@ -28,4 +33,7 @@ int main(int argc, char** argv) {
                 mix.format().c_str());
   }
   return 0;
+} catch (const fsim::util::SetupError& e) {
+  std::fprintf(stderr, "analysis_instruction_mix: %s\n", e.what());
+  return 1;
 }

@@ -6,10 +6,14 @@
 //   --jobs=N     campaign worker threads (default: hardware concurrency;
 //                aggregates are bit-identical at any N)
 //   --csv        additionally emit CSV rows
+//   --json       additionally emit JSON
 //   --quiet      suppress the progress ticker
+// and refuses every other option.
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -18,6 +22,7 @@
 #include "core/report.hpp"
 #include "core/sampling.hpp"
 #include "util/cli.hpp"
+#include "util/status.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -32,19 +37,27 @@ struct BenchArgs {
   bool quiet = false;
 };
 
+/// Parse the common flags. A bench that takes no runs passes
+/// `default_runs` 0 and refuses --runs. Bad values and unknown options
+/// exit 1 with the parser's message before any work starts.
 inline BenchArgs parse_args(int argc, char** argv, int default_runs) {
-  util::Cli cli(argc, argv);
-  BenchArgs a;
-  a.runs = static_cast<int>(cli.num("runs", default_runs));
-  a.seed = cli.u64("seed", 0xfa);
-  a.jobs = static_cast<int>(cli.num(
-      "jobs", static_cast<std::int64_t>(util::ThreadPool::default_workers())));
-  a.csv = cli.flag("csv");
-  a.json = cli.flag("json");
-  a.quiet = cli.flag("quiet");
-  for (const auto& name : cli.unused())
-    std::fprintf(stderr, "warning: unused option --%s\n", name.c_str());
-  return a;
+  try {
+    util::Cli cli(argc, argv);
+    BenchArgs a;
+    a.runs = default_runs > 0 ? cli.count("runs", default_runs) : 0;
+    a.seed = cli.u64("seed", 0xfa);
+    a.jobs = cli.count(
+        "jobs", static_cast<int>(util::ThreadPool::default_workers()));
+    a.csv = cli.flag("csv");
+    a.json = cli.flag("json");
+    a.quiet = cli.flag("quiet");
+    cli.reject_unused();
+    return a;
+  } catch (const util::SetupError& e) {
+    std::fprintf(stderr, "%s: %s\n",
+                 std::filesystem::path(argv[0]).filename().c_str(), e.what());
+    std::exit(1);
+  }
 }
 
 /// stderr progress ticker shared by the bench drivers; one updating line

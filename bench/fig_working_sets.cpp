@@ -9,6 +9,7 @@
 #include "simmpi/world.hpp"
 #include "trace/working_set.hpp"
 #include "util/cli.hpp"
+#include "util/status.hpp"
 
 namespace {
 
@@ -28,12 +29,12 @@ void sparkline(const fsim::trace::AccessTracer::Series& s) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fsim;
   util::Cli cli(argc, argv);
-  const std::size_t points =
-      static_cast<std::size_t>(cli.num("points", 40));
+  const std::size_t points = static_cast<std::size_t>(cli.count("points", 40));
   const bool full = cli.flag("full");  // print the numeric series too
+  cli.reject_unused();
 
   std::printf(
       "=== Tables 5-7: Working-set size vs time (Valgrind-analogue) ===\n\n");
@@ -92,4 +93,7 @@ int main(int argc, char** argv) {
       "16%%. The reproduction target is the *declining step* and the small\n"
       "computation-phase working set that explains low memory error rates.\n");
   return 0;
+} catch (const fsim::util::SetupError& e) {
+  std::fprintf(stderr, "fig_working_sets: %s\n", e.what());
+  return 1;
 }

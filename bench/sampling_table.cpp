@@ -6,13 +6,15 @@
 
 #include "core/sampling.hpp"
 #include "util/cli.hpp"
+#include "util/status.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fsim;
   util::Cli cli(argc, argv);
-  const int trials = static_cast<int>(cli.num("trials", 2000));
+  const int trials = cli.count("trials", 2000);
+  cli.reject_unused();
 
   std::printf("=== Sec 4.3: Fault sampling theory (Cochran) ===\n\n");
 
@@ -75,4 +77,7 @@ int main(int argc, char** argv) {
       "Coverage is >= 95%% everywhere (conservative away from P = 0.5, the\n"
       "oversampling design point).\n");
   return 0;
+} catch (const fsim::util::SetupError& e) {
+  std::fprintf(stderr, "sampling_table: %s\n", e.what());
+  return 1;
 }

@@ -10,21 +10,24 @@
 #include "core/campaign.hpp"
 #include "core/sampling.hpp"
 #include "util/cli.hpp"
+#include "util/status.hpp"
 #include "util/thread_pool.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fsim;
   util::Cli cli(argc, argv);
   const std::string name = cli.str("app", "minimd");
-  const int runs = static_cast<int>(cli.num("runs", 50));
+  const int runs = cli.count("runs", 50);
   const std::string regions = cli.str("regions", "regular,stack,message");
+  const int jobs =
+      cli.count("jobs", static_cast<int>(util::ThreadPool::default_workers()));
+  cli.reject_unused();
 
   apps::App app = apps::make_app(name);
 
   core::CampaignConfig cfg;
   cfg.runs_per_region = runs;
-  cfg.jobs = static_cast<int>(cli.num(
-      "jobs", static_cast<std::int64_t>(util::ThreadPool::default_workers())));
+  cfg.jobs = jobs;
   cfg.regions.clear();
   std::istringstream rs(regions);
   std::string tok;
@@ -47,4 +50,7 @@ int main(int argc, char** argv) {
   const core::CampaignResult result = core::run_campaign(app, cfg);
   std::printf("%s", core::format_campaign(result).c_str());
   return 0;
+} catch (const fsim::util::SetupError& e) {
+  std::fprintf(stderr, "campaign_report: %s\n", e.what());
+  return 1;
 }

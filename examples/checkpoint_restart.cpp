@@ -9,12 +9,15 @@
 #include "simmpi/snapshot.hpp"
 #include "simmpi/world.hpp"
 #include "util/cli.hpp"
+#include "util/status.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fsim;
   util::Cli cli(argc, argv);
-  apps::App app = apps::make_app(cli.str("app", "wavetoy"));
+  const std::string name = cli.str("app", "wavetoy");
+  cli.reject_unused();
+  apps::App app = apps::make_app(name);
 
   const svm::Program program = app.link();
   const core::Golden golden = core::run_golden(app, program);
@@ -50,4 +53,7 @@ int main(int argc, char** argv) {
   std::printf("recovered run completed; output %s the fault-free baseline\n",
               world.output() == golden.baseline ? "MATCHES" : "differs from");
   return 0;
+} catch (const fsim::util::SetupError& e) {
+  std::fprintf(stderr, "checkpoint_restart: %s\n", e.what());
+  return 1;
 }

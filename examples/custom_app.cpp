@@ -9,6 +9,7 @@
 #include "simmpi/world.hpp"
 #include "svm/assembler.hpp"
 #include "util/cli.hpp"
+#include "util/status.hpp"
 
 // A two-rank program: rank 1 sends the vector {3,4,5} (as 32-bit words) to
 // rank 0, which sums it and prints the total to its console.
@@ -62,12 +63,16 @@ msg: .asciz "total "
 buf: .space 12
 )";
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fsim;
   util::Cli cli(argc, argv);
   // Default fault: byte 48 (first payload byte) bit 3 -> 3 becomes 11.
-  const std::uint64_t byte = static_cast<std::uint64_t>(cli.num("byte", 48));
-  const unsigned bit = static_cast<unsigned>(cli.num("bit", 3));
+  const auto byte = static_cast<std::uint64_t>(cli.count("byte", 48, 0));
+  const auto bit = static_cast<unsigned>(cli.count("bit", 3, 0));
+  cli.reject_unused();
+  if (bit > 7)
+    throw util::SetupError("option --bit expects 0 to 7, got " +
+                           std::to_string(bit));
 
   // Assemble user code + MPI stub library into one image.
   svm::Program program =
@@ -104,4 +109,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(f.offset_in_packet));
   }
   return 0;
+} catch (const fsim::util::SetupError& e) {
+  std::fprintf(stderr, "custom_app: %s\n", e.what());
+  return 1;
 }

@@ -15,6 +15,7 @@
 #include "svm/isa.hpp"
 #include "svm/stackwalk.hpp"
 #include "util/cli.hpp"
+#include "util/status.hpp"
 
 using namespace fsim;
 
@@ -48,10 +49,11 @@ void dump_code_window(const svm::Program& program, svm::Machine& m,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Cli cli(argc, argv);
   const core::Region region = core::parse_region(cli.str("region", "regular"));
   std::uint64_t seed = cli.u64("seed", 0);
+  cli.reject_unused();
 
   apps::App app = apps::make_wavetoy();
   const svm::Program program = app.link();
@@ -143,4 +145,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\nconsole:\n%s", world.console().c_str());
   return 0;
+} catch (const fsim::util::SetupError& e) {
+  std::fprintf(stderr, "fault_forensics: %s\n", e.what());
+  return 1;
 }

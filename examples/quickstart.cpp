@@ -8,12 +8,14 @@
 #include "apps/app.hpp"
 #include "core/campaign.hpp"
 #include "util/cli.hpp"
+#include "util/status.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fsim;
   util::Cli cli(argc, argv);
   const std::string name = cli.str("app", "wavetoy");
   const std::uint64_t seed = cli.u64("seed", 7);
+  cli.reject_unused();
 
   // 1. Pick an application: a generated SVM assembly program plus its
   //    world configuration (ranks, scheduler, baseline stream).
@@ -40,4 +42,7 @@ int main(int argc, char** argv) {
               out.failure_detail.empty() ? "" : " — ",
               out.failure_detail.c_str());
   return 0;
+} catch (const fsim::util::SetupError& e) {
+  std::fprintf(stderr, "quickstart: %s\n", e.what());
+  return 1;
 }

@@ -9,13 +9,15 @@
 #include "simmpi/world.hpp"
 #include "trace/working_set.hpp"
 #include "util/cli.hpp"
+#include "util/status.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fsim;
   util::Cli cli(argc, argv);
   const std::string name = cli.str("app", "wavetoy");
   const int rank = static_cast<int>(cli.num("rank", 1));
-  const std::size_t points = static_cast<std::size_t>(cli.num("points", 20));
+  const std::size_t points = static_cast<std::size_t>(cli.count("points", 20));
+  cli.reject_unused();
 
   apps::App app = apps::make_app(name);
   if (rank < 0 || rank >= app.world.nranks) {
@@ -41,4 +43,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n",
               trace::format_series(tracer.data_combined_series(points)).c_str());
   return 0;
+} catch (const fsim::util::SetupError& e) {
+  std::fprintf(stderr, "working_set_trace: %s\n", e.what());
+  return 1;
 }

@@ -5,15 +5,14 @@
 namespace fsim::core {
 
 Region parse_region(const std::string& name) {
-  if (name == "regular" || name == "reg" || name == "gpr")
-    return Region::kRegularReg;
-  if (name == "fp" || name == "fpu") return Region::kFpReg;
+  if (name == "regular") return Region::kRegularReg;
+  if (name == "fp") return Region::kFpReg;
   if (name == "bss") return Region::kBss;
   if (name == "data") return Region::kData;
   if (name == "stack") return Region::kStack;
   if (name == "text") return Region::kText;
   if (name == "heap") return Region::kHeap;
-  if (name == "message" || name == "msg") return Region::kMessage;
+  if (name == "message") return Region::kMessage;
   throw util::SetupError("unknown region '" + name +
                          "' (regular|fp|bss|data|stack|text|heap|message)");
 }

@@ -207,12 +207,8 @@ std::uint64_t outcome_digest(const BatchResult& result) {
 
 namespace {
 
-/// Spec "prune" values: the level name ("off" | "regs" | "full"), with the
-/// early boolean spelling still accepted for old spec files and
-/// checkpoints (true mapped to the old behaviour, register-only pruning).
+/// Spec "prune" values: the level name ("off" | "regs" | "full").
 PruneLevel read_prune(const util::JsonValue& v) {
-  if (v.kind() == util::JsonValue::Kind::kBool)
-    return v.as_bool() ? PruneLevel::kRegs : PruneLevel::kOff;
   if (auto level = parse_prune_level(v.as_string())) return *level;
   throw util::SetupError("unknown prune level '" + v.as_string() + "'");
 }
@@ -254,7 +250,7 @@ CampaignSpec read_campaign_spec(const util::JsonValue& v) {
     else
       throw util::SetupError("unknown engine '" + f->as_string() + "'");
   }
-  // v1 documents predate app-param overrides; absent keys mean app defaults.
+  // Absent app params mean the app's defaults.
   if (const auto* f = v.find("ranks"))
     spec.params.ranks = f->as_i32();
   if (const auto* f = v.find("steps"))
@@ -407,19 +403,18 @@ std::vector<CampaignSpec> parse_batch_spec(const std::string& text) {
   const util::JsonValue doc = util::parse_json(text);
   const CampaignConfig defaults;  // library defaults for unset fields
 
-  // Schema version: no "format" key is the legacy v1 schema; v2 must say
-  // so explicitly, and anything else is refused rather than misread.
-  bool v2 = false;
-  if (const util::JsonValue* f = doc.find("format")) {
-    if (f->as_string() != kBatchFormatV2)
-      throw util::SetupError("batch spec: unsupported format '" +
-                             f->as_string() +
-                             "' (expected fsim-batch-v2, or no format key "
-                             "for the legacy v1 schema)");
-    v2 = true;
-  }
+  // Schema version: the document must say fsim-batch-v2; anything else,
+  // a missing key included, is refused rather than misread.
+  const util::JsonValue* format = doc.find("format");
+  if (format == nullptr)
+    throw util::SetupError(
+        "batch spec: missing \"format\": \"fsim-batch-v2\"");
+  if (format->as_string() != kBatchFormatV2)
+    throw util::SetupError("batch spec: unsupported format '" +
+                           format->as_string() +
+                           "' (expected fsim-batch-v2)");
 
-  auto fill = [v2](CampaignSpec& spec, const util::JsonValue& v) {
+  auto fill = [](CampaignSpec& spec, const util::JsonValue& v) {
     if (const auto* f = v.find("runs"))
       spec.runs_per_region = f->as_i32();
     if (const auto* f = v.find("seed")) spec.seed = f->as_u64();
@@ -437,13 +432,6 @@ std::vector<CampaignSpec> parse_batch_spec(const std::string& text) {
       else
         throw util::SetupError("batch spec: unknown engine '" +
                                f->as_string() + "'");
-    }
-    if (!v2) {
-      if (v.find("ranks") || v.find("steps"))
-        throw util::SetupError(
-            "batch spec: \"ranks\"/\"steps\" app-config overrides require "
-            "\"format\": \"fsim-batch-v2\"");
-      return;
     }
     if (const auto* f = v.find("ranks"))
       spec.params.ranks = f->as_i32();

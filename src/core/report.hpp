@@ -63,19 +63,14 @@ std::string batch_json(
 /// Per-campaign CSV rows (campaign_csv with the header emitted once).
 std::string batch_csv(const BatchResult& result);
 
-/// Batch description for `fsim batch --spec=FILE`. Two schema versions:
-///
-/// v1 (no "format" key — every pre-v2 spec file):
-///   {"runs": 200, "seed": 250, "prune": true, "regions": ["regular",...],
-///    "campaigns": [{"app": "wavetoy", "runs": 400, ...}, ...]}
+/// Batch description for `fsim batch --spec=FILE`:
+///   {"format": "fsim-batch-v2", "runs": 200, "seed": 250, "prune": "full",
+///    "regions": ["regular",...], "ranks": 4,
+///    "campaigns": [{"app": "wavetoy", "runs": 400, "steps": 8}, ...]}
 /// Top-level keys give defaults; each campaign object needs at least
-/// "app" and may override runs/seed/regions/prune/dictionary_entries.
-/// App configs take their library defaults.
-///
-/// v2 ({"format": "fsim-batch-v2"}): same keys, plus per-campaign app
-/// *config* overrides "ranks" and "steps" (top-level values give
-/// defaults). A v1 document still parses — the overrides just stay 0
-/// (app defaults). Any other "format" value is refused.
+/// "app" and may override runs/seed/regions/prune/dictionary_entries/engine
+/// and the app *config* parameters "ranks" and "steps" (0 or absent: the
+/// app's defaults). A missing or different "format" is refused.
 ///
 /// Throws SetupError on malformed specs.
 std::vector<CampaignSpec> parse_batch_spec(const std::string& text);

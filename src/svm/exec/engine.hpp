@@ -37,7 +37,7 @@ constexpr const char* engine_name(EngineKind kind) noexcept {
 /// Parse an --engine value; nullopt on anything unknown.
 inline std::optional<EngineKind> parse_engine_kind(
     std::string_view text) noexcept {
-  if (text == "interp" || text == "interpreter") return EngineKind::kInterp;
+  if (text == "interp") return EngineKind::kInterp;
   if (text == "threaded") return EngineKind::kThreaded;
   return std::nullopt;
 }

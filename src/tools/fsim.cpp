@@ -108,37 +108,10 @@ int usage() {
   return 2;
 }
 
-/// Refuse every option the command did not read: a typo, or a flag the
-/// path taken would silently ignore (say --runs next to --spec), fails
-/// before any work starts. Commands that take no files also refuse stray
-/// positional arguments.
-void reject_unused(const util::Cli& cli, bool takes_files = false) {
-  const std::vector<std::string> unused = cli.unused();
-  if (!unused.empty())
-    throw util::SetupError("unknown option --" + unused.front());
-  if (!takes_files && !cli.positional().empty())
-    throw util::SetupError("unexpected argument '" + cli.positional().front() +
-                           "'");
-}
-
-/// --name=N for a count of at least `min`. Every count fsim reads goes
-/// through here, so a value beyond the int range is refused, not wrapped.
-int count_option(const util::Cli& cli, const std::string& name,
-                 int fallback, int min = 1) {
-  const std::int64_t v = cli.num(name, fallback);
-  if (v < min || v > std::numeric_limits<int>::max())
-    throw util::SetupError(
-        "option --" + name + " expects an integer from " +
-        std::to_string(min) + " to " +
-        std::to_string(std::numeric_limits<int>::max()) + ", got " +
-        std::to_string(v));
-  return static_cast<int>(v);
-}
-
 /// --jobs=N (default: one worker per hardware thread).
 int jobs_option(const util::Cli& cli) {
-  return count_option(cli, "jobs",
-                      static_cast<int>(util::ThreadPool::default_workers()));
+  return cli.count("jobs",
+                   static_cast<int>(util::ThreadPool::default_workers()));
 }
 
 /// --rank=K, a rank of the app's world (default 1).
@@ -264,7 +237,7 @@ int cmd_run(const util::Cli& cli) {
   parse_engine(cli, cfg.engine);
   cfg.prune = core::PruneLevel::kOff;
   parse_prune(cli, cfg.prune);
-  reject_unused(cli);
+  cli.reject_unused();
 
   // The campaign's preparation: the fault space (dictionaries, analysis,
   // golden ladder) is exactly the one `fsim campaign --seed=S` draws from.
@@ -289,7 +262,7 @@ int cmd_run(const util::Cli& cli) {
 int cmd_campaign(const util::Cli& cli) {
   apps::App app = apps::make_app(cli.str("app", "wavetoy"));
   core::CampaignConfig cfg;
-  cfg.runs_per_region = count_option(cli, "runs", 200);
+  cfg.runs_per_region = cli.count("runs", 200);
   cfg.seed = cli.u64("seed", 0xfa);
   cfg.jobs = jobs_option(cli);
   if (cli.has("regions")) cfg.regions = parse_region_list(cli.str("regions", ""));
@@ -299,7 +272,7 @@ int cmd_campaign(const util::Cli& cli) {
   if (!cli.flag("quiet")) cfg.observer = &progress;
   const bool json = cli.flag("json"), csv = cli.flag("csv");
   const bool activation = cli.flag("activation");
-  reject_unused(cli);
+  cli.reject_unused();
   std::printf("campaign: %s, %d runs/region, seed %llu, %d jobs "
               "(d = %.1f%% at 95%%)\n\n",
               app.name.c_str(), cfg.runs_per_region,
@@ -352,7 +325,7 @@ void parse_checkpointing(const util::Cli& cli, const std::string& path,
                                " requires --checkpoint=FILE");
     return;
   }
-  policy.checkpoint_every = count_option(cli, "checkpoint-every", 64);
+  policy.checkpoint_every = cli.count("checkpoint-every", 64);
   parse_ckpt_encoding(cli, policy.checkpoint_encoding);
 }
 
@@ -398,7 +371,7 @@ core::AdaptivePolicy parse_adaptive_policy(const util::Cli& cli,
   policy.ci = cli.real("ci", policy.ci);
   if (cli.has("confidence"))
     policy.alpha = 1.0 - cli.real("confidence", 1.0 - policy.alpha);
-  policy.wave = count_option(cli, "wave", policy.wave);
+  policy.wave = cli.count("wave", policy.wave);
   return policy;
 }
 
@@ -411,7 +384,7 @@ void apply_max_runs(const util::Cli& cli, bool explicit_runs,
                     std::vector<core::CampaignSpec>& specs) {
   int cap = 0;
   if (cli.has("max-runs"))
-    cap = count_option(cli, "max-runs", 0);
+    cap = cli.count("max-runs", 0);
   else if (!explicit_runs)
     cap = 2000;
   if (cap > 0)
@@ -432,7 +405,7 @@ int cmd_batch(const util::Cli& cli) {
       for (auto& spec : specs) spec.engine = engine;
   } else {
     core::CampaignConfig base;
-    base.runs_per_region = count_option(cli, "runs", 200);
+    base.runs_per_region = cli.count("runs", 200);
     base.seed = cli.u64("seed", 0xfa);
     if (cli.has("regions"))
       base.regions = parse_region_list(cli.str("regions", ""));
@@ -460,7 +433,7 @@ int cmd_batch(const util::Cli& cli) {
   if (cli.has("shard")) exec.shard = parse_shard(cli.str("shard", ""));
   const bool quiet = cli.flag("quiet");
   const Report report = report_options(cli);
-  reject_unused(cli);
+  cli.reject_unused();
 
   std::vector<core::BatchEntry> entries = core::entries_for_specs(specs);
   Progress progress(true);
@@ -518,7 +491,7 @@ int cmd_resume(const util::Cli& cli) {
   }
   const bool quiet = cli.flag("quiet");
   const Report report = report_options(cli);
-  reject_unused(cli, true);
+  cli.reject_unused(true);
 
   std::vector<core::BatchEntry> entries = core::entries_for_specs(ck.specs);
   Progress progress(true);
@@ -545,7 +518,7 @@ int cmd_merge(const util::Cli& cli) {
   }
   const bool allow_partial = cli.flag("partial-report");
   const Report report = report_options(cli);
-  reject_unused(cli, true);
+  cli.reject_unused(true);
   // Every input is a checkpoint of some shard; they fold into one
   // whole-grid master. Without --partial-report an unfinished input or a
   // grid the inputs leave uncovered is refused.
@@ -612,7 +585,7 @@ int cmd_lint(const util::Cli& cli) {
   const std::string which = cli.str("app", "all");
   std::optional<std::vector<std::string>> suppress;
   if (cli.has("suppress")) suppress = split_csv(cli.str("suppress", ""));
-  reject_unused(cli);
+  cli.reject_unused();
   int rc = 0;
   if (which == "all") {
     for (const auto& name : apps::app_names())
@@ -627,13 +600,13 @@ int cmd_lint(const util::Cli& cli) {
 int cmd_analyze(const util::Cli& cli) {
   apps::App app = apps::make_app(cli.str("app", "wavetoy"));
   core::CampaignConfig cfg;
-  cfg.runs_per_region = count_option(cli, "runs", 200, 0);
+  cfg.runs_per_region = cli.count("runs", 200, 0);
   cfg.seed = cli.u64("seed", 0xfa);
   cfg.jobs = jobs_option(cli);
   if (cli.has("regions")) cfg.regions = parse_region_list(cli.str("regions", ""));
   const bool quiet = cli.flag("quiet");
   const bool json = cli.flag("json"), csv = cli.flag("csv");
-  reject_unused(cli);
+  cli.reject_unused();
   if (!quiet && cfg.runs_per_region > 0)
     std::fprintf(stderr, "analyze: %s, %d-run reference campaign...\n",
                  app.name.c_str(), cfg.runs_per_region);
@@ -650,7 +623,7 @@ int cmd_analyze(const util::Cli& cli) {
 int cmd_profile(const util::Cli& cli) {
   std::vector<trace::ProcessProfile> profiles;
   const std::string app = cli.str("app", "");
-  reject_unused(cli);
+  cli.reject_unused();
   if (!app.empty()) {
     profiles.push_back(trace::profile_app(apps::make_app(app)));
   } else {
@@ -664,8 +637,8 @@ int cmd_profile(const util::Cli& cli) {
 int cmd_trace(const util::Cli& cli) {
   apps::App app = apps::make_app(cli.str("app", "wavetoy"));
   const int rank = rank_option(cli, app);
-  const auto points = static_cast<std::size_t>(count_option(cli, "points", 20));
-  reject_unused(cli);
+  const auto points = static_cast<std::size_t>(cli.count("points", 20));
+  cli.reject_unused();
   svm::Program program = app.link();
   simmpi::World world(program, app.world);
   trace::AccessTracer tracer(world.machine(rank));
@@ -683,7 +656,7 @@ int cmd_trace(const util::Cli& cli) {
 int cmd_mix(const util::Cli& cli) {
   apps::App app = apps::make_app(cli.str("app", "wavetoy"));
   const int rank = rank_option(cli, app);
-  reject_unused(cli);
+  cli.reject_unused();
   svm::Program program = app.link();
   simmpi::World world(program, app.world);
   trace::InstructionMixProfiler mix(program, world.machine(rank));
@@ -732,9 +705,9 @@ int cmd_serve(const util::Cli& cli) {
     throw util::SetupError("option --state=DIR is required");
   opts.state_dir = cli.str("state", "");
   if (cli.has("chunk"))
-    opts.chunk = static_cast<std::uint64_t>(count_option(cli, "chunk", 1));
+    opts.chunk = static_cast<std::uint64_t>(cli.count("chunk", 1));
   parse_ckpt_encoding(cli, opts.encoding);
-  reject_unused(cli);
+  cli.reject_unused();
   return service::serve(opts);
 }
 
@@ -742,9 +715,9 @@ int cmd_worker(const util::Cli& cli) {
   service::WorkerOptions opts;
   opts.socket_path = require_socket(cli);
   opts.name = cli.str("name", "w" + std::to_string(::getpid()));
-  opts.jobs = count_option(cli, "jobs", 1);
-  opts.checkpoint_every = count_option(cli, "checkpoint-every", 16);
-  reject_unused(cli);
+  opts.jobs = cli.count("jobs", 1);
+  opts.checkpoint_every = cli.count("checkpoint-every", 16);
+  cli.reject_unused();
   return service::run_worker(opts);
 }
 
@@ -754,7 +727,7 @@ int cmd_submit(const util::Cli& cli) {
   const std::string socket = require_socket(cli);
   const std::string tenant = cli.str("tenant", "default");
   const std::string spec = util::read_file(cli.str("spec", ""));
-  reject_unused(cli);
+  cli.reject_unused();
   const util::JsonValue reply =
       service_request(socket, "submit", {{"tenant", tenant}, {"spec", spec}});
   std::printf("%s\n", reply.at("job").as_string().c_str());
@@ -783,14 +756,14 @@ int status_of_file(const std::string& path) {
 
 int cmd_status(const util::Cli& cli) {
   if (!cli.positional().empty()) {
-    reject_unused(cli, true);
+    cli.reject_unused(true);
     return status_of_file(cli.positional()[0]);
   }
   const std::string socket = require_socket(cli);
   const bool one_job = cli.has("job");
   std::vector<std::pair<std::string, std::string>> fields;
   if (one_job) fields.emplace_back("job", cli.str("job", ""));
-  reject_unused(cli);
+  cli.reject_unused();
   const util::JsonValue reply = service_request(socket, "status", fields);
   const auto& jobs = reply.at("jobs").items();
   if (jobs.empty()) {
@@ -816,7 +789,7 @@ int cmd_fetch(const util::Cli& cli) {
   const std::string socket = require_socket(cli);
   const std::string job = cli.str("job", "");
   const std::string out = cli.str("out", "");
-  reject_unused(cli);
+  cli.reject_unused();
   const util::JsonValue reply = service_request(socket, "fetch", {{"job", job}});
   write_output(out, reply.at("result").as_string());
   return 0;
@@ -824,7 +797,7 @@ int cmd_fetch(const util::Cli& cli) {
 
 int cmd_shutdown(const util::Cli& cli) {
   const std::string socket = require_socket(cli);
-  reject_unused(cli);
+  cli.reject_unused();
   (void)service_request(socket, "shutdown");
   return 0;
 }

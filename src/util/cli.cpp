@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 #include "util/status.hpp"
 
@@ -97,11 +98,28 @@ bool Cli::flag(const std::string& name, bool fallback) const {
   return it->second != "false" && it->second != "0" && it->second != "no";
 }
 
+int Cli::count(const std::string& name, int fallback, int min) const {
+  const std::int64_t v = num(name, fallback);
+  if (v < min || v > std::numeric_limits<int>::max())
+    throw SetupError("option --" + name + " expects an integer from " +
+                     std::to_string(min) + " to " +
+                     std::to_string(std::numeric_limits<int>::max()) +
+                     ", got " + std::to_string(v));
+  return static_cast<int>(v);
+}
+
 std::vector<std::string> Cli::unused() const {
   std::vector<std::string> out;
   for (const auto& [name, _] : opts_)
     if (!queried_.count(name)) out.push_back(name);
   return out;
+}
+
+void Cli::reject_unused(bool takes_files) const {
+  const std::vector<std::string> names = unused();
+  if (!names.empty()) throw SetupError("unknown option --" + names.front());
+  if (!takes_files && !positional_.empty())
+    throw SetupError("unexpected argument '" + positional_.front() + "'");
 }
 
 }  // namespace fsim::util

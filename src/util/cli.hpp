@@ -3,8 +3,8 @@
 //
 // Options take the `--name=value` form or the bare boolean `--flag` form;
 // every other argument is positional, so `--quiet ck.json` never reads
-// `ck.json` as the value of `--quiet`. Malformed numbers raise SetupError,
-// and unused() lists options nobody read so binaries can refuse typos.
+// `ck.json` as the value of `--quiet`. Malformed numbers and out-of-range
+// counts raise SetupError, and reject_unused() refuses options nobody read.
 #pragma once
 
 #include <cstdint>
@@ -29,13 +29,20 @@ class Cli {
   /// value such as `--shard=i/N`.
   static bool parse_int(const std::string& text, std::int64_t& out);
   bool flag(const std::string& name, bool fallback = false) const;
+  /// --name=N for a count from `min` to INT_MAX (`fallback` when absent).
+  /// Every count a binary reads goes through here, so a value beyond the
+  /// int range is refused, not wrapped.
+  int count(const std::string& name, int fallback, int min = 1) const;
 
   /// Positional (non-option) arguments, in order.
   const std::vector<std::string>& positional() const noexcept { return positional_; }
 
-  /// Names seen on the command line but never queried; used by binaries to
-  /// reject typos after all lookups are done.
+  /// Names seen on the command line but never queried.
   std::vector<std::string> unused() const;
+  /// Refuse every option nobody read: a typo, or a flag the path taken
+  /// would silently ignore. Binaries that take no files also refuse stray
+  /// positional arguments. Call after all lookups, before any work.
+  void reject_unused(bool takes_files = false) const;
 
  private:
   std::map<std::string, std::string> opts_;

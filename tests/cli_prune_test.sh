@@ -135,12 +135,26 @@ expect_fail "unexpected argument 'extra'" campaign --app=jacobi extra
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 cd "$tmp"
-echo '{"runs": 4, "regions": ["regular", "message"],
+echo '{"format": "fsim-batch-v2", "runs": 4, "regions": ["regular", "message"],
  "campaigns": [{"app": "jacobi"}]}' > spec.json
 expect_fail "unknown option --runs" batch --spec=spec.json --runs=8
-echo '{"regions": ["regular", "regular"], "campaigns": [{"app": "jacobi"}]}' \
-    > dup.json
+echo '{"format": "fsim-batch-v2", "regions": ["regular", "regular"],
+ "campaigns": [{"app": "jacobi"}]}' > dup.json
 expect_fail "region 'regular' listed twice" batch --spec=dup.json --quiet
+# One spelling per input: a spec without "format" (the retired v1 schema),
+# a JSON-boolean prune, the old region aliases and the engine alias
+# "interpreter" are refused.
+echo '{"runs": 4, "campaigns": [{"app": "jacobi"}]}' > v1.json
+expect_fail 'missing "format": "fsim-batch-v2"' batch --spec=v1.json --quiet
+echo '{"format": "fsim-batch-v2", "prune": true,
+ "campaigns": [{"app": "jacobi"}]}' > boolprune.json
+expect_fail "expected string" batch --spec=boolprune.json --quiet
+for alias in reg gpr fpu msg; do
+  expect_fail "unknown region '$alias'" campaign --app=jacobi --runs=2 \
+      --regions="$alias"
+done
+expect_fail "option --engine expects interp|threaded, got 'interpreter'" \
+    campaign --app=jacobi --runs=2 --engine=interpreter
 
 # A bare flag keeps the next word positional: `resume --quiet CKPT` resumes
 # and `merge a --json b` folds both files.

@@ -270,10 +270,11 @@ TEST(Merge, RejectsMismatchedShards) {
 
 TEST(Batch, SpecFileParsing) {
   const std::string spec = R"({
+    "format": "fsim-batch-v2",
     "runs": 32, "seed": 77, "regions": ["regular", "message"],
     "campaigns": [
       {"app": "wavetoy"},
-      {"app": "minimd", "runs": 16, "prune": false, "regions": ["text"]},
+      {"app": "minimd", "runs": 16, "prune": "off", "regions": ["text"]},
       {"app": "atmo", "prune": "regs"}
     ]})";
   const std::vector<CampaignSpec> specs = parse_batch_spec(spec);
@@ -286,21 +287,36 @@ TEST(Batch, SpecFileParsing) {
   EXPECT_EQ(specs[0].prune, PruneLevel::kFull);
   EXPECT_EQ(specs[1].app, "minimd");
   EXPECT_EQ(specs[1].runs_per_region, 16);
-  // Legacy boolean spelling from the two-level era maps onto the levels.
   EXPECT_EQ(specs[1].prune, PruneLevel::kOff);
   EXPECT_EQ(specs[1].regions, (std::vector<Region>{Region::kText}));
   EXPECT_EQ(specs[2].app, "atmo");
   EXPECT_EQ(specs[2].prune, PruneLevel::kRegs);
 
-  EXPECT_THROW(parse_batch_spec("{\"campaigns\": []}"), util::SetupError);
-  EXPECT_THROW(parse_batch_spec("{\"campaigns\": [{}]}"), util::SetupError);
+  const std::string v2 = R"({"format": "fsim-batch-v2", )";
+  EXPECT_THROW(parse_batch_spec(v2 + R"("campaigns": []})"), util::SetupError);
+  EXPECT_THROW(parse_batch_spec(v2 + R"("campaigns": [{}]})"),
+               util::SetupError);
   EXPECT_THROW(parse_batch_spec("not json"), util::SetupError);
-  // One spelling per level: the words are the level names, never booleans.
-  for (const char* word : {"on", "true", "false"})
-    EXPECT_THROW(parse_batch_spec(std::string(R"({"prune": ")") + word +
-                                  R"(", "campaigns": [{"app": "jacobi"}]})"),
+  // One schema: a spec without "format" (the retired v1) is refused.
+  EXPECT_THROW(parse_batch_spec(R"({"campaigns": [{"app": "jacobi"}]})"),
+               util::SetupError);
+  // One spelling per level: the words are the level names, never booleans
+  // (neither as strings nor as JSON booleans).
+  for (const char* word : {R"("on")", R"("true")", R"("false")", "true",
+                           "false"})
+    EXPECT_THROW(parse_batch_spec(v2 + R"("prune": )" + word +
+                                  R"(, "campaigns": [{"app": "jacobi"}]})"),
                  util::SetupError)
         << word;
+  // One spelling per region and engine: the retired aliases are refused.
+  for (const char* region : {"reg", "gpr", "fpu", "msg"})
+    EXPECT_THROW(parse_batch_spec(v2 + R"("regions": [")" + region +
+                                  R"("], "campaigns": [{"app": "jacobi"}]})"),
+                 util::SetupError)
+        << region;
+  EXPECT_THROW(parse_batch_spec(v2 + R"("engine": "interpreter", )" +
+                                R"("campaigns": [{"app": "jacobi"}]})"),
+               util::SetupError);
 }
 
 TEST(Batch, RegionTokensRoundTrip) {

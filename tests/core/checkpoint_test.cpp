@@ -390,7 +390,7 @@ TEST(Format, V2SpecFilesCarryAppParams) {
   EXPECT_EQ(specs[1].params.ranks, 2);  // per-campaign override
   EXPECT_EQ(specs[1].params.steps, 0);
 
-  // v1 spec files cannot smuggle in params, and unknown formats are refused.
+  // Specs without a format (the retired v1) and unknown formats are refused.
   EXPECT_THROW(
       parse_batch_spec(R"({"campaigns": [{"app": "wavetoy", "ranks": 4}]})"),
       util::SetupError);

@@ -215,7 +215,8 @@ void read_checkpoint(const std::string& text) {
 /// adaptive cell shard 1/2.
 std::vector<std::string> real_checkpoints() {
   const auto specs = core::parse_batch_spec(
-      R"({"runs": 4, "regions": ["regular", "message"],
+      R"({"format": "fsim-batch-v2", "runs": 4,
+          "regions": ["regular", "message"],
           "campaigns": [{"app": "jacobi"}]})");
   const auto entries = core::entries_for_specs(specs);
   const std::string path = "reader_fuzz_test_ckpt.json";

@@ -4,6 +4,9 @@
 # must be byte-identical across --prune=off|full, --engine=interp|threaded
 # and --jobs=1|8 on the three paper apps. Any cell disagreeing means the
 # precision ladder changed an outcome instead of just short-circuiting it.
+# The same runs are the execution-engine A/B gate: at each prune level the
+# full batch digest (pruned accounting included) must be bit-identical
+# across both engines and both job counts.
 #
 #   tests/prune_matrix_test.sh <path-to-fsim> [runs]
 set -euo pipefail
@@ -11,20 +14,27 @@ set -euo pipefail
 fsim="${1:?usage: prune_matrix_test.sh <fsim> [runs]}"
 runs="${2:-4}"
 
+# field <json> <key>: the first integer value of "key" in the document.
+field() {
+  printf '%s' "$1" | grep -o "\"$2\": *[0-9]*" | head -1 | grep -o '[0-9]*$'
+}
+
 ref=""
 for prune in off full; do
+  ab_ref=""
   for engine in interp threaded; do
     for jobs in 1 8; do
-      digest="$("$fsim" batch --apps=wavetoy,minimd,atmo --runs="$runs" \
-                  --jobs="$jobs" --prune="$prune" --engine="$engine" \
-                  --json --quiet |
-                grep -o '"outcome_digest": *[0-9]*' | head -1 |
-                grep -o '[0-9]*$')"
-      if [ -z "$digest" ]; then
-        echo "prune_matrix: no outcome_digest in batch output" >&2
+      out="$("$fsim" batch --apps=wavetoy,minimd,atmo --runs="$runs" \
+               --jobs="$jobs" --prune="$prune" --engine="$engine" \
+               --json --quiet)"
+      digest="$(field "$out" outcome_digest)"
+      batch="$(field "$out" digest)"
+      if [ -z "$digest" ] || [ -z "$batch" ]; then
+        echo "prune_matrix: no outcome_digest/digest in batch output" >&2
         exit 1
       fi
-      echo "  prune=$prune engine=$engine jobs=$jobs -> $digest"
+      echo "  prune=$prune engine=$engine jobs=$jobs ->" \
+           "outcome_digest $digest, digest $batch"
       if [ -z "$ref" ]; then
         ref="$digest"
       elif [ "$digest" != "$ref" ]; then
@@ -33,8 +43,17 @@ for prune in off full; do
              "$digest != $ref)" >&2
         exit 1
       fi
+      if [ -z "$ab_ref" ]; then
+        ab_ref="$batch"
+      elif [ "$batch" != "$ab_ref" ]; then
+        echo "prune_matrix: engine digest divergence" \
+             "(prune=$prune engine=$engine jobs=$jobs:" \
+             "$batch != $ab_ref)" >&2
+        exit 1
+      fi
     done
   done
+  echo "prune_matrix: engines agree at prune=$prune (digest $ab_ref)"
 done
 echo "prune_matrix: all 8 cells agree (outcome_digest $ref)"
 

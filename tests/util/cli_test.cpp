@@ -75,6 +75,26 @@ TEST(Cli, UnusedDetectsTypos) {
   EXPECT_EQ(unused[0], "rnus");
 }
 
+TEST(Cli, CountsAreRangeChecked) {
+  EXPECT_EQ(make({"--runs=7"}).count("runs", 200), 7);
+  EXPECT_EQ(make({}).count("runs", 200), 200);
+  EXPECT_EQ(make({"--runs=0"}).count("runs", 200, 0), 0);
+  for (const char* bad : {"--runs=0", "--runs=-5", "--runs=4294967298",
+                          "--runs=2147483648"})
+    EXPECT_THROW(make({bad}).count("runs", 200), SetupError) << bad;
+  EXPECT_THROW(make({"--runs=abc"}).count("runs", 200), SetupError);
+}
+
+TEST(Cli, RejectUnused) {
+  Cli typo = make({"--runz=3"});
+  (void)typo.count("runs", 200);
+  EXPECT_THROW(typo.reject_unused(), SetupError);
+  Cli stray = make({"--runs=3", "extra"});
+  (void)stray.count("runs", 200);
+  EXPECT_THROW(stray.reject_unused(), SetupError);
+  EXPECT_NO_THROW(stray.reject_unused(/*takes_files=*/true));
+}
+
 TEST(Cli, HexNumbers) {
   Cli c = make({"--seed=0xff"});
   EXPECT_EQ(c.num("seed", 0), 255);
