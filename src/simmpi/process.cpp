@@ -250,21 +250,23 @@ void Process::answer_rts(int src, std::int32_t tag) {
   }
 }
 
-std::vector<std::byte> Process::take_payload(const InMsg& msg) {
-  std::vector<std::byte> bytes(msg.header.payload_len);
+std::vector<std::byte> Process::take_payload(
+    const std::optional<InMsg>& msg) {
+  std::vector<std::byte> bytes(msg->header.payload_len);
   if (!bytes.empty())
-    FSIM_CHECK(machine_->memory().peek_span(msg.buffer, bytes));
-  heap().free(msg.buffer);  // 0 (no payload) is ignored
+    FSIM_CHECK(machine_->memory().peek_span(msg->buffer, bytes));
+  heap().free(msg->buffer);  // 0 (no payload) is ignored
   return bytes;
 }
 
-bool Process::deliver(const InMsg& msg, Addr dest) {
+bool Process::deliver(const std::optional<InMsg>& msg, Addr dest) {
   const std::vector<std::byte> bytes = take_payload(msg);
   return bytes.empty() || machine_->memory().poke_span(dest, bytes);
 }
 
-SysResult Process::reject(const InMsg& msg, const std::string& why) {
-  heap().free(msg.buffer);
+SysResult Process::reject(const std::optional<InMsg>& msg,
+                          const std::string& why) {
+  heap().free(msg->buffer);
   return mpich_fatal(why);
 }
 
@@ -273,7 +275,7 @@ bool Process::read_doubles(Addr addr, std::uint32_t count,
   out.resize(count);
   std::vector<std::byte> raw(count * sizeof(double));
   if (!raw.empty() && !machine_->memory().peek_span(addr, raw)) return false;
-  out = to_doubles(raw);
+  if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
   return true;
 }
 
@@ -396,10 +398,10 @@ SysResult Process::do_recv(Machine& m) {
   state_.cts_sent.erase({msg->header.src, msg->header.seq});
   const std::uint32_t len = msg->header.payload_len;
   if (len > a.count)
-    return reject(*msg, "message truncated (got " + std::to_string(len) +
-                            " bytes, buffer holds " + std::to_string(a.count) +
-                            ")");
-  if (!deliver(*msg, a.buf))
+    return reject(msg, "message truncated (got " + std::to_string(len) +
+                           " bytes, buffer holds " + std::to_string(a.count) +
+                           ")");
+  if (!deliver(msg, a.buf))
     return arg_error("MPI_Recv", "unwritable receive buffer");
   m.charge(40 + len / 32);
   m.set_result(len);
@@ -455,10 +457,10 @@ bool Process::progress() {
     }
     state_.cts_sent.erase({msg->header.src, msg->header.seq});
     if (msg->header.payload_len > r.cap) {
-      reject(*msg, "message truncated (posted receive)");
+      reject(msg, "message truncated (posted receive)");
       return false;
     }
-    if (!deliver(*msg, r.buf)) {
+    if (!deliver(msg, r.buf)) {
       mpich_fatal("unwritable buffer of posted receive");
       return false;
     }
@@ -692,8 +694,8 @@ SysResult Process::do_bcast(Machine& m) {
   });
   if (!msg) return SysResult::kBlock;
   if (msg->header.payload_len != len)
-    return reject(*msg, "MPI_Bcast size mismatch");
-  if (!deliver(*msg, buf)) return arg_error("MPI_Bcast", "unwritable buffer");
+    return reject(msg, "MPI_Bcast size mismatch");
+  if (!deliver(msg, buf)) return arg_error("MPI_Bcast", "unwritable buffer");
   ++state_.bcast_epoch;
   return done();
 }
@@ -753,8 +755,9 @@ SysResult Process::do_reduce(Machine& m, bool all) {
         });
         if (!msg) break;
         if (msg->header.payload_len != bytes)
-          return reject(*msg, name + " size mismatch");
-        const std::vector<double> vals = to_doubles(take_payload(*msg));
+          return reject(msg, name + " size mismatch");
+        const std::vector<std::byte> raw = take_payload(msg);
+        const std::vector<double> vals = to_doubles(raw);
         for (std::size_t i = 0; i < vals.size(); ++i) coll.accum[i] += vals[i];
         ++coll.counter;
       }
@@ -782,8 +785,8 @@ SysResult Process::do_reduce(Machine& m, bool all) {
   });
   if (!msg) return SysResult::kBlock;
   if (msg->header.payload_len != bytes)
-    return reject(*msg, name + " size mismatch");
-  if (!deliver(*msg, recvbuf))
+    return reject(msg, name + " size mismatch");
+  if (!deliver(msg, recvbuf))
     return arg_error(name, "unwritable receive buffer");
   coll = {};
   ++state_.reduce_epoch;
@@ -877,8 +880,8 @@ SysResult Process::do_bcast_tree(Addr buf, std::uint32_t len, int root) {
       });
       if (!msg) return SysResult::kBlock;
       if (msg->header.payload_len != len)
-        return reject(*msg, "MPI_Bcast size mismatch");
-      if (!deliver(*msg, buf))
+        return reject(msg, "MPI_Bcast size mismatch");
+      if (!deliver(msg, buf))
         return arg_error("MPI_Bcast", "unwritable buffer");
       coll.mask = hb << 1;
       coll.phase = 1;
@@ -945,8 +948,9 @@ SysResult Process::do_reduce_tree(bool all, Addr sendbuf, Addr recvbuf,
           return SysResult::kBlock;
         }
         if (msg->header.payload_len != bytes)
-          return reject(*msg, name + " size mismatch");
-        const std::vector<double> vals = to_doubles(take_payload(*msg));
+          return reject(msg, name + " size mismatch");
+        const std::vector<std::byte> raw = take_payload(msg);
+        const std::vector<double> vals = to_doubles(raw);
         for (std::size_t i = 0; i < vals.size(); ++i) coll.accum[i] += vals[i];
       }
       mask <<= 1;
@@ -980,8 +984,8 @@ SysResult Process::do_reduce_tree(bool all, Addr sendbuf, Addr recvbuf,
     });
     if (!msg) return SysResult::kBlock;
     if (msg->header.payload_len != bytes)
-      return reject(*msg, name + " size mismatch");
-    coll.accum = to_doubles(take_payload(*msg));
+      return reject(msg, name + " size mismatch");
+    coll.accum = to_doubles(take_payload(msg));
     if (!write_doubles(recvbuf, coll.accum))
       return arg_error(name, "unwritable receive buffer");
     coll.mask2 = hb << 1;
@@ -1048,8 +1052,8 @@ SysResult Process::do_gather(Machine& m) {
     if (!msg) return SysResult::kBlock;
     const std::int32_t src = msg->header.src;
     if (msg->header.payload_len != bytes || src < 0 || src >= n)
-      return reject(*msg, "MPI_Gather size/source mismatch");
-    if (!deliver(*msg, recvbuf + static_cast<Addr>(src) * bytes))
+      return reject(msg, "MPI_Gather size/source mismatch");
+    if (!deliver(msg, recvbuf + static_cast<Addr>(src) * bytes))
       return arg_error("MPI_Gather", "unwritable receive buffer");
     ++coll.counter;
   }
@@ -1100,8 +1104,8 @@ SysResult Process::do_scatter(Machine& m) {
   });
   if (!msg) return SysResult::kBlock;
   if (msg->header.payload_len != bytes)
-    return reject(*msg, "MPI_Scatter size mismatch");
-  if (!deliver(*msg, recvbuf))
+    return reject(msg, "MPI_Scatter size mismatch");
+  if (!deliver(msg, recvbuf))
     return arg_error("MPI_Scatter", "unwritable receive buffer");
   ++state_.scatter_epoch;
   return done();

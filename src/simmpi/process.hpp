@@ -180,15 +180,16 @@ class Process : public svm::BasicEnv {
   /// Answer the first unanswered rendezvous request from `src` (or any
   /// source) with `tag` by a CTS, so its sender pushes the payload.
   void answer_rts(int src, std::int32_t tag);
-  /// Read a matched data message's payload out of its MPI-owned heap
-  /// buffer, and release the buffer.
-  std::vector<std::byte> take_payload(const InMsg& msg);
+  /// Read the payload of a data message match() found out of its MPI-owned
+  /// heap buffer, and release the buffer.
+  std::vector<std::byte> take_payload(const std::optional<InMsg>& msg);
   /// take_payload() into user memory at `dest`. False if `dest` is
   /// unwritable; the buffer is released on every path.
-  bool deliver(const InMsg& msg, svm::Addr dest);
+  bool deliver(const std::optional<InMsg>& msg, svm::Addr dest);
   /// Release a matched message the operation cannot accept and abort the
   /// job with `why`.
-  svm::SysResult reject(const InMsg& msg, const std::string& why);
+  svm::SysResult reject(const std::optional<InMsg>& msg,
+                        const std::string& why);
   bool read_doubles(svm::Addr addr, std::uint32_t count,
                     std::vector<double>& out) const;
   bool write_doubles(svm::Addr addr, const std::vector<double>& in);
