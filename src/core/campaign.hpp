@@ -86,7 +86,7 @@ std::uint64_t run_seed_for(std::uint64_t campaign_seed, Region region, int i);
 /// One campaign's fault space, prepared once and read by every run: the
 /// linked image, its static analysis, the annotated text/data/BSS fault
 /// dictionaries, the compiled instruction stream, the golden run with its
-/// ladder and the run context. Built only by prepare(), immutable and safe
+/// ladder and read oracle, and the run context. Built only by prepare(), immutable and safe
 /// to share across threads; campaigns, `fsim run` and `fsim analyze` all
 /// inject into the fault space it describes.
 class Prepared {

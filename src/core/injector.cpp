@@ -140,6 +140,7 @@ std::optional<AppliedFault> Injector::inject_into_rank(simmpi::World& world,
       const DictEntry& e = dictionary_->pick(rng);
       const unsigned bit = static_cast<unsigned>(rng.below(8));
       if (!m.memory().flip_bit(e.address, bit)) return std::nullopt;
+      fault.address = e.address;
       what << region_name(region_) << " '" << e.symbol << "' at "
            << hexaddr(e.address) << " bit " << bit;
       fault.activation = e.activation;
@@ -180,8 +181,9 @@ std::optional<AppliedFault> Injector::inject_into_rank(simmpi::World& world,
       }
       FSIM_CHECK(hit != nullptr);
       const unsigned bit = static_cast<unsigned>(rng.below(8));
-      if (!m.memory().flip_bit(hit->payload + static_cast<svm::Addr>(off), bit))
-        return std::nullopt;
+      const svm::Addr addr = hit->payload + static_cast<svm::Addr>(off);
+      if (!m.memory().flip_bit(addr, bit)) return std::nullopt;
+      fault.address = addr;
       what << "heap chunk at " << hexaddr(hit->payload) << " (" << hit->size
            << " B) byte " << off << " bit " << bit;
       // Allocation-site liveness: every byte of a chunk whose site is
@@ -222,6 +224,7 @@ std::optional<AppliedFault> Injector::inject_into_rank(simmpi::World& world,
       }
       const unsigned bit = static_cast<unsigned>(rng.below(8));
       if (!m.memory().flip_bit(addr, bit)) return std::nullopt;
+      fault.address = addr;
       what << "stack at " << hexaddr(addr) << " bit " << bit;
       // Activation-windowed frame liveness: attribute the byte to the
       // sampled frame via its fp and the walker's owner pc, then ask the

@@ -29,6 +29,8 @@ struct AppliedFault {
   /// Precision-ladder rung whose proof tagged the fault dead (kNone for
   /// live/unknown targets).
   PruneRung rung = PruneRung::kNone;
+  /// The flipped byte, for the memory regions (Text/Data/BSS/Heap/Stack).
+  std::optional<svm::Addr> address;
 };
 
 class Injector {

@@ -1,5 +1,6 @@
 #include "core/run.hpp"
 
+#include <limits>
 #include <sstream>
 
 #include "core/injector.hpp"
@@ -77,13 +78,23 @@ Golden run_golden(const apps::App& app, const svm::Program& program,
   opts.machine.compiled = std::move(compiled);
   simmpi::World world(program, opts);
   auto ladder = std::make_shared<std::vector<simmpi::Snapshot>>();
+  // Injected runs replay this world exactly until their fault, so its reads
+  // are theirs: record them with the ladder.
+  const bool record = seed == kRunWorldSeed;
+  std::vector<svm::ReadLog> logs;
+  if (record) {
+    logs.reserve(static_cast<std::size_t>(world.size()));
+    for (int r = 0; r < world.size(); ++r) {
+      logs.emplace_back(world.machine(r).memory());
+      world.machine(r).memory().set_read_log(&logs.back());
+    }
+  }
   std::uint64_t stride = kFirstStride;
   while (world.status() == simmpi::JobStatus::kRunning &&
          world.global_instructions() < 4'000'000'000ull) {
     world.advance();
     const bool rung_due =
-        seed == kRunWorldSeed &&
-        world.status() == simmpi::JobStatus::kRunning &&
+        record && world.status() == simmpi::JobStatus::kRunning &&
         world.global_instructions() >= (ladder->size() + 1) * stride;
     if (!rung_due) continue;
     ladder->push_back(simmpi::Snapshot::capture(world));
@@ -113,6 +124,17 @@ Golden run_golden(const apps::App& app, const svm::Program& program,
                       app.hang_budget_factor) +
                   200'000;
   if (!ladder->empty()) g.ladder = std::move(ladder);
+  if (record) {
+    bool fits = true;  // stamps are 32-bit
+    for (int r = 0; r < world.size(); ++r) {
+      world.machine(r).memory().set_read_log(nullptr);
+      fits = fits && world.machine(r).instructions() <=
+                         std::numeric_limits<std::uint32_t>::max();
+    }
+    if (fits)
+      g.oracle =
+          std::make_shared<const std::vector<svm::ReadLog>>(std::move(logs));
+  }
   return g;
 }
 
@@ -181,6 +203,23 @@ RunOutcome run_injected(const apps::App& app, const svm::Program& program,
   Injector injector(region, dictionary, ctx.analysis);
   bool injected = region == Region::kMessage;
 
+  // Early exit: once its fault can change nothing, the run is the golden
+  // run, so it ends with the outcome simulating it out would give. After
+  // the fault, the world is compared at every later rung's count.
+  bool rejoined = false;
+  const simmpi::Snapshot* rung = nullptr;
+  const simmpi::Snapshot* rung_end = nullptr;
+  if (golden.ladder) {
+    rung = golden.ladder->data();
+    rung_end = rung + golden.ladder->size();
+  }
+  auto matches_rung = [&] {
+    const std::uint64_t now = world.global_instructions();
+    while (rung != rung_end && rung->instructions() < now) ++rung;
+    return rung != rung_end && rung->instructions() == now &&
+           rung->matches(world);
+  };
+
   while (world.status() == simmpi::JobStatus::kRunning &&
          world.global_instructions() < golden.hang_budget) {
     if (!injected && world.global_instructions() >= t_inject) {
@@ -205,13 +244,28 @@ RunOutcome run_injected(const apps::App& app, const svm::Program& program,
           outcome.instructions = world.global_instructions();
           return outcome;
         }
+        // The golden run never reads the flipped byte again.
+        if (fault->address && golden.oracle &&
+            !(*golden.oracle)[static_cast<std::size_t>(fault->rank)]
+                 .read_after(*fault->address,
+                             world.machine(fault->rank).instructions())) {
+          rejoined = true;
+          if (ctx.exits != nullptr) ++ctx.exits->read_oracle;
+          break;
+        }
       }
     }
     world.advance();
+    if (injected && matches_rung()) {
+      rejoined = true;
+      if (ctx.exits != nullptr) ++ctx.exits->rejoined;
+      break;
+    }
   }
 
   outcome.fault_description = desc.str();
-  outcome.instructions = world.global_instructions();
+  outcome.instructions =
+      rejoined ? golden.instructions : world.global_instructions();
 
   if (region == Region::kMessage) {
     for (int r = 0; r < world.size(); ++r) {
@@ -224,6 +278,10 @@ RunOutcome run_injected(const apps::App& app, const svm::Program& program,
     }
   }
 
+  if (rejoined) {
+    outcome.manifestation = Manifestation::kCorrect;
+    return outcome;
+  }
   switch (world.status()) {
     case simmpi::JobStatus::kCrashed:
       outcome.manifestation = Manifestation::kCrash;

@@ -2,6 +2,7 @@
 // outcome classification (§5.1).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -14,6 +15,7 @@
 #include "core/outcome.hpp"
 #include "simmpi/snapshot.hpp"
 #include "svm/exec/engine.hpp"
+#include "svm/readlog.hpp"
 #include "util/rng.hpp"
 
 namespace fsim::svm::analysis {
@@ -32,10 +34,16 @@ struct Golden {
   std::vector<std::uint64_t> rx_bytes;  // received volume per rank (§3.3)
   std::uint64_t hang_budget = 0;        // instructions before we call it a hang
   /// Snapshots of the golden run at scheduler-round boundaries, in order,
-  /// that injected runs fast-forward from. Shared read-only by every run;
-  /// never serialized (a Golden read back from a document has none, and
-  /// its runs simply start from t=0).
+  /// that injected runs fast-forward from — and, after their fault, end at
+  /// once they match one again. Shared read-only by every run; never
+  /// serialized (a Golden read back from a document has none, and its runs
+  /// simply start from t=0 and run to the end).
   std::shared_ptr<const std::vector<simmpi::Snapshot>> ladder;
+  /// Per rank, when the golden run last read each word of its text, data,
+  /// BSS, heap and stack (svm/readlog.hpp). A memory fault no later read
+  /// observes ends at injection. Recorded with the ladder, shared and never
+  /// serialized the same way; without it every run simulates to the end.
+  std::shared_ptr<const std::vector<svm::ReadLog>> oracle;
 };
 
 /// Run the application fault-free against an already-linked image. Throws
@@ -44,7 +52,9 @@ struct Golden {
 /// records the fast-forward ladder: a rung at the first round boundary
 /// past every multiple of a stride, the stride doubling (and every other
 /// rung dropped) whenever the ladder reaches 32 rungs, so a long run ends
-/// with 16–32 evenly spread rungs. The assembler is deterministic, so a
+/// with 16–32 evenly spread rungs. The same run records the read oracle
+/// (either engine records the same one), unless a rank runs past 2^32 - 1
+/// instructions. The assembler is deterministic, so a
 /// caller links once and shares the `Program` read-only across every run,
 /// on any thread; core::prepare (campaign.hpp) does all of this.
 Golden run_golden(
@@ -105,6 +115,13 @@ struct RunContext {
   /// Pre-lowered instruction stream shared across runs (campaigns lower
   /// once per batch entry). Null = each machine lowers its own lazily.
   std::shared_ptr<const svm::exec::CompiledProgram> compiled;
+  /// Optional tally of the runs that ended early against the golden run
+  /// (diagnostics; never changes an outcome).
+  struct EarlyExits {
+    std::atomic<std::uint64_t> read_oracle{0};  // fault never read again
+    std::atomic<std::uint64_t> rejoined{0};     // world matched a later rung
+  };
+  EarlyExits* exits = nullptr;
 };
 
 /// Run once with a single injected fault and classify the outcome.
@@ -120,6 +137,12 @@ struct RunContext {
 /// count reaches t, and a rung at t would be it only if no earlier
 /// boundary had the same count), or for a message fault the last rung
 /// where the target rank has received no more than the armed byte.
+///
+/// A run also ends early, with exactly the outcome simulating it to the end
+/// gives (Correct at golden.instructions), once its fault can change
+/// nothing: at injection, when the golden oracle shows no later read of a
+/// flipped memory byte; or after the fault, when the world equals a later
+/// rung (a message fault only once it has fired).
 RunOutcome run_injected(const apps::App& app, const svm::Program& program,
                         const Golden& golden, Region region,
                         const FaultDictionary* dictionary, std::uint64_t seed,

@@ -25,6 +25,7 @@ struct TrafficStats {
   std::uint64_t data_messages = 0;
   std::uint64_t header_bytes = 0;
   std::uint64_t payload_bytes = 0;
+  bool operator==(const TrafficStats&) const = default;
 
   std::uint64_t total_bytes() const noexcept {
     return header_bytes + payload_bytes;
@@ -43,6 +44,9 @@ struct ChannelFault {
   // Diagnostics filled in when the fault fires:
   bool hit_header = false;
   std::uint64_t offset_in_packet = 0;
+
+  /// Armed and not yet fired: the only state in which it still acts.
+  bool pending() const noexcept { return armed && !fired; }
 };
 
 class Channel {
@@ -81,8 +85,21 @@ class Channel {
     std::uint64_t pending_bytes = 0;
     TrafficStats stats;
     ChannelFault fault;
+    /// Equal futures: a fault that has fired is spent and compares equal
+    /// to none; a pending one differs from every other fault record.
+    bool operator==(const State& o) const {
+      if (fault.pending() || o.fault.pending()) {
+        if (!(fault.pending() && o.fault.pending() &&
+              fault.byte_index == o.fault.byte_index &&
+              fault.bit == o.fault.bit))
+          return false;
+      }
+      return received_bytes == o.received_bytes &&
+             pending_bytes == o.pending_bytes && stats == o.stats &&
+             queue == o.queue;
+    }
   };
-  State snapshot_state() const { return state_; }
+  const State& snapshot_state() const noexcept { return state_; }
   void restore_state(const State& s) { state_ = s; }
 
  private:

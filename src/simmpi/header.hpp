@@ -46,6 +46,7 @@ struct MsgHeader {
 
   MsgKind msg_kind() const noexcept { return static_cast<MsgKind>(kind); }
   CtrlOp control_op() const noexcept { return static_cast<CtrlOp>(ctrl_op); }
+  bool operator==(const MsgHeader&) const = default;
 };
 
 static_assert(sizeof(MsgHeader) == kHeaderBytes,

@@ -16,6 +16,8 @@
 // malloc-wrapper picture and heap injection correctly skips them.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -63,6 +65,7 @@ class Process : public svm::BasicEnv {
   struct InMsg {
     MsgHeader header;
     svm::Addr buffer = 0;  // simulated-heap chunk holding the payload
+    bool operator==(const InMsg&) const = default;
   };
 
   // --- Nonblocking requests (MPI 1.1 §3.7) ---
@@ -82,12 +85,14 @@ class Process : public svm::BasicEnv {
     svm::Addr buf = 0;
     std::uint32_t cap = 0;
     std::uint32_t bytes = 0;  // delivered payload size
+    bool operator==(const Request&) const = default;
   };
 
   // Rendezvous sender state (one outstanding blocking send).
   struct RndvState {
     bool active = false;
     std::uint32_t seq = 0;
+    bool operator==(const RndvState&) const = default;
   };
 
   // Collective progress (one outstanding blocking collective).
@@ -98,6 +103,17 @@ class Process : public svm::BasicEnv {
     std::uint32_t mask = 0;   // binomial-tree stage (gather/scatter)
     std::uint32_t mask2 = 0;  // binomial-tree stage of a second sub-phase
     std::vector<double> accum;
+    /// Bitwise on `accum`: -0.0 and +0.0 sum differently.
+    bool operator==(const CollState& o) const {
+      return phase == o.phase && counter == o.counter && sent == o.sent &&
+             mask == o.mask && mask2 == o.mask2 &&
+             accum.size() == o.accum.size() &&
+             std::equal(accum.begin(), accum.end(), o.accum.begin(),
+                        [](double a, double b) {
+                          return std::bit_cast<std::uint64_t>(a) ==
+                                 std::bit_cast<std::uint64_t>(b);
+                        });
+    }
   };
 
  public:
@@ -126,8 +142,9 @@ class Process : public svm::BasicEnv {
     std::uint32_t reduce_epoch = 0;
     std::uint32_t gather_epoch = 0;
     std::uint32_t scatter_epoch = 0;
+    bool operator==(const State&) const = default;
   };
-  State snapshot_state() const { return state_; }
+  const State& snapshot_state() const noexcept { return state_; }
   void restore_state(const State& s) { state_ = s; }
 
  protected:

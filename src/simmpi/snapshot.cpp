@@ -60,6 +60,32 @@ void Snapshot::restore(World& world) const {
   }
 }
 
+bool Snapshot::matches(const World& world) const {
+  World& w = const_cast<World&>(world);  // accessors only, as in capture()
+  if (static_cast<int>(impl_->ranks.size()) != w.size() ||
+      w.global_instructions() != impl_->instructions)
+    return false;
+  // Registers and counts first: they differ soonest and cost least.
+  for (int r = 0; r < w.size(); ++r)
+    if (!(w.machine(r).core_state() ==
+          impl_->ranks[static_cast<std::size_t>(r)].core))
+      return false;
+  if (!(w.snapshot_state() == impl_->world)) return false;
+  for (int r = 0; r < w.size(); ++r) {
+    const Impl::RankState& rs = impl_->ranks[static_cast<std::size_t>(r)];
+    Process& p = w.process(r);
+    if (!(p.snapshot_state() == rs.mpi) ||
+        !(p.channel().snapshot_state() == rs.channel) ||
+        !(p.heap().snapshot_state() == rs.heap) || !(p.io_state() == rs.io))
+      return false;
+  }
+  for (int r = 0; r < w.size(); ++r)
+    if (!w.machine(r).memory().same_contents(
+            impl_->ranks[static_cast<std::size_t>(r)].memory))
+      return false;
+  return true;
+}
+
 std::uint64_t Snapshot::instructions() const noexcept {
   return impl_->instructions;
 }

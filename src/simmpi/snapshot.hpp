@@ -16,7 +16,8 @@
 // same options) to the captured point, rewriting text — and invalidating
 // compiled code — only where it actually differs; determinism then
 // guarantees the re-execution is exact. The golden run keeps a ladder of
-// these to fast-forward injected runs (core/run.hpp).
+// these to fast-forward injected runs, and an injected run that matches a
+// later rung has rejoined the golden run (core/run.hpp).
 #pragma once
 
 #include <cstdint>
@@ -41,6 +42,12 @@ class Snapshot {
   /// Rewind `world` to this snapshot. The world must have been created from
   /// the same program with the same options (rank count is verified).
   void restore(World& world) const;
+
+  /// Is `world` (a compatible one) in exactly this state, so that it runs
+  /// on exactly as a world restored from here would? Compares every part
+  /// capture() takes; memory by what each address reads (windows may
+  /// differ), and a message fault that has fired as no fault at all.
+  bool matches(const World& world) const;
 
   /// Global instruction count at capture time.
   std::uint64_t instructions() const noexcept;

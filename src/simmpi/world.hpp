@@ -112,8 +112,9 @@ class World {
     std::string failure_msg;
     int stall_rounds = 0;
     util::Rng jitter_rng;
+    bool operator==(const State&) const = default;
   };
-  State snapshot_state() const { return state_; }
+  const State& snapshot_state() const noexcept { return state_; }
   void restore_state(const State& s) { state_ = s; }
 
  private:

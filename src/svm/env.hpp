@@ -41,8 +41,9 @@ class BasicEnv : public SyscallHandler {
     std::string console;
     std::string output;
     util::Rng rand;
+    bool operator==(const IoState&) const = default;
   };
-  IoState io_state() const { return io_; }
+  const IoState& io_state() const noexcept { return io_; }
   void restore_io_state(const IoState& s) { io_ = s; }
 
  protected:

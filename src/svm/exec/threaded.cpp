@@ -31,7 +31,9 @@
 //    illegal-instruction handler — no per-op validity branch.
 //
 // Tools that attach an AccessObserver never reach this loop — Machine::step
-// routes them to the interpreter, which reports every fetch/load/store.
+// routes them to the interpreter, which reports every fetch/load/store. A
+// machine whose memory carries a ReadLog runs the recording instantiation,
+// which stamps fetches and loads itself (the golden run's read oracle).
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -40,8 +42,15 @@
 
 namespace fsim::svm {
 
+template <bool kRecord>
 std::uint64_t Machine::step_threaded(std::uint64_t max_instructions) {
   if (core_.state != RunState::kReady) return 0;
+  // Recording: every op entered stamps its fetch, and its loads, with its
+  // number `at0 + ic`; handlers' peeks stamp through Memory with `now`.
+  [[maybe_unused]] ReadLog* const log = mem_.read_log();
+  [[maybe_unused]] const ReadLog::Stamps stamps =
+      kRecord ? log->stamps() : ReadLog::Stamps{};
+  [[maybe_unused]] std::uint64_t at0 = core_.icount;
   const exec::CompiledProgram* code = refresh_code();
   // The window snapshot persists across quanta: backing storage never
   // moves, so only a window change (a growing poke, a restore) or a
@@ -101,7 +110,16 @@ std::uint64_t Machine::step_threaded(std::uint64_t max_instructions) {
   do {                                    \
     if (ic >= quota) goto quantum_end;    \
     ++ic;                                 \
+    if constexpr (kRecord)                \
+      stamps.fetch(pc, static_cast<std::uint32_t>(at0 + ic)); \
     VM_GOTO_OP();                         \
+  } while (0)
+// A load that completed: stamp it when recording (over the older `now` a
+// fallback through Memory stamped).
+#define VM_READ(addr, bytes)                                        \
+  do {                                                              \
+    if constexpr (kRecord)                                          \
+      stamps.load((addr), (bytes), static_cast<std::uint32_t>(at0 + ic)); \
   } while (0)
 // Fall through to the next word: pure pointer/pc increment — the guard
 // slot catches running off a segment end.
@@ -152,6 +170,7 @@ slow:
   }
   if (acc >= max_instructions) return acc;
   quota = max_instructions - acc;
+  at0 = core_.icount;
   pc = core_.regs.pc;
   if (mem_.code_version() != code_version_seen_) code = refresh_code();
   if (!fm.valid(mem_)) fm.refresh(mem_);
@@ -287,6 +306,7 @@ dispatch_switch:
     const Addr a = g[d->b] + static_cast<std::uint32_t>(d->simm);
     std::uint32_t v = 0;
     if (Trap t = fm.load32(a, v); t != Trap::kNone) VM_FAIL(t, a);
+    VM_READ(a, 4);
     g[d->a] = v;
     VM_NEXT_SEQ();
   }
@@ -299,6 +319,7 @@ dispatch_switch:
     const Addr a = g[d->b] + static_cast<std::uint32_t>(d->simm);
     std::uint8_t v = 0;
     if (Trap t = fm.load8(a, v); t != Trap::kNone) VM_FAIL(t, a);
+    VM_READ(a, 1);
     g[d->a] = v;
     VM_NEXT_SEQ();
   }
@@ -319,6 +340,7 @@ dispatch_switch:
   VM_CASE(Pop) {
     std::uint32_t v = 0;
     if (Trap t = fm.load32(g[kSp], v); t != Trap::kNone) VM_FAIL(t, g[kSp]);
+    VM_READ(g[kSp], 4);
     g[d->a] = v;
     g[kSp] += 4;
     VM_NEXT_SEQ();
@@ -369,6 +391,7 @@ dispatch_switch:
   VM_CASE(Ret) {
     std::uint32_t v = 0;
     if (Trap t = fm.load32(g[kSp], v); t != Trap::kNone) VM_FAIL(t, g[kSp]);
+    VM_READ(g[kSp], 4);
     g[kSp] += 4;
     VM_NEXT_DYN(v);
   }
@@ -385,6 +408,7 @@ dispatch_switch:
     g[kSp] = g[kFp];
     std::uint32_t v = 0;
     if (Trap t = fm.load32(g[kSp], v); t != Trap::kNone) VM_FAIL(t, g[kSp]);
+    VM_READ(g[kSp], 4);
     g[kFp] = v;
     g[kSp] += 4;
     VM_NEXT_SEQ();
@@ -396,6 +420,7 @@ dispatch_switch:
     core_.icount += ic;
     core_.regs.pc = pc;
     const std::uint64_t sys_base = core_.icount;
+    if constexpr (kRecord) log->now = sys_base;
     const SysResult r = handler_->on_syscall(*this, d->imm);
     switch (r) {
       case SysResult::kDone:
@@ -411,6 +436,7 @@ dispatch_switch:
     // The SYS op plus whatever it charged counts as executed work.
     acc += ic + (core_.icount - sys_base);
     ic = 0;
+    at0 = core_.icount;
     quota = max_instructions > acc ? max_instructions - acc : 0;
     if (core_.state != RunState::kReady) return acc;
     // The handler may have poked memory (message delivery, heap growth
@@ -428,6 +454,7 @@ dispatch_switch:
     const Addr a = g[d->b] + static_cast<std::uint32_t>(d->simm);
     std::uint64_t bits = 0;
     if (Trap t = fm.load64(a, bits); t != Trap::kNone) VM_FAIL(t, a);
+    VM_READ(a, 8);
     f.push(std::bit_cast<double>(bits));
     VM_NEXT_SEQ();
   }
@@ -557,6 +584,7 @@ L_bad:
   }  // switch
 #endif
 
+#undef VM_READ
 #undef VM_NEXT_DYN
 #undef VM_NEXT_TO
 #undef VM_NEXT_SEQ
@@ -565,5 +593,8 @@ L_bad:
 #undef VM_CASE
 #undef VM_FAIL
 }
+
+template std::uint64_t Machine::step_threaded<false>(std::uint64_t);
+template std::uint64_t Machine::step_threaded<true>(std::uint64_t);
 
 }  // namespace fsim::svm

@@ -61,6 +61,7 @@ class Heap {
     /// Static allocation site (pc of the allocating `sys 8`), 0 if
     /// untracked — the key the heap-liveness prune rung classifies by.
     Addr site = 0;
+    bool operator==(const Chunk&) const = default;
   };
 
   /// Live chunks in address order (the injector's scan list).
@@ -77,6 +78,7 @@ class Heap {
   struct FreeBlock {
     std::uint32_t offset;  // from arena base (block includes no header)
     std::uint32_t size;
+    bool operator==(const FreeBlock&) const = default;
   };
 
   // --- Checkpoint/restart support: the heap *metadata*, one value (the
@@ -88,8 +90,9 @@ class Heap {
     // Host-side authoritative book-keeping (survives simulated corruption).
     std::map<Addr, Chunk> live;         // keyed by payload address
     std::vector<FreeBlock> free_list;   // address-ordered, coalesced
+    bool operator==(const State&) const = default;
   };
-  State snapshot_state() const { return state_; }
+  const State& snapshot_state() const noexcept { return state_; }
   void restore_state(const State& s) { state_ = s; }
 
  private:

@@ -74,7 +74,8 @@ std::uint64_t Machine::step(std::uint64_t max_instructions) {
   // The threaded engine has no observer hooks; trace/working-set tools that
   // attach an AccessObserver transparently fall back to the interpreter.
   if (engine_ == exec::EngineKind::kThreaded && mem_.observer() == nullptr)
-    return step_threaded(max_instructions);
+    return mem_.read_log() != nullptr ? step_threaded<true>(max_instructions)
+                                      : step_threaded<false>(max_instructions);
   std::uint64_t executed = 0;
   while (executed < max_instructions && core_.state == RunState::kReady) {
     const std::uint64_t before = core_.icount;
@@ -91,6 +92,8 @@ bool Machine::exec_one() {
     finish(static_cast<int>(core_.regs.gpr[1]));
     return false;
   }
+  // Reads by this instruction, its fetch included, carry its number.
+  if (ReadLog* log = mem_.read_log()) log->now = core_.icount + 1;
   if (Trap t = mem_.fetch32(core_.regs.pc, word); t != Trap::kNone) {
     raise(t, core_.regs.pc);
     return false;

@@ -108,13 +108,17 @@ class Machine {
     int exit_code = 0;
     ExitKind exit_kind = ExitKind::kNormal;
     std::uint64_t icount = 0;
+    bool operator==(const CoreState&) const = default;
   };
-  CoreState core_state() const { return core_; }
+  const CoreState& core_state() const noexcept { return core_; }
   void restore_core_state(const CoreState& s) { core_ = s; }
 
  private:
   bool exec_one();  // returns false when execution must stop
-  std::uint64_t step_threaded(std::uint64_t max_instructions);  // exec/threaded.cpp
+  /// exec/threaded.cpp. The recording variant also stamps every fetch and
+  /// load into the memory's read log (svm/readlog.hpp).
+  template <bool kRecord>
+  std::uint64_t step_threaded(std::uint64_t max_instructions);
 
   /// Lazily bind the pre-decoded stream (shared copy, or lower our own).
   void ensure_code();

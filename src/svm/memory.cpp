@@ -59,6 +59,7 @@ bool Memory::locate(Addr addr, unsigned size, unsigned& seg,
 
 void Memory::read(unsigned seg, std::uint32_t off, void* out,
                   std::size_t n) const noexcept {
+  if (read_log_ != nullptr) read_log_->stamp(seg, off, n);
   const Window& w = windows_[seg];
   const std::byte* data = bytes_[seg].get();
   if (off >= w.lo && off + n <= w.hi) {
@@ -209,6 +210,36 @@ Memory::Contents Memory::snapshot_contents() const {
     c.bytes[i].assign(b.begin(), b.end());
   }
   return c;
+}
+
+bool Memory::same_contents(const Contents& c) const noexcept {
+  if (c.code_pristine != code_pristine()) return false;
+  const auto zero = [](const std::byte* p, std::uint32_t n) {
+    return std::all_of(p, p + n, [](std::byte x) { return x == std::byte{}; });
+  };
+  // The part of window `w` outside `other` must read 0; `data` holds the
+  // byte at offset `base`.
+  const auto zero_outside = [&](const Window& w, const Window& other,
+                                const std::byte* data, std::uint32_t base) {
+    const std::uint32_t cut_lo = std::min(w.hi, std::max(w.lo, other.lo));
+    const std::uint32_t cut_hi = std::max(w.lo, std::min(w.hi, other.hi));
+    return zero(data + (w.lo - base), cut_lo - w.lo) &&
+           zero(data + (cut_hi - base), w.hi - cut_hi);
+  };
+  for (unsigned i = 0; i < kNumSegments; ++i) {
+    if (is_code(i) && c.code_pristine) continue;
+    const Window& a = windows_[i];
+    const Window& b = c.windows[i];
+    const std::byte* here = bytes_[i].get();
+    const std::byte* there = c.bytes[i].data();
+    const std::uint32_t lo = std::max(a.lo, b.lo);
+    const std::uint32_t hi = std::min(a.hi, b.hi);
+    if (lo < hi && std::memcmp(here + lo, there + (lo - b.lo), hi - lo) != 0)
+      return false;
+    if (!zero_outside(a, b, here, 0) || !zero_outside(b, a, there, b.lo))
+      return false;
+  }
+  return true;
 }
 
 void Memory::restore_code(unsigned seg, std::span<const std::byte> bytes) noexcept {

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "svm/layout.hpp"
+#include "svm/readlog.hpp"
 #include "svm/trap.hpp"
 
 namespace fsim::svm {
@@ -101,6 +102,11 @@ class Memory {
   void set_observer(AccessObserver* obs) noexcept { observer_ = obs; }
   AccessObserver* observer() const noexcept { return observer_; }
 
+  /// Stamp every read — loads, fetches and the privileged peeks alike —
+  /// into `log` (the golden run's read oracle, svm/readlog.hpp); null stops.
+  void set_read_log(ReadLog* log) noexcept { read_log_ = log; }
+  ReadLog* read_log() const noexcept { return read_log_; }
+
   /// Monotonic counter bumped whenever a privileged poke lands in a code
   /// segment (or a restore actually changes text). Execution engines
   /// compare it against the version their pre-decoded stream was lowered
@@ -137,6 +143,10 @@ class Memory {
     bool code_pristine = false;
   };
   Contents snapshot_contents() const;
+  /// Does every address read the same here as in `c`? Windows may differ:
+  /// a byte outside a window reads 0, so only the bytes count. Text still
+  /// holding the loaded image on one side must do so on the other.
+  bool same_contents(const Contents& c) const noexcept;
   /// Rewind to `c`. Text is rewritten — and code_version bumped — only
   /// where its bytes actually differ.
   void restore_contents(const Contents& c);
@@ -169,6 +179,7 @@ class Memory {
   std::array<Window, kNumSegments> windows_{};
   std::array<std::span<const std::byte>, kNumSegments> sealed_code_{};
   AccessObserver* observer_ = nullptr;
+  ReadLog* read_log_ = nullptr;
   std::uint64_t code_version_ = 0;
   std::uint64_t sealed_code_version_ = ~std::uint64_t{0};
   std::uint64_t window_version_ = 0;

@@ -130,6 +130,10 @@ class Fpu {
 
   static constexpr std::uint16_t kStackFaultBits = 0x0241;  // IE|SF|C1
 
+  /// Bitwise: the data registers are compared as raw bits, never as
+  /// doubles, so -0.0 differs from +0.0 and equal NaNs are equal.
+  bool operator==(const Fpu&) const = default;
+
  private:
   void set_physical(unsigned phys, double v) noexcept {
     const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
@@ -164,6 +168,8 @@ struct RegFile {
   std::uint32_t fp() const noexcept { return gpr[kFp]; }
   void set_sp(std::uint32_t v) noexcept { gpr[kSp] = v; }
   void set_fp(std::uint32_t v) noexcept { gpr[kFp] = v; }
+
+  bool operator==(const RegFile&) const = default;
 };
 
 }  // namespace fsim::svm

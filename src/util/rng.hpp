@@ -34,6 +34,8 @@ class Rng {
     for (auto& w : state_) w = splitmix64(sm);
   }
 
+  bool operator==(const Rng&) const = default;
+
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept { return ~0ULL; }
 

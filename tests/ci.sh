@@ -21,7 +21,8 @@
 # still builds the CLI and drives the heap/stack scans (analyze + lint) on
 # every app, runs the reader fuzz (mutated checkpoints, status documents
 # and service assign lines must raise SetupError only), and runs the
-# memory-window, snapshot, engine-lockstep and golden fast-forward tests.
+# memory-window, snapshot and rung-equality, engine-lockstep, golden
+# fast-forward and early-exit tests.
 #
 #   tests/ci.sh [--asan] [--build-dir=DIR] [--jobs=N]
 #
@@ -119,15 +120,19 @@ else
   echo "  analyze+lint clean under AddressSanitizer"
   (cd "$scan_dir" && tests/reader_fuzz_tests --gtest_brief=1)
   echo "  reader fuzz clean under AddressSanitizer"
-  # Memory windows grow in place inside fixed reservations, and the
-  # threaded engine caches pointers into them: the window, snapshot,
-  # engine-lockstep and fast-forward tests run under ASan too.
+  # Memory windows grow in place inside fixed reservations, the threaded
+  # engine caches pointers into them, and the read log indexes raw stamp
+  # arrays: the window, snapshot and rung-equality, engine-lockstep,
+  # fast-forward and early-exit (oracle parity and boundary) tests run
+  # under ASan too.
   (cd "$scan_dir" &&
      tests/svm_tests --gtest_brief=1 \
        --gtest_filter='Memory.*:EngineDiff.*:AllApps/EngineDiffTest.*' &&
-     tests/simmpi_tests --gtest_brief=1 --gtest_filter='Snapshot.*' &&
-     tests/core_tests --gtest_brief=1 --gtest_filter='*FastForward*')
-  echo "  memory windows, snapshots and fast-forward clean under AddressSanitizer"
+     tests/simmpi_tests --gtest_brief=1 \
+       --gtest_filter='Snapshot*' &&
+     tests/core_tests --gtest_brief=1 \
+       --gtest_filter='*FastForward*:EarlyExit.*')
+  echo "  memory windows, snapshots, fast-forward and early exit clean under AddressSanitizer"
 fi
 
 echo "=== ci: all gates passed ==="

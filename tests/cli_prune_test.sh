@@ -4,7 +4,8 @@
 # message listing the valid values, and a valid level must report the
 # activation verdict, live or dead for every dictionary fault
 # (campaign/batch have their own digest gates). Empty or duplicate region
-# lists exit 1 from the CLI and from spec files. Strict
+# lists exit 1 from the CLI and from spec files, as do spec app params the
+# apps cannot run (one rank; more steps than a 16-bit immediate). Strict
 # flags: unknown or ignored options, out-of-range counts (beyond the int
 # range too), seeds outside 0..2^64-1, NaN --ci/--confidence, malformed
 # --shard values and --checkpoint-every without --checkpoint exit 1 naming
@@ -149,6 +150,21 @@ expect_fail 'missing "format": "fsim-batch-v2"' batch --spec=v1.json --quiet
 echo '{"format": "fsim-batch-v2", "prune": true,
  "campaigns": [{"app": "jacobi"}]}' > boolprune.json
 expect_fail "expected string" batch --spec=boolprune.json --quiet
+# App params outside what the apps can run: a one-rank world (every app
+# needs a neighbour) and, except for jacobi's iteration cap, more steps
+# than the apps' 16-bit step immediate holds.
+for app in wavetoy minimd atmo jacobi; do
+  echo '{"format": "fsim-batch-v2", "runs": 1, "regions": ["regular"],
+ "campaigns": [{"app": "'"$app"'", "ranks": 1}]}' > ranks1.json
+  expect_fail "app '$app': ranks must be in [2, 64], got 1" \
+      batch --spec=ranks1.json --quiet
+done
+for app in wavetoy minimd atmo; do
+  echo '{"format": "fsim-batch-v2", "runs": 1, "regions": ["regular"],
+ "campaigns": [{"app": "'"$app"'", "steps": 32768}]}' > steps.json
+  expect_fail "app '$app': steps must be at most 32767, got 32768" \
+      batch --spec=steps.json --quiet
+done
 for alias in reg gpr fpu msg; do
   expect_fail "unknown region '$alias'" campaign --app=jacobi --runs=2 \
       --regions="$alias"

@@ -317,6 +317,42 @@ TEST(Batch, SpecFileParsing) {
   EXPECT_THROW(parse_batch_spec(v2 + R"("engine": "interpreter", )" +
                                 R"("campaigns": [{"app": "jacobi"}]})"),
                util::SetupError);
+
+  // App params parse as given; building the app refuses a one-rank world
+  // (every app needs a neighbour) and, for the timestep apps, a step count
+  // beyond their 16-bit immediate. jacobi's steps cap its iterations.
+  const auto build_error = [](const std::string& campaign) -> std::string {
+    const std::vector<CampaignSpec> one = parse_batch_spec(
+        R"({"format": "fsim-batch-v2", "campaigns": [)" + campaign + "]}");
+    try {
+      (void)apps::make_app(one.at(0).app, one.at(0).params);
+    } catch (const util::SetupError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  for (const char* app : {"wavetoy", "minimd", "atmo", "jacobi"}) {
+    const std::string name = std::string("\"") + app + "\"";
+    EXPECT_NE(build_error(R"({"app": )" + name + R"(, "ranks": 1})")
+                  .find("ranks must be in [2, 64], got 1"),
+              std::string::npos)
+        << app;
+    EXPECT_EQ(build_error(R"({"app": )" + name + R"(, "ranks": 2})"), "")
+        << app;
+    const std::string steps =
+        build_error(R"({"app": )" + name + R"(, "steps": 32768})");
+    if (std::string(app) == "jacobi") {
+      EXPECT_EQ(steps, "");
+    } else {
+      EXPECT_NE(steps.find(std::string("app '") + app +
+                           "': steps must be at most 32767, got 32768"),
+                std::string::npos)
+          << steps;
+      EXPECT_EQ(build_error(R"({"app": )" + name + R"(, "steps": 32767})"),
+                "")
+          << app;
+    }
+  }
 }
 
 TEST(Batch, RegionTokensRoundTrip) {

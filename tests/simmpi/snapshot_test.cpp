@@ -292,5 +292,81 @@ TEST(Snapshot, ArmedChannelFaultSurvivesRestore) {
   ASSERT_EQ(w.run(1'000'000'000ull), JobStatus::kCompleted);
 }
 
+// Rung convergence (core/run.cpp) ends an injected run whose world matches
+// a later golden rung; matches() must hold exactly when the two would run
+// on identically.
+struct SnapshotMatches : ::testing::Test {
+  apps::App app = small_app();
+  svm::Program program = app.link();
+  World w{program, app.world};
+  Snapshot snap;
+
+  void SetUp() override {
+    for (int i = 0; i < 60; ++i) w.advance();
+    ASSERT_EQ(w.status(), JobStatus::kRunning);
+    snap = Snapshot::capture(w);
+  }
+};
+
+TEST_F(SnapshotMatches, RestoredRungEqualsItself) {
+  EXPECT_TRUE(snap.matches(w));
+  World fresh(program, app.world);
+  EXPECT_FALSE(snap.matches(fresh));
+  snap.restore(fresh);
+  EXPECT_TRUE(snap.matches(fresh));
+  fresh.advance();
+  EXPECT_FALSE(snap.matches(fresh));
+}
+
+TEST_F(SnapshotMatches, SingleFlippedBitBreaksEquality) {
+  svm::Memory& mem = w.machine(2).memory();
+  const svm::Addr data = mem.extent(svm::Segment::kData).base;
+  ASSERT_TRUE(mem.flip_bit(data + 3, 5));
+  EXPECT_FALSE(snap.matches(w));
+  ASSERT_TRUE(mem.flip_bit(data + 3, 5));
+  EXPECT_TRUE(snap.matches(w));
+
+  // Registers compare by their bits: +0.0 and -0.0 differ.
+  w.machine(1).regs().fpu.raw(0) ^= 1ull << 63;
+  EXPECT_FALSE(snap.matches(w));
+  w.machine(1).regs().fpu.raw(0) ^= 1ull << 63;
+  w.machine(0).regs().gpr[7] ^= 1u;
+  EXPECT_FALSE(snap.matches(w));
+  w.machine(0).regs().gpr[7] ^= 1u;
+  EXPECT_TRUE(snap.matches(w));
+}
+
+TEST_F(SnapshotMatches, WindowsDoNotCountOnlyBytes) {
+  // Backing a zero byte past the heap's high-water mark grows the window
+  // but reads the same; a nonzero one does not.
+  svm::Memory& mem = w.machine(1).memory();
+  const svm::Addr past = mem.extent(svm::Segment::kHeap).base +
+                         mem.window(svm::Segment::kHeap).hi + 64;
+  ASSERT_TRUE(mem.poke8(past, 0));
+  EXPECT_TRUE(snap.matches(w));
+  ASSERT_TRUE(mem.poke8(past, 1));
+  EXPECT_FALSE(snap.matches(w));
+}
+
+TEST_F(SnapshotMatches, PendingFaultBreaksEqualityFiredDoesNot) {
+  Channel& ch = w.process(1).channel();
+  const Channel::State before = ch.snapshot_state();
+  ch.arm_fault(1u << 29, 3);  // pending: it may still flip a byte
+  EXPECT_FALSE(snap.matches(w));
+  // The same record once fired is spent: it can change nothing more.
+  Channel::State spent = ch.snapshot_state();
+  spent.fault.fired = true;
+  spent.fault.offset_in_packet = 17;
+  ch.restore_state(spent);
+  EXPECT_TRUE(snap.matches(w));
+  ch.restore_state(before);
+  EXPECT_TRUE(snap.matches(w));
+}
+
+TEST_F(SnapshotMatches, ExtraConsoleByteBreaksEquality) {
+  w.process(3).append_console("x");
+  EXPECT_FALSE(snap.matches(w));
+}
+
 }  // namespace
 }  // namespace fsim::simmpi
