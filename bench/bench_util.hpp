@@ -113,12 +113,6 @@ inline std::vector<core::RunOutcome> parallel_outcomes(
   return outs;
 }
 
-/// Optional machine-readable emission shared by the table benches.
-inline void emit_exports(const BenchArgs& a, const core::CampaignResult& res) {
-  if (a.csv) std::printf("\n%s", core::campaign_csv(res).c_str());
-  if (a.json) std::printf("\n%s\n", core::campaign_json(res).c_str());
-}
-
 inline void print_sampling_note(int runs) {
   const double d = core::estimation_error(0.05, static_cast<std::uint64_t>(runs));
   std::printf(
@@ -143,8 +137,7 @@ inline void print_reference(const char* title,
 }
 
 /// Everything needed to render one paper table: banner, the published
-/// reference rows and the prose shape targets. Shared by the standalone
-/// table2/3/4 drivers and the combined tables234_batch driver.
+/// reference rows and the prose shape targets (tables234_batch).
 struct TableRef {
   const char* banner;     // "=== Table N: ... ==="
   const char* ref_title;  // "Paper reference (Table N) — ..."
@@ -221,23 +214,6 @@ inline void print_table(const core::CampaignResult& res, int runs) {
   std::printf("%s\n", core::format_campaign(res).c_str());
   print_reference(ref.ref_title, ref.rows);
   std::printf("%s", ref.shape_notes);
-}
-
-/// Body of the standalone table drivers: one app through the batch
-/// executor (a single-entry batch), rendered with its paper reference.
-inline int run_table(const std::string& app_name, const BenchArgs& args) {
-  core::BatchEntry entry;
-  entry.app = apps::make_app(app_name);
-  entry.config.runs_per_region = args.runs;
-  entry.config.seed = args.seed;
-  core::BatchConfig bc;
-  bc.jobs = args.jobs;
-  if (!args.quiet) bc.observer = progress_ticker();
-  const core::BatchResult batch = core::run_batch({std::move(entry)}, bc);
-  const core::CampaignResult& res = batch.campaigns.front();
-  print_table(res, args.runs);
-  emit_exports(args, res);
-  return 0;
 }
 
 }  // namespace fsim::bench

@@ -1,9 +1,9 @@
-// Regenerates Tables 2-4 from ONE batch run: wavetoy, minimd and atmo
-// share a single worker pool over the combined (campaign, region, run)
-// grid, each program linked once. Per-run seeds depend only on
-// (campaign seed, region, run index), so every table here is
-// bit-identical to the standalone table2/3/4 drivers at any --jobs; the
-// printed digest is the equality oracle (compare it against
+// Regenerates Tables 2-4 (Wavetoy, NAMD/minimd, CAM/atmo) from ONE batch
+// run: the three apps share a single worker pool over the combined
+// (campaign, region, run) grid, each program linked once. Per-run seeds
+// depend only on (campaign seed, region, run index), so every table is
+// bit-identical to a one-app `fsim campaign` at any --jobs; the printed
+// digest is the equality oracle (compare it against
 // `fsim batch --apps=wavetoy,minimd,atmo --runs=N --seed=S --json`).
 //
 //   tables234_batch [--runs=N] [--seed=S] [--jobs=N] [--csv] [--json]

@@ -8,30 +8,8 @@
 namespace fsim::core {
 
 using svm::Addr;
-using svm::Instr;
 using svm::Segment;
 using svm::analysis::FlowKind;
-
-CfcSignatures::CfcSignatures(const svm::analysis::Cfg& cfg) {
-  base_ = cfg.user_text_base();
-  end_ = cfg.user_text_end();
-  sigs_.reserve((end_ - base_) / 4);
-  for (Addr pc = base_; pc < end_; pc += 4) {
-    const std::uint32_t word = cfg.word_at(pc);
-    CfcSignature s;
-    s.kind = svm::analysis::flow_of(word);
-    switch (s.kind) {
-      case FlowKind::kBranch:
-      case FlowKind::kJump:
-      case FlowKind::kCall:
-        s.target = svm::analysis::rel_target(pc, svm::decode(word));
-        break;
-      default:
-        break;
-    }
-    sigs_.push_back(s);
-  }
-}
 
 CfcSignatures::CfcSignatures(const svm::Program& program) {
   base_ = program.segment_base(Segment::kText);
@@ -62,37 +40,19 @@ const CfcSignature* CfcSignatures::at(Addr pc) const noexcept {
 }
 
 ControlFlowChecker::ControlFlowChecker(const svm::Program& program,
-                                       svm::Machine& machine)
-    : ControlFlowChecker(program, machine, nullptr, CfcMode::kStatic) {
-  // Default configuration: generate the signature table at construction
-  // and run purely off it — the hot fetch path never decodes.
-  owned_sigs_ = std::make_unique<CfcSignatures>(program);
-  signatures_ = owned_sigs_.get();
-  mode_ = CfcMode::kStatic;
-}
-
-ControlFlowChecker::ControlFlowChecker(const svm::Program& program,
                                        svm::Machine& machine,
-                                       const CfcSignatures* signatures,
-                                       CfcMode mode)
-    : machine_(&machine), signatures_(signatures), mode_(mode) {
-  const auto& img = program.image(Segment::kText);
-  text_image_.assign(img.begin(), img.end());
+                                       const CfcSignatures* signatures)
+    : machine_(&machine), signatures_(signatures) {
   text_base_ = program.segment_base(Segment::kText);
+  text_size_ =
+      static_cast<std::uint32_t>(program.image(Segment::kText).size());
   lib_base_ = program.segment_base(Segment::kLibText);
   lib_size_ = program.segment_size(Segment::kLibText);
-  if (signatures_ == nullptr) mode_ = CfcMode::kOnline;
+  if (signatures_ == nullptr) {
+    owned_sigs_ = std::make_unique<CfcSignatures>(program);
+    signatures_ = owned_sigs_.get();
+  }
   machine.memory().set_observer(this);
-}
-
-std::optional<std::uint32_t> ControlFlowChecker::original_word(
-    Addr addr) const {
-  if (addr < text_base_ || addr % 4 != 0) return std::nullopt;
-  const std::uint64_t off = addr - text_base_;
-  if (off + 4 > text_image_.size()) return std::nullopt;
-  std::uint32_t w = 0;
-  std::memcpy(&w, text_image_.data() + off, 4);
-  return w;
 }
 
 void ControlFlowChecker::flag(Addr to, const char* kind) {
@@ -101,8 +61,7 @@ void ControlFlowChecker::flag(Addr to, const char* kind) {
 }
 
 void ControlFlowChecker::on_fetch(Addr addr) {
-  const bool in_user =
-      addr >= text_base_ && addr - text_base_ < text_image_.size();
+  const bool in_user = addr >= text_base_ && addr - text_base_ < text_size_;
   const bool in_lib = addr >= lib_base_ && addr - lib_base_ < lib_size_;
 
   if (!have_prev_) {
@@ -113,8 +72,7 @@ void ControlFlowChecker::on_fetch(Addr addr) {
   const Addr prev = prev_pc_;
   prev_pc_ = addr;
 
-  const bool prev_user =
-      prev >= text_base_ && prev - text_base_ < text_image_.size();
+  const bool prev_user = prev >= text_base_ && prev - text_base_ < text_size_;
 
   if (!prev_user) {
     // Opaque library region: internal flow is not modelled, but the return
@@ -139,39 +97,15 @@ void ControlFlowChecker::on_fetch(Addr addr) {
   }
   // The legal-successor model is the same flow_of/rel_target classification
   // the static analyzer builds its CFG from (svm/analysis/cfg.hpp), so the
-  // run-time checker and the offline analysis can never disagree. In
-  // kOnline mode the model is re-derived by decoding the pristine image at
-  // every fetch; in kStatic mode it is the link-time CfcSignatures table;
-  // kDifferential evaluates both and counts any disagreement.
-  bool have = false;
-  FlowKind kind = FlowKind::kFallthrough;
-  Addr rel_target = 0;
-  if (mode_ != CfcMode::kStatic) {
-    if (const auto word = original_word(prev)) {
-      have = true;
-      kind = svm::analysis::flow_of(*word);
-      if (kind == FlowKind::kBranch || kind == FlowKind::kJump ||
-          kind == FlowKind::kCall)
-        rel_target = svm::analysis::rel_target(prev, svm::decode(*word));
-    }
-  }
-  if (mode_ != CfcMode::kOnline) {
-    const CfcSignature* sig = signatures_->at(prev);
-    if (mode_ == CfcMode::kDifferential) {
-      const bool sig_have = sig != nullptr;
-      if (sig_have != have ||
-          (sig_have && (sig->kind != kind || sig->target != rel_target)))
-        ++divergences_;
-    } else if (sig != nullptr) {
-      have = true;
-      kind = sig->kind;
-      rel_target = sig->target;
-    }
-  }
-  if (!have) {
+  // run-time checker and the offline analysis can never disagree. A
+  // misaligned pc has no signature and no legal successor.
+  const CfcSignature* sig = signatures_->at(prev);
+  if (sig == nullptr) {
     flag(addr, "edge");
     return;
   }
+  const FlowKind kind = sig->kind;
+  const Addr rel_target = sig->target;
   const Addr fallthrough = prev + 4;
 
   auto ok_edge = [&](bool ok) {

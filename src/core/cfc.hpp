@@ -36,13 +36,9 @@ struct CfcSignature {
 /// The control-flow signature database, derived at link time from the same
 /// flow_of/rel_target classification the CFG's block successor lists are
 /// built from (svm/analysis/cfg.hpp) — one record per user-text
-/// instruction, so a checker in kStatic mode never decodes at run time.
+/// instruction, so the checker never decodes at run time.
 class CfcSignatures {
  public:
-  explicit CfcSignatures(const svm::analysis::Cfg& cfg);
-  /// Same table built straight from the linked image, for callers that
-  /// have no CFG at hand (identical contents: both derive every record
-  /// from flow_of/rel_target over the raw user-text words).
   explicit CfcSignatures(const svm::Program& program);
 
   /// Signature of the instruction at `pc`; nullptr outside user text.
@@ -57,28 +53,16 @@ class CfcSignatures {
   svm::Addr end_ = 0;
 };
 
-/// How the checker derives each fetch's legal successor set.
-enum class CfcMode : std::uint8_t {
-  kOnline,        // decode the pristine text image at every fetch
-  kStatic,        // look up the link-time CfcSignatures table
-  kDifferential,  // do both; count any disagreement (should be zero)
-};
-
 class ControlFlowChecker : public svm::AccessObserver {
  public:
-  /// Builds and owns a link-time signature table from the (uncorrupted)
-  /// program image and attaches itself as the machine's memory observer,
-  /// running in kStatic mode: every fetch is checked against the
-  /// pre-generated table, with no instruction decode on the hot path.
-  ControlFlowChecker(const svm::Program& program, svm::Machine& machine);
-
-  /// Same, with a pre-built signature table. `signatures` must outlive the
-  /// checker and be built from the same program image. kStatic consults
-  /// only the table; kDifferential evaluates the table against the online
-  /// decode at every checked fetch and counts divergences.
+  /// Attaches itself as the machine's memory observer and checks every
+  /// fetch against a link-time signature table of the (uncorrupted)
+  /// program image, with no instruction decode on the hot path. The table
+  /// is `signatures` when given (it must outlive the checker and be built
+  /// from the same image, so many checkers can share one); otherwise the
+  /// checker builds and owns one.
   ControlFlowChecker(const svm::Program& program, svm::Machine& machine,
-                     const CfcSignatures* signatures,
-                     CfcMode mode = CfcMode::kStatic);
+                     const CfcSignatures* signatures = nullptr);
 
   struct Violation {
     svm::Addr from = 0;        // pc of the instruction that transferred
@@ -92,10 +76,6 @@ class ControlFlowChecker : public svm::AccessObserver {
     return violation_;
   }
   std::uint64_t transfers_checked() const noexcept { return checked_; }
-  /// Table-vs-decode disagreements seen in kDifferential mode (0 elsewhere;
-  /// nonzero would mean the link-time table and the online model drifted).
-  std::uint64_t divergences() const noexcept { return divergences_; }
-  CfcMode mode() const noexcept { return mode_; }
 
   // AccessObserver:
   void on_fetch(svm::Addr addr) override;
@@ -103,24 +83,20 @@ class ControlFlowChecker : public svm::AccessObserver {
   void on_store(svm::Addr, unsigned, svm::Segment) override {}
 
  private:
-  /// The original instruction word at `addr` (user text only).
-  std::optional<std::uint32_t> original_word(svm::Addr addr) const;
   void flag(svm::Addr to, const char* kind);
 
   svm::Machine* machine_;
-  std::vector<std::byte> text_image_;   // pristine user text
-  svm::Addr text_base_ = 0;
+  svm::Addr text_base_ = 0;             // user text
+  std::uint32_t text_size_ = 0;
   svm::Addr lib_base_ = 0;              // library text (not modelled; calls
   std::uint32_t lib_size_ = 0;          //  into it are treated as opaque)
+  std::unique_ptr<CfcSignatures> owned_sigs_;  // when none was passed in
   const CfcSignatures* signatures_ = nullptr;
-  std::unique_ptr<CfcSignatures> owned_sigs_;  // set by the 2-arg ctor
-  CfcMode mode_ = CfcMode::kOnline;
   std::vector<svm::Addr> shadow_stack_;
   bool have_prev_ = false;
   svm::Addr prev_pc_ = 0;
   std::optional<Violation> violation_;
   std::uint64_t checked_ = 0;
-  std::uint64_t divergences_ = 0;
 };
 
 }  // namespace fsim::core

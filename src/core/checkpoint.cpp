@@ -377,7 +377,8 @@ Checkpoint parse_checkpoint_blob(const std::string& blob,
       spec.regions.push_back(decode_region(r.u64()));
     spec.dictionary_entries = static_cast<std::size_t>(r.u64());
     const std::uint64_t prune = r.u64();
-    if (prune > static_cast<std::uint64_t>(PruneLevel::kFull))
+    if (prune != static_cast<std::uint64_t>(PruneLevel::kOff) &&
+        prune != static_cast<std::uint64_t>(PruneLevel::kFull))
       throw util::SetupError("checkpoint: blob names an unknown prune level");
     spec.prune = static_cast<PruneLevel>(prune);
     spec.params.ranks = static_cast<int>(r.u64());

@@ -207,7 +207,7 @@ std::uint64_t outcome_digest(const BatchResult& result) {
 
 namespace {
 
-/// Spec "prune" values: the level name ("off" | "regs" | "full").
+/// Spec "prune" values: the level name ("off" | "full").
 PruneLevel read_prune(const util::JsonValue& v) {
   if (auto level = parse_prune_level(v.as_string())) return *level;
   throw util::SetupError("unknown prune level '" + v.as_string() + "'");

@@ -54,8 +54,6 @@ const char* prune_level_name(PruneLevel level) noexcept {
   switch (level) {
     case PruneLevel::kOff:
       return "off";
-    case PruneLevel::kRegs:
-      return "regs";
     case PruneLevel::kFull:
       return "full";
   }
@@ -63,8 +61,7 @@ const char* prune_level_name(PruneLevel level) noexcept {
 }
 
 std::optional<PruneLevel> parse_prune_level(std::string_view text) noexcept {
-  for (const auto level :
-       {PruneLevel::kOff, PruneLevel::kRegs, PruneLevel::kFull})
+  for (const auto level : {PruneLevel::kOff, PruneLevel::kFull})
     if (text == prune_level_name(level)) return level;
   return std::nullopt;
 }

@@ -67,17 +67,19 @@ Golden run_golden(
 /// (register overwritten before any read, FP slot behind an empty tag,
 /// text never fetched, data/BSS byte never read, heap chunk whose
 /// allocation site is read-free, stack slot its activation never reads
-/// again), so the resumed run would replay the golden one. Every level is
-/// therefore sound — aggregates are bit-identical across levels; higher
-/// levels merely skip more already-decided runs.
+/// again), so the resumed run would replay the golden one. Pruning is
+/// therefore sound — aggregates are bit-identical at both levels; kFull
+/// merely skips already-decided runs. The values are explicit because
+/// spec_digest mixes them and binary checkpoints carry them; 1 was an
+/// integer-registers-only level and is refused wherever a level is read.
 enum class PruneLevel : std::uint8_t {
-  kOff,   // never prune
-  kRegs,  // integer register faults only (the PR-2 scope)
-  kFull,  // + provably empty FP slots, unreachable text, dead data/BSS,
-          //   dead heap allocation sites, dead stack-frame slots
+  kOff = 0,   // never prune
+  kFull = 2,  // provably dead integer registers, empty FP slots,
+              // unreachable text, dead data/BSS, dead heap allocation
+              // sites, dead stack-frame slots
 };
 
-/// "off" | "regs" | "full".
+/// "off" | "full".
 const char* prune_level_name(PruneLevel level) noexcept;
 
 /// Parse a --prune value: exactly one of the level names; nullopt on
@@ -90,8 +92,6 @@ constexpr bool prune_allows(PruneLevel level, Region region) noexcept {
   switch (level) {
     case PruneLevel::kOff:
       return false;
-    case PruneLevel::kRegs:
-      return region == Region::kRegularReg;
     case PruneLevel::kFull:
       return region == Region::kRegularReg || region == Region::kFpReg ||
              region == Region::kText || region == Region::kData ||

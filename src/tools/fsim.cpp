@@ -32,7 +32,6 @@
 #include <fstream>
 #include <limits>
 #include <optional>
-#include <sstream>
 #include <string>
 
 #include "apps/app.hpp"
@@ -65,12 +64,12 @@ int print_usage() {
   std::printf(
       "usage: fsim <command> [options]\n"
       "  run       --app=NAME --region=REGION [--seed=N]\n"
-      "            [--prune=off|regs|full] [--engine=interp|threaded]\n"
+      "            [--prune=off|full] [--engine=interp|threaded]\n"
       "  campaign  --app=NAME [--runs=N] [--regions=a,b,...] [--seed=N]\n"
-      "            [--jobs=N] [--prune=off|regs|full] [--activation]\n"
+      "            [--jobs=N] [--prune=off|full] [--activation]\n"
       "            [--engine=interp|threaded] [--json] [--csv] [--quiet]\n"
       "  batch     --apps=a,b,... | --spec=FILE [--runs=N] [--regions=...]\n"
-      "            [--seed=N] [--jobs=N] [--prune=off|regs|full] [--shard=i/N]\n"
+      "            [--seed=N] [--jobs=N] [--prune=off|full] [--shard=i/N]\n"
       "            [--checkpoint=FILE] [--checkpoint-every=N]\n"
       "            [--ckpt-encoding=json|bin] [--engine=interp|threaded]\n"
       "            [--ci=D] [--confidence=P] [--wave=N] [--max-runs=N]\n"
@@ -162,19 +161,26 @@ void write_output(const std::string& path, const std::string& text) {
   std::fprintf(stderr, "wrote %s (%zu bytes)\n", path.c_str(), text.size());
 }
 
-/// Non-empty items of a comma-separated option value.
-std::vector<std::string> split_csv(const std::string& csv) {
+/// The items of --option=a,b,...: an empty value is an empty list, and an
+/// empty item (a doubled, leading or trailing comma) is refused.
+std::vector<std::string> split_csv(const std::string& option,
+                                   const std::string& csv) {
   std::vector<std::string> items;
-  std::istringstream ss(csv);
-  std::string tok;
-  while (std::getline(ss, tok, ','))
-    if (!tok.empty()) items.push_back(tok);
-  return items;
+  if (csv.empty()) return items;
+  for (std::size_t start = 0;;) {
+    const std::size_t comma = csv.find(',', start);
+    items.push_back(csv.substr(start, comma - start));
+    if (items.back().empty())
+      throw util::SetupError("option --" + option +
+                             " has an empty item in '" + csv + "'");
+    if (comma == std::string::npos) return items;
+    start = comma + 1;
+  }
 }
 
 std::vector<core::Region> parse_region_list(const std::string& csv) {
   std::vector<core::Region> regions;
-  for (const std::string& tok : split_csv(csv))
+  for (const std::string& tok : split_csv("regions", csv))
     regions.push_back(core::parse_region(tok));
   return regions;
 }
@@ -194,7 +200,7 @@ void enum_option(const util::Cli& cli, const std::string& name,
 }
 
 void parse_prune(const util::Cli& cli, core::PruneLevel& prune) {
-  enum_option(cli, "prune", "off|regs|full", core::parse_prune_level, prune);
+  enum_option(cli, "prune", "off|full", core::parse_prune_level, prune);
 }
 
 void parse_engine(const util::Cli& cli, svm::exec::EngineKind& engine) {
@@ -412,7 +418,7 @@ int cmd_batch(const util::Cli& cli) {
     parse_prune(cli, base.prune);
     parse_engine(cli, base.engine);
     for (const std::string& name :
-         split_csv(cli.str("apps", "wavetoy,minimd,atmo")))
+         split_csv("apps", cli.str("apps", "wavetoy,minimd,atmo")))
       specs.push_back(core::spec_of(name, base));
     if (specs.empty()) {
       std::fprintf(stderr, "batch: empty --apps list\n");
@@ -584,7 +590,8 @@ int cmd_lint(const util::Cli& cli) {
   const bool json = cli.flag("json");
   const std::string which = cli.str("app", "all");
   std::optional<std::vector<std::string>> suppress;
-  if (cli.has("suppress")) suppress = split_csv(cli.str("suppress", ""));
+  if (cli.has("suppress"))
+    suppress = split_csv("suppress", cli.str("suppress", ""));
   cli.reject_unused();
   int rc = 0;
   if (which == "all") {

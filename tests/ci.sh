@@ -3,26 +3,22 @@
 # then run every gate once. The plain ctest stage covers the unit tests,
 # the lint gate (warnings fatal), the docs drift check, the multi-process
 # kill/resume crash-tolerance gate, the elastic re-sharding gate (a
-# mid-run worker death and a mid-run join) and the adaptive (--ci)
-# determinism gate (jobs/kill-resume/shard). The stages after it run what
-# ctest leaves to the `ci` configuration or to nobody: the two-tenant
-# fairness + daemon-restart service e2e, the recorded adaptive reference
-# digest, the >=2x adaptive run-savings bench, the checkpoint
-# determinism/overhead gate, the prune x engine matrix (off|full x
-# interp|threaded x jobs 1|8 must agree byte-for-byte on the
-# prune-invariant digest, and on the full batch digest across engines and
-# job counts at each prune level: the execution-engine A/B gate), the
-# heap/stack rung inventory gate (every app must keep at least one
-# provably read-free allocation site and an enabled frame rung), the
-# prune-speedup bench (nonzero exit if any precision-ladder rung stops
-# pruning) and the batch-throughput bench (which itself exits nonzero on
-# digest divergence between modes or engines) — optionally repeating the
-# whole cycle under AddressSanitizer. Without --asan, a focused ASan pass
-# still builds the CLI and drives the heap/stack scans (analyze + lint) on
-# every app, runs the reader fuzz (mutated checkpoints, status documents
-# and service assign lines must raise SetupError only), and runs the
-# memory-window, snapshot and rung-equality, engine-lockstep, golden
-# fast-forward and early-exit tests.
+# mid-run worker death and a mid-run join), the adaptive (--ci)
+# determinism gate (jobs/kill-resume/shard) and the prune x engine matrix
+# (digest identity across off|full x interp|threaded x jobs 1|8, the
+# execution-engine A/B gate, and the rung bite and ladder coverage gates).
+# The stages after it run what ctest leaves to the `ci` configuration or
+# to nobody: the two-tenant fairness + daemon-restart service e2e, the
+# recorded adaptive reference digest, the >=2x adaptive run-savings bench
+# and the heap/stack rung inventory gate (every app must keep at least one
+# provably read-free allocation site and an enabled frame rung) —
+# optionally repeating the whole cycle under AddressSanitizer. Without
+# --asan, a focused ASan pass still builds the CLI and drives the
+# heap/stack scans (analyze + lint) on every app, runs the reader fuzz
+# (mutated checkpoints, status documents and service assign lines must
+# raise SetupError only), and runs the memory-window, snapshot and
+# rung-equality, engine-lockstep, golden fast-forward and early-exit
+# tests. Throughput is perfbench's job (perfbench/run.py), not CI's.
 #
 #   tests/ci.sh [--asan] [--build-dir=DIR] [--jobs=N]
 #
@@ -74,10 +70,6 @@ run_gate() {
   fi
   echo "=== ci: adaptive savings gate (>=2x fewer runs at equal CI) ==="
   "$dir/bench/bench_adaptive_savings" --runs=200 --jobs="$jobs" > /dev/null
-  echo "=== ci: checkpoint determinism/overhead gate ==="
-  "$dir/bench/bench_checkpoint_overhead" --runs=40 --quiet
-  echo "=== ci: prune x engine digest matrix (incl. engine A/B) ==="
-  bash "$root/tests/prune_matrix_test.sh" "$fsim"
   echo "=== ci: heap/stack rung inventory gate ==="
   for app in wavetoy minimd atmo; do
     inv="$("$fsim" analyze --app="$app" --runs=0 --quiet)"
@@ -91,10 +83,6 @@ run_gate() {
       exit 1
     }
   done
-  echo "=== ci: prune speedup + ladder coverage gate ==="
-  "$dir/bench/bench_prune_speedup" --runs=60 --jobs="$jobs" > /dev/null
-  echo "=== ci: batch throughput + engine speedup gate ==="
-  "$dir/bench/bench_batch_throughput" --runs=16
 }
 
 run_gate "$build"

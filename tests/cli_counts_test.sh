@@ -4,11 +4,11 @@
 # refuse unknown options, so a negative, zero or wrapping count and a
 # misspelt flag each exit 1 with the parser's message before any work.
 #
-#   tests/cli_counts_test.sh <table2_wavetoy> <working_set_trace> \
+#   tests/cli_counts_test.sh <tables234_batch> <working_set_trace> \
 #                            <campaign_report>
 set -euo pipefail
 
-table2="${1:?usage: cli_counts_test.sh <table2_wavetoy> <working_set_trace> <campaign_report>}"
+tables="${1:?usage: cli_counts_test.sh <tables234_batch> <working_set_trace> <campaign_report>}"
 trace="${2:?missing working_set_trace}"
 report="${3:?missing campaign_report}"
 
@@ -29,13 +29,13 @@ expect_refusal() {
 }
 
 range="expects an integer from 1 to 2147483647"
-expect_refusal "option --runs $range, got -5" "$table2" --runs=-5
-expect_refusal "option --jobs $range, got 0" "$table2" --jobs=0
-expect_refusal "option --runs $range, got 4294967298" "$table2" \
+expect_refusal "option --runs $range, got -5" "$tables" --runs=-5
+expect_refusal "option --jobs $range, got 0" "$tables" --jobs=0
+expect_refusal "option --runs $range, got 4294967298" "$tables" \
     --runs=4294967298
-expect_refusal "option --jobs expects an integer, got 'abc'" "$table2" \
+expect_refusal "option --jobs expects an integer, got 'abc'" "$tables" \
     --jobs=abc
-expect_refusal "unknown option --runz" "$table2" --runz=3
+expect_refusal "unknown option --runz" "$tables" --runz=3
 expect_refusal "option --points $range, got -1" "$trace" --points=-1
 expect_refusal "unknown option --pionts" "$trace" --pionts=4
 expect_refusal "option --runs $range, got -2" "$report" --runs=-2

@@ -1,16 +1,19 @@
 #!/usr/bin/env bash
 # CLI gate for fsim's flag handling. The --prune flag on `fsim run`: an
-# unknown spelling (the old on/true/false included) must be rejected with a
-# message listing the valid values, and a valid level must report the
-# activation verdict, live or dead for every dictionary fault
-# (campaign/batch have their own digest gates). Empty or duplicate region
-# lists exit 1 from the CLI and from spec files, as do spec app params the
-# apps cannot run (one rank; more steps than a 16-bit immediate). Strict
-# flags: unknown or ignored options, out-of-range counts (beyond the int
-# range too), seeds outside 0..2^64-1, NaN --ci/--confidence, malformed
-# --shard values and --checkpoint-every without --checkpoint exit 1 naming
-# the flag, and only the --name=value form carries a value, so a
-# bare flag never swallows the next file. `fsim merge` folds checkpoints
+# unknown spelling (the old on/true/false and the retired regs level
+# included) must be rejected with a message listing the valid values, and
+# a valid level must report the activation verdict, live or dead for every
+# dictionary fault (campaign/batch have their own digest gates); regs is
+# refused in specs and checkpoints too. Empty or duplicate region lists
+# exit 1 from the CLI and from spec files, as do empty items in any CLI
+# comma list (an empty --suppress= still clears the lint suppressions)
+# and spec app params the apps cannot run (one rank; more steps than a
+# 16-bit immediate). Strict flags: unknown or ignored options,
+# out-of-range counts (beyond the int range too), seeds outside
+# 0..2^64-1, NaN --ci/--confidence, malformed --shard values and
+# --checkpoint-every without --checkpoint exit 1 naming the flag, and
+# only the --name=value form carries a value, so a bare flag never
+# swallows the next file. `fsim merge` folds checkpoints
 # only: result exports, forged done sets (the committed tests/data
 # forgeries) and adaptive shards with different policies exit 1, and
 # `fsim status` refuses the forgeries too.
@@ -29,7 +32,7 @@ if err="$("$fsim" run --app=wavetoy --region=heap --seed=5 --prune=bogus \
   exit 1
 fi
 case "$err" in
-  *"off|regs|full"*) ;;
+  *"off|full"*) ;;
   *) echo "cli_prune: error does not list valid values: $err" >&2
      exit 1 ;;
 esac
@@ -118,17 +121,39 @@ expect_fail "--max-runs" batch --apps=jacobi --ci=0.1 --max-runs=0
 expect_fail "--chunk" serve --socket=never.sock --state=never --chunk=0
 expect_fail "--rank" mix --app=jacobi --rank=-1
 expect_fail "--points" trace --app=jacobi --points=0
-# One spelling per prune level: the old boolean words are refused.
-for bad in on true false; do
-  expect_fail "option --prune expects off|regs|full, got '$bad'" \
+# One spelling per prune level: the old boolean words and the retired
+# integer-registers-only level are refused.
+for bad in on true false regs; do
+  expect_fail "option --prune expects off|full, got '$bad'" \
       run --app=jacobi --prune="$bad"
 done
+expect_fail "option --prune expects off|full, got 'regs'" \
+    campaign --app=jacobi --runs=2 --prune=regs
+expect_fail "option --prune expects off|full, got 'regs'" \
+    batch --apps=jacobi --runs=2 --prune=regs
 # Region lists: empty or with a region twice, refused naming the region.
 expect_fail "empty region list" campaign --app=jacobi --runs=2 --regions=
 expect_fail "region 'regular' listed twice" campaign --app=jacobi --runs=2 \
     --regions=regular,regular
 expect_fail "region 'message' listed twice" batch --apps=jacobi --runs=2 \
     --regions=message,regular,message --quiet
+# Comma lists: an empty item is a typo, refused naming the option.
+expect_fail "option --apps has an empty item in 'jacobi,'" \
+    batch --apps=jacobi, --runs=2 --quiet
+expect_fail "option --regions has an empty item in 'regular,,stack'" \
+    batch --apps=jacobi --runs=2 --regions=regular,,stack --quiet
+expect_fail "option --regions has an empty item in ',regular'" \
+    campaign --app=jacobi --runs=2 --regions=,regular
+expect_fail "option --suppress has an empty item in 'a,'" \
+    lint --app=jacobi --suppress=a,
+# ...while an empty --suppress= still means "no suppressions": the
+# findings wavetoy suppresses by default come back.
+quiet_lint="$("$fsim" lint --app=wavetoy --json)"
+loud_lint="$("$fsim" lint --app=wavetoy --json --suppress=)"
+[ "$quiet_lint" != "$loud_lint" ] || {
+  echo "cli_prune: lint --suppress= did not clear the suppressions" >&2
+  exit 1; }
+echo "  lint --suppress= clears the default suppressions"
 # Flags the chosen path ignores are refused too.
 expect_fail "unknown option --wave" batch --apps=jacobi --runs=2 --wave=3
 expect_fail "unexpected argument 'extra'" campaign --app=jacobi extra
@@ -150,6 +175,16 @@ expect_fail 'missing "format": "fsim-batch-v2"' batch --spec=v1.json --quiet
 echo '{"format": "fsim-batch-v2", "prune": true,
  "campaigns": [{"app": "jacobi"}]}' > boolprune.json
 expect_fail "expected string" batch --spec=boolprune.json --quiet
+echo '{"format": "fsim-batch-v2", "prune": "regs",
+ "campaigns": [{"app": "jacobi"}]}' > regsprune.json
+expect_fail "unknown prune level 'regs'" batch --spec=regsprune.json --quiet
+# Checkpoints written while the regs level existed (tests/data) are
+# refused in both encodings.
+expect_fail "unknown prune level 'regs'" status "$data/prune_regs.json"
+expect_fail "blob names an unknown prune level" \
+    status "$data/prune_regs.bin.json"
+expect_fail "unknown prune level 'regs'" resume "$data/prune_regs.json" \
+    --quiet
 # App params outside what the apps can run: a one-rank world (every app
 # needs a neighbour) and, except for jacobi's iteration cap, more steps
 # than the apps' 16-bit step immediate holds.

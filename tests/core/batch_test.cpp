@@ -275,7 +275,7 @@ TEST(Batch, SpecFileParsing) {
     "campaigns": [
       {"app": "wavetoy"},
       {"app": "minimd", "runs": 16, "prune": "off", "regions": ["text"]},
-      {"app": "atmo", "prune": "regs"}
+      {"app": "atmo", "prune": "full"}
     ]})";
   const std::vector<CampaignSpec> specs = parse_batch_spec(spec);
   ASSERT_EQ(specs.size(), 3u);
@@ -290,7 +290,7 @@ TEST(Batch, SpecFileParsing) {
   EXPECT_EQ(specs[1].prune, PruneLevel::kOff);
   EXPECT_EQ(specs[1].regions, (std::vector<Region>{Region::kText}));
   EXPECT_EQ(specs[2].app, "atmo");
-  EXPECT_EQ(specs[2].prune, PruneLevel::kRegs);
+  EXPECT_EQ(specs[2].prune, PruneLevel::kFull);
 
   const std::string v2 = R"({"format": "fsim-batch-v2", )";
   EXPECT_THROW(parse_batch_spec(v2 + R"("campaigns": []})"), util::SetupError);
@@ -301,9 +301,10 @@ TEST(Batch, SpecFileParsing) {
   EXPECT_THROW(parse_batch_spec(R"({"campaigns": [{"app": "jacobi"}]})"),
                util::SetupError);
   // One spelling per level: the words are the level names, never booleans
-  // (neither as strings nor as JSON booleans).
+  // (neither as strings nor as JSON booleans), and the retired "regs"
+  // level is refused.
   for (const char* word : {R"("on")", R"("true")", R"("false")", "true",
-                           "false"})
+                           "false", R"("regs")"})
     EXPECT_THROW(parse_batch_spec(v2 + R"("prune": )" + word +
                                   R"(, "campaigns": [{"app": "jacobi"}]})"),
                  util::SetupError)

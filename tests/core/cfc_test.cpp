@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "apps/app.hpp"
 #include "simmpi/world.hpp"
 #include "svm/assembler.hpp"
@@ -47,8 +50,6 @@ helper:
 
 TEST(Cfc, CleanRunHasNoViolations) {
   Proc p(kBranchy);
-  // The default checker owns a link-time table and runs in static mode.
-  EXPECT_EQ(p.cfc.mode(), CfcMode::kStatic);
   p.machine.step(100000);
   ASSERT_EQ(p.machine.state(), svm::RunState::kExited);
   EXPECT_FALSE(p.cfc.violated());
@@ -159,13 +160,14 @@ TEST(Cfc, PureDataFaultIsInvisible) {
 // --- Static signature table (link-time CFC model) ------------------------
 
 TEST(CfcSignatures, TableMatchesOnlineDecodeEverywhere) {
-  // The link-time table and the fetch-time decode must agree on every
-  // user-text instruction, for every bundled app: same flow class, same
-  // direct-transfer target.
+  // The link-time table and a decode of the CFG's words must agree on
+  // every user-text instruction, for every bundled app: same flow class,
+  // same direct-transfer target.
   for (const auto& name : apps::app_names()) {
     const svm::Program program = apps::make_app(name).link();
     const svm::analysis::Cfg cfg(program);
-    const CfcSignatures sigs(cfg);
+    const CfcSignatures sigs(program);
+    EXPECT_EQ(sigs.text_base(), cfg.user_text_base()) << name;
     ASSERT_EQ(sigs.size(),
               (cfg.user_text_end() - cfg.user_text_base()) / 4);
     for (svm::Addr pc = cfg.user_text_base(); pc < cfg.user_text_end();
@@ -186,50 +188,17 @@ TEST(CfcSignatures, TableMatchesOnlineDecodeEverywhere) {
     EXPECT_EQ(sigs.at(cfg.user_text_base() - 4), nullptr);
     EXPECT_EQ(sigs.at(cfg.user_text_end()), nullptr);
     EXPECT_EQ(sigs.at(cfg.user_text_base() + 2), nullptr);
-
-    // The CFG-less constructor (what the default checker uses) produces
-    // the identical table.
-    const CfcSignatures from_image(program);
-    ASSERT_EQ(from_image.size(), sigs.size()) << name;
-    EXPECT_EQ(from_image.text_base(), sigs.text_base()) << name;
-    for (svm::Addr pc = cfg.user_text_base(); pc < cfg.user_text_end();
-         pc += 4) {
-      const CfcSignature* a = sigs.at(pc);
-      const CfcSignature* b = from_image.at(pc);
-      ASSERT_NE(b, nullptr) << name;
-      EXPECT_EQ(a->kind, b->kind) << name;
-      EXPECT_EQ(a->target, b->target) << name;
-    }
   }
-}
-
-TEST(CfcSignatures, DifferentialRunSeesZeroDivergences) {
-  // A clean differential run asserts learned (online decode) == static
-  // (table) at every checked transfer.
-  svm::Program program = svm::assemble(kBranchy);
-  const svm::analysis::Cfg cfg(program);
-  const CfcSignatures sigs(cfg);
-  svm::Machine machine(program, {});
-  svm::BasicEnv env(machine);
-  ControlFlowChecker cfc(program, machine, &sigs, CfcMode::kDifferential);
-  machine.step(100000);
-  ASSERT_EQ(machine.state(), svm::RunState::kExited);
-  EXPECT_FALSE(cfc.violated());
-  EXPECT_GT(cfc.transfers_checked(), 50u);
-  EXPECT_EQ(cfc.divergences(), 0u);
-  EXPECT_EQ(cfc.mode(), CfcMode::kDifferential);
 }
 
 TEST(CfcSignatures, StaticModeDetectsTheSameViolations) {
   // Same corrupted-branch scenario as DetectsBranchRetargeting, but with
-  // the checker running purely off the link-time table.
+  // the checker reading a table built outside it.
   svm::Program program = svm::assemble(kBranchy);
-  const svm::analysis::Cfg cfg(program);
-  const CfcSignatures sigs(cfg);
+  const CfcSignatures sigs(program);
   svm::Machine machine(program, {});
   svm::BasicEnv env(machine);
-  ControlFlowChecker cfc(program, machine, &sigs, CfcMode::kStatic);
-  EXPECT_EQ(cfc.mode(), CfcMode::kStatic);
+  ControlFlowChecker cfc(program, machine, &sigs);
   const auto& img = program.image(svm::Segment::kText);
   const svm::Addr base = program.segment_base(svm::Segment::kText);
   for (std::size_t off = 0; off + 4 <= img.size(); off += 4) {
@@ -245,22 +214,25 @@ TEST(CfcSignatures, StaticModeDetectsTheSameViolations) {
   EXPECT_STREQ(cfc.violation()->kind, "edge");
 }
 
-TEST(CfcSignatures, DifferentialCleanAppRunsAgree) {
-  // End-to-end: a full fault-free run of each benchmark app in
-  // differential mode must find zero table-vs-decode disagreements and
-  // zero violations — the static model IS the learned model.
+TEST(CfcSignatures, SharedTableCleanAppRunsHaveNoViolations) {
+  // End-to-end: one table shared by a checker on every rank of each
+  // benchmark app (as the control-flow ablation runs them) must see a
+  // full fault-free run without a single violation.
   for (const auto& name : apps::app_names()) {
     apps::App app = apps::make_app(name);
     svm::Program program = app.link();
-    const svm::analysis::Cfg cfg(program);
-    const CfcSignatures sigs(cfg);
+    const CfcSignatures sigs(program);
     simmpi::World world(program, app.world);
-    ControlFlowChecker cfc(program, world.machine(1), &sigs,
-                           CfcMode::kDifferential);
+    std::vector<std::unique_ptr<ControlFlowChecker>> checkers;
+    for (int r = 0; r < world.size(); ++r)
+      checkers.push_back(
+          std::make_unique<ControlFlowChecker>(program, world.machine(r),
+                                               &sigs));
     ASSERT_EQ(world.run(2'000'000'000ull), simmpi::JobStatus::kCompleted)
         << name;
-    EXPECT_FALSE(cfc.violated()) << name;
-    EXPECT_EQ(cfc.divergences(), 0u) << name;
+    for (int r = 0; r < world.size(); ++r)
+      EXPECT_FALSE(checkers[static_cast<std::size_t>(r)]->violated())
+          << name << " rank " << r;
   }
 }
 

@@ -226,19 +226,24 @@ TEST(Resume, ReproducesTheUninterruptedAggregatesAtAnyJobCount) {
 }
 
 TEST(Resume, CompleteCheckpointIsANoOpResume) {
+  // A run without a sidecar and the final sidecar of the same batch
+  // written after every run or every 64 runs hold the same aggregates.
   const std::vector<BatchEntry> entries = two_campaign_batch();
   BatchConfig mono;
   mono.jobs = 2;
   const BatchResult whole = run_batch(entries, mono);
 
   const std::string path = scratch("noop");
-  const Checkpoint ck = run_with_checkpoint(entries, path, /*jobs=*/2);
-  ASSERT_TRUE(ck.complete());
-  BatchConfig bc;
-  bc.jobs = 2;
-  bc.resume = &ck;
-  const BatchResult resumed = run_batch(entries, bc);
-  EXPECT_EQ(batch_json(resumed), batch_json(whole));
+  for (int every : {1, 64}) {
+    const Checkpoint ck = run_with_checkpoint(entries, path, /*jobs=*/2,
+                                              every);
+    ASSERT_TRUE(ck.complete()) << every;
+    BatchConfig bc;
+    bc.jobs = 2;
+    bc.resume = &ck;
+    const BatchResult resumed = run_batch(entries, bc);
+    EXPECT_EQ(batch_json(resumed), batch_json(whole)) << every;
+  }
   std::remove(path.c_str());
 }
 

@@ -78,23 +78,6 @@ TEST(Prune, FullAndOffProduceIdenticalAggregates) {
   EXPECT_EQ(pruned_off, 0);
 }
 
-TEST(Prune, RegsLevelRestrictsPruningToIntegerRegisters) {
-  const apps::App app = tiny_wavetoy();
-  CampaignConfig cfg = base_config();
-  cfg.prune = PruneLevel::kRegs;
-  const CampaignResult res = run_campaign(app, cfg);
-
-  EXPECT_GT(pruned_in(res, Region::kRegularReg), 0);
-  for (const auto& rr : res.regions) {
-    if (rr.region != Region::kRegularReg) {
-      EXPECT_EQ(rr.pruned, 0) << region_name(rr.region);
-    }
-  }
-
-  cfg.prune = PruneLevel::kOff;
-  expect_same_aggregates(res, run_campaign(app, cfg));
-}
-
 TEST(Prune, PrunedRunsAreASubsetOfDeadCorrectRuns) {
   const apps::App app = tiny_wavetoy();
   CampaignConfig cfg = base_config();
@@ -134,14 +117,13 @@ TEST(Prune, ParallelAggregatesMatchSerialWithFullPruning) {
 
 TEST(Prune, LevelParsingRoundTrips) {
   EXPECT_EQ(parse_prune_level("off"), PruneLevel::kOff);
-  EXPECT_EQ(parse_prune_level("regs"), PruneLevel::kRegs);
   EXPECT_EQ(parse_prune_level("full"), PruneLevel::kFull);
-  // One spelling per level: the two-level era's booleans are gone as
-  // strings (a spec's JSON true still means "regs", never "full").
-  for (const char* legacy : {"on", "true", "false", "half", "Full", ""})
+  // One spelling per level: the two-level era's booleans and the retired
+  // integer-registers-only "regs" level are refused.
+  for (const char* legacy :
+       {"on", "true", "false", "regs", "half", "Full", ""})
     EXPECT_FALSE(parse_prune_level(legacy).has_value()) << legacy;
-  for (const auto level :
-       {PruneLevel::kOff, PruneLevel::kRegs, PruneLevel::kFull})
+  for (const auto level : {PruneLevel::kOff, PruneLevel::kFull})
     EXPECT_EQ(parse_prune_level(prune_level_name(level)), level);
 }
 

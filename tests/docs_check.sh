@@ -11,6 +11,9 @@
 # 3. Every relative markdown link in README.md and docs/*.md must resolve
 #    to an existing file, and `file#anchor` fragments must resolve to a
 #    heading in the target document (github-style slugs).
+# 4. Every bench/<name> cited in README.md, EXPERIMENTS.md, DESIGN.md and
+#    docs/*.md (a source, or a build/bench/<name> binary) must name a file
+#    under bench/ — citing a retired bench fails.
 set -u
 
 fsim="$1"
@@ -99,7 +102,22 @@ for doc in "$root/README.md" "$root"/docs/*.md; do
   done
 done
 
+# bench/<name> citations: <name> or <name>.cpp must exist under bench/
+# (perfbench/... is not a citation; a trailing full stop is prose).
+for doc in "$root/README.md" "$root/EXPERIMENTS.md" "$root/DESIGN.md" \
+           "$root"/docs/*.md; do
+  [ -f "$doc" ] || continue
+  while read -r name; do
+    [ -n "$name" ] || continue
+    if [ ! -f "$root/bench/$name" ] && [ ! -f "$root/bench/$name.cpp" ]; then
+      echo "docs_check: ${doc#$root/} cites bench/$name, which is not a file under bench/"
+      fail=1
+    fi
+  done < <(grep -oE '(^|[^A-Za-z0-9_])bench/[A-Za-z0-9_.{},-]+' "$doc" \
+             | sed -e 's|^.*bench/||' -e 's|\.*$||' | sort -u)
+done
+
 if [ "$fail" -eq 0 ]; then
-  echo "docs_check: CLI reference and markdown links are in sync"
+  echo "docs_check: CLI reference, markdown links and bench citations are in sync"
 fi
 exit $fail

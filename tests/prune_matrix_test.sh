@@ -6,7 +6,9 @@
 # precision ladder changed an outcome instead of just short-circuiting it.
 # The same runs are the execution-engine A/B gate: at each prune level the
 # full batch digest (pruned accounting included) must be bit-identical
-# across both engines and both job counts.
+# across both engines and both job counts. Digest equality cannot tell
+# "pruned correctly" from "stopped pruning", so two bite gates follow:
+# the heap and frame rungs on every app, and the whole ladder on wavetoy.
 #
 #   tests/prune_matrix_test.sh <path-to-fsim> [runs]
 set -euo pipefail
@@ -75,3 +77,31 @@ for app in wavetoy minimd atmo; do
   done
 done
 echo "prune_matrix: heap and frame rungs bite on every app"
+
+# Ladder coverage gate: at --prune=full, one wavetoy campaign over every
+# region must prune regular, FP and text faults, and each of the six rungs
+# of the precision ladder must decide at least one run. Run i's fault
+# depends only on (seed, region, i), so counts only grow with --runs; at
+# the default seed and 300 runs the scarcest rung, time-window, decides 9.
+cov="$("$fsim" campaign --app=wavetoy --runs=300 --prune=full --json \
+         --quiet | grep '^{' | sed 's/{"region":/\n&/g')"
+for region in "Regular Reg." "FP Reg." "Text"; do
+  count="$(printf '%s\n' "$cov" | grep -F "{\"region\":\"$region\"" |
+           grep -o '"pruned":[0-9]*' | head -1 | grep -o '[0-9]*$')"
+  if [ -z "$count" ] || [ "$count" -eq 0 ]; then
+    echo "prune_matrix: wavetoy pruned no $region faults" >&2
+    exit 1
+  fi
+  echo "  wavetoy region=$region pruned=$count"
+done
+rungs="$(printf '%s\n' "$cov" | grep -o '"pruned_rungs":{[^}]*}')"
+for rung in base fp-ctx time-window value-range heap frame; do
+  count="$(printf '%s\n' "$rungs" | { grep -o "\"$rung\":[0-9]*" || true; } |
+           awk -F: '{ n += $2 } END { print n + 0 }')"
+  if [ "$count" -eq 0 ]; then
+    echo "prune_matrix: the $rung rung decided no wavetoy run" >&2
+    exit 1
+  fi
+  echo "  wavetoy rung=$rung decided=$count"
+done
+echo "prune_matrix: every rung of the ladder decides runs"
