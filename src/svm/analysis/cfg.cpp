@@ -4,6 +4,8 @@
 #include <cstring>
 #include <deque>
 
+#include "svm/syscall.hpp"
+
 namespace fsim::svm::analysis {
 
 FlowKind flow_of(std::uint32_t word) noexcept {
@@ -33,6 +35,12 @@ FlowKind flow_of(std::uint32_t word) noexcept {
     default:
       return FlowKind::kFallthrough;
   }
+}
+
+bool aborting_sys(const Instr& in) noexcept {
+  return in.op == Op::kSys &&
+         (in.imm == static_cast<std::uint16_t>(Sys::kExit) ||
+          in.imm == static_cast<std::uint16_t>(Sys::kAssertFail));
 }
 
 namespace {
@@ -250,10 +258,15 @@ void Cfg::compute_reachability() {
     if (b.call_target >= 0)
       push(static_cast<std::uint32_t>(b.call_target));
   }
+  for (std::uint32_t id = 0; id < blocks_.size(); ++id)
+    if (reachable_[id] && (blocks_[id].term == FlowKind::kIndirectCall ||
+                           blocks_[id].term == FlowKind::kIndirectJump))
+      reachable_indirect_ = true;
 }
 
 void Cfg::build_functions() {
   funcs_of_block_.assign(blocks_.size(), {});
+  fn_at_entry_.assign(blocks_.size(), kNoBlock);
   if (blocks_.empty()) return;
 
   std::set<std::uint32_t> entries;
@@ -311,6 +324,7 @@ void Cfg::build_functions() {
     }
     std::sort(fn.blocks.begin(), fn.blocks.end());
     const std::uint32_t fid = static_cast<std::uint32_t>(functions_.size());
+    fn_at_entry_[e] = fid;
     for (std::uint32_t id : fn.blocks) funcs_of_block_[id].push_back(fid);
     functions_.push_back(std::move(fn));
   }
@@ -330,6 +344,13 @@ void Cfg::build_functions() {
       if (fn.entry == callee) fn.return_sites.push_back(site);
     }
   }
+}
+
+std::uint32_t Cfg::Function::local_index(std::uint32_t block) const noexcept {
+  const auto it = std::lower_bound(blocks.begin(), blocks.end(), block);
+  return it != blocks.end() && *it == block
+             ? static_cast<std::uint32_t>(it - blocks.begin())
+             : kNoBlock;
 }
 
 const std::vector<std::uint32_t>& Cfg::functions_of(

@@ -46,6 +46,10 @@ constexpr Addr rel_target(Addr pc, const Instr& in) noexcept {
   return pc + 4 + static_cast<Addr>(in.simm()) * 4;
 }
 
+/// True for `sys` words that terminate the rank (exit / assert-fail):
+/// control never flows past them, so every pass stops its block walk there.
+bool aborting_sys(const Instr& in) noexcept;
+
 struct Block {
   Addr begin = 0;
   Addr end = 0;  // exclusive; terminator at end-4
@@ -117,11 +121,32 @@ class Cfg {
     std::vector<std::uint32_t> return_sites;  // blocks after calls to this fn
     bool address_taken = false;               // may be invoked indirectly
     const Symbol* symbol = nullptr;           // covering symbol, for reports
+
+    /// Position of `block` in `blocks`; kNoBlock if it is not a member.
+    std::uint32_t local_index(std::uint32_t block) const noexcept;
   };
   const std::vector<Function>& functions() const noexcept { return functions_; }
   /// Ids (into functions()) of the functions whose intraprocedural closure
   /// contains `block`; empty for blocks outside any detected function.
   const std::vector<std::uint32_t>& functions_of(std::uint32_t block) const;
+
+  /// Id of the function whose entry is `block`; kNoBlock if none starts
+  /// there.
+  std::uint32_t function_starting_at(std::uint32_t block) const noexcept {
+    return block < fn_at_entry_.size() ? fn_at_entry_[block] : kNoBlock;
+  }
+  /// Id of the function a direct call terminating `block` enters; kNoBlock
+  /// for other terminators and for calls whose target is outside the code.
+  std::uint32_t callee_of(std::uint32_t block) const noexcept {
+    const Block& b = blocks_[block];
+    return b.term == FlowKind::kCall && b.call_target >= 0
+               ? function_starting_at(static_cast<std::uint32_t>(b.call_target))
+               : kNoBlock;
+  }
+
+  /// Does some reachable block end in an indirect jump or call? Then any
+  /// address-taken code address can be entered in any state.
+  bool reachable_indirect() const noexcept { return reachable_indirect_; }
 
   std::uint32_t entry_block() const noexcept { return entry_block_; }
 
@@ -146,7 +171,9 @@ class Cfg {
   std::set<Addr> materialized_;
   std::vector<Function> functions_;
   std::vector<std::vector<std::uint32_t>> funcs_of_block_;
+  std::vector<std::uint32_t> fn_at_entry_;  // block id -> function id
   std::uint32_t entry_block_ = kNoBlock;
+  bool reachable_indirect_ = false;
 };
 
 }  // namespace fsim::svm::analysis

@@ -1,16 +1,6 @@
 #include "svm/analysis/execgraph.hpp"
 
-#include <deque>
-
-#include "svm/syscall.hpp"
-
 namespace fsim::svm::analysis {
-
-bool aborting_sys(const Instr& in) noexcept {
-  return in.op == Op::kSys &&
-         (in.imm == static_cast<std::uint16_t>(Sys::kExit) ||
-          in.imm == static_cast<std::uint16_t>(Sys::kAssertFail));
-}
 
 ExecGraph::ExecGraph(const Cfg& cfg) {
   const auto& blocks = cfg.blocks();
@@ -65,36 +55,11 @@ ExecGraph::ExecGraph(const Cfg& cfg) {
     for (std::uint32_t s : succ_[p]) rev_[s].push_back(p);
 }
 
-std::vector<bool> ExecGraph::reach_backward(const std::vector<bool>& seeds,
-                                            std::vector<bool>& live_out) const {
-  const std::size_t n = succ_.size();
-  live_out.assign(n, false);
-  std::vector<bool> live_in(n, false);
-  std::deque<std::uint32_t> work;
-  auto seed = [&](std::uint32_t id) {
-    if (!live_in[id]) {
-      live_in[id] = true;
-      work.push_back(id);
-    }
-  };
-  for (std::uint32_t id = 0; id < n; ++id) {
-    if (seeds[id]) seed(id);
-    if (unbounded_[id]) {
-      live_out[id] = true;
-      seed(id);
-    }
-  }
-  while (!work.empty()) {
-    const std::uint32_t s = work.front();
-    work.pop_front();
-    for (std::uint32_t p : rev_[s]) {
-      if (!live_out[p]) {
-        live_out[p] = true;
-        seed(p);
-      }
-    }
-  }
-  return live_in;
+bool ReadWindow::dead_at(const Cfg& cfg, Addr pc) const noexcept {
+  const std::uint32_t b = cfg.block_index_of(pc);
+  if (b == Cfg::kNoBlock || live_out[b]) return false;
+  const auto it = reads.find(b);
+  return it == reads.end() || it->second.back() < pc;
 }
 
 }  // namespace fsim::svm::analysis

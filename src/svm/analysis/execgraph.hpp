@@ -17,16 +17,72 @@
 // forward-reachable from the paused pc" proof.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <map>
 #include <vector>
 
 #include "svm/analysis/cfg.hpp"
 
 namespace fsim::svm::analysis {
 
-/// True for `sys` words that terminate the rank (exit / assert-fail):
-/// control never flows past them, so they end every forward window.
-bool aborting_sys(const Instr& in) noexcept;
+/// Where the reads of one object (a data symbol, a heap allocation site)
+/// can still happen: its read sites per block, and the blocks from whose
+/// end one of them is reachable over the execution-successor graph.
+struct ReadWindow {
+  std::vector<bool> live_out;  // per block: a read is reachable past the end
+  std::map<std::uint32_t, std::vector<Addr>> reads;  // block -> sorted pcs
+
+  /// True if no read site is forward-reachable from `pc`: none at or after
+  /// it in its own block, none past the block's end. False outside the
+  /// code.
+  bool dead_at(const Cfg& cfg, Addr pc) const noexcept;
+};
+
+/// The read window of an object read at `read_pcs` over any block
+/// predecessor relation: `preds(b)` lists the blocks control reaches `b`
+/// from, and the `unbounded` blocks (indexed by block id; empty for none)
+/// count as reaching a read.
+template <class Preds>
+ReadWindow backward_window(const Cfg& cfg, const std::vector<Addr>& read_pcs,
+                           const std::vector<bool>& unbounded, Preds&& preds) {
+  ReadWindow w;
+  const std::size_t n = cfg.blocks().size();
+  w.live_out.assign(n, false);
+  std::vector<bool> live_in(n, false);  // a read is reachable from the start
+  std::deque<std::uint32_t> work;
+  auto seed = [&](std::uint32_t id) {
+    if (!live_in[id]) {
+      live_in[id] = true;
+      work.push_back(id);
+    }
+  };
+  for (Addr rpc : read_pcs) {
+    const std::uint32_t id = cfg.block_index_of(rpc);
+    if (id == Cfg::kNoBlock) continue;
+    w.reads[id].push_back(rpc);
+    seed(id);
+  }
+  for (auto& [id, pcs] : w.reads) std::sort(pcs.begin(), pcs.end());
+  for (std::uint32_t id = 0; id < unbounded.size(); ++id) {
+    if (unbounded[id]) {
+      w.live_out[id] = true;
+      seed(id);
+    }
+  }
+  while (!work.empty()) {
+    const std::uint32_t s = work.front();
+    work.pop_front();
+    for (std::uint32_t p : preds(s)) {
+      if (!w.live_out[p]) {
+        w.live_out[p] = true;
+        seed(p);
+      }
+    }
+  }
+  return w;
+}
 
 class ExecGraph {
  public:
@@ -47,13 +103,15 @@ class ExecGraph {
 
   std::size_t size() const noexcept { return succ_.size(); }
 
-  /// Backward reachability: given per-block seeds (blocks containing an
-  /// event of interest), fills `live_out[b]` = an event block is reachable
-  /// strictly past b's end, and returns the `live_in` vector (event block
-  /// reachable from b's start — i.e. b itself is a seed or live_out[b]).
-  /// Unbounded blocks are always seeded.
-  std::vector<bool> reach_backward(const std::vector<bool>& seeds,
-                                   std::vector<bool>& live_out) const;
+  /// The read window of an object read at `read_pcs`, by backward
+  /// reachability from the blocks holding them. Unbounded blocks count as
+  /// reaching a read.
+  ReadWindow window(const Cfg& cfg, const std::vector<Addr>& read_pcs) const {
+    return backward_window(cfg, read_pcs, unbounded_,
+                           [this](std::uint32_t b) -> const auto& {
+                             return rev_[b];
+                           });
+  }
 
  private:
   std::vector<std::vector<std::uint32_t>> succ_;

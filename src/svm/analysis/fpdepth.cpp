@@ -1,10 +1,8 @@
 #include "svm/analysis/fpdepth.hpp"
 
 #include <algorithm>
-#include <deque>
 
-#include "svm/analysis/defuse.hpp"
-#include "svm/syscall.hpp"
+#include "svm/analysis/dataflow.hpp"
 
 namespace fsim::svm::analysis {
 
@@ -12,54 +10,35 @@ namespace {
 
 constexpr int kMaxDepth = static_cast<int>(kNumFpr);
 
-/// Canonical "know nothing" state: reachable, but no slot proof possible.
-constexpr DepthBounds top_state() noexcept {
-  return DepthBounds{0, static_cast<std::int8_t>(kMaxDepth), false, true};
-}
+}  // namespace
 
-/// Does this syscall terminate the process? (Depth states do not flow into
-/// the dynamically dead epilogue after an abort; mirrors lint.cpp.)
-bool aborting_sys(const Instr& in) noexcept {
-  return in.op == Op::kSys &&
-         (in.imm == static_cast<std::uint16_t>(Sys::kExit) ||
-          in.imm == static_cast<std::uint16_t>(Sys::kAssertFail));
-}
-
-/// Transfer one instruction's effect. Any possible underflow or overflow
-/// breaks the anchor, and unanchored states widen to TOP (TOP is a fixed
-/// point of this function, so blocks entered mid-way through an indirect
-/// jump are covered by seeding TOP at their head).
-DepthBounds apply(DepthBounds s, const RegEffect& e) noexcept {
+DepthBounds depth_apply(DepthBounds s, const RegEffect& e) noexcept {
   if (e.fp_needs > s.lo) s.anchored = false;  // possible underflow
   int lo = s.lo + e.fp_delta;
   int hi = s.hi + e.fp_delta;
   if (hi > kMaxDepth) s.anchored = false;  // possible overflow
   lo = std::clamp(lo, 0, kMaxDepth);
   hi = std::clamp(hi, 0, kMaxDepth);
-  if (!s.anchored) return top_state();
+  if (!s.anchored) return DepthBounds::top();
   s.lo = static_cast<std::int8_t>(lo);
   s.hi = static_cast<std::int8_t>(hi);
   return s;
 }
 
-DepthBounds join(const DepthBounds& a, const DepthBounds& b) noexcept {
+DepthBounds depth_join(const DepthBounds& a, const DepthBounds& b) noexcept {
   if (!a.reachable) return b;
   if (!b.reachable) return a;
-  if (!(a.anchored && b.anchored)) return top_state();
-  DepthBounds m;
-  m.lo = std::min(a.lo, b.lo);
-  m.hi = std::max(a.hi, b.hi);
-  m.anchored = true;
-  m.reachable = true;
-  return m;
+  if (!(a.anchored && b.anchored)) return DepthBounds::top();
+  return {std::min(a.lo, b.lo), std::max(a.hi, b.hi), true, true};
 }
 
-bool same(const DepthBounds& a, const DepthBounds& b) noexcept {
-  return a.lo == b.lo && a.hi == b.hi && a.anchored == b.anchored &&
-         a.reachable == b.reachable;
+bool depth_flow_into(DepthBounds& cur, DepthBounds s) noexcept {
+  s.reachable = true;
+  const DepthBounds merged = depth_join(cur, s);
+  if (merged == cur) return false;
+  cur = merged;
+  return true;
 }
-
-}  // namespace
 
 FpDepth::FpDepth(const Cfg& cfg)
     : cfg_(&cfg),
@@ -72,97 +51,62 @@ FpDepth::FpDepth(const Cfg& cfg)
 void FpDepth::solve() {
   const Cfg& cfg = *cfg_;
   if (cfg.blocks().empty() || cfg.entry_block() == Cfg::kNoBlock) return;
-
-  std::deque<std::uint32_t> work;
-  std::vector<bool> queued(cfg.blocks().size(), false);
-  auto enqueue = [&](std::uint32_t id) {
-    if (!queued[id]) {
-      queued[id] = true;
-      work.push_back(id);
-    }
-  };
-  auto propagate = [&](std::uint32_t id, DepthBounds s) {
-    s.reachable = true;
-    const DepthBounds merged = join(block_in_[id], s);
-    if (!same(merged, block_in_[id])) {
-      block_in_[id] = merged;
-      enqueue(id);
-    }
-  };
+  Dataflow df(block_in_, depth_flow_into);
 
   // Roots: the program entry starts from FPU reset (depth exactly 0).
-  block_in_[cfg.entry_block()] = DepthBounds{0, 0, true, true};
-  enqueue(cfg.entry_block());
+  df.flow(cfg.entry_block(), DepthBounds{0, 0, true, true});
 
   // If some statically reachable block performs an indirect transfer, any
   // address-taken code address can be entered with an arbitrary depth; seed
   // TOP at the block containing each materialised code address. Without a
   // reachable indirect transfer, address-taken code is only enterable
   // through modeled direct edges and needs no seeding.
-  bool has_indirect = false;
-  for (std::uint32_t id = 0; id < cfg.blocks().size(); ++id) {
-    const Block& b = cfg.block(id);
-    if (cfg.reachable_block(id) && (b.term == FlowKind::kIndirectCall ||
-                                    b.term == FlowKind::kIndirectJump)) {
-      has_indirect = true;
-      break;
-    }
-  }
-  if (has_indirect) {
+  if (cfg.reachable_indirect()) {
     for (Addr a : cfg.materialized()) {
       const std::uint32_t id = cfg.block_index_of(a);
-      if (id != Cfg::kNoBlock) propagate(id, top_state());
+      if (id != Cfg::kNoBlock) df.flow(id, DepthBounds::top());
     }
   }
 
-  while (!work.empty()) {
-    const std::uint32_t id = work.front();
-    work.pop_front();
-    queued[id] = false;
+  df.solve([&](std::uint32_t id, DepthBounds s) {
     const Block& b = cfg.block(id);
-    DepthBounds s = block_in_[id];
-    bool aborted = false;
     for (Addr pc = b.begin; pc < b.end; pc += 4) {
       const std::uint32_t word = cfg.word_at(pc);
-      if (aborting_sys(decode(word))) {
-        aborted = true;
-        break;
-      }
-      s = apply(s, instr_effect(word, DefUseModel::kSound));
+      if (aborting_sys(decode(word))) return;
+      s = depth_apply(s, instr_effect(word, DefUseModel::kSound));
     }
-    if (aborted) continue;
 
     switch (b.term) {
       case FlowKind::kCall:
         if (b.call_target >= 0 && !b.call_outside && !b.bad_target) {
           // The callee entry sees the caller's post-body state; the return
           // site is seeded when the callee's ret blocks are processed.
-          propagate(static_cast<std::uint32_t>(b.call_target), s);
+          df.flow(static_cast<std::uint32_t>(b.call_target), s);
         } else {
           // Unknown callee: assume nothing about the depth it returns with.
-          for (std::uint32_t t : b.succ) propagate(t, top_state());
+          for (std::uint32_t t : b.succ) df.flow(t, DepthBounds::top());
         }
         break;
       case FlowKind::kIndirectCall:
         // Possible callees are covered by the address-taken TOP seeds.
-        for (std::uint32_t t : b.succ) propagate(t, top_state());
+        for (std::uint32_t t : b.succ) df.flow(t, DepthBounds::top());
         break;
       case FlowKind::kRet:
         // Context-insensitive return: flow to every return site of every
         // function whose closure contains this ret.
         for (std::uint32_t fn_id : cfg.functions_of(id)) {
           for (std::uint32_t t : cfg.functions()[fn_id].return_sites)
-            propagate(t, s);
+            df.flow(t, s);
         }
         break;
       case FlowKind::kIndirectJump:  // targets covered by TOP seeds
       case FlowKind::kIllegal:       // traps; nothing flows past it
         break;
       default:
-        for (std::uint32_t t : b.succ) propagate(t, s);
+        for (std::uint32_t t : b.succ) df.flow(t, s);
         break;
     }
-  }
+  });
 }
 
 void FpDepth::finalize() {
@@ -178,7 +122,8 @@ void FpDepth::finalize() {
     bool issued = false;  // depths past a block's first issue are junk
     for (Addr pc = b.begin; pc < b.end; pc += 4) {
       const std::uint32_t index = cfg.instr_index(pc);
-      if (index != Cfg::kNoBlock) instr_in_[index] = join(instr_in_[index], s);
+      if (index != Cfg::kNoBlock)
+        instr_in_[index] = depth_join(instr_in_[index], s);
       any_reachable = true;
       if (s.anchored) {
         max_hi = std::max(max_hi, static_cast<int>(s.hi));
@@ -214,7 +159,7 @@ void FpDepth::finalize() {
           issued = true;
         }
       }
-      s = apply(s, e);
+      s = depth_apply(s, e);
     }
   }
 
@@ -265,10 +210,7 @@ DepthBounds FpDepth::bounds_at(Addr pc) const noexcept {
 }
 
 bool FpDepth::slot_empty_at(Addr pc, unsigned phys) const noexcept {
-  if (phys >= kNumFpr) return false;
-  const DepthBounds s = bounds_at(pc);
-  return s.reachable && s.anchored &&
-         phys + static_cast<unsigned>(s.hi) < kNumFpr;
+  return bounds_at(pc).slot_empty(phys);
 }
 
 }  // namespace fsim::svm::analysis

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "svm/analysis/cfg.hpp"
+#include "svm/analysis/defuse.hpp"
 
 namespace fsim::svm::analysis {
 
@@ -45,7 +46,34 @@ struct DepthBounds {
   std::int8_t hi = 0;      // maximum depth over all reaching paths
   bool anchored = false;   // push/pop discipline intact on every path
   bool reachable = false;  // some fixpoint path reaches this instruction
+
+  /// Canonical "know nothing" state: reachable, but no slot proof possible.
+  static constexpr DepthBounds top() noexcept {
+    return {0, static_cast<std::int8_t>(kNumFpr), false, true};
+  }
+  /// The anchor invariant: physical slot `phys` is empty when the state is
+  /// reachable, anchored and phys + hi < 8.
+  bool slot_empty(unsigned phys) const noexcept {
+    return reachable && anchored && phys + static_cast<unsigned>(hi) < kNumFpr;
+  }
+  friend bool operator==(const DepthBounds&, const DepthBounds&) = default;
 };
+
+// The depth-bound algebra both FP-depth passes (this one and fpdepth_ctx)
+// run on.
+
+/// Transfer one instruction's effect. Any possible underflow or overflow
+/// breaks the anchor, and unanchored states widen to TOP (TOP is a fixed
+/// point of this function, so blocks entered mid-way through an indirect
+/// jump are covered by seeding TOP at their head).
+DepthBounds depth_apply(DepthBounds s, const RegEffect& e) noexcept;
+
+/// Interval union of two states; anything unanchored joins to TOP.
+DepthBounds depth_join(const DepthBounds& a, const DepthBounds& b) noexcept;
+
+/// Joins a state arriving along an edge (reachable by construction) into
+/// `cur`; true if `cur` changed. The join of every depth fixpoint.
+bool depth_flow_into(DepthBounds& cur, DepthBounds s) noexcept;
 
 /// A finding of the depth fixpoint, converted to a lint Diagnostic by
 /// run_lint (kept as its own struct so fpdepth does not depend on lint).

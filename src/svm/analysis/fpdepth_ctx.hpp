@@ -18,8 +18,8 @@
 //     each call site sends its own pre-call interval to its callee — not a
 //     join smeared back through every ret — and applies the callee's
 //     summary delta at the return site. Address-taken functions are seeded
-//     unanchored TOP when any reachable indirect transfer exists, exactly
-//     mirroring fpdepth.cpp's seeding.
+//     unanchored TOP when Cfg::reachable_indirect() holds, the same rule
+//     FpDepth seeds by.
 //  3. Per-instruction bounds are the join of the interior walks of every
 //     (function, entry interval) context, so a pc shared by several
 //     contexts is covered by all of them.
@@ -73,7 +73,6 @@ class FpDepthCtx {
   void finalize();
 
   const Cfg* cfg_;
-  bool has_indirect_ = false;
   std::vector<FnSummary> summaries_;
   std::vector<DepthBounds> entry_in_;  // per function: absolute entry bounds
   std::vector<DepthBounds> instr_in_;  // per instruction, joined over contexts

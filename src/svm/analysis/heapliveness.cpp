@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <deque>
+#include <optional>
 #include <set>
 
+#include "svm/analysis/dataflow.hpp"
 #include "svm/analysis/defuse.hpp"
 #include "svm/syscall.hpp"
 
@@ -63,28 +64,18 @@ class Scan {
   Scan(const Cfg& cfg, const std::map<Addr, SymbolAccess>& access,
        const MemLiveness& mem, const Liveness& live,
        std::map<Addr, HeapSite>& sites)
-      : cfg_(cfg), access_(access), mem_(mem), live_(live), sites_(sites) {
-    const auto& fns = cfg.functions();
-    summaries_.assign(fns.size(), identity_summary());
-    for (std::uint32_t fi = 0; fi < fns.size(); ++fi)
-      if (fns[fi].entry != Cfg::kNoBlock) fn_of_entry_[fns[fi].entry] = fi;
-  }
+      : cfg_(cfg),
+        access_(access),
+        mem_(mem),
+        live_(live),
+        sites_(sites),
+        summaries_(cfg.functions().size(), identity_summary()) {}
 
-  /// Iterate all function summaries to a whole-program fixpoint
-  /// (Gauss-Seidel). False if the round budget runs out first.
+  /// Iterate all function summaries to a whole-program fixpoint. False if
+  /// the round budget runs out first.
   bool converge() {
-    for (int round = 0; round < 16; ++round) {
-      bool changed = false;
-      for (std::uint32_t fi = 0; fi < summaries_.size(); ++fi) {
-        FnSummary s = analyze(fi);
-        if (!(s == summaries_[fi])) {
-          summaries_[fi] = std::move(s);
-          changed = true;
-        }
-      }
-      if (!changed) return true;
-    }
-    return false;
+    return summary_rounds(summaries_, 16,
+                          [this](std::uint32_t fi) { return analyze(fi); });
   }
 
   void record_events() {
@@ -93,6 +84,13 @@ class Scan {
   }
 
  private:
+  /// Entry state of one block of the function under analysis, next to the
+  /// registers live on entry to the block (what the join may not drop).
+  struct BlockIn {
+    std::uint16_t live = 0;
+    std::optional<State> regs;
+  };
+
   /// One intra-function abstract interpretation with the current callee
   /// summaries; returns this function's freshly derived summary.
   FnSummary analyze(std::uint32_t fi) {
@@ -100,26 +98,24 @@ class Scan {
     sum_.has_ret = false;
     const Cfg::Function& fn = cfg_.functions()[fi];
     if (fn.entry == Cfg::kNoBlock) return sum_;
-    fn_blocks_.clear();
-    fn_blocks_.insert(fn.blocks.begin(), fn.blocks.end());
-    in_.clear();
+    std::vector<BlockIn> in(fn.blocks.size());
+    for (std::uint32_t li = 0; li < fn.blocks.size(); ++li)
+      in[li].live = live_.live_in(cfg_.block(fn.blocks[li]).begin);
+    Dataflow df(in, [this](BlockIn& cur, const State& st) {
+      return join_into(cur, st);
+    });
     State entry;
     for (unsigned r = 0; r < kNumGpr; ++r)
       entry[r] = (r == kSp || r == kFp) ? kNone : make_param(r);
-    in_[fn.entry] = entry;
-    std::deque<std::uint32_t> work{fn.entry};
-    std::set<std::uint32_t> queued{fn.entry};
-    while (!work.empty()) {
-      const std::uint32_t bid = work.front();
-      work.pop_front();
-      queued.erase(bid);
-      State st = in_[bid];
-      if (!transfer_block(bid, st)) continue;
-      for (std::uint32_t s : cfg_.block(bid).succ) {
-        if (fn_blocks_.count(s) == 0) continue;
-        if (join_into(s, st) && queued.insert(s).second) work.push_back(s);
+    df.flow(fn.local_index(fn.entry), entry);
+    df.solve([&](std::uint32_t li, BlockIn b) {
+      State& st = *b.regs;
+      if (!transfer_block(fn.blocks[li], st)) return;
+      for (std::uint32_t s : cfg_.block(fn.blocks[li]).succ) {
+        const std::uint32_t ls = fn.local_index(s);
+        if (ls != Cfg::kNoBlock) df.flow(ls, st);
       }
-    }
+    });
     return sum_;
   }
 
@@ -232,15 +228,11 @@ class Scan {
           st[in.a] = kNone;
           break;
         case Op::kCall:
-          if (b.call_target >= 0 && !b.call_outside && !b.bad_target) {
-            auto it =
-                fn_of_entry_.find(static_cast<std::uint32_t>(b.call_target));
-            if (it != fn_of_entry_.end()) {
-              apply_call(st, summaries_[it->second]);
-              break;
-            }
-          }
-          escape_all(st);  // unknown callee: could retain or read anything
+          if (const std::uint32_t callee = cfg_.callee_of(bid);
+              callee != Cfg::kNoBlock)
+            apply_call(st, summaries_[callee]);
+          else
+            escape_all(st);  // unknown callee: could retain or read anything
           break;
         case Op::kCallr:
           escape_all(st);  // target set unknown; summaries cannot compose
@@ -344,20 +336,21 @@ class Scan {
     }
   }
 
-  /// Join `st` into block `bid`'s entry state. Values being dropped are
+  /// Join `st` into a block's entry state. Values being dropped are
   /// escaped first (the escape-on-loss invariant) — unless the register is
   /// provably dead at the join point: a dead register is overwritten
   /// before any read on every path, so the stale pointer copy can never be
   /// dereferenced or stored. Returns true if the stored state changed.
-  bool join_into(std::uint32_t bid, const State& st) {
-    auto [it, inserted] = in_.try_emplace(bid, st);
-    if (inserted) return true;
-    const std::uint16_t live_mask = live_.live_in(cfg_.block(bid).begin);
+  bool join_into(BlockIn& in, const State& st) {
+    if (!in.regs) {
+      in.regs = st;
+      return true;
+    }
     bool changed = false;
     for (unsigned r = 0; r < kNumGpr; ++r) {
-      AbsVal& cur = it->second[r];
+      AbsVal& cur = (*in.regs)[r];
       if (cur == st[r]) continue;
-      const bool dead = (live_mask & reg_bit(r)) == 0;
+      const bool dead = (in.live & reg_bit(r)) == 0;
       if (!dead) escape(st[r]);
       if (!(cur == kNone)) {
         if (!dead) escape(cur);
@@ -453,12 +446,8 @@ class Scan {
   const Liveness& live_;
   std::map<Addr, HeapSite>& sites_;
   std::vector<FnSummary> summaries_;
-  std::map<std::uint32_t, std::uint32_t> fn_of_entry_;  // entry block -> fn
   bool record_ = false;
-  // Per-analyze() scratch:
-  FnSummary sum_;
-  std::set<std::uint32_t> fn_blocks_;
-  std::map<std::uint32_t, State> in_;
+  FnSummary sum_;  // the summary analyze() is deriving
 };
 
 }  // namespace
@@ -495,17 +484,7 @@ HeapLiveness::HeapLiveness(const Cfg& cfg,
   const ExecGraph graph(cfg);
   for (auto& [pc, s] : sites_) {
     if (s.escaped || s.read_pcs.empty()) continue;
-    SiteWindow w;
-    std::vector<bool> seeds(cfg.blocks().size(), false);
-    for (Addr rpc : s.read_pcs) {
-      const std::uint32_t id = cfg.block_index_of(rpc);
-      if (id != Cfg::kNoBlock) {
-        w.reads[id].push_back(rpc);  // read_pcs sorted => per-block sorted
-        seeds[id] = true;
-      }
-    }
-    graph.reach_backward(seeds, w.live_out);
-    windows_.emplace(pc, std::move(w));
+    windows_.emplace(pc, graph.window(cfg, s.read_pcs));
   }
 }
 
@@ -521,14 +500,7 @@ bool HeapLiveness::site_dead_at(Addr site, Addr pc) const noexcept {
   if (it == sites_.end() || it->second.escaped) return false;
   if (!it->second.read) return true;
   auto wit = windows_.find(site);
-  if (wit == windows_.end()) return false;
-  const std::uint32_t b = cfg_->block_index_of(pc);
-  if (b == Cfg::kNoBlock) return false;
-  const SiteWindow& w = wit->second;
-  if (w.live_out[b]) return false;
-  if (auto r = w.reads.find(b); r != w.reads.end() && r->second.back() >= pc)
-    return false;
-  return true;
+  return wit != windows_.end() && wit->second.dead_at(*cfg_, pc);
 }
 
 }  // namespace fsim::svm::analysis

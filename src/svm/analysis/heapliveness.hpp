@@ -100,15 +100,10 @@ class HeapLiveness {
   bool site_dead_at(Addr site, Addr pc) const noexcept;
 
  private:
-  struct SiteWindow {
-    std::vector<bool> live_out;  // per block: read reachable past the end
-    std::map<std::uint32_t, std::vector<Addr>> reads;  // block -> read pcs
-  };
-
   const Cfg* cfg_;
   bool tracked_ = false;
   std::map<Addr, HeapSite> sites_;
-  std::map<Addr, SiteWindow> windows_;  // keyed by site pc; read sites only
+  std::map<Addr, ReadWindow> windows_;  // keyed by site pc; read sites only
 };
 
 }  // namespace fsim::svm::analysis

@@ -6,11 +6,11 @@
 #include <optional>
 #include <sstream>
 
+#include "svm/analysis/dataflow.hpp"
 #include "svm/analysis/fpdepth.hpp"
 #include "svm/analysis/heapliveness.hpp"
 #include "svm/analysis/memliveness.hpp"
 #include "svm/analysis/valuerange.hpp"
-#include "svm/syscall.hpp"
 #include "util/json.hpp"
 
 namespace fsim::svm::analysis {
@@ -48,6 +48,7 @@ std::string symbol_name_at(const Cfg& cfg, Addr a) {
 struct FnSummary {
   int fp_delta = 0;     // net FP-stack change entry -> ret
   bool known = false;   // has a ret been analyzed yet?
+  friend bool operator==(const FnSummary&, const FnSummary&) = default;
 };
 
 struct DepthState {
@@ -56,11 +57,11 @@ struct DepthState {
   bool set = false;
 };
 
-void check_function_depths(const Cfg& cfg, const Cfg::Function& fn,
-                           const std::vector<FnSummary>& summaries,
-                           const std::map<std::uint32_t, std::uint32_t>&
-                               fn_of_entry_block,
-                           FnSummary& self, std::vector<Diagnostic>* diags) {
+/// Walks one function against the callee summaries and returns its own;
+/// reports what it finds into `diags` when given.
+FnSummary check_function_depths(const Cfg& cfg, const Cfg::Function& fn,
+                                const std::vector<FnSummary>& summaries,
+                                std::vector<Diagnostic>* diags) {
   std::vector<DepthState> in(cfg.blocks().size());
   in[fn.entry] = {0, 0, true};
   std::optional<int> ret_fp;
@@ -89,12 +90,9 @@ void check_function_depths(const Cfg& cfg, const Cfg::Function& fn,
       const Block& b = cfg.block(id);
       for (Addr pc = b.begin; pc < b.end; pc += 4) {
         const std::uint32_t word = cfg.word_at(pc);
-        const Instr di = decode(word);
         // An aborting syscall never returns: the depth does not flow into
         // the (defensive, dynamically dead) epilogue after it.
-        if (di.op == Op::kSys &&
-            (di.imm == static_cast<std::uint16_t>(Sys::kExit) ||
-             di.imm == static_cast<std::uint16_t>(Sys::kAssertFail))) {
+        if (aborting_sys(decode(word))) {
           aborted = true;
           break;
         }
@@ -125,12 +123,9 @@ void check_function_depths(const Cfg& cfg, const Cfg::Function& fn,
       }
       if (aborted) continue;
       // Apply the callee's net FP effect across a call terminator.
-      if (b.term == FlowKind::kCall && b.call_target >= 0) {
-        auto it = fn_of_entry_block.find(
-            static_cast<std::uint32_t>(b.call_target));
-        if (it != fn_of_entry_block.end() && summaries[it->second].known)
-          fp += summaries[it->second].fp_delta;
-      }
+      if (const std::uint32_t callee = cfg.callee_of(id);
+          callee != Cfg::kNoBlock && summaries[callee].known)
+        fp += summaries[callee].fp_delta;
       if (b.term == FlowKind::kRet) {
         if (frame != 0) {
           if (pass == 1)
@@ -169,39 +164,19 @@ void check_function_depths(const Cfg& cfg, const Cfg::Function& fn,
   };
   run_pass(0);
   run_pass(1);
-  if (ret_fp) {
-    self.fp_delta = *ret_fp;
-    self.known = true;
-  }
+  return ret_fp ? FnSummary{*ret_fp, true} : FnSummary{};
 }
 
 void check_fp_and_frames(const Cfg& cfg, std::vector<Diagnostic>& diags) {
   const auto& fns = cfg.functions();
-  std::map<std::uint32_t, std::uint32_t> fn_of_entry_block;
-  for (std::uint32_t i = 0; i < fns.size(); ++i)
-    fn_of_entry_block.emplace(fns[i].entry, i);
   std::vector<FnSummary> summaries(fns.size());
   // Iterate summaries to a fixpoint (no diagnostics while unstable)...
-  for (int round = 0; round < 8; ++round) {
-    bool changed = false;
-    for (std::uint32_t i = 0; i < fns.size(); ++i) {
-      FnSummary next;
-      check_function_depths(cfg, fns[i], summaries, fn_of_entry_block, next,
-                            nullptr);
-      if (next.known != summaries[i].known ||
-          next.fp_delta != summaries[i].fp_delta) {
-        summaries[i] = next;
-        changed = true;
-      }
-    }
-    if (!changed) break;
-  }
+  summary_rounds(summaries, 8, [&](std::uint32_t i) {
+    return check_function_depths(cfg, fns[i], summaries, nullptr);
+  });
   // ...then one reporting pass against the stable summaries.
-  for (std::uint32_t i = 0; i < fns.size(); ++i) {
-    FnSummary sink;
-    check_function_depths(cfg, fns[i], summaries, fn_of_entry_block, sink,
-                          &diags);
-  }
+  for (const Cfg::Function& fn : fns)
+    check_function_depths(cfg, fn, summaries, &diags);
 }
 
 }  // namespace

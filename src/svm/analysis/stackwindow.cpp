@@ -1,8 +1,9 @@
 #include "svm/analysis/stackwindow.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <set>
 
+#include "svm/analysis/dataflow.hpp"
 #include "svm/analysis/defuse.hpp"
 
 namespace fsim::svm::analysis {
@@ -49,7 +50,6 @@ StackWindow::StackWindow(const Cfg& cfg, const MemLiveness& mem)
   if (enabled_) scan(cfg, mem);
   if (!enabled_) {
     eligible_.clear();
-    fn_of_block_.clear();
     for (FrameWindowInfo& f : frames_) f.eligible = false;
   }
 }
@@ -107,7 +107,8 @@ void StackWindow::scan(const Cfg& cfg, const MemLiveness& mem) {
   std::map<Addr, const StackFrameAccess*> fa_of;
   for (const StackFrameAccess& fa : mem.frames()) fa_of[fa.entry] = &fa;
 
-  for (const Cfg::Function& fn : cfg.functions()) {
+  for (std::uint32_t fi = 0; fi < cfg.functions().size(); ++fi) {
+    const Cfg::Function& fn = cfg.functions()[fi];
     if (fn.entry == Cfg::kNoBlock) continue;
     const Addr entry_addr = cfg.block(fn.entry).begin;
     auto fa_it = fa_of.find(entry_addr);
@@ -133,18 +134,23 @@ void StackWindow::scan(const Cfg& cfg, const MemLiveness& mem) {
     }
 
     // E3: enter-depth per block (0 before the prologue / after the
-    // epilogue, 1 inside the frame window). Joins must agree.
-    std::map<std::uint32_t, int> depth_in;
+    // epilogue, 1 inside the frame window, -1 unreached), indexed like
+    // fn.blocks. Joins must agree; once they do not, no depth is used.
+    std::vector<int> depth_in(fn.blocks.size(), -1);
     bool depth_ok = true;
     if (framed) {
-      depth_in[fn.entry] = 0;
-      std::deque<std::uint32_t> work{fn.entry};
-      const std::set<std::uint32_t> fnset(fn.blocks.begin(), fn.blocks.end());
-      while (!work.empty()) {
-        const std::uint32_t bid = work.front();
-        work.pop_front();
-        int d = depth_in[bid];
-        const Block& b = cfg.block(bid);
+      Dataflow df(depth_in, [&](int& cur, int d) {
+        if (cur < 0) {
+          cur = d;
+          return true;
+        }
+        if (cur != d) depth_ok = false;
+        return false;
+      });
+      df.flow(fn.local_index(fn.entry), 0);
+      df.solve([&](std::uint32_t li, int d) {
+        if (!depth_ok) return;
+        const Block& b = cfg.block(fn.blocks[li]);
         for (Addr pc = b.begin; pc < b.end; pc += 4) {
           const Op op = decode(cfg.word_at(pc)).op;
           if (op == Op::kEnter) ++d;
@@ -152,26 +158,20 @@ void StackWindow::scan(const Cfg& cfg, const MemLiveness& mem) {
         }
         if (d < 0 || d > 1) {
           depth_ok = false;
-          break;
+          return;
         }
-        for (std::uint32_t s : b.succ) {
-          if (fnset.count(s) == 0) continue;
-          auto [it, inserted] = depth_in.try_emplace(s, d);
-          if (inserted)
-            work.push_back(s);
-          else if (it->second != d)
-            depth_ok = false;
-        }
-      }
+        for (std::uint32_t s : b.succ)
+          if (const std::uint32_t ls = fn.local_index(s); ls != Cfg::kNoBlock)
+            df.flow(ls, d);
+      });
     }
 
     // Gate every fp access: inside the depth-1 window, negative offset,
     // within the function's own frame. Anything else is an access to some
     // other activation's memory and poisons attribution globally.
-    for (std::uint32_t bid : fn.blocks) {
-      const Block& b = cfg.block(bid);
-      auto dit = depth_in.find(bid);
-      int d = dit == depth_in.end() ? -1 : dit->second;
+    for (std::uint32_t li = 0; li < fn.blocks.size(); ++li) {
+      const Block& b = cfg.block(fn.blocks[li]);
+      int d = depth_in[li];
       for (Addr pc = b.begin; pc < b.end; pc += 4) {
         const std::uint32_t word = cfg.word_at(pc);
         const Instr in = decode(word);
@@ -206,13 +206,9 @@ void StackWindow::scan(const Cfg& cfg, const MemLiveness& mem) {
     // overwrite before looking, in *every* function.
     if (framed && frame_size > 0 && fa != nullptr &&
         !fa->read_offsets.empty()) {
-      std::set<std::int32_t> universe;
-      for (std::int32_t o : fa->read_offsets) universe.insert(o);
-      for (std::int32_t o : fa->write_offsets) universe.insert(o);
-      const std::set<std::uint32_t> fnset(fn.blocks.begin(), fn.blocks.end());
-      std::map<std::uint32_t, std::set<std::int32_t>> must_in;
-      for (std::uint32_t bid : fn.blocks) must_in[bid] = universe;
-      must_in[fn.entry].clear();
+      std::set<std::int32_t> universe = fa->read_offsets;
+      universe.insert(fa->write_offsets.begin(), fa->write_offsets.end());
+      std::vector<std::set<std::int32_t>> must_in(fn.blocks.size(), universe);
       auto written_in = [&](std::uint32_t bid) {
         std::set<std::int32_t> w;
         const Block& b = cfg.block(bid);
@@ -224,27 +220,25 @@ void StackWindow::scan(const Cfg& cfg, const MemLiveness& mem) {
         }
         return w;
       };
-      std::deque<std::uint32_t> work{fn.entry};
-      while (!work.empty()) {
-        const std::uint32_t bid = work.front();
-        work.pop_front();
-        std::set<std::int32_t> out = must_in[bid];
-        out.merge(written_in(bid));
-        for (std::uint32_t s : cfg.block(bid).succ) {
-          if (fnset.count(s) == 0) continue;
-          std::set<std::int32_t>& in_s = must_in[s];
-          std::set<std::int32_t> met;
-          std::set_intersection(in_s.begin(), in_s.end(), out.begin(),
-                                out.end(), std::inserter(met, met.begin()));
-          if (met != in_s) {
-            in_s = std::move(met);
-            work.push_back(s);
-          }
-        }
-      }
-      for (std::uint32_t bid : fn.blocks) {
-        std::set<std::int32_t> have = must_in[bid];
-        const Block& b = cfg.block(bid);
+      Dataflow df(must_in, [](std::set<std::int32_t>& in_s,
+                              const std::set<std::int32_t>& out) {
+        std::set<std::int32_t> met;
+        std::set_intersection(in_s.begin(), in_s.end(), out.begin(), out.end(),
+                              std::inserter(met, met.begin()));
+        if (met == in_s) return false;
+        in_s = std::move(met);
+        return true;
+      });
+      df.flow(fn.local_index(fn.entry), std::set<std::int32_t>{});
+      df.solve([&](std::uint32_t li, std::set<std::int32_t> out) {
+        out.merge(written_in(fn.blocks[li]));
+        for (std::uint32_t s : cfg.block(fn.blocks[li]).succ)
+          if (const std::uint32_t ls = fn.local_index(s); ls != Cfg::kNoBlock)
+            df.flow(ls, out);
+      });
+      for (std::uint32_t li = 0; li < fn.blocks.size(); ++li) {
+        std::set<std::int32_t> have = must_in[li];
+        const Block& b = cfg.block(fn.blocks[li]);
         for (Addr pc = b.begin; pc < b.end; pc += 4) {
           const Instr in = decode(cfg.word_at(pc));
           if (!fp_mem_base(in)) continue;
@@ -288,41 +282,21 @@ void StackWindow::scan(const Cfg& cfg, const MemLiveness& mem) {
     // while the callee runs, this frame sleeps untouched by the gates).
     FnWindows fw;
     fw.frame_size = frame_size;
-    fw.entry_depth = depth_in;
-    const std::set<std::uint32_t> fnset(fn.blocks.begin(), fn.blocks.end());
+    fw.entry_depth = std::move(depth_in);
     std::map<std::uint32_t, std::vector<std::uint32_t>> rev;
     for (std::uint32_t p : fn.blocks)
       for (std::uint32_t s : cfg.block(p).succ)
-        if (fnset.count(s) != 0) rev[s].push_back(p);
+        if (fn.local_index(s) != Cfg::kNoBlock) rev[s].push_back(p);
+    const std::vector<std::uint32_t> no_preds;
+    auto preds = [&](std::uint32_t s) -> const std::vector<std::uint32_t>& {
+      auto it = rev.find(s);
+      return it == rev.end() ? no_preds : it->second;
+    };
     for (const auto& [off, pcs] : fa->read_pcs) {
       if (off >= 0 || off < -static_cast<std::int32_t>(frame_size)) continue;
-      OffWindow w;
-      std::deque<std::uint32_t> work;
-      std::set<std::uint32_t> seen;
-      for (Addr rpc : pcs) {
-        const std::uint32_t id = cfg.block_index_of(rpc);
-        if (id == Cfg::kNoBlock) continue;
-        w.reads[id].push_back(rpc);
-        if (seen.insert(id).second) work.push_back(id);
-      }
-      for (auto& [id, rp] : w.reads) {
-        std::sort(rp.begin(), rp.end());
-        rp.erase(std::unique(rp.begin(), rp.end()), rp.end());
-      }
-      while (!work.empty()) {
-        const std::uint32_t s = work.front();
-        work.pop_front();
-        auto rit = rev.find(s);
-        if (rit == rev.end()) continue;
-        for (std::uint32_t p : rit->second) {
-          if (w.live_out.insert(p).second && seen.insert(p).second)
-            work.push_back(p);
-        }
-      }
-      fw.offsets.emplace(off, std::move(w));
+      fw.offsets.emplace(off, backward_window(cfg, pcs, {}, preds));
     }
-    for (std::uint32_t bid : fn.blocks) fn_of_block_[bid] = fn.entry;
-    eligible_.emplace(fn.entry, std::move(fw));
+    eligible_.emplace(fi, std::move(fw));
   }
 
   std::sort(frames_.begin(), frames_.end(),
@@ -335,16 +309,17 @@ bool StackWindow::slot_dead(Addr owner_pc, std::int32_t off) const noexcept {
   if (!enabled_) return false;
   const std::uint32_t bid = cfg_->block_index_of(owner_pc);
   if (bid == Cfg::kNoBlock) return false;
-  auto fit = fn_of_block_.find(bid);
-  if (fit == fn_of_block_.end()) return false;
-  auto eit = eligible_.find(fit->second);
+  // An eligible function shares none of its blocks, so it is the only
+  // function owning `bid`.
+  const std::vector<std::uint32_t>& owners = cfg_->functions_of(bid);
+  if (owners.size() != 1) return false;
+  auto eit = eligible_.find(owners[0]);
   if (eit == eligible_.end()) return false;
   const FnWindows& fw = eit->second;
   if (off >= 0 || off < -static_cast<std::int32_t>(fw.frame_size))
     return false;  // saved fp / return address / caller's push area
-  auto dit = fw.entry_depth.find(bid);
-  if (dit == fw.entry_depth.end()) return false;
-  int depth = dit->second;
+  int depth = fw.entry_depth[cfg_->functions()[owners[0]].local_index(bid)];
+  if (depth < 0) return false;  // never reached from the entry
   const Block& b = cfg_->block(bid);
   for (Addr pc = b.begin; pc < owner_pc && pc < b.end; pc += 4) {
     const Op op = decode(cfg_->word_at(pc)).op;
@@ -353,13 +328,8 @@ bool StackWindow::slot_dead(Addr owner_pc, std::int32_t off) const noexcept {
   }
   if (depth != 1) return false;  // fp does not designate this frame yet
   auto oit = fw.offsets.find(off);
-  if (oit == fw.offsets.end()) return true;  // byte never read anywhere
-  const OffWindow& w = oit->second;
-  if (w.live_out.count(bid) != 0) return false;
-  if (auto r = w.reads.find(bid);
-      r != w.reads.end() && r->second.back() >= owner_pc)
-    return false;
-  return true;
+  return oit == fw.offsets.end() ||  // byte never read anywhere
+         oit->second.dead_at(*cfg_, owner_pc);
 }
 
 }  // namespace fsim::svm::analysis

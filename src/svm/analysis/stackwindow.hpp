@@ -45,11 +45,11 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "svm/analysis/cfg.hpp"
+#include "svm/analysis/execgraph.hpp"
 #include "svm/analysis/memliveness.hpp"
 
 namespace fsim::svm::analysis {
@@ -86,14 +86,10 @@ class StackWindow {
   bool slot_dead(Addr owner_pc, std::int32_t off) const noexcept;
 
  private:
-  struct OffWindow {
-    std::set<std::uint32_t> live_out;  // blocks with a read past their end
-    std::map<std::uint32_t, std::vector<Addr>> reads;  // block -> sorted pcs
-  };
   struct FnWindows {
     std::uint32_t frame_size = 0;
-    std::map<std::uint32_t, int> entry_depth;  // block id -> enter depth
-    std::map<std::int32_t, OffWindow> offsets;  // only offsets read somewhere
+    std::vector<int> entry_depth;  // per fn.blocks position; -1 unreached
+    std::map<std::int32_t, ReadWindow> offsets;  // only offsets read somewhere
   };
 
   void scan(const Cfg& cfg, const MemLiveness& mem);
@@ -103,8 +99,7 @@ class StackWindow {
   bool enabled_ = false;
   std::string reason_;
   std::vector<FrameWindowInfo> frames_;
-  std::map<std::uint32_t, FnWindows> eligible_;    // keyed by entry block id
-  std::map<std::uint32_t, std::uint32_t> fn_of_block_;  // block -> entry block
+  std::map<std::uint32_t, FnWindows> eligible_;  // keyed by function id
 };
 
 }  // namespace fsim::svm::analysis

@@ -2,16 +2,13 @@
 
 #include <algorithm>
 
-#include "svm/analysis/execgraph.hpp"
-
 namespace fsim::svm::analysis {
 
 TimeWindow::TimeWindow(const Cfg& cfg,
                        const std::map<Addr, SymbolAccess>& access,
                        const MemLiveness& mem)
     : cfg_(&cfg) {
-  const auto& blocks = cfg.blocks();
-  if (blocks.empty()) return;
+  if (cfg.blocks().empty()) return;
 
   // Where can control actually flow next (calls enter callees, rets return
   // to call continuations) — shared with the heap rung via ExecGraph.
@@ -21,18 +18,7 @@ TimeWindow::TimeWindow(const Cfg& cfg,
   for (const auto& [key, sa] : access) {
     if (sa.escaped || mem.pointer_published(key)) continue;
     if (!sa.read || sa.read_pcs.empty()) continue;
-    SymWindow w;
-    std::vector<bool> seeds(blocks.size(), false);
-    for (Addr rpc : sa.read_pcs) {
-      const std::uint32_t id = cfg.block_index_of(rpc);
-      if (id != Cfg::kNoBlock) {
-        w.reads[id].push_back(rpc);
-        seeds[id] = true;
-      }
-    }
-    for (auto& [id, pcs] : w.reads) std::sort(pcs.begin(), pcs.end());
-    graph.reach_backward(seeds, w.live_out);
-    windows_.emplace(key, std::move(w));
+    windows_.emplace(key, graph.window(cfg, sa.read_pcs));
   }
 
   // Symbol extents, copied now: map node addresses are stable, and queries
@@ -54,16 +40,7 @@ bool TimeWindow::dead_at(Addr addr, Addr pc) const noexcept {
       [](Addr v, const Range& r) { return v < r.lo; });
   if (rit == ranges_.begin()) return false;
   --rit;
-  if (addr < rit->lo || addr >= rit->hi) return false;
-  const SymWindow& win = *rit->window;
-  const std::uint32_t b = cfg_->block_index_of(pc);
-  if (b == Cfg::kNoBlock) return false;
-  if (win.live_out[b]) return false;
-  if (auto reads = win.reads.find(b); reads != win.reads.end()) {
-    // Sorted read pcs: any site at or after the paused pc keeps it live.
-    if (reads->second.back() >= pc) return false;
-  }
-  return true;
+  return addr < rit->hi && rit->window->dead_at(*cfg_, pc);
 }
 
 }  // namespace fsim::svm::analysis

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "svm/analysis/cfg.hpp"
+#include "svm/analysis/execgraph.hpp"
 #include "svm/analysis/lint.hpp"
 #include "svm/analysis/memliveness.hpp"
 
@@ -57,28 +58,17 @@ class TimeWindow {
     return static_cast<int>(windows_.size());
   }
 
-  /// Window of one tracked symbol, for tests: blocks with a read still
-  /// ahead of their end. Null for untracked symbols.
-  const std::vector<bool>* live_out_of(Addr symbol_addr) const noexcept {
-    auto it = windows_.find(symbol_addr);
-    return it == windows_.end() ? nullptr : &it->second.live_out;
-  }
-
  private:
-  struct SymWindow {
-    std::vector<bool> live_out;  // per block: read reachable past the end
-    std::map<std::uint32_t, std::vector<Addr>> reads;  // block -> read pcs
-  };
   /// Byte extent of one tracked symbol. Copied out of the Program at
   /// construction: queries run at injection time, when the analysis may
   /// outlive the (moved-from) Program object it was built against.
   struct Range {
     Addr lo = 0, hi = 0;  // [lo, hi)
-    const SymWindow* window = nullptr;
+    const ReadWindow* window = nullptr;
   };
 
   const Cfg* cfg_;
-  std::map<Addr, SymWindow> windows_;  // keyed by symbol address
+  std::map<Addr, ReadWindow> windows_;  // keyed by symbol address
   std::vector<Range> ranges_;          // sorted by lo, for byte lookup
 };
 

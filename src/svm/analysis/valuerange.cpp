@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 
+#include "svm/analysis/dataflow.hpp"
 #include "svm/analysis/defuse.hpp"
-#include "svm/syscall.hpp"
 
 namespace fsim::svm::analysis {
 
@@ -48,12 +47,6 @@ Interval iv_sub(const Interval& a, const Interval& b) noexcept {
       static_cast<std::int64_t>(a.lo) - static_cast<std::int64_t>(b.hi);
   if (lo < 0) return kTopI;
   return {static_cast<std::uint32_t>(lo), a.hi - b.lo};
-}
-
-bool aborting_sys(const Instr& in) noexcept {
-  return in.op == Op::kSys &&
-         (in.imm == static_cast<std::uint16_t>(Sys::kExit) ||
-          in.imm == static_cast<std::uint16_t>(Sys::kAssertFail));
 }
 
 constexpr std::uint32_t kSignedMax = 0x7fffffffu;
@@ -212,23 +205,11 @@ bool ValueRange::run_pass(std::map<Addr, Interval>* stores, bool record) {
     int joins = 0;
   };
   std::vector<BState> in(blocks.size());
-  std::deque<std::uint32_t> work;
-  std::vector<bool> queued(blocks.size(), false);
-
-  auto enqueue = [&](std::uint32_t id) {
-    if (!queued[id]) {
-      queued[id] = true;
-      work.push_back(id);
-    }
-  };
-  auto propagate = [&](std::uint32_t id, const State& s) {
-    if (id == Cfg::kNoBlock) return;
-    BState& t = in[id];
+  Dataflow df(in, [](BState& t, const State& s) {
     if (!t.set) {
       t.regs = s;
       t.set = true;
-      enqueue(id);
-      return;
+      return true;
     }
     State j;
     bool grew = false;
@@ -236,13 +217,16 @@ bool ValueRange::run_pass(std::map<Addr, Interval>* stores, bool record) {
       j[r] = join(t.regs[r], s[r]);
       grew |= !same(j[r], t.regs[r]);
     }
-    if (!grew) return;
+    if (!grew) return false;
     if (++t.joins > kWidenAfter) {
       for (unsigned r = 0; r < kNumGpr; ++r)
         if (!same(j[r], t.regs[r])) j[r] = kTopI;
     }
     t.regs = j;
-    enqueue(id);
+    return true;
+  });
+  auto propagate = [&](std::uint32_t id, const State& s) {
+    if (id != Cfg::kNoBlock) df.flow(id, s);
   };
 
   /// Joins `value` into the pending range of every tracked symbol the
@@ -456,13 +440,9 @@ bool ValueRange::run_pass(std::map<Addr, Interval>* stores, bool record) {
     }
   };
 
-  while (!work.empty()) {
-    const std::uint32_t id = work.front();
-    work.pop_front();
-    queued[id] = false;
-    State s = in[id].regs;
-    if (walk(id, s)) out_edges(id, s);
-  }
+  df.solve([&](std::uint32_t id, BState entry) {
+    if (walk(id, entry.regs)) out_edges(id, entry.regs);
+  });
 
   // Deterministic recording walk over the converged states: visited set,
   // store joins, branch decisions, lint issues.
