@@ -119,6 +119,13 @@ void require_distinct_regions(const std::string& app,
                              "' listed twice for app '" + app + "'");
 }
 
+void require_distinct_campaigns(const std::vector<CampaignSpec>& specs) {
+  for (auto s = specs.begin(); s != specs.end(); ++s)
+    if (std::find(specs.begin(), s, *s) != s)
+      throw util::SetupError("campaign for app '" + s->app +
+                             "' listed twice with the same spec");
+}
+
 void require_valid_policy(const AdaptivePolicy& p) {
   // Written as !(inside) so that NaN is refused too.
   if (!(p.ci > 0.0 && p.ci < 1.0))
@@ -185,15 +192,16 @@ BatchSession::BatchSession(const std::vector<BatchEntry>& entries, int jobs)
   for (const BatchEntry& e : entries) {
     require_positive_runs(e.app.name, e.config.runs_per_region);
     require_distinct_regions(e.app.name, e.config.regions);
+    impl_->specs.push_back(spec_of(e.app.name, e.config));
+    impl_->specs.back().params = e.params;
   }
+  require_distinct_campaigns(impl_->specs);
   const std::size_t ncamp = entries.size();
   impl_->plans.reserve(ncamp);
   impl_->slot_base.assign(ncamp + 1, 0);
   impl_->grid_base.assign(ncamp + 1, 0);
   for (std::size_t c = 0; c < ncamp; ++c) {
     impl_->plans.push_back(prepare(entries[c].app, entries[c].config));
-    impl_->specs.push_back(spec_of(entries[c].app.name, entries[c].config));
-    impl_->specs.back().params = entries[c].params;
     const CampaignConfig& cc = entries[c].config;
     impl_->slot_base[c + 1] = impl_->slot_base[c] + cc.regions.size();
     impl_->grid_base[c + 1] =

@@ -251,6 +251,12 @@ void require_positive_runs(const std::string& app, int runs);
 void require_distinct_regions(const std::string& app,
                               const std::vector<Region>& regions);
 
+/// Throws SetupError, naming the app, if two campaigns share one spec
+/// identity (CampaignSpec::operator==): the same campaign run twice. Two
+/// campaigns of one app that differ in seed, runs or params stay legal.
+/// BatchSession, spec files and checkpoint specs share it.
+void require_distinct_campaigns(const std::vector<CampaignSpec>& specs);
+
 /// The spec a (app name, config) pair induces.
 CampaignSpec spec_of(const std::string& app_name, const CampaignConfig& config);
 

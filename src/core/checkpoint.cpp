@@ -535,6 +535,7 @@ void require_consistent_done_sets(const Checkpoint& ck) {
     require_positive_runs(spec.app, spec.runs_per_region);
     require_distinct_regions(spec.app, spec.regions);
   }
+  require_distinct_campaigns(ck.specs);
   const std::string shard = std::to_string(ck.shard.index) + "/" +
                             std::to_string(ck.shard.count);
   const GridSelection committed = ck.committed();

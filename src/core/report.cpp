@@ -459,6 +459,7 @@ std::vector<CampaignSpec> parse_batch_spec(const std::string& text) {
   }
   if (specs.empty())
     throw util::SetupError("batch spec: no campaigns given");
+  require_distinct_campaigns(specs);
   return specs;
 }
 

@@ -564,10 +564,9 @@ int cmd_merge(const util::Cli& cli) {
 
 /// `suppress` (--suppress=p1,p2) replaces the app's default suppressions
 /// when given.
-int lint_one(const apps::App& app,
+int lint_one(const apps::App& app, const svm::Program& program,
              const std::optional<std::vector<std::string>>& suppress,
              bool json, bool werror) {
-  const svm::Program program = app.link();
   const svm::analysis::Cfg cfg(program);
   const svm::analysis::Liveness lint_liveness(
       cfg, svm::analysis::DefUseModel::kLint);
@@ -593,14 +592,33 @@ int cmd_lint(const util::Cli& cli) {
   if (cli.has("suppress"))
     suppress = split_csv("suppress", cli.str("suppress", ""));
   cli.reject_unused();
-  int rc = 0;
+  std::vector<std::string> names{which};
   if (which == "all") {
-    for (const auto& name : apps::app_names())
-      rc |= lint_one(apps::make_app(name), suppress, json, werror);
-    rc |= lint_one(apps::make_app("jacobi"), suppress, json, werror);
-  } else {
-    rc = lint_one(apps::make_app(which), suppress, json, werror);
+    names = apps::app_names();
+    names.push_back("jacobi");
   }
+  std::vector<apps::App> apps;
+  std::vector<svm::Program> programs;
+  for (const std::string& name : names) {
+    apps.push_back(apps::make_app(name));
+    programs.push_back(apps.back().link());
+  }
+  // --suppress items are symbol-name prefixes: one that names no symbol in
+  // any linted app is a typo that would silently drop the defaults.
+  const std::vector<std::string> none;
+  for (const std::string& prefix : suppress ? *suppress : none) {
+    bool matches = false;
+    for (const svm::Program& p : programs)
+      for (const svm::Symbol& sym : p.symbols())
+        matches |= sym.name.compare(0, prefix.size(), prefix) == 0;
+    if (!matches)
+      throw util::SetupError(
+          "--suppress item '" + prefix + "' is a prefix of no symbol in " +
+          (which == "all" ? "any linted app" : which));
+  }
+  int rc = 0;
+  for (std::size_t i = 0; i < apps.size(); ++i)
+    rc |= lint_one(apps[i], programs[i], suppress, json, werror);
   return rc;
 }
 

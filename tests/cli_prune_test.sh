@@ -5,8 +5,10 @@
 # a valid level must report the activation verdict, live or dead for every
 # dictionary fault (campaign/batch have their own digest gates); regs is
 # refused in specs and checkpoints too. Empty or duplicate region lists
-# exit 1 from the CLI and from spec files, as do empty items in any CLI
-# comma list (an empty --suppress= still clears the lint suppressions)
+# and a campaign listed twice exit 1 from the CLI and from spec files (a
+# repeated campaign from checkpoints too), as do empty items in any CLI
+# comma list (an empty --suppress= still clears the lint suppressions),
+# lint --suppress prefixes that start no symbol name in any linted app,
 # and spec app params the apps cannot run (one rank; more steps than a
 # 16-bit immediate). Strict flags: unknown or ignored options,
 # out-of-range counts (beyond the int range too), seeds outside
@@ -146,6 +148,20 @@ expect_fail "option --regions has an empty item in ',regular'" \
     campaign --app=jacobi --runs=2 --regions=,regular
 expect_fail "option --suppress has an empty item in 'a,'" \
     lint --app=jacobi --suppress=a,
+# --suppress items are symbol-name prefixes: one that starts no symbol name
+# in any app the invocation lints is a typo, refused before any report...
+expect_fail "--suppress item 'no-such-check' is a prefix of no symbol in wavetoy" \
+    lint --app=wavetoy --suppress=no-such-check
+expect_fail "--suppress item 'wt_' is a prefix of no symbol in minimd" \
+    lint --app=minimd --suppress=wt_
+expect_fail "--suppress item 'nope' is a prefix of no symbol in any linted app" \
+    lint --app=all --suppress=wt_,nope
+[ -z "$("$fsim" lint --app=all --suppress=wt_,nope 2>/dev/null)" ] || {
+  echo "cli_prune: a refused --suppress still printed a report" >&2
+  exit 1; }
+# ...while with --app=all a prefix that matches in one app stays legal.
+"$fsim" lint --app=all --suppress=wt_ > /dev/null
+echo "  lint --app=all --suppress=wt_ accepted (wt_ matches in wavetoy)"
 # ...while an empty --suppress= still means "no suppressions": the
 # findings wavetoy suppresses by default come back.
 quiet_lint="$("$fsim" lint --app=wavetoy --json)"
@@ -154,6 +170,9 @@ loud_lint="$("$fsim" lint --app=wavetoy --json --suppress=)"
   echo "cli_prune: lint --suppress= did not clear the suppressions" >&2
   exit 1; }
 echo "  lint --suppress= clears the default suppressions"
+# The same campaign twice is refused; a doubled region already was.
+expect_fail "campaign for app 'wavetoy' listed twice with the same spec" \
+    batch --apps=wavetoy,wavetoy --runs=2 --quiet
 # Flags the chosen path ignores are refused too.
 expect_fail "unknown option --wave" batch --apps=jacobi --runs=2 --wave=3
 expect_fail "unexpected argument 'extra'" campaign --app=jacobi extra
@@ -167,6 +186,16 @@ expect_fail "unknown option --runs" batch --spec=spec.json --runs=8
 echo '{"format": "fsim-batch-v2", "regions": ["regular", "regular"],
  "campaigns": [{"app": "jacobi"}]}' > dup.json
 expect_fail "region 'regular' listed twice" batch --spec=dup.json --quiet
+echo '{"format": "fsim-batch-v2", "runs": 1, "regions": ["regular"],
+ "campaigns": [{"app": "jacobi"}, {"app": "jacobi"}]}' > twice.json
+expect_fail "campaign for app 'jacobi' listed twice with the same spec" \
+    batch --spec=twice.json --quiet
+# Two campaigns of one app that differ in seed stay legal.
+echo '{"format": "fsim-batch-v2", "runs": 1, "regions": ["regular"],
+ "campaigns": [{"app": "jacobi"}, {"app": "jacobi", "seed": 9}]}' \
+  > seeds.json
+"$fsim" batch --spec=seeds.json --quiet > /dev/null
+echo "  a spec with two jacobi campaigns at different seeds runs"
 # One spelling per input: a spec without "format" (the retired v1 schema),
 # a JSON-boolean prune, the old region aliases and the engine alias
 # "interpreter" are refused.
@@ -185,6 +214,15 @@ expect_fail "blob names an unknown prune level" \
     status "$data/prune_regs.bin.json"
 expect_fail "unknown prune level 'regs'" resume "$data/prune_regs.json" \
     --quiet
+# So are checkpoints of a repeated campaign (written while it was accepted).
+for ext in json bin.json; do
+  expect_fail "campaign for app 'jacobi' listed twice with the same spec" \
+      status "$data/repeated_campaign.$ext"
+done
+expect_fail "campaign for app 'jacobi' listed twice with the same spec" \
+    resume "$data/repeated_campaign.json" --quiet
+expect_fail "campaign for app 'jacobi' listed twice with the same spec" \
+    merge "$data/repeated_campaign.json"
 # App params outside what the apps can run: a one-rank world (every app
 # needs a neighbour) and, except for jacobi's iteration cap, more steps
 # than the apps' 16-bit step immediate holds.

@@ -318,6 +318,24 @@ TEST(Batch, SpecFileParsing) {
   EXPECT_THROW(parse_batch_spec(v2 + R"("engine": "interpreter", )" +
                                 R"("campaigns": [{"app": "jacobi"}]})"),
                util::SetupError);
+  // One campaign identity once: the same campaign listed twice is refused
+  // (the engine is not part of the identity), while two campaigns of one
+  // app that differ in seed, runs or params are legal.
+  for (const char* twice :
+       {R"({"app": "jacobi"}, {"app": "jacobi"})",
+        R"({"app": "jacobi", "seed": 3}, {"app": "jacobi", "seed": 3})",
+        R"({"app": "jacobi"}, {"app": "jacobi", "engine": "interp"})"})
+    EXPECT_THROW(parse_batch_spec(v2 + R"("campaigns": [)" + twice + "]}"),
+                 util::SetupError)
+        << twice;
+  for (const char* distinct :
+       {R"({"app": "jacobi"}, {"app": "jacobi", "seed": 3})",
+        R"({"app": "jacobi"}, {"app": "jacobi", "runs": 3})",
+        R"({"app": "jacobi"}, {"app": "jacobi", "ranks": 2})"})
+    EXPECT_EQ(parse_batch_spec(v2 + R"("campaigns": [)" + distinct + "]}")
+                  .size(),
+              2u)
+        << distinct;
 
   // App params parse as given; building the app refuses a one-rank world
   // (every app needs a neighbour) and, for the timestep apps, a step count

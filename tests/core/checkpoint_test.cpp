@@ -848,6 +848,11 @@ TEST(Checkpoint, ForgedDoneSetsAreRefused) {
     expect_refused(
         util::read_file(FSIM_TEST_DATA "/forged_out_of_grid" + ext),
         "run 100 is outside the grid of 4 runs");
+    // A real checkpoint of `fsim batch --apps=jacobi,jacobi`, written while
+    // a repeated campaign was still accepted.
+    expect_refused(
+        util::read_file(FSIM_TEST_DATA "/repeated_campaign" + ext),
+        "campaign for app 'jacobi' listed twice with the same spec");
   }
 }
 
