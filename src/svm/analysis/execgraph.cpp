@@ -4,7 +4,6 @@ namespace fsim::svm::analysis {
 
 ExecGraph::ExecGraph(const Cfg& cfg) {
   const auto& blocks = cfg.blocks();
-  succ_.resize(blocks.size());
   rev_.resize(blocks.size());
   unbounded_.assign(blocks.size(), false);
   if (blocks.empty()) return;
@@ -16,30 +15,31 @@ ExecGraph::ExecGraph(const Cfg& cfg) {
   }
   for (std::uint32_t id = 0; id < blocks.size(); ++id) {
     const Block& b = blocks[id];
+    auto edge = [&](std::uint32_t t) { rev_[t].push_back(id); };
     if (b.falls_off_end) unbounded_[id] = true;
     switch (b.term) {
       case FlowKind::kCall:
         if (b.call_target >= 0 && !b.call_outside && !b.bad_target) {
           // Execution enters the callee; the return site is reached only
           // through the callee's rets (the precision over succ edges).
-          succ_[id].push_back(static_cast<std::uint32_t>(b.call_target));
+          edge(static_cast<std::uint32_t>(b.call_target));
         } else {
           unbounded_[id] = true;  // unknown callee: could do anything
         }
         break;
       case FlowKind::kIndirectCall:
-        for (std::uint32_t t : taken) succ_[id].push_back(t);
+        for (std::uint32_t t : taken) edge(t);
         // The continuation is not registered as a return site of any
         // particular function; keep it reachable directly.
-        for (std::uint32_t t : b.succ) succ_[id].push_back(t);
+        for (std::uint32_t t : b.succ) edge(t);
         break;
       case FlowKind::kIndirectJump:
-        for (std::uint32_t t : taken) succ_[id].push_back(t);
+        for (std::uint32_t t : taken) edge(t);
         break;
       case FlowKind::kRet:
         for (std::uint32_t fn_id : cfg.functions_of(id))
           for (std::uint32_t t : cfg.functions()[fn_id].return_sites)
-            succ_[id].push_back(t);
+            edge(t);
         break;
       case FlowKind::kIllegal:  // traps; nothing executes afterwards
         break;
@@ -47,12 +47,10 @@ ExecGraph::ExecGraph(const Cfg& cfg) {
         // An aborting syscall terminates the rank; any other terminator
         // (branch, jump, fallthrough, non-aborting sys) follows succ.
         if (!aborting_sys(decode(cfg.word_at(b.end - 4))))
-          for (std::uint32_t t : b.succ) succ_[id].push_back(t);
+          for (std::uint32_t t : b.succ) edge(t);
         break;
     }
   }
-  for (std::uint32_t p = 0; p < blocks.size(); ++p)
-    for (std::uint32_t s : succ_[p]) rev_[s].push_back(p);
 }
 
 bool ReadWindow::dead_at(const Cfg& cfg, Addr pc) const noexcept {

@@ -88,21 +88,6 @@ class ExecGraph {
  public:
   explicit ExecGraph(const Cfg& cfg);
 
-  /// Execution successors of block `id`.
-  const std::vector<std::uint32_t>& succ(std::uint32_t id) const noexcept {
-    return succ_[id];
-  }
-  /// Execution predecessors of block `id` (the transpose of succ).
-  const std::vector<std::uint32_t>& pred(std::uint32_t id) const noexcept {
-    return rev_[id];
-  }
-  /// True if control can leave the modeled world from block `id` (unknown
-  /// callee, indirect target set unknown, falls off the segment). Any
-  /// liveness proof must treat such a block as reaching every event.
-  bool unbounded(std::uint32_t id) const noexcept { return unbounded_[id]; }
-
-  std::size_t size() const noexcept { return succ_.size(); }
-
   /// The read window of an object read at `read_pcs`, by backward
   /// reachability from the blocks holding them. Unbounded blocks count as
   /// reaching a read.
@@ -114,8 +99,9 @@ class ExecGraph {
   }
 
  private:
-  std::vector<std::vector<std::uint32_t>> succ_;
-  std::vector<std::vector<std::uint32_t>> rev_;
+  std::vector<std::vector<std::uint32_t>> rev_;  // execution predecessors
+  /// Blocks from which control can leave the modeled world (unknown
+  /// callee, falls off the segment): they reach every event.
   std::vector<bool> unbounded_;
 };
 

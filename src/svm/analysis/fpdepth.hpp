@@ -54,7 +54,8 @@ struct DepthBounds {
   /// The anchor invariant: physical slot `phys` is empty when the state is
   /// reachable, anchored and phys + hi < 8.
   bool slot_empty(unsigned phys) const noexcept {
-    return reachable && anchored && phys + static_cast<unsigned>(hi) < kNumFpr;
+    return phys < kNumFpr && reachable && anchored &&
+           phys + static_cast<unsigned>(hi) < kNumFpr;
   }
   friend bool operator==(const DepthBounds&, const DepthBounds&) = default;
 };

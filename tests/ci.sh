@@ -18,7 +18,9 @@
 # (mutated checkpoints, status documents and service assign lines must
 # raise SetupError only), and runs the memory-window, snapshot and
 # rung-equality, engine-lockstep, golden fast-forward and early-exit
-# tests. Throughput is perfbench's job (perfbench/run.py), not CI's.
+# tests and the static-analysis tests (AnalysisFacts, FpDepth, Lint,
+# PrecisionTrace). Throughput is perfbench's job (perfbench/run.py), not
+# CI's.
 #
 #   tests/ci.sh [--asan] [--build-dir=DIR] [--jobs=N]
 #
@@ -112,15 +114,17 @@ else
   # engine caches pointers into them, and the read log indexes raw stamp
   # arrays: the window, snapshot and rung-equality, engine-lockstep,
   # fast-forward and early-exit (oracle parity and boundary) tests run
-  # under ASan too.
+  # under ASan too, as do the static-analysis tests (the pinned fact
+  # digests, FP depth, lint and the precision trace), whose passes index
+  # per-function block lists through the shared dataflow driver.
   (cd "$scan_dir" &&
      tests/svm_tests --gtest_brief=1 \
-       --gtest_filter='Memory.*:EngineDiff.*:AllApps/EngineDiffTest.*' &&
+       --gtest_filter='Memory.*:EngineDiff.*:AllApps/EngineDiffTest.*:AnalysisFacts.*:FpDepth*:Lint.*:PrecisionTrace.*' &&
      tests/simmpi_tests --gtest_brief=1 \
        --gtest_filter='Snapshot*' &&
      tests/core_tests --gtest_brief=1 \
        --gtest_filter='*FastForward*:EarlyExit.*')
-  echo "  memory windows, snapshots, fast-forward and early exit clean under AddressSanitizer"
+  echo "  memory windows, snapshots, fast-forward, early exit and analysis tests clean under AddressSanitizer"
 fi
 
 echo "=== ci: all gates passed ==="
