@@ -1,10 +1,12 @@
 // Unit tests for the static dataflow layer: CFG construction, whole-program
-// reachability and interprocedural register liveness, each on hand-written
-// assembler snippets small enough to check by inspection.
+// reachability, the shared fixpoint loops, the seeding of address-taken
+// code and interprocedural register liveness, each on hand-written
+// assembler snippets (or graphs) small enough to check by inspection.
 #include <gtest/gtest.h>
 
 #include "svm/analysis/analysis.hpp"
 #include "svm/analysis/cfg.hpp"
+#include "svm/analysis/dataflow.hpp"
 #include "svm/analysis/defuse.hpp"
 #include "svm/analysis/liveness.hpp"
 #include "svm/assembler.hpp"
@@ -173,6 +175,119 @@ main:
   for (Addr b = 0; b < 4; ++b) {
     EXPECT_TRUE(an.text_reachable(kTextBase + b)) << "byte " << b;
   }
+}
+
+TEST(ProgramAnalysis, ReachableIndirectCallSeedsAddressTakenCodeUnknown) {
+  // No static edge leads into `helper`; only the callr can. Every forward
+  // pass must still reach it, in an unknown state: unanchored FP depth
+  // (no slot proof) in both depth passes, and reachable under the value
+  // ranges. The call's continuation knows nothing about the depth either.
+  const Program p = prog(R"(
+.text
+main:
+    la r2, helper
+    fldz
+    callr r2
+    fpop
+    ldi r1, 0
+    ret
+helper:
+    fldz
+    fpop
+    ret
+)");
+  const ProgramAnalysis an(p);
+  EXPECT_TRUE(an.cfg().reachable_indirect());
+  const Addr helper = addr_of(p, "helper");
+  const Addr after_call = kTextBase + 16;  // lui, ori, fldz, callr
+  for (const DepthBounds& b :
+       {an.fpdepth().bounds_at(helper), an.fpdepth_ctx().bounds_at(helper),
+        an.fpdepth().bounds_at(after_call),
+        an.fpdepth_ctx().bounds_at(after_call)}) {
+    EXPECT_TRUE(b.reachable);
+    EXPECT_FALSE(b.anchored);
+  }
+  EXPECT_TRUE(an.text_reachable_refined(helper));
+}
+
+TEST(ProgramAnalysis, AddressTakenCodeWithoutIndirectTransferKeepsItsDepth) {
+  // The same address is materialised, but nothing jumps through it: the
+  // only way into `helper` is the direct call, at depth exactly 1.
+  const Program p = prog(R"(
+.text
+main:
+    la r2, helper
+    fldz
+    call helper
+    fpop
+    ldi r1, 0
+    ret
+helper:
+    fldz
+    fpop
+    ret
+)");
+  const ProgramAnalysis an(p);
+  EXPECT_FALSE(an.cfg().reachable_indirect());
+  const Addr helper = addr_of(p, "helper");
+  for (const DepthBounds& b :
+       {an.fpdepth().bounds_at(helper), an.fpdepth_ctx().bounds_at(helper)}) {
+    EXPECT_TRUE(b.reachable && b.anchored);
+    EXPECT_EQ(b.lo, 1);
+    EXPECT_EQ(b.hi, 1);
+  }
+  EXPECT_TRUE(an.fpu_slot_dead_at(helper, 6));
+  EXPECT_FALSE(an.fpu_slot_dead_at(helper, 7));
+}
+
+// --- Shared fixpoint loops ----------------------------------------------
+
+TEST(Dataflow, VisitsFifoQueuesOnlyOnChangeAndReadsTheLatestState) {
+  // Passes that widen after a number of joins depend on this exact order:
+  // FIFO pops, a node queued at most once at a time and only when its
+  // state changed, and the state handed over as it stands at the pop.
+  const std::vector<std::vector<std::uint32_t>> succ = {
+      {1, 2}, {3}, {3, 1}, {1}};
+  std::vector<int> state(4, -1);
+  Dataflow df(state, [](int& cur, int s) {
+    if (s <= cur || s > 4) return false;
+    cur = s;
+    return true;
+  });
+  std::vector<std::uint32_t> visits;
+  std::vector<int> seen;
+  df.flow(0, 0);
+  df.solve([&](std::uint32_t id, int s) {
+    visits.push_back(id);
+    seen.push_back(s);
+    for (std::uint32_t t : succ[id]) df.flow(t, s + 1);
+  });
+  EXPECT_EQ(visits, (std::vector<std::uint32_t>{0, 1, 2, 3, 1, 3}));
+  EXPECT_EQ(seen, (std::vector<int>{0, 1, 1, 2, 3, 4}));
+  EXPECT_EQ(state, (std::vector<int>{0, 3, 1, 4}));
+}
+
+TEST(Dataflow, SummaryRoundsAreGaussSeidelWithABudget) {
+  // Each summary copies its predecessor's: within one round a function
+  // already sees the summaries updated before it, so one round settles
+  // the chain and a second confirms it.
+  std::vector<int> chain(3, 0);
+  int calls = 0;
+  EXPECT_TRUE(summary_rounds(chain, 8, [&](std::uint32_t f) {
+    ++calls;
+    return f == 0 ? 1 : chain[f - 1];
+  }));
+  EXPECT_EQ(chain, (std::vector<int>{1, 1, 1}));
+  EXPECT_EQ(calls, 6);
+  // A summary that never settles stops at the budget and says so.
+  std::vector<int> grows(2, 0);
+  calls = 0;
+  EXPECT_FALSE(summary_rounds(grows, 5, [&](std::uint32_t f) {
+    ++calls;
+    return grows[f] + 1;
+  }));
+  EXPECT_EQ(calls, 10);
+  EXPECT_EQ(grows, (std::vector<int>{5, 5}));
 }
 
 // --- Liveness ------------------------------------------------------------
