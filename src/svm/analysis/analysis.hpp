@@ -5,6 +5,7 @@
 #pragma once
 
 #include "svm/analysis/cfg.hpp"
+#include "svm/analysis/execgraph.hpp"
 #include "svm/analysis/fpdepth.hpp"
 #include "svm/analysis/fpdepth_ctx.hpp"
 #include "svm/analysis/heapliveness.hpp"
@@ -26,9 +27,11 @@ class ProgramAnalysis {
         fpdepth_(cfg_),
         fpdepth_ctx_(cfg_),
         memliveness_(cfg_, symbol_access_),
-        timewindow_(cfg_, symbol_access_, memliveness_),
+        exec_graph_(cfg_),
+        timewindow_(cfg_, exec_graph_, symbol_access_, memliveness_),
         valuerange_(cfg_, symbol_access_),
-        heapliveness_(cfg_, symbol_access_, memliveness_, liveness_),
+        heapliveness_(cfg_, exec_graph_, symbol_access_, memliveness_,
+                      liveness_),
         stackwindow_(cfg_, memliveness_) {}
 
   const Cfg& cfg() const noexcept { return cfg_; }
@@ -124,6 +127,7 @@ class ProgramAnalysis {
   FpDepth fpdepth_;
   FpDepthCtx fpdepth_ctx_;
   MemLiveness memliveness_;
+  ExecGraph exec_graph_;  // shared by the time-window and heap rungs
   TimeWindow timewindow_;
   ValueRange valuerange_;
   HeapLiveness heapliveness_;

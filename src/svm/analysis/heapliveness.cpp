@@ -452,7 +452,7 @@ class Scan {
 
 }  // namespace
 
-HeapLiveness::HeapLiveness(const Cfg& cfg,
+HeapLiveness::HeapLiveness(const Cfg& cfg, const ExecGraph& graph,
                            const std::map<Addr, SymbolAccess>& access,
                            const MemLiveness& mem, const Liveness& live)
     : cfg_(&cfg) {
@@ -481,7 +481,6 @@ HeapLiveness::HeapLiveness(const Cfg& cfg,
   // Forward-read windows for sites that are read somewhere but tracked:
   // the same execution-successor reachability timewindow.cpp runs per
   // symbol, keyed here per allocation site.
-  const ExecGraph graph(cfg);
   for (auto& [pc, s] : sites_) {
     if (s.escaped || s.read_pcs.empty()) continue;
     windows_.emplace(pc, graph.window(cfg, s.read_pcs));

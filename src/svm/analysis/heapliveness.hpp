@@ -76,10 +76,12 @@ struct HeapSite {
 
 class HeapLiveness {
  public:
-  /// `live` must be the kSound register liveness over the same cfg; its
-  /// dead-register proofs license dropping stale pointer copies at joins
-  /// without escaping the site.
-  HeapLiveness(const Cfg& cfg, const std::map<Addr, SymbolAccess>& access,
+  /// `graph` is the execution-successor graph of the same cfg. `live` must
+  /// be the kSound register liveness over it; its dead-register proofs
+  /// license dropping stale pointer copies at joins without escaping the
+  /// site.
+  HeapLiveness(const Cfg& cfg, const ExecGraph& graph,
+               const std::map<Addr, SymbolAccess>& access,
                const MemLiveness& mem, const Liveness& live);
 
   /// Did the interprocedural scan converge and cover every reachable

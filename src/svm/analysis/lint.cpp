@@ -485,7 +485,8 @@ LintResult run_lint(const Cfg& cfg, const Liveness& lint_liveness,
   // is exactly what --prune=full skips.
   {
     const MemLiveness mem(cfg, res.symbol_access);
-    const HeapLiveness heap(cfg, res.symbol_access, mem, sound_live);
+    const HeapLiveness heap(cfg, ExecGraph(cfg), res.symbol_access, mem,
+                            sound_live);
     for (const auto& [site, info] : heap.sites()) {
       if (!info.user) continue;  // library-internal allocations are noise
       if (heap.site_dead(site)) {

@@ -4,15 +4,11 @@
 
 namespace fsim::svm::analysis {
 
-TimeWindow::TimeWindow(const Cfg& cfg,
+TimeWindow::TimeWindow(const Cfg& cfg, const ExecGraph& graph,
                        const std::map<Addr, SymbolAccess>& access,
                        const MemLiveness& mem)
     : cfg_(&cfg) {
   if (cfg.blocks().empty()) return;
-
-  // Where can control actually flow next (calls enter callees, rets return
-  // to call continuations) — shared with the heap rung via ExecGraph.
-  const ExecGraph graph(cfg);
 
   // One backward reachability per tracked symbol with recorded read sites.
   for (const auto& [key, sa] : access) {

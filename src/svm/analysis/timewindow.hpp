@@ -44,8 +44,10 @@ namespace fsim::svm::analysis {
 
 class TimeWindow {
  public:
-  TimeWindow(const Cfg& cfg, const std::map<Addr, SymbolAccess>& access,
-             const MemLiveness& mem);
+  /// `graph` is the execution-successor graph of the same cfg (calls enter
+  /// callees, rets return to call continuations).
+  TimeWindow(const Cfg& cfg, const ExecGraph& graph,
+             const std::map<Addr, SymbolAccess>& access, const MemLiveness& mem);
 
   /// True if the data/BSS byte at `addr` is provably past its last read
   /// when the machine is paused at `pc`: its symbol is tracked and no read

@@ -29,7 +29,8 @@ std::vector<ProcessProfile::SymbolTouch> scan_symbol_touches(
   // Allocation-site census from the heap rung's interprocedural scan: the
   // profile-side answer to "which mallocs could a heap flip ever reach?".
   const svm::analysis::MemLiveness mem(cfg, access);
-  const svm::analysis::HeapLiveness heap(cfg, access, mem, live);
+  const svm::analysis::HeapLiveness heap(cfg, svm::analysis::ExecGraph(cfg),
+                                         access, mem, live);
   if (heap.tracked()) {
     for (const auto& [pc, site] : heap.sites()) {
       ProcessProfile::HeapSiteCensus c;
