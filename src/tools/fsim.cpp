@@ -597,11 +597,11 @@ int cmd_lint(const util::Cli& cli) {
     names = apps::app_names();
     names.push_back("jacobi");
   }
-  std::vector<apps::App> apps;
+  std::vector<apps::App> linted;
   std::vector<svm::Program> programs;
   for (const std::string& name : names) {
-    apps.push_back(apps::make_app(name));
-    programs.push_back(apps.back().link());
+    linted.push_back(apps::make_app(name));
+    programs.push_back(linted.back().link());
   }
   // --suppress items are symbol-name prefixes: one that names no symbol in
   // any linted app is a typo that would silently drop the defaults.
@@ -617,8 +617,8 @@ int cmd_lint(const util::Cli& cli) {
           (which == "all" ? "any linted app" : which));
   }
   int rc = 0;
-  for (std::size_t i = 0; i < apps.size(); ++i)
-    rc |= lint_one(apps[i], programs[i], suppress, json, werror);
+  for (std::size_t i = 0; i < linted.size(); ++i)
+    rc |= lint_one(linted[i], programs[i], suppress, json, werror);
   return rc;
 }
 
