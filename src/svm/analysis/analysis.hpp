@@ -1,7 +1,10 @@
 // One-stop bundle of the static analyses a campaign consumes: the CFG,
 // sound liveness (for pre-injection pruning) and the reachable symbol
 // access sets (for fault-dictionary activation annotation). Built once per
-// linked image and shared read-only across campaign workers.
+// linked image and shared read-only across campaign workers; `fsim lint`
+// and `fsim profile` read the same bundle rather than building their own.
+// Run-time queries must not read `cfg().program()`: moving a Prepared
+// moves its Program, and the bundle's pointer to it then dangles.
 #pragma once
 
 #include "svm/analysis/cfg.hpp"
@@ -23,13 +26,13 @@ class ProgramAnalysis {
   explicit ProgramAnalysis(const Program& program)
       : cfg_(program),
         liveness_(cfg_, DefUseModel::kSound),
-        symbol_access_(scan_symbol_access(cfg_, &liveness_)),
+        symbol_access_(scan_symbol_access(cfg_, liveness_)),
         fpdepth_(cfg_),
         fpdepth_ctx_(cfg_),
         memliveness_(cfg_, symbol_access_),
         exec_graph_(cfg_),
         timewindow_(cfg_, exec_graph_, symbol_access_, memliveness_),
-        valuerange_(cfg_, symbol_access_),
+        valuerange_(cfg_, symbol_access_, memliveness_),
         heapliveness_(cfg_, exec_graph_, symbol_access_, memliveness_,
                       liveness_),
         stackwindow_(cfg_, memliveness_) {}
@@ -88,16 +91,6 @@ class ProgramAnalysis {
   /// fault in any byte of a reachable instruction is reachable.
   bool text_reachable(Addr a) const {
     return cfg_.reachable_addr(a & ~Addr{3});
-  }
-
-  /// Does reachable code reference the data/BSS symbol owning `addr`?
-  /// (Unknown addresses are conservatively considered referenced.)
-  bool data_symbol_referenced(Addr addr) const {
-    const Symbol* s = cfg_.program().symbol_covering(addr);
-    if (s == nullptr) return true;
-    auto it = symbol_access_.find(s->address);
-    if (it == symbol_access_.end()) return true;
-    return it->second.referenced();
   }
 
   /// True if every byte of the heap chunk allocated at site `site` (the pc

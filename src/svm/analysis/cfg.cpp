@@ -98,11 +98,6 @@ std::uint32_t Cfg::block_index_of(Addr pc) const noexcept {
   return i == kNoBlock ? kNoBlock : block_of_[i];
 }
 
-bool Cfg::any_materialized_in(Addr lo, Addr hi) const {
-  auto it = materialized_.lower_bound(lo);
-  return it != materialized_.end() && *it < hi;
-}
-
 void Cfg::scan_materialized() {
   // lui rd, hi immediately followed by ori rd, rd, lo is the assembler's
   // only way to materialise a 32-bit constant (`la` and wide `li` both

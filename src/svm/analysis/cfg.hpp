@@ -107,8 +107,6 @@ class Cfg {
   /// pointer-sized word in .data (the static address-taken set).
   const std::set<Addr>& materialized() const noexcept { return materialized_; }
   bool address_taken(Addr a) const { return materialized_.count(a) > 0; }
-  /// Any materialised address inside [lo, hi)?
-  bool any_materialized_in(Addr lo, Addr hi) const;
 
   /// Function partitioning: entries are the program entry, every static
   /// call target, every address-taken text address, and every symbol that

@@ -6,11 +6,8 @@
 #include <optional>
 #include <sstream>
 
+#include "svm/analysis/analysis.hpp"
 #include "svm/analysis/dataflow.hpp"
-#include "svm/analysis/fpdepth.hpp"
-#include "svm/analysis/heapliveness.hpp"
-#include "svm/analysis/memliveness.hpp"
-#include "svm/analysis/valuerange.hpp"
 #include "util/json.hpp"
 
 namespace fsim::svm::analysis {
@@ -188,12 +185,7 @@ void check_fp_and_frames(const Cfg& cfg, std::vector<Diagnostic>& diags) {
 // ---------------------------------------------------------------------------
 
 std::map<Addr, SymbolAccess> scan_symbol_access(const Cfg& cfg,
-                                                const Liveness* live) {
-  std::optional<Liveness> own_live;
-  if (live == nullptr) {
-    own_live.emplace(cfg, DefUseModel::kSound);
-    live = &*own_live;
-  }
+                                                const Liveness& live) {
   const Program& prog = cfg.program();
   struct Range {
     Addr lo, hi;
@@ -297,7 +289,7 @@ std::map<Addr, SymbolAccess> scan_symbol_access(const Cfg& cfg,
           // only through a register that is still live here. A dead
           // register is overwritten before any read on every path, so the
           // address copy it holds can never become a load or store base.
-          const std::uint16_t live_mask = live->live_in(pc);
+          const std::uint16_t live_mask = live.live_in(pc);
           for (unsigned r = 0; r < kNumGpr; ++r) {
             if ((live_mask & reg_bit(r)) != 0)
               escape_reg(r);
@@ -325,7 +317,7 @@ std::map<Addr, SymbolAccess> scan_symbol_access(const Cfg& cfg,
     // successor we don't track into: escape the ones the liveness
     // analysis cannot prove dead across the edge (block_live_out resolves
     // call, ret and fall-through flow kinds alike).
-    const std::uint16_t out_mask = live->block_live_out(id);
+    const std::uint16_t out_mask = live.block_live_out(id);
     for (unsigned r = 0; r < kNumGpr; ++r) {
       if ((out_mask & reg_bit(r)) != 0)
         escape_reg(r);
@@ -336,8 +328,9 @@ std::map<Addr, SymbolAccess> scan_symbol_access(const Cfg& cfg,
   return access;
 }
 
-LintResult run_lint(const Cfg& cfg, const Liveness& lint_liveness,
+LintResult run_lint(const ProgramAnalysis& analysis,
                     const LintOptions& options) {
+  const Cfg& cfg = analysis.cfg();
   LintResult res;
   std::vector<Diagnostic> errors, warnings;
   const Program& prog = cfg.program();
@@ -400,15 +393,12 @@ LintResult run_lint(const Cfg& cfg, const Liveness& lint_liveness,
   // per-function checks above cannot — a callee whose interior depth only
   // exceeds the 8 slots once the caller's entry depth is added, or an
   // instruction whose operands no reachable path provides.
-  {
-    const FpDepth fpdepth(cfg);
-    for (const FpDepthIssue& issue : fpdepth.issues()) {
-      if (issue.is_error) {
-        err(issue.code, issue.addr, issue.message);
-      } else {
-        warn(issue.code, issue.addr, symbol_name_at(cfg, issue.addr),
-             issue.message);
-      }
+  for (const FpDepthIssue& issue : analysis.fpdepth().issues()) {
+    if (issue.is_error) {
+      err(issue.code, issue.addr, issue.message);
+    } else {
+      warn(issue.code, issue.addr, symbol_name_at(cfg, issue.addr),
+           issue.message);
     }
   }
 
@@ -433,8 +423,10 @@ LintResult run_lint(const Cfg& cfg, const Liveness& lint_liveness,
   }
 
   // Registers read before ever being written, on some path from the entry
-  // point (kLint model; sp/fp are initialised by the loader).
+  // point (kLint model, lint's own liveness; sp/fp are initialised by the
+  // loader).
   {
+    const Liveness lint_liveness(cfg, DefUseModel::kLint);
     const std::uint16_t live = lint_liveness.live_in(prog.entry());
     for (unsigned r = 0; r < kNumGpr; ++r) {
       if (r == kSp || r == kFp) continue;
@@ -446,26 +438,20 @@ LintResult run_lint(const Cfg& cfg, const Liveness& lint_liveness,
     }
   }
 
-  // Data/BSS symbol access smells. The sound liveness also backs the heap
-  // scan below; build it once.
-  const Liveness sound_live(cfg, DefUseModel::kSound);
-  res.symbol_access = scan_symbol_access(cfg, &sound_live);
-
   // Value-range findings: conditional branches the interval analysis
   // decides statically (one arm dead) and stores whose address interval
   // runs past the symbol it starts in (valuerange.hpp).
-  {
-    const ValueRange vr(cfg, res.symbol_access);
-    for (const ValueRangeIssue& issue : vr.issues()) {
-      warn(issue.code, issue.addr, symbol_name_at(cfg, issue.addr),
-           issue.message);
-    }
+  for (const ValueRangeIssue& issue : analysis.valuerange().issues()) {
+    warn(issue.code, issue.addr, symbol_name_at(cfg, issue.addr),
+         issue.message);
   }
 
+  // Data/BSS symbol access smells.
+  const std::map<Addr, SymbolAccess>& access = analysis.symbol_access();
   for (const Symbol& s : prog.symbols()) {
     if (s.segment != Segment::kData && s.segment != Segment::kBss) continue;
-    auto it = res.symbol_access.find(s.address);
-    if (it == res.symbol_access.end()) continue;
+    auto it = access.find(s.address);
+    if (it == access.end()) continue;
     const SymbolAccess& sa = it->second;
     if (sa.escaped) continue;  // untrackable: assume read+written
     if (sa.written && !sa.read) {
@@ -481,28 +467,24 @@ LintResult run_lint(const Cfg& cfg, const Liveness& lint_liveness,
 
   // Heap and frame liveness smells (informational): user allocation sites
   // whose chunks are provably never read, and local frame slots written but
-  // never read. Both reuse the pruning rungs' analyses, so what lint flags
+  // never read. Both are the pruning rungs' own analyses, so what lint flags
   // is exactly what --prune=full skips.
-  {
-    const MemLiveness mem(cfg, res.symbol_access);
-    const HeapLiveness heap(cfg, ExecGraph(cfg), res.symbol_access, mem,
-                            sound_live);
-    for (const auto& [site, info] : heap.sites()) {
-      if (!info.user) continue;  // library-internal allocations are noise
-      if (heap.site_dead(site)) {
-        warn("heap-write-only", site, info.symbol,
-             "heap chunks allocated here are " +
-                 std::string(info.written ? "written but never read"
-                                          : "never accessed"));
-      }
+  const HeapLiveness& heap = analysis.heapliveness();
+  for (const auto& [site, info] : heap.sites()) {
+    if (!info.user) continue;  // library-internal allocations are noise
+    if (heap.site_dead(site)) {
+      warn("heap-write-only", site, info.symbol,
+           "heap chunks allocated here are " +
+               std::string(info.written ? "written but never read"
+                                        : "never accessed"));
     }
-    for (const StackFrameAccess& fa : mem.frames()) {
-      const int dead = fa.dead_slots();
-      if (dead > 0) {
-        warn("frame-dead-slot", fa.entry, fa.symbol,
-             std::to_string(dead) + " local frame byte" +
-                 (dead == 1 ? "" : "s") + " written but never read");
-      }
+  }
+  for (const StackFrameAccess& fa : analysis.memliveness().frames()) {
+    const int dead = fa.dead_slots();
+    if (dead > 0) {
+      warn("frame-dead-slot", fa.entry, fa.symbol,
+           std::to_string(dead) + " local frame byte" +
+               (dead == 1 ? "" : "s") + " written but never read");
     }
   }
 

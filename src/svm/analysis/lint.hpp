@@ -44,20 +44,18 @@ struct SymbolAccess {
   /// PCs of the read sites (one entry per read_sites increment) — the
   /// anchor points of the time-windowed liveness analysis.
   std::vector<Addr> read_pcs;
-
-  bool referenced() const noexcept { return read || written || escaped; }
-  int sites() const noexcept { return read_sites + write_sites; }
 };
 
 /// Scan reachable blocks for direct loads/stores through `la`-materialised
 /// addresses. Keyed by symbol address; only user kData/kBss symbols appear.
-/// `live` must be a DefUseModel::kSound liveness over the same CFG (one is
-/// built internally when null): its dead-register proofs let the scan drop
-/// a materialised address at a call or block boundary without escaping the
-/// symbol — a dead register is overwritten before any read on every path,
-/// so its address copy can never be dereferenced.
+/// `live` must be a DefUseModel::kSound liveness over the same CFG: its
+/// dead-register proofs let the scan drop a materialised address at a call
+/// or block boundary without escaping the symbol — a dead register is
+/// overwritten before any read on every path, so its address copy can
+/// never be dereferenced. ProgramAnalysis runs the one scan everything
+/// else reads (`symbol_access()`).
 std::map<Addr, SymbolAccess> scan_symbol_access(const Cfg& cfg,
-                                                const Liveness* live = nullptr);
+                                                const Liveness& live);
 
 struct LintOptions {
   /// Symbol-name prefixes whose warnings are suppressed (e.g. "wt_" for
@@ -70,12 +68,16 @@ struct LintResult {
   int errors = 0;
   int warnings = 0;
   int suppressed = 0;  // warnings swallowed by the suppression list
-  std::map<Addr, SymbolAccess> symbol_access;
 };
 
-/// Run every check. `lint_liveness` must be a DefUseModel::kLint liveness
-/// over the same CFG.
-LintResult run_lint(const Cfg& cfg, const Liveness& lint_liveness,
+class ProgramAnalysis;
+
+/// Run every check over the analysis bundle of one image. The FP-depth,
+/// value-range, symbol-access, memory- and heap-liveness findings are the
+/// bundle's own; lint adds only the DefUseModel::kLint register liveness
+/// behind `uninit-reg-read`. Reads `analysis.cfg().program()`, so the
+/// Program the bundle was built from must still be alive.
+LintResult run_lint(const ProgramAnalysis& analysis,
                     const LintOptions& options = {});
 
 /// Render diagnostics as an aligned text table (one line per diagnostic,

@@ -54,13 +54,6 @@ StackWindow::StackWindow(const Cfg& cfg, const MemLiveness& mem)
   }
 }
 
-void StackWindow::disable(std::string reason) {
-  if (enabled_) {
-    enabled_ = false;
-    reason_ = std::move(reason);
-  }
-}
-
 void StackWindow::scan(const Cfg& cfg, const MemLiveness& mem) {
   const auto& blocks = cfg.blocks();
   const std::uint16_t sp_bit = reg_bit(kSp);
@@ -70,10 +63,10 @@ void StackWindow::scan(const Cfg& cfg, const MemLiveness& mem) {
   for (std::uint32_t id = 0; id < blocks.size(); ++id) {
     if (!cfg.reachable_block(id)) continue;
     const Block& b = blocks[id];
-    if (b.term == FlowKind::kIndirectJump)
-      disable("reachable indirect jump: intraprocedural flow unboundable");
-    if (b.falls_off_end)
-      disable("reachable code runs off a segment end");
+    // A reachable indirect jump leaves intraprocedural flow unboundable;
+    // reachable code may run off a segment end.
+    if (b.term == FlowKind::kIndirectJump || b.falls_off_end)
+      enabled_ = false;
     const bool orphan = cfg.functions_of(id).empty();
     for (Addr pc = b.begin; pc < b.end; pc += 4) {
       const std::uint32_t word = cfg.word_at(pc);
@@ -83,7 +76,7 @@ void StackWindow::scan(const Cfg& cfg, const MemLiveness& mem) {
         case Op::kPop:
           // push fp is a per-function escape (MemLiveness); push/pop of sp
           // itself would forge or clobber the walker's chain.
-          if (in.a == kSp) disable("sp pushed or popped");
+          if (in.a == kSp) enabled_ = false;
           break;
         case Op::kCall:
         case Op::kCallr:
@@ -93,10 +86,11 @@ void StackWindow::scan(const Cfg& cfg, const MemLiveness& mem) {
           break;  // the frame discipline itself
         default: {
           const RegEffect e = instr_effect(word, DefUseModel::kSound);
-          if (((e.use | e.def) & sp_bit) != 0)
-            disable("sp leaves the push/call/enter bookkeeping");
-          if (orphan && ((e.use | e.def) & fp_bit) != 0)
-            disable("fp touched outside any detected function");
+          // sp leaves the push/call/enter bookkeeping, or fp is touched
+          // outside any detected function.
+          if (((e.use | e.def) & sp_bit) != 0 ||
+              (orphan && ((e.use | e.def) & fp_bit) != 0))
+            enabled_ = false;
           break;
         }
       }
@@ -129,7 +123,7 @@ void StackWindow::scan(const Cfg& cfg, const MemLiveness& mem) {
     const bool framed = enters == 1 && first.op == Op::kEnter;
     const std::uint32_t frame_size = framed ? first.imm : 0;
     if (fp_involved && !framed) {
-      disable("fp used in a function without a single well-defined enter");
+      enabled_ = false;  // fp used without a single well-defined enter
       return;
     }
 
@@ -182,7 +176,7 @@ void StackWindow::scan(const Cfg& cfg, const MemLiveness& mem) {
         }
         if (touches_fp) {
           if (!framed || !depth_ok || d != 1) {
-            disable("fp touched outside its own frame window");
+            enabled_ = false;  // fp touched outside its own frame window
             return;
           }
           if (fp_mem_base(in)) {
@@ -190,7 +184,7 @@ void StackWindow::scan(const Cfg& cfg, const MemLiveness& mem) {
             const int n = access_bytes(in);
             if (off >= 0 || off + n > 0 ||
                 off < -static_cast<std::int32_t>(frame_size)) {
-              disable("fp-relative access outside the local frame span");
+              enabled_ = false;  // access outside the local frame span
               return;
             }
           }
@@ -245,7 +239,7 @@ void StackWindow::scan(const Cfg& cfg, const MemLiveness& mem) {
           for (int i = 0; i < access_bytes(in); ++i) {
             const std::int32_t o = in.simm() + i;
             if (is_read(in) && have.count(o) == 0) {
-              disable("frame byte read before the activation writes it");
+              enabled_ = false;  // read before the activation writes it
               return;
             }
             if (!is_read(in)) have.insert(o);

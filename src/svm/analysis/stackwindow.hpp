@@ -71,8 +71,6 @@ class StackWindow {
   /// False when any global frame-discipline gate tripped; no slot is ever
   /// claimed dead then.
   bool enabled() const noexcept { return enabled_; }
-  /// Human-readable cause when disabled (empty while enabled).
-  const std::string& disabled_reason() const noexcept { return reason_; }
 
   /// Per-function frame summaries in entry-address order.
   const std::vector<FrameWindowInfo>& frames() const noexcept {
@@ -93,11 +91,9 @@ class StackWindow {
   };
 
   void scan(const Cfg& cfg, const MemLiveness& mem);
-  void disable(std::string reason);
 
   const Cfg* cfg_;
   bool enabled_ = false;
-  std::string reason_;
   std::vector<FrameWindowInfo> frames_;
   std::map<std::uint32_t, FnWindows> eligible_;  // keyed by function id
 };

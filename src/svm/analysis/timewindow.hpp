@@ -55,11 +55,6 @@ class TimeWindow {
   /// proved (unknown symbol, untracked symbol, pc outside the code).
   bool dead_at(Addr addr, Addr pc) const noexcept;
 
-  /// Number of symbols with a computed window (tracked and read somewhere).
-  int tracked_symbols() const noexcept {
-    return static_cast<int>(windows_.size());
-  }
-
  private:
   /// Byte extent of one tracked symbol. Copied out of the Program at
   /// construction: queries run at injection time, when the analysis may

@@ -111,7 +111,8 @@ Interval ValueRange::initial_range(const SymExtent& e) const {
 }
 
 ValueRange::ValueRange(const Cfg& cfg,
-                       const std::map<Addr, SymbolAccess>& access)
+                       const std::map<Addr, SymbolAccess>& access,
+                       const MemLiveness& mem)
     : cfg_(&cfg) {
   const Program& prog = cfg.program();
 
@@ -124,30 +125,20 @@ ValueRange::ValueRange(const Cfg& cfg,
     e.hi = s.address + (s.size ? s.size : 1);
     e.key = s.address;
     auto it = access.find(s.address);
-    e.tracked = it != access.end() && !it->second.escaped;
+    // A `.word symbol` data initializer publishes a pointer the access scan
+    // never sees; stores through it could hit the symbol behind this
+    // analysis's back.
+    e.tracked = it != access.end() && !it->second.escaped &&
+                !mem.pointer_published(s.address);
     extents_.push_back(e);
   }
   std::sort(extents_.begin(), extents_.end(),
             [](const SymExtent& a, const SymExtent& b) { return a.lo < b.lo; });
 
-  // A `.word symbol` data initializer publishes a pointer the access scan
-  // never sees; stores through it could hit the symbol behind this
-  // analysis's back, so such symbols are untracked (memliveness.cpp makes
-  // the same call).
-  const auto& data = prog.image(Segment::kData);
-  const Addr data_base = prog.segment_base(Segment::kData);
-  for (std::size_t off = 0; off + 4 <= data.size(); off += 4) {
-    const Addr v = load_word(data, off);
-    auto it = std::upper_bound(
-        extents_.begin(), extents_.end(), v,
-        [](Addr a, const SymExtent& e) { return a < e.lo; });
-    if (it != extents_.begin() && v >= std::prev(it)->lo &&
-        v < std::prev(it)->hi)
-      std::prev(it)->tracked = false;
-  }
-
   // Initial word ranges: BSS images as zero; data symbols join their
   // initializer words (word-aligned extents only — anything odd is TOP).
+  const auto& data = prog.image(Segment::kData);
+  const Addr data_base = prog.segment_base(Segment::kData);
   for (SymExtent& e : extents_) {
     if (!e.tracked) continue;
     const Symbol* s = prog.symbol_covering(e.lo);
@@ -193,10 +184,7 @@ bool ValueRange::run_pass(std::map<Addr, Interval>* stores, bool record) {
   const Cfg& cfg = *cfg_;
   const auto& blocks = cfg.blocks();
   refined_.assign(blocks.size(), false);
-  if (record) {
-    decided_.clear();
-    issues_.clear();
-  }
+  if (record) issues_.clear();
   if (blocks.empty()) return true;
 
   struct BState {
@@ -459,7 +447,6 @@ bool ValueRange::run_pass(std::map<Addr, Interval>* stores, bool record) {
     const Instr term = decode(cfg.word_at(term_pc));
     const int d = decide_branch(term.op, s[term.a], s[term.b]);
     if (d == 0) continue;
-    decided_.emplace(term_pc, d);
     ValueRangeIssue issue;
     issue.code = "range-dead-branch";
     issue.addr = term_pc;

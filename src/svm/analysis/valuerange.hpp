@@ -36,6 +36,7 @@
 
 #include "svm/analysis/cfg.hpp"
 #include "svm/analysis/lint.hpp"
+#include "svm/analysis/memliveness.hpp"
 
 namespace fsim::svm::analysis {
 
@@ -58,7 +59,10 @@ struct ValueRangeIssue {
 
 class ValueRange {
  public:
-  ValueRange(const Cfg& cfg, const std::map<Addr, SymbolAccess>& access);
+  /// Symbols that escape the access scan, or whose address `mem` saw
+  /// published through a .data word, are untracked (TOP).
+  ValueRange(const Cfg& cfg, const std::map<Addr, SymbolAccess>& access,
+             const MemLiveness& mem);
 
   /// Refined whole-program reachability: like Cfg::reachable_addr but
   /// statically decided branches contribute only their taken edge.
@@ -68,22 +72,6 @@ class ValueRange {
   }
   bool reachable_refined_block(std::uint32_t id) const noexcept {
     return id != Cfg::kNoBlock && id < refined_.size() && refined_[id];
-  }
-
-  /// Decision for the conditional branch at `pc`: +1 always taken,
-  /// -1 never taken, 0 undecided (or not a reachable branch).
-  int branch_decision(Addr pc) const noexcept {
-    auto it = decided_.find(pc);
-    return it == decided_.end() ? 0 : it->second;
-  }
-  int decided_branches() const noexcept {
-    return static_cast<int>(decided_.size());
-  }
-
-  /// Value interval of a tracked symbol's words; nullptr if untracked.
-  const Interval* symbol_range(Addr symbol_addr) const noexcept {
-    auto it = sym_ranges_.find(symbol_addr);
-    return it == sym_ranges_.end() ? nullptr : &it->second;
   }
 
   const std::vector<ValueRangeIssue>& issues() const noexcept {
@@ -102,7 +90,7 @@ class ValueRange {
   /// One forward register fixpoint against `sym_ranges_`. Fills
   /// `refined_` with the visited set; when `stores` is non-null, joins
   /// every bounded store into it (TOP entry = stb/fst hit the symbol);
-  /// when `record` is true, also fills decided_ and issues_.
+  /// when `record` is true, also fills issues_.
   bool run_pass(std::map<Addr, Interval>* stores, bool record);
 
   const Cfg* cfg_;
@@ -110,7 +98,6 @@ class ValueRange {
   std::map<Addr, Interval> sym_ranges_;   // tracked symbols only
   std::map<Addr, Interval> sym_initial_;  // initial-image ranges
   std::vector<bool> refined_;
-  std::map<Addr, int> decided_;  // branch pc -> +1 taken / -1 fallthrough
   std::vector<ValueRangeIssue> issues_;
 };
 

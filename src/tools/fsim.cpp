@@ -567,13 +567,10 @@ int cmd_merge(const util::Cli& cli) {
 int lint_one(const apps::App& app, const svm::Program& program,
              const std::optional<std::vector<std::string>>& suppress,
              bool json, bool werror) {
-  const svm::analysis::Cfg cfg(program);
-  const svm::analysis::Liveness lint_liveness(
-      cfg, svm::analysis::DefUseModel::kLint);
   svm::analysis::LintOptions opts;
   opts.suppress = suppress ? *suppress : app.lint_suppress;
-  const svm::analysis::LintResult res =
-      svm::analysis::run_lint(cfg, lint_liveness, opts);
+  const svm::analysis::LintResult res = svm::analysis::run_lint(
+      svm::analysis::ProgramAnalysis(program), opts);
   if (json) {
     std::printf("%s\n", svm::analysis::lint_json(res, app.name).c_str());
   } else {

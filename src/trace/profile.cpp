@@ -6,8 +6,7 @@
 
 #include "simmpi/stubs.hpp"
 #include "simmpi/world.hpp"
-#include "svm/analysis/heapliveness.hpp"
-#include "svm/analysis/lint.hpp"
+#include "svm/analysis/analysis.hpp"
 #include "svm/layout.hpp"
 #include "util/status.hpp"
 #include "util/table.hpp"
@@ -18,19 +17,15 @@ namespace {
 
 /// Static data/BSS access-site census: how often reachable code reads and
 /// writes each symbol, with library (MPI) symbols tagged — the profile-side
-/// view of the fault-dictionary's user/MPI split.
+/// view of the fault-dictionary's user/MPI split. Reads the same analysis
+/// bundle a campaign prepares.
 std::vector<ProcessProfile::SymbolTouch> scan_symbol_touches(
     const svm::Program& program,
+    const svm::analysis::ProgramAnalysis& analysis,
     std::vector<ProcessProfile::HeapSiteCensus>& heap_sites) {
-  const svm::analysis::Cfg cfg(program);
-  const svm::analysis::Liveness live(cfg, svm::analysis::DefUseModel::kSound);
-  const auto access = svm::analysis::scan_symbol_access(cfg, &live);
-
   // Allocation-site census from the heap rung's interprocedural scan: the
   // profile-side answer to "which mallocs could a heap flip ever reach?".
-  const svm::analysis::MemLiveness mem(cfg, access);
-  const svm::analysis::HeapLiveness heap(cfg, svm::analysis::ExecGraph(cfg),
-                                         access, mem, live);
+  const svm::analysis::HeapLiveness& heap = analysis.heapliveness();
   if (heap.tracked()) {
     for (const auto& [pc, site] : heap.sites()) {
       ProcessProfile::HeapSiteCensus c;
@@ -53,7 +48,7 @@ std::vector<ProcessProfile::SymbolTouch> scan_symbol_touches(
     if (svm::is_library_segment(sym.segment)) library_names.insert(sym.name);
 
   std::vector<ProcessProfile::SymbolTouch> touches;
-  for (const auto& [addr, sa] : access) {
+  for (const auto& [addr, sa] : analysis.symbol_access()) {
     const svm::Symbol* sym = program.symbol_covering(addr);
     if (sym == nullptr) continue;
     ProcessProfile::SymbolTouch t;
@@ -126,7 +121,8 @@ ProcessProfile profile_app(const apps::App& app) {
   }
   p.bytes_per_rank =
       p.traffic.total_bytes() / static_cast<std::uint64_t>(world.size());
-  p.symbol_access = scan_symbol_touches(program, p.heap_sites);
+  p.symbol_access = scan_symbol_touches(
+      program, svm::analysis::ProgramAnalysis(program), p.heap_sites);
   return p;
 }
 

@@ -14,7 +14,8 @@
 # provably read-free allocation site and an enabled frame rung) —
 # optionally repeating the whole cycle under AddressSanitizer. Without
 # --asan, a focused ASan pass still builds the CLI and drives the
-# heap/stack scans (analyze + lint) on every app, runs the reader fuzz
+# heap/stack scans (analyze, lint and profile, each of which builds the
+# full analysis bundle) on every app, runs the reader fuzz
 # (mutated checkpoints, status documents and service assign lines must
 # raise SetupError only), and runs the memory-window, snapshot and
 # rung-equality, engine-lockstep, golden fast-forward and early-exit
@@ -94,8 +95,9 @@ if [ "$asan" -eq 1 ]; then
 else
   # Focused ASan pass: the interprocedural heap scan and the frame-window
   # builder are the pointer-heaviest analyses in the tree; drive them (via
-  # analyze/lint, which construct both on every app) under
-  # AddressSanitizer even when the full --asan cycle was not requested.
+  # analyze, lint and profile, which each build the whole ProgramAnalysis
+  # bundle on every app) under AddressSanitizer even when the full --asan
+  # cycle was not requested.
   echo "=== ci: ASan heap/stack scan gate ==="
   scan_dir="$build-scan-asan"
   cmake -B "$scan_dir" -S "$root" -DFSIM_WERROR=ON \
@@ -107,7 +109,8 @@ else
       > /dev/null
   done
   "$scan_dir/src/tools/fsim" lint --app=all > /dev/null
-  echo "  analyze+lint clean under AddressSanitizer"
+  "$scan_dir/src/tools/fsim" profile > /dev/null
+  echo "  analyze+lint+profile clean under AddressSanitizer"
   (cd "$scan_dir" && tests/reader_fuzz_tests --gtest_brief=1)
   echo "  reader fuzz clean under AddressSanitizer"
   # Memory windows grow in place inside fixed reservations, the threaded

@@ -16,7 +16,6 @@
 #include "apps/app.hpp"
 #include "svm/analysis/analysis.hpp"
 #include "svm/analysis/lint.hpp"
-#include "svm/analysis/liveness.hpp"
 
 namespace fsim::svm::analysis {
 namespace {
@@ -152,10 +151,9 @@ Facts collect(const std::string& app_name) {
     }
   });
   family("lint_json", [&](Fnv& f) {
-    const Liveness lint_live(an.cfg(), DefUseModel::kLint);
     LintOptions opts;
     opts.suppress = app.lint_suppress;
-    f.add(lint_json(run_lint(an.cfg(), lint_live, opts), app.name));
+    f.add(lint_json(run_lint(an, opts), app.name));
   });
   return facts;
 }

@@ -9,10 +9,9 @@
 
 #include "apps/app.hpp"
 #include "simmpi/world.hpp"
+#include "svm/analysis/analysis.hpp"
 #include "svm/analysis/cfg.hpp"
 #include "svm/analysis/fpdepth.hpp"
-#include "svm/analysis/lint.hpp"
-#include "svm/analysis/liveness.hpp"
 #include "svm/assembler.hpp"
 
 namespace fsim::svm::analysis {
@@ -150,8 +149,7 @@ helper:
   EXPECT_EQ(a.depth.always_empty_slots(), 0u);  // anchor lost at overflow
 
   // The same program through run_lint surfaces the fixpoint error.
-  const Liveness lv(a.cfg, DefUseModel::kLint);
-  const LintResult r = run_lint(a.cfg, lv, {});
+  const LintResult r = run_lint(ProgramAnalysis(a.program), {});
   bool found = false;
   for (const auto& d : r.diagnostics) found |= d.code == "fp-static-overflow";
   EXPECT_TRUE(found);

@@ -6,18 +6,14 @@
 #include <string>
 
 #include "apps/app.hpp"
-#include "svm/analysis/cfg.hpp"
-#include "svm/analysis/lint.hpp"
-#include "svm/analysis/liveness.hpp"
+#include "svm/analysis/analysis.hpp"
 #include "svm/assembler.hpp"
 
 namespace fsim::svm::analysis {
 namespace {
 
 LintResult lint(const Program& p, const LintOptions& opts = {}) {
-  const Cfg cfg(p);
-  const Liveness lint_liveness(cfg, DefUseModel::kLint);
-  return run_lint(cfg, lint_liveness, opts);
+  return run_lint(ProgramAnalysis(p), opts);
 }
 
 bool has_code(const LintResult& r, const std::string& code) {
@@ -228,7 +224,8 @@ counter:
     .word 0
 )");
   const Cfg cfg(p);
-  const auto access = scan_symbol_access(cfg);
+  const auto access =
+      scan_symbol_access(cfg, Liveness(cfg, DefUseModel::kSound));
   Addr counter = 0;
   for (const auto& s : p.symbols())
     if (s.name == "counter") counter = s.address;

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+
 #include "apps/app.hpp"
 #include "simmpi/world.hpp"
 #include "svm/assembler.hpp"
@@ -132,6 +136,58 @@ TEST(Profile, MinimdBetweenTheTwo) {
   const ProcessProfile p = profile_app(apps::make_minimd());
   EXPECT_GT(p.user_pct, 70.0);
   EXPECT_LT(p.user_pct, 99.0);
+}
+
+/// FNV-1a over both static census tables of one profile: every symbol
+/// touch and every allocation site, field by field, in table order.
+std::uint64_t census_digest(const ProcessProfile& p) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto add = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  auto add_str = [&](const std::string& s) {
+    add(s.size());
+    for (unsigned char c : s) add(c);
+  };
+  add(p.symbol_access.size());
+  for (const auto& s : p.symbol_access) {
+    add_str(s.name);
+    add(static_cast<std::uint64_t>(s.segment));
+    add(static_cast<std::uint64_t>(s.read_sites));
+    add(static_cast<std::uint64_t>(s.write_sites));
+    add(s.escaped);
+    add(s.mpi);
+  }
+  add(p.heap_sites.size());
+  for (const auto& s : p.heap_sites) {
+    add(s.pc);
+    add_str(s.function);
+    add(s.mpi);
+    add(static_cast<std::uint64_t>(s.read_sites));
+    add(s.written);
+    add_str(s.klass);
+  }
+  return h;
+}
+
+TEST(Profile, StaticCensusIsPinned) {
+  // The symbol-access and allocation-site census `fsim profile` prints,
+  // pinned per app so a change to how the profile obtains its static
+  // analyses cannot move a count or a class unnoticed.
+  const std::pair<const char*, std::uint64_t> pinned[] = {
+      {"wavetoy", 6082287025127082440ull},
+      {"minimd", 10139370698295169682ull},
+      {"atmo", 13978227588148707088ull},
+  };
+  for (const auto& [name, digest] : pinned) {
+    const ProcessProfile p = profile_app(apps::make_app(name));
+    EXPECT_FALSE(p.symbol_access.empty()) << name;
+    EXPECT_FALSE(p.heap_sites.empty()) << name;
+    EXPECT_EQ(census_digest(p), digest) << name;
+  }
 }
 
 TEST(Profile, FormatShowsAllApps) {
