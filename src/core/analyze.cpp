@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "core/dictionary.hpp"
+#include "core/injector.hpp"
 #include "core/sampling.hpp"
 #include "svm/analysis/analysis.hpp"
 #include "util/json.hpp"
@@ -12,10 +13,6 @@
 namespace fsim::core {
 
 namespace {
-
-/// Size of the FPU fault space flip_fpu_bit draws from: 8 x 64 data bits
-/// plus TWD/CWD/SWD (16 each) and FIP/FCS/FOO/FOS (32 each).
-constexpr unsigned kFpuStateBits = svm::kNumFpr * 64 + 3 * 16 + 4 * 32;
 
 /// Union of the live-in GPR masks over every reachable instruction: a
 /// register outside this union is overwritten before any read no matter

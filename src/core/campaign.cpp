@@ -25,7 +25,7 @@ std::uint64_t run_seed_for(std::uint64_t campaign_seed, Region region,
 }
 
 RunOutcome Prepared::run(Region region, std::uint64_t run_seed) const {
-  return run_injected(app_, program_, golden_, region, dictionary(region),
+  return run_injected(app_, *program_, golden_, region, dictionary(region),
                       run_seed, ctx_);
 }
 
@@ -36,14 +36,14 @@ Prepared prepare(const apps::App& app, const CampaignConfig& config) {
   // Link exactly once per campaign: the assembler is deterministic and the
   // image is only ever read after this point, so the golden run, the fault
   // dictionaries and every injected run (on any worker) share it.
-  p.program_ = app.link();
+  p.program_ = std::make_unique<const svm::Program>(app.link());
 
   // Dictionaries for the static regions are built once per campaign from
   // the linked image (§3.2: "several thousand addresses randomly selected").
   util::Rng dict_rng(util::hash_seed({config.seed, 0xd1c7}));
   for (Region r : {Region::kText, Region::kData, Region::kBss}) {
     p.dicts_[static_cast<unsigned>(r)] = std::make_unique<FaultDictionary>(
-        p.program_, r, dict_rng, config.dictionary_entries);
+        *p.program_, r, dict_rng, config.dictionary_entries);
   }
 
   // Static analysis of the linked image, built once and shared read-only
@@ -51,7 +51,8 @@ Prepared prepare(const apps::App& app, const CampaignConfig& config) {
   // tag FP data-slot faults, reachability tags text entries and the memory
   // liveness scan tags data/BSS entries. Dead-tagged faults are pruned for
   // the regions config.prune covers.
-  p.analysis_ = std::make_shared<svm::analysis::ProgramAnalysis>(p.program_);
+  p.analysis_ =
+      std::make_shared<svm::analysis::ProgramAnalysis>(*p.program_);
   const svm::analysis::ProgramAnalysis& an = *p.analysis_;
   p.dicts_[static_cast<unsigned>(Region::kText)]->annotate(
       [&](svm::Addr a) { return an.text_reachable_refined(a); },
@@ -70,9 +71,9 @@ Prepared prepare(const apps::App& app, const CampaignConfig& config) {
   // the golden run and every injected run share the stream read-only
   // (each machine clones it privately only if a text flip lands).
   auto compiled =
-      std::make_shared<svm::exec::CompiledProgram>(p.program_, an.cfg());
+      std::make_shared<svm::exec::CompiledProgram>(*p.program_, an.cfg());
 
-  p.golden_ = run_golden(app, p.program_, 1, config.engine, compiled);
+  p.golden_ = run_golden(app, *p.program_, 1, config.engine, compiled);
   p.ctx_ = RunContext{p.analysis_.get(), config.prune, config.engine,
                       std::move(compiled)};
   return p;

@@ -92,7 +92,7 @@ std::uint64_t run_seed_for(std::uint64_t campaign_seed, Region region, int i);
 class Prepared {
  public:
   const apps::App& app() const noexcept { return app_; }
-  const svm::Program& program() const noexcept { return program_; }
+  const svm::Program& program() const noexcept { return *program_; }
   const svm::analysis::ProgramAnalysis& analysis() const noexcept {
     return *analysis_;
   }
@@ -113,7 +113,9 @@ class Prepared {
   Prepared() = default;
 
   apps::App app_;
-  svm::Program program_;
+  // Held by pointer so its address survives moving the Prepared: the
+  // analysis bundle points into it.
+  std::unique_ptr<const svm::Program> program_;
   std::array<std::unique_ptr<FaultDictionary>, kNumRegions> dicts_;
   std::shared_ptr<const svm::analysis::ProgramAnalysis> analysis_;
   Golden golden_;

@@ -36,9 +36,9 @@ FpuFlip flip_fpu_bit(svm::Fpu& fpu, util::Rng& rng) {
   constexpr unsigned kFcs = kFip + 32;
   constexpr unsigned kFoo = kFcs + 32;
   constexpr unsigned kFos = kFoo + 32;
-  constexpr unsigned kTotal = kFos + 32;
+  static_assert(kFos + 32 == kFpuStateBits);
 
-  const unsigned bit = static_cast<unsigned>(rng.below(kTotal));
+  const unsigned bit = static_cast<unsigned>(rng.below(kFpuStateBits));
   FpuFlip flip;
   std::ostringstream what;
   if (bit < kDataBits) {

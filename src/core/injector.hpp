@@ -13,9 +13,14 @@
 #include "core/outcome.hpp"
 #include "simmpi/world.hpp"
 #include "svm/analysis/analysis.hpp"
+#include "svm/isa.hpp"
 #include "util/rng.hpp"
 
 namespace fsim::core {
+
+/// Size of the FPU fault space an FP-register fault draws from: 8 x 64 data
+/// bits plus TWD/CWD/SWD (16 each) and FIP/FCS/FOO/FOS (32 each).
+inline constexpr unsigned kFpuStateBits = svm::kNumFpr * 64 + 3 * 16 + 4 * 32;
 
 /// Description of an applied fault, for reports and replay.
 struct AppliedFault {

@@ -618,8 +618,6 @@ SysResult Process::do_barrier(Machine& m) {
   m.charge(20);
   const int n = world_->size();
   if (n == 1) return done();
-  if (world_->collective_algorithm() == CollectiveAlgorithm::kBinomialTree)
-    return do_barrier_tree();
 
   if (!pump_channel()) return SysResult::kExit;
 
@@ -671,9 +669,6 @@ SysResult Process::do_bcast(Machine& m) {
 
   m.charge(30 + len / 32);
   const int n = world_->size();
-  if (n > 1 &&
-      world_->collective_algorithm() == CollectiveAlgorithm::kBinomialTree)
-    return do_bcast_tree(buf, len, root);
 
   if (rank_ == root) {
     std::vector<std::byte> payload(len);
@@ -717,9 +712,6 @@ SysResult Process::do_reduce(Machine& m, bool all) {
   const std::uint32_t bytes = count * 8;
   m.charge(30 + count);
   const int n = world_->size();
-  if (n > 1 &&
-      world_->collective_algorithm() == CollectiveAlgorithm::kBinomialTree)
-    return do_reduce_tree(all, sendbuf, recvbuf, count, root);
 
   if (!pump_channel()) return SysResult::kExit;
 
@@ -788,214 +780,6 @@ SysResult Process::do_reduce(Machine& m, bool all) {
     return reject(msg, name + " size mismatch");
   if (!deliver(msg, recvbuf))
     return arg_error(name, "unwritable receive buffer");
-  coll = {};
-  ++state_.reduce_epoch;
-  return done();
-}
-
-// ---------------------------------------------------------------------------
-// Binomial-tree collectives (log-depth alternatives; WorldOptions selects)
-// ---------------------------------------------------------------------------
-
-SysResult Process::do_barrier_tree() {
-  const std::uint32_t n = static_cast<std::uint32_t>(world_->size());
-  const std::uint32_t v = static_cast<std::uint32_t>(rank_);
-  if (!pump_channel()) return SysResult::kExit;
-
-  CollState& coll = state_.coll;
-  const std::uint32_t epoch = state_.barrier_epoch;
-  if (coll.phase == 0) {
-    // Gather: collect tokens from children (v+mask while bit clear), then
-    // send our token to the parent at our lowest set bit.
-    std::uint32_t mask = coll.mask ? coll.mask : 1;
-    while (mask < n) {
-      if (v & mask) {
-        send_control(static_cast<int>(v - mask), CtrlOp::kBarrier,
-                     kTagBarrier, epoch);
-        coll.mask = mask;  // the parent edge, reused for the release
-        coll.phase = 1;
-        break;
-      }
-      if (v + mask < n) {
-        auto tok = match([&](const MsgHeader& h) {
-          return h.msg_kind() == MsgKind::kControl &&
-                 h.control_op() == CtrlOp::kBarrier &&
-                 h.src == static_cast<std::int32_t>(v + mask) &&
-                 h.ctrl_arg == epoch;
-        });
-        if (!tok) {
-          coll.mask = mask;
-          return SysResult::kBlock;
-        }
-      }
-      mask <<= 1;
-    }
-    if (coll.phase == 0) coll.phase = 2;  // v == 0: everyone arrived
-  }
-
-  if (coll.phase == 1) {
-    auto rel = match([&](const MsgHeader& h) {
-      return h.msg_kind() == MsgKind::kControl &&
-             h.control_op() == CtrlOp::kBarrierRel &&
-             h.src == static_cast<std::int32_t>(v - coll.mask) &&
-             h.ctrl_arg == epoch;
-    });
-    if (!rel) return SysResult::kBlock;
-    coll.phase = 2;
-  }
-
-  // Release our children along the gather edges.
-  const std::uint32_t lsb = v == 0 ? 2 * n : (v & (~v + 1));
-  for (std::uint32_t mask = 1; mask < n && mask < lsb; mask <<= 1) {
-    if (v + mask >= n) continue;
-    send_control(static_cast<int>(v + mask), CtrlOp::kBarrierRel, kTagBarrier,
-                 epoch);
-  }
-  coll = {};
-  ++state_.barrier_epoch;
-  return done();
-}
-
-SysResult Process::do_bcast_tree(Addr buf, std::uint32_t len, int root) {
-  const std::uint32_t n = static_cast<std::uint32_t>(world_->size());
-  const std::uint32_t v =
-      static_cast<std::uint32_t>((rank_ - root + static_cast<int>(n)) %
-                                 static_cast<int>(n));
-  auto real = [&](std::uint32_t x) {
-    return static_cast<int>((x + static_cast<std::uint32_t>(root)) % n);
-  };
-  if (!pump_channel()) return SysResult::kExit;
-
-  CollState& coll = state_.coll;
-  if (coll.phase == 0) {
-    if (v == 0) {
-      coll.mask = 1;
-      coll.phase = 1;
-    } else {
-      std::uint32_t hb = 1;
-      while ((hb << 1) <= v) hb <<= 1;
-      auto msg = match([&](const MsgHeader& h) {
-        return h.msg_kind() == MsgKind::kData && h.tag == kTagBcast &&
-               h.ctrl_arg == state_.bcast_epoch && h.src == real(v - hb);
-      });
-      if (!msg) return SysResult::kBlock;
-      if (msg->header.payload_len != len)
-        return reject(msg, "MPI_Bcast size mismatch");
-      if (!deliver(msg, buf))
-        return arg_error("MPI_Bcast", "unwritable buffer");
-      coll.mask = hb << 1;
-      coll.phase = 1;
-    }
-  }
-
-  std::vector<std::byte> payload(len);
-  if (len > 0 && !machine_->memory().peek_span(buf, payload))
-    return arg_error("MPI_Bcast", "unreadable buffer");
-  for (std::uint32_t mask = coll.mask; mask < n; mask <<= 1) {
-    if (v < mask && v + mask < n)
-      send_data(real(v + mask), kTagBcast, state_.send_seq++,
-                state_.bcast_epoch, payload);
-  }
-  coll = {};
-  ++state_.bcast_epoch;
-  return done();
-}
-
-SysResult Process::do_reduce_tree(bool all, Addr sendbuf, Addr recvbuf,
-                                  std::uint32_t count, int root) {
-  const std::string name = all ? "MPI_Allreduce" : "MPI_Reduce";
-  const std::uint32_t n = static_cast<std::uint32_t>(world_->size());
-  const std::uint32_t v =
-      static_cast<std::uint32_t>((rank_ - root + static_cast<int>(n)) %
-                                 static_cast<int>(n));
-  auto real = [&](std::uint32_t x) {
-    return static_cast<int>((x + static_cast<std::uint32_t>(root)) % n);
-  };
-  const std::uint32_t bytes = count * 8;
-  if (!pump_channel()) return SysResult::kExit;
-
-  CollState& coll = state_.coll;
-  const std::uint32_t epoch = state_.reduce_epoch;
-  const std::uint32_t result_epoch = epoch | 0x80000000u;
-  auto send_accum = [&](int dest, std::uint32_t ctrl_arg) {
-    send_data(dest, kTagReduce, state_.send_seq++, ctrl_arg,
-              to_bytes(coll.accum));
-  };
-
-  if (coll.phase == 0) {
-    if (!read_doubles(sendbuf, count, coll.accum))
-      return arg_error(name, "unreadable send buffer");
-    coll.mask = 1;
-    coll.phase = 1;
-  }
-
-  if (coll.phase == 1) {
-    std::uint32_t mask = coll.mask;
-    while (mask < n) {
-      if (v & mask) {
-        send_accum(real(v - mask), epoch);
-        coll.mask = mask;
-        coll.phase = all ? 3 : 2;
-        break;
-      }
-      if (v + mask < n) {
-        auto msg = match([&](const MsgHeader& h) {
-          return h.msg_kind() == MsgKind::kData && h.tag == kTagReduce &&
-                 h.ctrl_arg == epoch && h.src == real(v + mask);
-        });
-        if (!msg) {
-          coll.mask = mask;
-          return SysResult::kBlock;
-        }
-        if (msg->header.payload_len != bytes)
-          return reject(msg, name + " size mismatch");
-        const std::vector<std::byte> raw = take_payload(msg);
-        const std::vector<double> vals = to_doubles(raw);
-        for (std::size_t i = 0; i < vals.size(); ++i) coll.accum[i] += vals[i];
-      }
-      mask <<= 1;
-    }
-    if (coll.phase == 1) {
-      // v == 0 holds the full reduction.
-      if (!write_doubles(recvbuf, coll.accum))
-        return arg_error(name, "unwritable receive buffer");
-      if (!all) {
-        coll = {};
-        ++state_.reduce_epoch;
-        return done();
-      }
-      coll.mask2 = 1;
-      coll.phase = 4;
-    }
-  }
-
-  if (coll.phase == 2) {  // plain reduce, contribution sent: done
-    coll = {};
-    ++state_.reduce_epoch;
-    return done();
-  }
-
-  if (coll.phase == 3) {  // allreduce non-root: await the result broadcast
-    std::uint32_t hb = 1;
-    while ((hb << 1) <= v) hb <<= 1;
-    auto msg = match([&](const MsgHeader& h) {
-      return h.msg_kind() == MsgKind::kData && h.tag == kTagReduce &&
-             h.ctrl_arg == result_epoch && h.src == real(v - hb);
-    });
-    if (!msg) return SysResult::kBlock;
-    if (msg->header.payload_len != bytes)
-      return reject(msg, name + " size mismatch");
-    coll.accum = to_doubles(take_payload(msg));
-    if (!write_doubles(recvbuf, coll.accum))
-      return arg_error(name, "unwritable receive buffer");
-    coll.mask2 = hb << 1;
-    coll.phase = 4;
-  }
-
-  // Phase 4: forward the result down the tree, then finish.
-  for (std::uint32_t mask = coll.mask2; mask < n; mask <<= 1) {
-    if (v < mask && v + mask < n) send_accum(real(v + mask), result_epoch);
-  }
   coll = {};
   ++state_.reduce_epoch;
   return done();

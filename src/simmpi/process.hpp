@@ -100,13 +100,10 @@ class Process : public svm::BasicEnv {
     int phase = 0;      // op-specific progress
     int counter = 0;    // tokens/contributions received
     bool sent = false;  // this rank's token/contribution was sent
-    std::uint32_t mask = 0;   // binomial-tree stage (gather/scatter)
-    std::uint32_t mask2 = 0;  // binomial-tree stage of a second sub-phase
     std::vector<double> accum;
     /// Bitwise on `accum`: -0.0 and +0.0 sum differently.
     bool operator==(const CollState& o) const {
       return phase == o.phase && counter == o.counter && sent == o.sent &&
-             mask == o.mask && mask2 == o.mask2 &&
              accum.size() == o.accum.size() &&
              std::equal(accum.begin(), accum.end(), o.accum.begin(),
                         [](double a, double b) {
@@ -225,11 +222,6 @@ class Process : public svm::BasicEnv {
   svm::SysResult do_barrier(svm::Machine& m);
   svm::SysResult do_bcast(svm::Machine& m);
   svm::SysResult do_reduce(svm::Machine& m, bool all);
-  // Binomial-tree variants (dispatched on WorldOptions::collectives).
-  svm::SysResult do_barrier_tree();
-  svm::SysResult do_bcast_tree(svm::Addr buf, std::uint32_t len, int root);
-  svm::SysResult do_reduce_tree(bool all, svm::Addr sendbuf, svm::Addr recvbuf,
-                                std::uint32_t count, int root);
   svm::SysResult do_isend(svm::Machine& m);
   svm::SysResult do_irecv(svm::Machine& m);
   svm::SysResult do_wait(svm::Machine& m, bool test);

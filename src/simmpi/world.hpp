@@ -21,13 +21,6 @@
 
 namespace fsim::simmpi {
 
-/// Algorithm family used by the collectives (real MPI libraries switch
-/// between these by message size and communicator shape).
-enum class CollectiveAlgorithm : std::uint8_t {
-  kFlat,          // everyone talks to the root (ch_p4-era default)
-  kBinomialTree,  // log-depth binomial trees
-};
-
 struct WorldOptions {
   int nranks = 4;
   svm::Machine::Config machine;
@@ -41,7 +34,6 @@ struct WorldOptions {
   /// (Campaigns keep it on purely as a speed optimisation; the outcome is
   /// classified as a Hang either way.)
   int deadlock_rounds = 3;
-  CollectiveAlgorithm collectives = CollectiveAlgorithm::kFlat;
 };
 
 enum class JobStatus : std::uint8_t {
@@ -77,9 +69,6 @@ class World {
   Process& process(int rank) { return *processes_[static_cast<std::size_t>(rank)]; }
   svm::Machine& machine(int rank) { return *machines_[static_cast<std::size_t>(rank)]; }
   std::uint32_t eager_threshold() const noexcept { return options_.eager_threshold; }
-  CollectiveAlgorithm collective_algorithm() const noexcept {
-    return options_.collectives;
-  }
 
   /// Merged console (every rank, line-prefixed) — the STDOUT/STDERR the
   /// classifier greps for crash/detection markers.

@@ -3,8 +3,9 @@
 // access sets (for fault-dictionary activation annotation). Built once per
 // linked image and shared read-only across campaign workers; `fsim lint`
 // and `fsim profile` read the same bundle rather than building their own.
-// Run-time queries must not read `cfg().program()`: moving a Prepared
-// moves its Program, and the bundle's pointer to it then dangles.
+// Every query may read the Program the bundle was built from, through
+// `cfg().program()`. core::Prepared holds its Program at a fixed address,
+// so a Prepared's bundle stays valid however often the Prepared is moved.
 #pragma once
 
 #include "svm/analysis/cfg.hpp"

@@ -75,8 +75,8 @@ class ProgramAnalysis;
 /// Run every check over the analysis bundle of one image. The FP-depth,
 /// value-range, symbol-access, memory- and heap-liveness findings are the
 /// bundle's own; lint adds only the DefUseModel::kLint register liveness
-/// behind `uninit-reg-read`. Reads `analysis.cfg().program()`, so the
-/// Program the bundle was built from must still be alive.
+/// behind `uninit-reg-read`. Reads `analysis.cfg().program()`, which stays
+/// valid for as long as the bundle does (see ProgramAnalysis).
 LintResult run_lint(const ProgramAnalysis& analysis,
                     const LintOptions& options = {});
 

@@ -20,8 +20,7 @@ std::array<std::uint32_t, kNumSegments> image_sizes(const Program& p) {
 }  // namespace
 
 Machine::Machine(const Program& program, const Config& config, int rank)
-    : mem_(image_sizes(program),
-           Memory::Config{config.heap_capacity, config.stack_capacity}),
+    : mem_(image_sizes(program), Memory::Config{}),
       program_(&program),
       rank_(rank),
       engine_(config.engine),

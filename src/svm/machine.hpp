@@ -42,8 +42,6 @@ enum class ExitKind : std::uint8_t {
 class Machine {
  public:
   struct Config {
-    std::uint32_t heap_capacity = 1u << 20;
-    std::uint32_t stack_capacity = 1u << 16;
     /// Which execution engine runs this machine's instructions. Both are
     /// bit-identical at quantum boundaries; threaded is the fast default.
     exec::EngineKind engine = exec::EngineKind::kThreaded;

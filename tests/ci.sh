@@ -18,10 +18,10 @@
 # full analysis bundle) on every app, runs the reader fuzz
 # (mutated checkpoints, status documents and service assign lines must
 # raise SetupError only), and runs the memory-window, snapshot and
-# rung-equality, engine-lockstep, golden fast-forward and early-exit
-# tests and the static-analysis tests (AnalysisFacts, FpDepth, Lint,
-# PrecisionTrace). Throughput is perfbench's job (perfbench/run.py), not
-# CI's.
+# rung-equality, flat-collective size sweep, engine-lockstep, golden
+# fast-forward, early-exit and Prepare tests and the static-analysis tests
+# (AnalysisFacts, FpDepth, Lint, PrecisionTrace). Throughput is
+# perfbench's job (perfbench/run.py), not CI's.
 #
 #   tests/ci.sh [--asan] [--build-dir=DIR] [--jobs=N]
 #
@@ -119,15 +119,18 @@ else
   # fast-forward and early-exit (oracle parity and boundary) tests run
   # under ASan too, as do the static-analysis tests (the pinned fact
   # digests, FP depth, lint and the precision trace), whose passes index
-  # per-function block lists through the shared dataflow driver.
+  # per-function block lists through the shared dataflow driver. The
+  # collective sweeps hold heap-buffered messages and reduction vectors
+  # across world sizes, and the Prepare tests read a moved Prepared's
+  # analysis bundle, which points into its Program.
   (cd "$scan_dir" &&
      tests/svm_tests --gtest_brief=1 \
        --gtest_filter='Memory.*:EngineDiff.*:AllApps/EngineDiffTest.*:AnalysisFacts.*:FpDepth*:Lint.*:PrecisionTrace.*' &&
      tests/simmpi_tests --gtest_brief=1 \
-       --gtest_filter='Snapshot*' &&
+       --gtest_filter='Snapshot*:Sizes/BarrierSizes.*:Sizes/AllreduceSizes.*:Collectives.*' &&
      tests/core_tests --gtest_brief=1 \
-       --gtest_filter='*FastForward*:EarlyExit.*')
-  echo "  memory windows, snapshots, fast-forward, early exit and analysis tests clean under AddressSanitizer"
+       --gtest_filter='*FastForward*:EarlyExit.*:Prepare.*')
+  echo "  memory windows, snapshots, collectives, fast-forward, early exit, prepare and analysis tests clean under AddressSanitizer"
 fi
 
 echo "=== ci: all gates passed ==="

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "core/analyze.hpp"
 #include "core/campaign.hpp"
 #include "core/report.hpp"
+#include "svm/analysis/analysis.hpp"
 #include "util/status.hpp"
 
 namespace fsim::core {
@@ -212,6 +215,34 @@ TEST(Prepare, ReadmeCallPatternCoversTheStaticRegions) {
     const RunOutcome out = prepared.run(region, /*seed=*/7);
     EXPECT_TRUE(out.fault_applied) << region_name(region);
     EXPECT_NE(out.activation, Activation::kUnknown) << region_name(region);
+  }
+}
+
+TEST(Prepare, AnalysisSurvivesMove) {
+  // BatchSession moves each Prepared into its plan list; the analysis
+  // bundle must then still read the Program it was built from.
+  Prepared prepared = prepare(apps::make_app("wavetoy"), {});
+  std::vector<std::pair<svm::Addr, bool>> before[2];
+  const Region regions[2] = {Region::kData, Region::kBss};
+  for (int k = 0; k < 2; ++k)
+    for (const DictEntry& e : prepared.dictionary(regions[k])->entries())
+      before[k].emplace_back(e.address,
+                             prepared.analysis().data_byte_dead(e.address));
+  const auto dead = [](const std::vector<std::pair<svm::Addr, bool>>& v) {
+    return std::count_if(v.begin(), v.end(),
+                         [](const auto& q) { return q.second; });
+  };
+  EXPECT_EQ(dead(before[0]), 506);
+  EXPECT_EQ(dead(before[1]), 518);
+
+  std::vector<Prepared> plans;
+  plans.push_back(std::move(prepared));
+  const svm::analysis::ProgramAnalysis& moved = plans[0].analysis();
+  for (int k = 0; k < 2; ++k) {
+    int changed = 0;
+    for (const auto& [address, was_dead] : before[k])
+      changed += moved.data_byte_dead(address) != was_dead;
+    EXPECT_EQ(changed, 0) << region_name(regions[k]);
   }
 }
 

@@ -1,6 +1,5 @@
-// Binomial-tree collective algorithms: must be semantically identical to the
-// flat algorithms across world sizes (including non-powers of two), while
-// reshaping the traffic from root-concentrated to log-depth.
+// The flat collectives across world sizes (including non-powers of two),
+// nonzero roots and back-to-back calls kept apart by their epochs.
 #include <gtest/gtest.h>
 
 #include "testutil.hpp"
@@ -10,10 +9,9 @@ namespace {
 
 using testing::Job;
 
-WorldOptions tree(int n) {
+WorldOptions ranks(int n) {
   WorldOptions o;
   o.nranks = n;
-  o.collectives = CollectiveAlgorithm::kBinomialTree;
   return o;
 }
 
@@ -31,14 +29,14 @@ main:
     ret
 )";
 
-class TreeBarrierSizes : public ::testing::TestWithParam<int> {};
+class BarrierSizes : public ::testing::TestWithParam<int> {};
 
-TEST_P(TreeBarrierSizes, CompletesAtEverySize) {
-  Job job(kBarrierLoop, tree(GetParam()));
+TEST_P(BarrierSizes, CompletesAtEverySize) {
+  Job job(kBarrierLoop, ranks(GetParam()));
   EXPECT_EQ(job.run(), JobStatus::kCompleted);
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, TreeBarrierSizes,
+INSTANTIATE_TEST_SUITE_P(Sizes, BarrierSizes,
                          ::testing::Values(2, 3, 5, 7, 8, 13, 16));
 
 constexpr const char* kAllreduce = R"(
@@ -67,21 +65,21 @@ val: .space 8
 res: .space 8
 )";
 
-class TreeAllreduceSizes : public ::testing::TestWithParam<int> {};
+class AllreduceSizes : public ::testing::TestWithParam<int> {};
 
-TEST_P(TreeAllreduceSizes, SumsCorrectlyOnEveryRank) {
+TEST_P(AllreduceSizes, SumsCorrectlyOnEveryRank) {
   const int n = GetParam();
-  Job job(kAllreduce, tree(n));
+  Job job(kAllreduce, ranks(n));
   ASSERT_EQ(job.run(), JobStatus::kCompleted);
   for (int r = 0; r < n; ++r)
     EXPECT_EQ(job.world.machine(r).exit_code(), n * (n + 1) / 2)
         << "rank " << r << " of " << n;
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, TreeAllreduceSizes,
+INSTANTIATE_TEST_SUITE_P(Sizes, AllreduceSizes,
                          ::testing::Values(2, 3, 5, 8, 11, 16));
 
-TEST(TreeCollectives, BcastDistributesFromNonzeroRoot) {
+TEST(Collectives, BcastDistributesFromNonzeroRoot) {
   Job job(R"(
 .text
 main:
@@ -112,13 +110,13 @@ recvside:
 .bss
 arr: .space 16
 )",
-          tree(5));
+          ranks(5));
   EXPECT_EQ(job.run(), JobStatus::kCompleted);
   for (int r = 0; r < 5; ++r)
     EXPECT_EQ(job.world.machine(r).exit_code(), 35) << "rank " << r;
 }
 
-TEST(TreeCollectives, ReduceToNonzeroRoot) {
+TEST(Collectives, ReduceToNonzeroRoot) {
   Job job(R"(
 .text
 main:
@@ -153,13 +151,13 @@ notroot:
 val: .space 8
 res: .space 8
 )",
-          tree(6));
+          ranks(6));
   EXPECT_EQ(job.run(), JobStatus::kCompleted);
   EXPECT_EQ(job.world.machine(3).exit_code(), 21);  // 1+..+6
 }
 
-TEST(TreeCollectives, RepeatedMixedCollectivesStaySynchronised) {
-  // Epochs must keep consecutive tree collectives apart.
+TEST(Collectives, RepeatedMixedCollectivesStaySynchronised) {
+  // Epochs must keep consecutive collectives apart.
   Job job(R"(
 .text
 main:
@@ -188,35 +186,8 @@ val: .f64 1.0
 .bss
 res: .space 8
 )",
-          tree(7));
+          ranks(7));
   EXPECT_EQ(job.run(), JobStatus::kCompleted);
-}
-
-TEST(TreeCollectives, RootTrafficDropsVersusFlat) {
-  // With the flat algorithm rank 0 receives O(n) messages per collective;
-  // the tree caps it at O(log n).
-  auto root_messages = [&](CollectiveAlgorithm algo) {
-    WorldOptions o;
-    o.nranks = 16;
-    o.collectives = algo;
-    Job job(kBarrierLoop, o);
-    EXPECT_EQ(job.run(), JobStatus::kCompleted);
-    return job.world.process(0).channel().stats().total_messages();
-  };
-  const std::uint64_t flat = root_messages(CollectiveAlgorithm::kFlat);
-  const std::uint64_t treed = root_messages(CollectiveAlgorithm::kBinomialTree);
-  EXPECT_GT(flat, 3 * treed);  // 15 tokens/barrier vs 4
-}
-
-TEST(TreeCollectives, SameResultsAsFlat) {
-  WorldOptions flat;
-  flat.nranks = 8;
-  Job a(kAllreduce, flat);
-  Job b(kAllreduce, tree(8));
-  a.run();
-  b.run();
-  for (int r = 0; r < 8; ++r)
-    EXPECT_EQ(a.world.machine(r).exit_code(), b.world.machine(r).exit_code());
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // The MPI library's error paths, pinned line by line: every argument check
 // of the point-to-point calls (with and without a registered error handler,
-// paper §6.2), truncated receives, and the size checks of the collectives
-// under both collective algorithms. Each case asserts the job status and
-// the exact console line the classifier greps.
+// paper §6.2), truncated receives, and the size checks of the collectives.
+// Each case asserts the job status and the exact console line the
+// classifier greps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +21,6 @@ struct ErrorCase {
   std::string name;
   std::string program;
   int nranks = 1;
-  CollectiveAlgorithm collectives = CollectiveAlgorithm::kFlat;
   JobStatus status = JobStatus::kMpiFatal;
   std::string line;  // one whole console line, rank prefix included
 };
@@ -110,13 +109,12 @@ std::vector<ErrorCase> argument_cases() {
 
 std::vector<ErrorCase> delivery_cases() {
   std::vector<ErrorCase> out;
-  auto add = [&](std::string name, std::string program,
-                 CollectiveAlgorithm algo, int rank, std::string why) {
+  auto add = [&](std::string name, std::string program, int rank,
+                 std::string why) {
     ErrorCase e;
     e.name = std::move(name);
     e.program = std::move(program);
     e.nranks = 2;
-    e.collectives = algo;
     const std::string r = std::to_string(rank);
     e.line = "[rank " + r + "] MPICH fatal error in rank " + r + ": " + why;
     out.push_back(std::move(e));
@@ -124,40 +122,33 @@ std::vector<ErrorCase> delivery_cases() {
   auto p2p = [](const std::string& fn, long count, long peer) {
     return call(fn, {kBuf, imm(2, count), imm(3, peer), imm(4, 5)});
   };
-  const CollectiveAlgorithm kFlat = CollectiveAlgorithm::kFlat;
   add("Recv_Truncated", two_ranks(p2p("MPI_Send", 8, 1), p2p("MPI_Recv", 4, 0)),
-      kFlat, 1, "message truncated (got 8 bytes, buffer holds 4)");
+      1, "message truncated (got 8 bytes, buffer holds 4)");
   add("Irecv_Truncated",
       two_ranks(p2p("MPI_Send", 8, 1),
                 p2p("MPI_Irecv", 4, 0) + call("MPI_Wait", {})),
-      kFlat, 1, "message truncated (posted receive)");
-  for (CollectiveAlgorithm algo :
-       {CollectiveAlgorithm::kFlat, CollectiveAlgorithm::kBinomialTree}) {
-    const std::string suffix =
-        algo == CollectiveAlgorithm::kFlat ? "_Flat" : "_Tree";
-    // Root 0 uses 8 bytes (one double), rank 1 only 4 (half a double).
-    auto bcast = [](long len) {
-      return call("MPI_Bcast", {kBuf, imm(2, len), imm(3, 0)});
-    };
-    add("Bcast_SizeMismatch" + suffix, two_ranks(bcast(8), bcast(4)), algo, 1,
-        "MPI_Bcast size mismatch");
-    auto allreduce = [](long count) {
-      return call("MPI_Allreduce_sum",
-                  {kBuf, "addi r2, fp, -48", imm(3, count)});
-    };
-    add("Allreduce_SizeMismatch" + suffix,
-        two_ranks(allreduce(2), allreduce(1)), algo, 0,
-        "MPI_Allreduce size mismatch");
-    auto rooted = [](const std::string& fn, long bytes) {
-      return call(fn, {kBuf, imm(2, bytes), kBuf2, imm(4, 0)});
-    };
-    add("Scatter_SizeMismatch" + suffix,
-        two_ranks(rooted("MPI_Scatter", 8), rooted("MPI_Scatter", 4)), algo, 1,
-        "MPI_Scatter size mismatch");
-    add("Gather_SizeMismatch" + suffix,
-        two_ranks(rooted("MPI_Gather", 8), rooted("MPI_Gather", 4)), algo, 0,
-        "MPI_Gather size/source mismatch");
-  }
+      1, "message truncated (posted receive)");
+  // The collective cases name the flat algorithm they run. Root 0 uses 8
+  // bytes (one double), rank 1 only 4 (half a double).
+  auto bcast = [](long len) {
+    return call("MPI_Bcast", {kBuf, imm(2, len), imm(3, 0)});
+  };
+  add("Bcast_SizeMismatch_Flat", two_ranks(bcast(8), bcast(4)), 1,
+      "MPI_Bcast size mismatch");
+  auto allreduce = [](long count) {
+    return call("MPI_Allreduce_sum", {kBuf, "addi r2, fp, -48", imm(3, count)});
+  };
+  add("Allreduce_SizeMismatch_Flat", two_ranks(allreduce(2), allreduce(1)), 0,
+      "MPI_Allreduce size mismatch");
+  auto rooted = [](const std::string& fn, long bytes) {
+    return call(fn, {kBuf, imm(2, bytes), kBuf2, imm(4, 0)});
+  };
+  add("Scatter_SizeMismatch_Flat",
+      two_ranks(rooted("MPI_Scatter", 8), rooted("MPI_Scatter", 4)), 1,
+      "MPI_Scatter size mismatch");
+  add("Gather_SizeMismatch_Flat",
+      two_ranks(rooted("MPI_Gather", 8), rooted("MPI_Gather", 4)), 0,
+      "MPI_Gather size/source mismatch");
   return out;
 }
 
@@ -167,7 +158,6 @@ TEST_P(MpiErrorPath, StatusAndConsoleLine) {
   const ErrorCase& c = GetParam();
   WorldOptions opts;
   opts.nranks = c.nranks;
-  opts.collectives = c.collectives;
   Job job(c.program, opts);
   EXPECT_EQ(job.run(), c.status);
   std::vector<std::string> lines;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "apps/app.hpp"
 #include "core/injector.hpp"
 #include "testutil.hpp"
@@ -233,27 +235,67 @@ TEST(Snapshot, RepeatedRestoreIsIdempotent) {
   EXPECT_EQ(w.output(), first);
 }
 
-TEST(Snapshot, WorksMidTreeCollective) {
-  // Snapshot while a binomial-tree allreduce is mid-flight: the collective
-  // state machines (mask/phase) must be captured and restored exactly.
-  apps::App app = small_app();
-  simmpi::WorldOptions opts = app.world;
-  opts.collectives = CollectiveAlgorithm::kBinomialTree;
-  svm::Program program = app.link();
-
-  World ref(program, opts);
-  ASSERT_EQ(ref.run(1'000'000'000ull), JobStatus::kCompleted);
-
-  World w(program, opts);
-  for (int i = 0; i < 35; ++i) w.advance();
+TEST(Snapshot, WorksMidFlatAllreduce) {
+  // Rank r spins 200*r iterations before an allreduce of r+1, so the
+  // contributions reach the root in different rounds. Snapshot once the
+  // root has folded one in: its phase, counter and accum (and the waiting
+  // ranks' phase) must come back exactly on restore.
+  Job job(R"(
+.text
+main:
+    enter 0
+    call MPI_Init
+    call MPI_Comm_rank
+    addi r5, r1, 1
+    muli r6, r1, 200
+    ldi r7, 0
+spin:
+    addi r7, r7, 1
+    blt r7, r6, spin
+    i2f r5
+    la r9, val
+    fst [r9]
+    la r1, val
+    la r2, res
+    ldi r3, 1
+    call MPI_Allreduce_sum
+    la r9, res
+    fld [r9]
+    f2i r9
+    call MPI_Finalize
+    mov r1, r9
+    leave
+    ret
+.bss
+val: .space 8
+res: .space 8
+)");
+  World& w = job.world;
+  while (w.status() == JobStatus::kRunning &&
+         w.process(0).snapshot_state().coll.counter == 0)
+    w.advance();
   ASSERT_EQ(w.status(), JobStatus::kRunning);
+  const auto root = w.process(0).snapshot_state().coll;
+  const auto waiting = w.process(1).snapshot_state().coll;
+  ASSERT_EQ(root.phase, 0);
+  ASSERT_EQ(root.counter, 1);
+  ASSERT_EQ(root.accum, std::vector<double>{3.0});  // ranks 0 and 1
+  ASSERT_EQ(waiting.phase, 1);
   const Snapshot snap = Snapshot::capture(w);
-  ASSERT_EQ(w.run(1'000'000'000ull), JobStatus::kCompleted);
-  EXPECT_EQ(w.output(), ref.output());
+
+  auto finish = [&] {
+    ASSERT_EQ(w.run(50'000'000), JobStatus::kCompleted);
+    for (int r = 0; r < w.size(); ++r)
+      EXPECT_EQ(w.machine(r).exit_code(), 10) << "rank " << r;
+    EXPECT_EQ(w.process(0).snapshot_state().coll.counter, 0);
+    EXPECT_TRUE(w.process(0).snapshot_state().coll.accum.empty());
+  };
+  finish();
 
   snap.restore(w);
-  ASSERT_EQ(w.run(1'000'000'000ull), JobStatus::kCompleted);
-  EXPECT_EQ(w.output(), ref.output());
+  EXPECT_TRUE(w.process(0).snapshot_state().coll == root);
+  EXPECT_TRUE(w.process(1).snapshot_state().coll == waiting);
+  finish();
 }
 
 TEST(Snapshot, WorksWithOutstandingNonblockingRequests) {
