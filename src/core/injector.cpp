@@ -107,8 +107,10 @@ std::optional<AppliedFault> Injector::inject_into_rank(simmpi::World& world,
       break;
     }
     case Region::kFpReg: {
+      const svm::Fpu before = m.regs().fpu;
       const FpuFlip flip = flip_fpu_bit(m.regs().fpu, rng);
       what << flip.what;
+      fault.inert = m.regs().fpu.observably_equal(before);
       // Static verdict for data-register hits: if the physical slot is
       // provably empty at the paused pc (anchored depth bound), the flipped
       // bits sit behind a kEmpty tag — reads see QNaN regardless and the

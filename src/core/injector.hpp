@@ -36,6 +36,10 @@ struct AppliedFault {
   PruneRung rung = PruneRung::kNone;
   /// The flipped byte, for the memory regions (Text/Data/BSS/Heap/Stack).
   std::optional<svm::Addr> address;
+  /// An FP flip that no instruction can observe (svm::Fpu::
+  /// observably_equal holds across it): a CWD, SWD, FIP, FCS, FOO or FOS
+  /// bit, or a data bit of a slot tagged empty or zero.
+  bool inert = false;
 };
 
 class Injector {

@@ -213,8 +213,9 @@ RunOutcome run_injected(const apps::App& app, const svm::Program& program,
   auto matches_rung = [&] {
     const std::uint64_t now = world.global_instructions();
     while (rung != rung_end && rung->instructions() < now) ++rung;
-    return rung != rung_end && rung->instructions() == now &&
-           rung->matches(world);
+    return rung != rung_end && rung->instructions() == now
+               ? rung->matches(world, golden.oracle.get())
+               : svm::Match::kDiffers;
   };
 
   while (world.status() == simmpi::JobStatus::kRunning &&
@@ -241,22 +242,34 @@ RunOutcome run_injected(const apps::App& app, const svm::Program& program,
           outcome.instructions = world.global_instructions();
           return outcome;
         }
-        // The golden run never reads the flipped byte again.
-        if (fault->address && golden.oracle &&
-            !(*golden.oracle)[static_cast<std::size_t>(fault->rank)]
-                 .read_after(*fault->address,
-                             world.machine(fault->rank).instructions())) {
-          rejoined = true;
-          if (ctx.exits != nullptr) ++ctx.exits->read_oracle;
-          break;
+        // The golden run never reads the flipped byte again, or no
+        // instruction reads the flipped FPU bit.
+        if (golden.oracle) {
+          const bool unread =
+              fault->address &&
+              !(*golden.oracle)[static_cast<std::size_t>(fault->rank)]
+                   .read_after(*fault->address,
+                               world.machine(fault->rank).instructions());
+          if (unread || fault->inert) {
+            rejoined = true;
+            if (ctx.exits != nullptr)
+              ++(unread ? ctx.exits->read_oracle : ctx.exits->observable);
+            break;
+          }
         }
       }
     }
     world.advance();
-    if (injected && matches_rung()) {
-      rejoined = true;
-      if (ctx.exits != nullptr) ++ctx.exits->rejoined;
-      break;
+    if (injected) {
+      const svm::Match match = matches_rung();
+      if (match != svm::Match::kDiffers) {
+        rejoined = true;
+        if (ctx.exits != nullptr) {
+          ++ctx.exits->rejoined;
+          if (match == svm::Match::kObservable) ++ctx.exits->observable;
+        }
+        break;
+      }
     }
   }
 

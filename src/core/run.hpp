@@ -41,8 +41,10 @@ struct Golden {
   std::shared_ptr<const std::vector<simmpi::Snapshot>> ladder;
   /// Per rank, when the golden run last read each word of its text, data,
   /// BSS, heap and stack (svm/readlog.hpp). A memory fault no later read
-  /// observes ends at injection. Recorded with the ladder, shared and never
-  /// serialized the same way; without it every run simulates to the end.
+  /// observes ends at injection, as does an inert FP flip, and a rung match
+  /// ignores granules it shows are never read again. Recorded with the
+  /// ladder, shared and never serialized the same way; without it runs end
+  /// only at a rung they match in every memory byte.
   std::shared_ptr<const std::vector<svm::ReadLog>> oracle;
 };
 
@@ -120,6 +122,9 @@ struct RunContext {
   struct EarlyExits {
     std::atomic<std::uint64_t> read_oracle{0};  // fault never read again
     std::atomic<std::uint64_t> rejoined{0};     // world matched a later rung
+    /// Exits that rest on state no instruction reads: inert FPU flips ended
+    /// at injection, plus the rejoins above that matched only observably.
+    std::atomic<std::uint64_t> observable{0};
   };
   EarlyExits* exits = nullptr;
 };
@@ -141,8 +146,11 @@ struct RunContext {
 /// A run also ends early, with exactly the outcome simulating it to the end
 /// gives (Correct at golden.instructions), once its fault can change
 /// nothing: at injection, when the golden oracle shows no later read of a
-/// flipped memory byte; or after the fault, when the world equals a later
-/// rung (a message fault only once it has fired).
+/// flipped memory byte or the flipped FPU bit is inert (AppliedFault::
+/// inert); or after the fault, when the world matches a later rung in all
+/// the state a later instruction reads (Snapshot::matches with the oracle;
+/// a message fault only once it has fired). Without the oracle nothing
+/// ends at injection, and a rung must match in every memory byte.
 RunOutcome run_injected(const apps::App& app, const svm::Program& program,
                         const Golden& golden, Region region,
                         const FaultDictionary* dictionary, std::uint64_t seed,

@@ -60,30 +60,41 @@ void Snapshot::restore(World& world) const {
   }
 }
 
-bool Snapshot::matches(const World& world) const {
+svm::Match Snapshot::matches(const World& world,
+                             const std::vector<svm::ReadLog>* oracle) const {
   World& w = const_cast<World&>(world);  // accessors only, as in capture()
   if (static_cast<int>(impl_->ranks.size()) != w.size() ||
       w.global_instructions() != impl_->instructions)
-    return false;
+    return svm::Match::kDiffers;
+  svm::Match result = svm::Match::kExact;
+  // Folds one part's verdict in; false once the world differs.
+  const auto fold = [&result](svm::Match part) {
+    if (part == svm::Match::kObservable) result = part;
+    return part != svm::Match::kDiffers;
+  };
   // Registers and counts first: they differ soonest and cost least.
   for (int r = 0; r < w.size(); ++r)
-    if (!(w.machine(r).core_state() ==
-          impl_->ranks[static_cast<std::size_t>(r)].core))
-      return false;
-  if (!(w.snapshot_state() == impl_->world)) return false;
+    if (!fold(w.machine(r).core_state().compare(
+            impl_->ranks[static_cast<std::size_t>(r)].core)))
+      return svm::Match::kDiffers;
+  if (!(w.snapshot_state() == impl_->world)) return svm::Match::kDiffers;
   for (int r = 0; r < w.size(); ++r) {
     const Impl::RankState& rs = impl_->ranks[static_cast<std::size_t>(r)];
     Process& p = w.process(r);
     if (!(p.snapshot_state() == rs.mpi) ||
         !(p.channel().snapshot_state() == rs.channel) ||
         !(p.heap().snapshot_state() == rs.heap) || !(p.io_state() == rs.io))
-      return false;
+      return svm::Match::kDiffers;
   }
-  for (int r = 0; r < w.size(); ++r)
-    if (!w.machine(r).memory().same_contents(
-            impl_->ranks[static_cast<std::size_t>(r)].memory))
-      return false;
-  return true;
+  for (int r = 0; r < w.size(); ++r) {
+    const auto rank = static_cast<std::size_t>(r);
+    const Impl::RankState& rs = impl_->ranks[rank];
+    if (!fold(w.machine(r).memory().same_contents(
+            rs.memory, oracle != nullptr ? &(*oracle)[rank] : nullptr,
+            rs.core.icount)))
+      return svm::Match::kDiffers;
+  }
+  return result;
 }
 
 std::uint64_t Snapshot::instructions() const noexcept {

@@ -18,10 +18,26 @@
 // guarantees the re-execution is exact. The golden run keeps a ladder of
 // these to fast-forward injected runs, and an injected run that matches a
 // later rung has rejoined the golden run (core/run.hpp).
+//
+// Rejoining asks for less than equality: only that every later read return
+// what it returns in the golden run. Say that at a rung's count every
+// register, every FPU field an instruction reads (svm::Fpu::
+// observably_equal), the MPI, channel, heap and IO state, the text, and
+// every memory granule the golden run reads after the rung (its read
+// oracle, svm/readlog.hpp) equal the rung's. The golden run from the rung
+// reads only those, so the first instruction after the rung reads, and so
+// computes and writes, exactly what it does in the golden run. By
+// induction every later one does too: state written from then on is the
+// golden run's, and state never written again is read only where it
+// already agrees. So the run is the golden run from the rung on, output
+// and end state included; the differences left are never observed.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <vector>
+
+#include "svm/readlog.hpp"
 
 namespace fsim::simmpi {
 
@@ -43,11 +59,16 @@ class Snapshot {
   /// the same program with the same options (rank count is verified).
   void restore(World& world) const;
 
-  /// Is `world` (a compatible one) in exactly this state, so that it runs
-  /// on exactly as a world restored from here would? Compares every part
-  /// capture() takes; memory by what each address reads (windows may
-  /// differ), and a message fault that has fired as no fault at all.
-  bool matches(const World& world) const;
+  /// Does `world` (a compatible one) run on exactly as a world restored
+  /// from here would? Compares every part capture() takes; memory by what
+  /// each address reads (windows may differ), and a message fault that has
+  /// fired as no fault at all. kExact when every part is equal; kObservable
+  /// when the differences lie only in FPU state no instruction reads or,
+  /// given the golden read oracle (one log per rank, recorded by the run
+  /// this snapshot comes from), in granules it never reads after here.
+  /// Without an oracle memory compares strictly.
+  svm::Match matches(const World& world,
+                     const std::vector<svm::ReadLog>* oracle = nullptr) const;
 
   /// Global instruction count at capture time.
   std::uint64_t instructions() const noexcept;

@@ -107,6 +107,16 @@ class Machine {
     ExitKind exit_kind = ExitKind::kNormal;
     std::uint64_t icount = 0;
     bool operator==(const CoreState&) const = default;
+    /// kObservable when the two differ only in FPU state no instruction
+    /// reads (Fpu::observably_equal).
+    Match compare(const CoreState& o) const noexcept {
+      if (regs.fpu == o.regs.fpu)
+        return *this == o ? Match::kExact : Match::kDiffers;
+      if (!regs.fpu.observably_equal(o.regs.fpu)) return Match::kDiffers;
+      CoreState same_fpu = o;
+      same_fpu.regs.fpu = regs.fpu;
+      return *this == same_fpu ? Match::kObservable : Match::kDiffers;
+    }
   };
   const CoreState& core_state() const noexcept { return core_; }
   void restore_core_state(const CoreState& s) { core_ = s; }

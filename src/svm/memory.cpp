@@ -212,34 +212,78 @@ Memory::Contents Memory::snapshot_contents() const {
   return c;
 }
 
-bool Memory::same_contents(const Contents& c) const noexcept {
-  if (c.code_pristine != code_pristine()) return false;
-  const auto zero = [](const std::byte* p, std::uint32_t n) {
-    return std::all_of(p, p + n, [](std::byte x) { return x == std::byte{}; });
-  };
-  // The part of window `w` outside `other` must read 0; `data` holds the
-  // byte at offset `base`.
-  const auto zero_outside = [&](const Window& w, const Window& other,
-                                const std::byte* data, std::uint32_t base) {
-    const std::uint32_t cut_lo = std::min(w.hi, std::max(w.lo, other.lo));
-    const std::uint32_t cut_hi = std::max(w.lo, std::min(w.hi, other.hi));
-    return zero(data + (w.lo - base), cut_lo - w.lo) &&
-           zero(data + (cut_hi - base), w.hi - cut_hi);
-  };
+namespace {
+
+/// One segment on the two sides of a compare. Each side reads its bytes
+/// inside its window and 0 outside it.
+struct SegmentPair {
+  using Window = Memory::Window;
+  Window a, b;
+  const std::byte* here;   // the byte at offset 0 of a's backing
+  const std::byte* there;  // the byte at offset b.lo
+
+  /// Do offsets [lo, hi) read the same on both sides?
+  bool same(std::uint32_t lo, std::uint32_t hi) const noexcept {
+    // Where both windows back [lo, hi), the bytes compare directly.
+    std::uint32_t both_lo = std::max({lo, a.lo, b.lo});
+    std::uint32_t both_hi = std::min({hi, a.hi, b.hi});
+    if (both_lo < both_hi &&
+        std::memcmp(here + both_lo, there + (both_lo - b.lo),
+                    both_hi - both_lo) != 0)
+      return false;
+    if (both_lo >= both_hi) both_lo = both_hi = hi;
+    // Elsewhere at most one side backs a byte, and it must read 0.
+    const auto zero = [&](const Window& w, const std::byte* data,
+                          std::uint32_t data_lo) {
+      const auto all_zero = [&](std::uint32_t from, std::uint32_t to) {
+        return from >= to ||
+               std::all_of(data + (from - data_lo), data + (to - data_lo),
+                           [](std::byte x) { return x == std::byte{}; });
+      };
+      const std::uint32_t w_lo = std::max(lo, w.lo);
+      const std::uint32_t w_hi = std::min(hi, w.hi);
+      return all_zero(w_lo, std::min(w_hi, both_lo)) &&
+             all_zero(std::max(w_lo, both_hi), w_hi);
+    };
+    return zero(a, here, 0) && zero(b, there, b.lo);
+  }
+};
+
+/// Bytes the dead-granule walk compares at once before it looks at single
+/// granules (a multiple of ReadLog::kGranule).
+constexpr std::uint32_t kWalkBlock = 256;
+
+}  // namespace
+
+Match Memory::same_contents(const Contents& c, const ReadLog* log,
+                            std::uint64_t count) const noexcept {
+  if (c.code_pristine != code_pristine()) return Match::kDiffers;
+  constexpr std::uint32_t kGranule = ReadLog::kGranule;
+  Match result = Match::kExact;
   for (unsigned i = 0; i < kNumSegments; ++i) {
     if (is_code(i) && c.code_pristine) continue;
-    const Window& a = windows_[i];
-    const Window& b = c.windows[i];
-    const std::byte* here = bytes_[i].get();
-    const std::byte* there = c.bytes[i].data();
-    const std::uint32_t lo = std::max(a.lo, b.lo);
-    const std::uint32_t hi = std::min(a.hi, b.hi);
-    if (lo < hi && std::memcmp(here + lo, there + (lo - b.lo), hi - lo) != 0)
-      return false;
-    if (!zero_outside(a, b, here, 0) || !zero_outside(b, a, there, b.lo))
-      return false;
+    const SegmentPair seg{windows_[i], c.windows[i], bytes_[i].get(),
+                          c.bytes[i].data()};
+    const std::uint32_t lo = std::min(seg.a.lo, seg.b.lo);
+    const std::uint32_t hi = std::max(seg.a.hi, seg.b.hi);
+    if (seg.same(lo, hi)) continue;
+    // Text stays strict: a flip the golden run never fetches again has
+    // already ended its run at injection.
+    if (log == nullptr || is_code(i)) return Match::kDiffers;
+    // A granule may differ if the golden run reads nothing of it after
+    // `count`. Walk the blocks that differ, then their granules, in place.
+    const Addr base = extents_[i].base;
+    for (std::uint32_t at = lo & ~(kGranule - 1); at < hi; at += kWalkBlock) {
+      const std::uint32_t end = std::min(at + kWalkBlock, hi);
+      if (seg.same(std::max(at, lo), end)) continue;
+      for (std::uint32_t g = at; g < end; g += kGranule)
+        if (!seg.same(std::max(g, lo), std::min(g + kGranule, end)) &&
+            log->read_after(base + g, count))
+          return Match::kDiffers;
+    }
+    result = Match::kObservable;
   }
-  return true;
+  return result;
 }
 
 void Memory::restore_code(unsigned seg, std::span<const std::byte> bytes) noexcept {

@@ -145,8 +145,13 @@ class Memory {
   Contents snapshot_contents() const;
   /// Does every address read the same here as in `c`? Windows may differ:
   /// a byte outside a window reads 0, so only the bytes count. Text still
-  /// holding the loaded image on one side must do so on the other.
-  bool same_contents(const Contents& c) const noexcept;
+  /// holding the loaded image on one side must do so on the other. Given
+  /// a golden read oracle `log` (null: compare strictly) and the rank's
+  /// instruction count `count` at `c`, a data, BSS, heap or stack granule
+  /// may also differ if `log` has no read of it after `count`
+  /// (kObservable); text stays strict.
+  Match same_contents(const Contents& c, const ReadLog* log,
+                      std::uint64_t count) const noexcept;
   /// Rewind to `c`. Text is rewritten — and code_version bumped — only
   /// where its bytes actually differ.
   void restore_contents(const Contents& c);

@@ -31,6 +31,11 @@ namespace fsim::svm {
 
 class Memory;
 
+/// How a state compares with a captured one (Memory::same_contents,
+/// Snapshot::matches): equal bit for bit, different only in state no later
+/// read observes, or different where a later read may look.
+enum class Match : std::uint8_t { kDiffers, kExact, kObservable };
+
 /// Releases a block of stamp pages.
 struct StampPagesUnmap {
   std::size_t bytes = 0;

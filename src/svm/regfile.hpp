@@ -9,7 +9,8 @@
 //    data bits;
 //  * special-purpose registers (CWD, SWD, FIP, FCS, FOO, FOS) that are
 //    architecturally present and injectable but rarely consulted, which is
-//    why the paper finds most special-register injections harmless.
+//    why the paper finds most special-register injections harmless. Here
+//    no instruction reads them at all (observably_equal).
 #pragma once
 
 #include <array>
@@ -133,6 +134,25 @@ class Fpu {
   /// Bitwise: the data registers are compared as raw bits, never as
   /// doubles, so -0.0 differs from +0.0 and equal NaNs are equal.
   bool operator==(const Fpu&) const = default;
+
+  /// Does every read of this FPU, now and after any sequence of stack
+  /// operations, return what it would on `o`? TOP, TWD and the bits of
+  /// each slot tagged valid or special must be equal. The rest is never
+  /// read: st() returns a constant for an empty or zero tag; only
+  /// set_physical retags a slot as non-empty, and it overwrites the bits;
+  /// pop and exchange move tags and bits together. CWD, SWD, FIP, FCS, FOO
+  /// and FOS are written (an overflowing push sets SWD bits, the fault
+  /// injector flips any of them) but never read.
+  bool observably_equal(const Fpu& o) const noexcept {
+    if (top_ != o.top_ || twd_ != o.twd_) return false;
+    for (unsigned i = 0; i < kNumFpr; ++i) {
+      const FpuTag t = tag(i);
+      if ((t == FpuTag::kValid || t == FpuTag::kSpecial) &&
+          regs_[i] != o.regs_[i])
+        return false;
+    }
+    return true;
+  }
 
  private:
   void set_physical(unsigned phys, double v) noexcept {

@@ -115,11 +115,13 @@ else
   echo "  reader fuzz clean under AddressSanitizer"
   # Memory windows grow in place inside fixed reservations, the threaded
   # engine caches pointers into them, and the read log indexes raw stamp
-  # arrays: the window, snapshot and rung-equality, engine-lockstep,
-  # fast-forward and early-exit (oracle parity and boundary) tests run
-  # under ASan too, as do the static-analysis tests (the pinned fact
-  # digests, FP depth, lint and the precision trace), whose passes index
-  # per-function block lists through the shared dataflow driver. The
+  # arrays: the window, snapshot and rung-equality (the observable compare
+  # walks differing granules of two windows in place, SnapshotMatches.*),
+  # engine-lockstep, fast-forward and early-exit (oracle parity and
+  # boundary, the ignored-FPU-state fence) tests run under ASan too, as
+  # do the static-analysis tests (the pinned fact digests, FP depth, lint
+  # and the precision trace), whose passes index per-function block lists
+  # through the shared dataflow driver. The
   # collective sweeps hold heap-buffered messages and reduction vectors
   # across world sizes, and the Prepare tests read a moved Prepared's
   # analysis bundle, which points into its Program.

@@ -1,12 +1,13 @@
 // Exact early exit against the golden run: an injected run that ends at
-// injection (read oracle) or at a rung it rejoins (convergence) must be
-// indistinguishable from the same run simulated to the end. Every
-// RunOutcome field is compared between a Golden carrying its oracle and
-// ladder and the same Golden with both stripped, over the paper apps, every
-// region, both engines and both ends of the prune scale. Each app must take
-// both exits, so neither mechanism can go silently inert. The oracle itself
-// must not depend on the engine that recorded it, and must hold at the
-// injection boundary.
+// injection (read oracle, inert FPU flip) or at a rung it rejoins (exactly
+// or only in observable state) must be indistinguishable from the same run
+// simulated to the end. Every RunOutcome field is compared between a
+// Golden carrying its oracle and ladder and the same Golden with both
+// stripped, over the paper apps, every region, both engines and both ends
+// of the prune scale. Each app must take every kind of exit, so none can go
+// silently inert, and the FPU state the observable exits ignore must stay
+// unread. The oracle itself must not depend on the engine that recorded
+// it, and must hold at the injection boundary.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -17,9 +18,11 @@
 
 #include "apps/app.hpp"
 #include "core/campaign.hpp"
+#include "simmpi/world.hpp"
 #include "svm/assembler.hpp"
 #include "svm/env.hpp"
 #include "svm/machine.hpp"
+#include "util/rng.hpp"
 
 namespace fsim::core {
 namespace {
@@ -81,6 +84,67 @@ TEST(EarlyExit, OutcomesEqualFullSimulation) {
           }
     EXPECT_GE(exits.read_oracle.load(), 1u) << name;
     EXPECT_GE(exits.rejoined.load(), 1u) << name;
+    EXPECT_GE(exits.observable.load(), 1u) << name;
+  }
+}
+
+// The fence under the observable exits: the FPU state Fpu::observably_equal
+// ignores must stay unread. At random points of each app's run, every rank
+// gets one flipped bit in each of CWD, SWD, FIP, FCS, FOO and FOS and in
+// each slot tagged empty or zero; simulated to the end with no ladder or
+// oracle, the run must still be the golden run. An instruction that reads
+// one of those fields (an fstsw, say) fails here.
+TEST(EarlyExit, IgnoredFpuStateIsNeverRead) {
+  for (const char* name : {"wavetoy", "minimd", "atmo"}) {
+    const Plan& plan = plan_for(name);
+    const apps::App& app = plan.prepared.app();
+    for (EngineKind engine : {EngineKind::kInterp, EngineKind::kThreaded}) {
+      util::Rng rng(
+          util::hash_seed({0xfe5ce, static_cast<std::uint64_t>(engine)}));
+      for (int point = 0; point < 5; ++point) {
+        const std::uint64_t t = rng.below(plan.golden.instructions);
+        SCOPED_TRACE(std::string(name) + " t=" + std::to_string(t));
+        simmpi::WorldOptions opts = app.world;
+        opts.seed = 1;  // the injected runs' world
+        opts.machine.engine = engine;
+        opts.machine.compiled = plan.prepared.context().compiled;
+        simmpi::World world(plan.prepared.program(), opts);
+        while (world.status() == simmpi::JobStatus::kRunning &&
+               world.global_instructions() < t)
+          world.advance();
+        ASSERT_EQ(world.status(), simmpi::JobStatus::kRunning);
+        for (int r = 0; r < world.size(); ++r) {
+          svm::Fpu& fpu = world.machine(r).regs().fpu;
+          const svm::Fpu before = fpu;
+          const auto bit16 = [&] {
+            return static_cast<std::uint16_t>(1u << rng.below(16));
+          };
+          const auto bit32 = [&] {
+            return static_cast<std::uint32_t>(1u << rng.below(32));
+          };
+          fpu.cwd() ^= bit16();
+          fpu.swd() ^= bit16();
+          fpu.fip() ^= bit32();
+          fpu.fcs() ^= bit32();
+          fpu.foo() ^= bit32();
+          fpu.fos() ^= bit32();
+          for (unsigned p = 0; p < svm::kNumFpr; ++p)
+            if (fpu.tag(p) == svm::FpuTag::kEmpty ||
+                fpu.tag(p) == svm::FpuTag::kZero)
+              fpu.raw(p) ^= 1ull << rng.below(64);
+          ASSERT_TRUE(fpu.observably_equal(before)) << "rank " << r;
+        }
+        while (world.status() == simmpi::JobStatus::kRunning &&
+               world.global_instructions() < plan.golden.hang_budget)
+          world.advance();
+        ASSERT_EQ(world.status(), simmpi::JobStatus::kCompleted);
+        EXPECT_EQ(app.baseline == apps::BaselineStream::kConsole
+                      ? world.console()
+                      : world.output(),
+                  plan.golden.baseline);
+        EXPECT_EQ(world.global_instructions(), plan.golden.instructions);
+      }
+    }
   }
 }
 

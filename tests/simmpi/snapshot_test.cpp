@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "apps/app.hpp"
@@ -335,47 +337,157 @@ TEST(Snapshot, ArmedChannelFaultSurvivesRestore) {
 }
 
 // Rung convergence (core/run.cpp) ends an injected run whose world matches
-// a later golden rung; matches() must hold exactly when the two would run
-// on identically.
+// a later golden rung. matches() must say kExact when the two are equal,
+// kObservable when they differ only in state no later read observes (inert
+// FPU fields, the bits of empty or zero FP slots, and, given the golden read
+// oracle, granules never read again), and kDiffers otherwise.
 struct SnapshotMatches : ::testing::Test {
   apps::App app = small_app();
   svm::Program program = app.link();
   World w{program, app.world};
   Snapshot snap;
+  std::vector<svm::ReadLog> oracle;  // the same run's reads, to the end
 
   void SetUp() override {
+    World golden(program, app.world);
+    oracle.reserve(static_cast<std::size_t>(golden.size()));
+    for (int r = 0; r < golden.size(); ++r) {
+      oracle.emplace_back(golden.machine(r).memory());
+      golden.machine(r).memory().set_read_log(&oracle.back());
+    }
+    ASSERT_EQ(golden.run(1'000'000'000ull), JobStatus::kCompleted);
+    for (int r = 0; r < golden.size(); ++r)
+      golden.machine(r).memory().set_read_log(nullptr);
+
     for (int i = 0; i < 60; ++i) w.advance();
     ASSERT_EQ(w.status(), JobStatus::kRunning);
     snap = Snapshot::capture(w);
   }
+
+  svm::Match observed() const { return snap.matches(w, &oracle); }
+
+  /// The first granule of `seg`'s window on `rank` that the golden run
+  /// reads after the snapshot (`later`), or never again (`!later`). Rank 0
+  /// has reads ahead in every segment; ranks 1-3 are near their end.
+  std::optional<svm::Addr> granule(int rank, svm::Segment seg, bool later) {
+    const svm::Memory& mem = w.machine(rank).memory();
+    const svm::Addr base = mem.extent(seg).base;
+    const std::uint64_t count = w.machine(rank).instructions();
+    const svm::ReadLog& log = oracle[static_cast<std::size_t>(rank)];
+    for (std::uint32_t off = mem.window(seg).lo & ~3u;
+         off < mem.window(seg).hi; off += svm::ReadLog::kGranule)
+      if (log.read_after(base + off, count) == later) return base + off;
+    return std::nullopt;
+  }
+
+  /// A rank and physical FP slot tagged `tag` at the snapshot.
+  std::optional<std::pair<int, unsigned>> slot(svm::FpuTag tag) {
+    for (int r = 0; r < w.size(); ++r)
+      for (unsigned p = 0; p < svm::kNumFpr; ++p)
+        if (w.machine(r).regs().fpu.tag(p) == tag) return std::pair{r, p};
+    return std::nullopt;
+  }
 };
 
 TEST_F(SnapshotMatches, RestoredRungEqualsItself) {
-  EXPECT_TRUE(snap.matches(w));
+  EXPECT_EQ(snap.matches(w), svm::Match::kExact);
+  EXPECT_EQ(observed(), svm::Match::kExact);
   World fresh(program, app.world);
-  EXPECT_FALSE(snap.matches(fresh));
+  EXPECT_EQ(snap.matches(fresh), svm::Match::kDiffers);
   snap.restore(fresh);
-  EXPECT_TRUE(snap.matches(fresh));
+  EXPECT_EQ(snap.matches(fresh), svm::Match::kExact);
   fresh.advance();
-  EXPECT_FALSE(snap.matches(fresh));
+  EXPECT_EQ(snap.matches(fresh, &oracle), svm::Match::kDiffers);
 }
 
 TEST_F(SnapshotMatches, SingleFlippedBitBreaksEquality) {
   svm::Memory& mem = w.machine(2).memory();
   const svm::Addr data = mem.extent(svm::Segment::kData).base;
   ASSERT_TRUE(mem.flip_bit(data + 3, 5));
-  EXPECT_FALSE(snap.matches(w));
+  EXPECT_EQ(snap.matches(w), svm::Match::kDiffers);
   ASSERT_TRUE(mem.flip_bit(data + 3, 5));
-  EXPECT_TRUE(snap.matches(w));
+  EXPECT_EQ(snap.matches(w), svm::Match::kExact);
 
-  // Registers compare by their bits: +0.0 and -0.0 differ.
-  w.machine(1).regs().fpu.raw(0) ^= 1ull << 63;
-  EXPECT_FALSE(snap.matches(w));
-  w.machine(1).regs().fpu.raw(0) ^= 1ull << 63;
   w.machine(0).regs().gpr[7] ^= 1u;
-  EXPECT_FALSE(snap.matches(w));
+  EXPECT_EQ(observed(), svm::Match::kDiffers);
   w.machine(0).regs().gpr[7] ^= 1u;
-  EXPECT_TRUE(snap.matches(w));
+  EXPECT_EQ(observed(), svm::Match::kExact);
+
+  // FP registers compare by their bits wherever a read sees them: the sign
+  // of a slot tagged valid counts. Every FP stack is empty at the fixture's
+  // rung (and at every later round boundary), so capture one that holds a
+  // valid value.
+  ASSERT_FALSE(slot(svm::FpuTag::kValid));
+  svm::Fpu& fpu = w.machine(1).regs().fpu;
+  fpu.push(2.5);
+  ASSERT_EQ(fpu.tag(fpu.top()), svm::FpuTag::kValid);
+  const Snapshot holding = Snapshot::capture(w);
+  fpu.raw(fpu.top()) ^= 1ull << 63;
+  EXPECT_EQ(holding.matches(w, &oracle), svm::Match::kDiffers);
+  fpu.raw(fpu.top()) ^= 1ull << 63;
+  EXPECT_EQ(holding.matches(w, &oracle), svm::Match::kExact);
+}
+
+TEST_F(SnapshotMatches, InertFpuStateMatchesObservably) {
+  svm::Fpu& fpu = w.machine(1).regs().fpu;
+  const svm::Fpu before = fpu;
+  fpu.fip() ^= 1u << 9;
+  EXPECT_EQ(snap.matches(w), svm::Match::kObservable);
+  EXPECT_EQ(observed(), svm::Match::kObservable);
+  fpu = before;
+  fpu.cwd() ^= 1u << 4;
+  EXPECT_EQ(observed(), svm::Match::kObservable);
+  fpu = before;
+  EXPECT_EQ(observed(), svm::Match::kExact);
+
+  // No read returns the bits under an empty tag.
+  const auto empty = slot(svm::FpuTag::kEmpty);
+  ASSERT_TRUE(empty);
+  svm::Fpu& holder = w.machine(empty->first).regs().fpu;
+  holder.raw(empty->second) ^= 1ull << 40;
+  EXPECT_EQ(observed(), svm::Match::kObservable);
+  // A register that differs as well breaks the match.
+  w.machine(0).regs().gpr[3] ^= 1u;
+  EXPECT_EQ(observed(), svm::Match::kDiffers);
+}
+
+TEST_F(SnapshotMatches, ReadFpuStateBreaksEquality) {
+  svm::Fpu& fpu = w.machine(1).regs().fpu;
+  const svm::Fpu before = fpu;
+  fpu.twd() ^= 1u << 6;
+  EXPECT_EQ(observed(), svm::Match::kDiffers);
+  fpu = before;
+  fpu.set_top(fpu.top() + 1);
+  EXPECT_EQ(observed(), svm::Match::kDiffers);
+  fpu = before;
+  EXPECT_EQ(observed(), svm::Match::kExact);
+}
+
+TEST_F(SnapshotMatches, NeverReadAgainGranulesMatchObservably) {
+  for (const svm::Segment seg : {svm::Segment::kData, svm::Segment::kHeap}) {
+    SCOPED_TRACE(static_cast<int>(seg));
+    const auto dead = granule(0, seg, false);
+    ASSERT_TRUE(dead);
+    svm::Memory& mem = w.machine(0).memory();
+    ASSERT_TRUE(mem.flip_bit(*dead + 2, 6));
+    EXPECT_EQ(observed(), svm::Match::kObservable);
+    EXPECT_EQ(snap.matches(w), svm::Match::kDiffers);  // no oracle: strict
+    ASSERT_TRUE(mem.flip_bit(*dead + 2, 6));
+    EXPECT_EQ(observed(), svm::Match::kExact);
+  }
+}
+
+TEST_F(SnapshotMatches, GranuleReadLaterBreaksEquality) {
+  for (const svm::Segment seg : {svm::Segment::kData, svm::Segment::kHeap,
+                                 svm::Segment::kStack}) {
+    SCOPED_TRACE(static_cast<int>(seg));
+    const auto live = granule(0, seg, true);
+    ASSERT_TRUE(live);
+    svm::Memory& mem = w.machine(0).memory();
+    ASSERT_TRUE(mem.flip_bit(*live + 1, 0));
+    EXPECT_EQ(observed(), svm::Match::kDiffers);
+    ASSERT_TRUE(mem.flip_bit(*live + 1, 0));
+  }
 }
 
 TEST_F(SnapshotMatches, WindowsDoNotCountOnlyBytes) {
@@ -385,29 +497,29 @@ TEST_F(SnapshotMatches, WindowsDoNotCountOnlyBytes) {
   const svm::Addr past = mem.extent(svm::Segment::kHeap).base +
                          mem.window(svm::Segment::kHeap).hi + 64;
   ASSERT_TRUE(mem.poke8(past, 0));
-  EXPECT_TRUE(snap.matches(w));
+  EXPECT_EQ(snap.matches(w), svm::Match::kExact);
   ASSERT_TRUE(mem.poke8(past, 1));
-  EXPECT_FALSE(snap.matches(w));
+  EXPECT_EQ(snap.matches(w), svm::Match::kDiffers);
 }
 
 TEST_F(SnapshotMatches, PendingFaultBreaksEqualityFiredDoesNot) {
   Channel& ch = w.process(1).channel();
   const Channel::State before = ch.snapshot_state();
   ch.arm_fault(1u << 29, 3);  // pending: it may still flip a byte
-  EXPECT_FALSE(snap.matches(w));
+  EXPECT_EQ(observed(), svm::Match::kDiffers);
   // The same record once fired is spent: it can change nothing more.
   Channel::State spent = ch.snapshot_state();
   spent.fault.fired = true;
   spent.fault.offset_in_packet = 17;
   ch.restore_state(spent);
-  EXPECT_TRUE(snap.matches(w));
+  EXPECT_EQ(snap.matches(w), svm::Match::kExact);
   ch.restore_state(before);
-  EXPECT_TRUE(snap.matches(w));
+  EXPECT_EQ(snap.matches(w), svm::Match::kExact);
 }
 
 TEST_F(SnapshotMatches, ExtraConsoleByteBreaksEquality) {
   w.process(3).append_console("x");
-  EXPECT_FALSE(snap.matches(w));
+  EXPECT_EQ(observed(), svm::Match::kDiffers);
 }
 
 }  // namespace
