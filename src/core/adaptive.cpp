@@ -37,8 +37,9 @@ AdaptiveResult run_adaptive(const std::vector<BatchEntry>& entries,
   // sits at a wave boundary with exactly the counts the uninterrupted run
   // had there, so the re-evaluated decisions below reproduce its schedule.
   const AdaptivePolicy& policy = config.policy;
-  BatchRun run(entries, config, policy);
-  const BatchSession& session = run.session();
+  BatchRun::validate(config, policy);
+  BatchSession session(entries, config.jobs);
+  BatchRun run(session, config, policy);
   const std::vector<CampaignSpec>& specs = session.specs();
   const std::size_t nslots = session.slots();
   const GridSelection owned = shard_selection(specs, config.shard, true);

@@ -12,18 +12,26 @@ namespace fsim::core {
 
 class CheckpointSink;  // core/checkpoint.hpp
 
-/// The one execution path behind run_batch and run_adaptive. Construction
-/// validates the shard (and an adaptive policy, and that a selection runs
-/// alone and never in waves), prepares the session, refuses a resume
-/// checkpoint of another batch or kind, seeds the counts from it, installs
-/// the checkpoint sink and the observer fan-in, and then runs what the
+/// The one execution path behind run_batch and run_adaptive, on a borrowed
+/// session. Construction repeats validate(), refuses a resume checkpoint of
+/// another batch or kind, seeds the counts from it, installs the
+/// checkpoint sink and the observer fan-in, and then runs what the
 /// invocation owes: `exec.selection` when given, else the resume
 /// baseline's remaining_selection — a fixed-n shard's whole job, or the
 /// wave a crash interrupted. The adaptive scheduler adds only its wave
-/// loop (run, commit_cell). `exec` is borrowed and must outlive the run.
+/// loop (run, commit_cell). `session` and `exec` are borrowed and must
+/// outlive the run; the session's pool, not `exec.jobs`, sets the thread
+/// count. Runs on one session follow each other, never overlap.
 class BatchRun {
  public:
-  BatchRun(const std::vector<BatchEntry>& entries, const ExecPolicy& exec,
+  /// Every check that needs no prepared campaign: the shard, an adaptive
+  /// policy, and that a selection runs alone and never in waves. Callers
+  /// that build the session make it first, so bad input is refused before
+  /// any campaign is prepared.
+  static void validate(const ExecPolicy& exec,
+                       const std::optional<AdaptivePolicy>& adaptive);
+
+  BatchRun(BatchSession& session, const ExecPolicy& exec,
            const std::optional<AdaptivePolicy>& adaptive);
   ~BatchRun();
 
@@ -37,7 +45,6 @@ class BatchRun {
   /// Record an adaptive cell's frontier and stop flag in the sidecar.
   void commit_cell(std::size_t slot, int frontier, bool stopped);
 
-  const BatchSession& session() const noexcept { return session_; }
   /// Cumulative per-slot counts, resume baseline included.
   const std::vector<RegionResult>& totals() const noexcept { return totals_; }
 
@@ -47,7 +54,7 @@ class BatchRun {
  private:
   const ExecPolicy& exec_;
   const bool adaptive_;
-  BatchSession session_;
+  BatchSession& session_;
   std::vector<RegionResult> totals_;
   std::vector<int> done_, owned_;  // owned_: RunEvent denominators
   std::unique_ptr<CheckpointSink> sink_;

@@ -342,30 +342,20 @@ std::vector<CampaignResult> BatchSession::attach_regions(
 
 // --- BatchRun ---
 
-namespace {
-
-/// Every check that needs no prepared campaign, made before the session
-/// prepares any.
-const std::vector<BatchEntry>& validated(
-    const std::vector<BatchEntry>& entries, const ExecPolicy& exec,
-    const std::optional<AdaptivePolicy>& adaptive) {
+void BatchRun::validate(const ExecPolicy& exec,
+                        const std::optional<AdaptivePolicy>& adaptive) {
   require_valid_shard(exec.shard);
   if (adaptive) require_valid_policy(*adaptive);
   if (exec.selection && (adaptive || exec.resume || exec.shard.count > 1))
     throw util::SetupError(
         "selection: an explicit grid selection runs alone (no shard, no "
         "resume, no adaptive waves)");
-  return entries;
 }
 
-}  // namespace
-
-BatchRun::BatchRun(const std::vector<BatchEntry>& entries,
-                   const ExecPolicy& exec,
+BatchRun::BatchRun(BatchSession& session, const ExecPolicy& exec,
                    const std::optional<AdaptivePolicy>& adaptive)
-    : exec_(exec),
-      adaptive_(adaptive.has_value()),
-      session_(validated(entries, exec, adaptive), exec.jobs) {
+    : exec_(exec), adaptive_(adaptive.has_value()), session_(session) {
+  validate(exec, adaptive);
   const std::size_t nslots = session_.slots();
   const Checkpoint* resume = exec.resume;
   if (resume)
@@ -463,9 +453,15 @@ BatchResult BatchRun::finish() {
   return result;
 }
 
+BatchResult run_batch(BatchSession& session, const BatchConfig& config) {
+  return BatchRun(session, config, std::nullopt).finish();
+}
+
 BatchResult run_batch(const std::vector<BatchEntry>& entries,
                       const BatchConfig& config) {
-  return BatchRun(entries, config, std::nullopt).finish();
+  BatchRun::validate(config, std::nullopt);
+  BatchSession session(entries, config.jobs);
+  return run_batch(session, config);
 }
 
 CampaignResult run_campaign(const apps::App& app,

@@ -315,7 +315,9 @@ struct BatchResult {
 /// A prepared batch: every campaign linked, analysed, compiled and
 /// golden-run exactly once, ready to execute arbitrary subsets of the
 /// flattened (campaign, region, run) grid. run_batch prepares a session
-/// and walks the whole fixed-n grid; the adaptive scheduler
+/// and walks the whole fixed-n grid, or runs one invocation through a
+/// session its caller keeps (the service worker runs every chunk of a job
+/// through one); the adaptive scheduler
 /// (core/adaptive.hpp) drives data-dependent waves through the same
 /// session. Both paths share run seeds, pruning, engines and the
 /// serialized observer dispatch, so a run's outcome never depends on which
@@ -383,6 +385,13 @@ class BatchSession {
 /// selection combined with either, or a checkpoint of another batch.
 BatchResult run_batch(const std::vector<BatchEntry>& entries,
                       const BatchConfig& config);
+
+/// The same, through a session already prepared over the batch's entries:
+/// nothing is linked, analysed or golden-run again, so a caller running
+/// many selections of one batch pays preparation once. Every check above
+/// still runs; the session's pool, not `config.jobs`, sets the thread
+/// count.
+BatchResult run_batch(BatchSession& session, const BatchConfig& config);
 
 /// Per-campaign paper-style tables.
 std::string format_batch(const BatchResult& result);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 
 #include "core/reshard.hpp"
 #include "util/file.hpp"
@@ -14,7 +15,11 @@ Scheduler::Scheduler(JobStore& store, std::uint64_t chunk,
     : store_(store), chunk_(chunk), encoding_(encoding) {}
 
 void Scheduler::worker_joined(int worker) {
-  outstanding_[worker] = Outstanding{};
+  // Overwriting a busy slot would strand its assignment: the job would
+  // count it as outstanding forever.
+  if (!outstanding_.emplace(worker, Outstanding{}).second)
+    throw util::SetupError("worker " + std::to_string(worker) +
+                           " has already joined");
   std::fprintf(stderr, "fsim serve: worker %d joined (%zu active)\n", worker,
                outstanding_.size());
 }

@@ -36,6 +36,9 @@ class Scheduler {
             core::CheckpointEncoding encoding);
 
   /// A worker connection is live (id is the daemon's connection id).
+  /// Throws SetupError when `worker` has already joined, leaving its slot
+  /// and any assignment in flight as they were (the daemon drops such a
+  /// connection, and worker_lost reclaims the assignment).
   void worker_joined(int worker);
   /// A worker died or left: reclaim its outstanding assignment — fold
   /// whatever its checkpoint sidecar recorded, re-queue the rest. Returns

@@ -122,7 +122,14 @@ class Server {
     const std::string op = msg.at("op").as_string();
     if (op == "worker") {
       conn.is_worker = true;
-      sched_.worker_joined(fd);
+      try {
+        sched_.worker_joined(fd);
+      } catch (const util::SetupError& e) {
+        // A second join: refuse it and drop the link, so the assignment
+        // in flight is reclaimed rather than stranded.
+        conn.sock.write_line(error_reply(e.what()));
+        throw;
+      }
       return;
     }
     if (op == "task_done") {

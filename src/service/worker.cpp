@@ -1,6 +1,9 @@
 #include "service/worker.hpp"
 
 #include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "core/campaign.hpp"
 #include "core/report.hpp"
@@ -24,6 +27,15 @@ int run_worker(const WorkerOptions& options) {
   std::fprintf(stderr, "fsim worker %s: connected to %s\n",
                options.name.c_str(), options.socket_path.c_str());
 
+  // Every chunk of a job runs through one session, prepared when the
+  // worker first sees the job. The key is the job id plus its spec text,
+  // so a restarted daemon that reuses an id for another spec is not
+  // mistaken for the old job. An assignment of any other job drops the
+  // session before preparing afresh: the worker holds one job's plans.
+  std::string job, spec;
+  std::vector<core::BatchEntry> entries;  // borrowed by `session`
+  std::unique_ptr<core::BatchSession> session;
+
   std::string line;
   while (sock.read_line(line)) {
     const util::JsonValue msg = util::parse_json(line);
@@ -37,17 +49,21 @@ int run_worker(const WorkerOptions& options) {
                  options.name.c_str(), a.job.c_str(), a.task,
                  static_cast<unsigned long long>(a.selection.total()));
 
-    const std::vector<core::CampaignSpec> specs =
-        core::parse_batch_spec(a.spec);
-    const std::vector<core::BatchEntry> entries =
-        core::entries_for_specs(specs);
+    if (!session || a.job != job || a.spec != spec) {
+      session.reset();
+      entries = core::entries_for_specs(core::parse_batch_spec(a.spec));
+      std::fprintf(stderr, "fsim worker %s: prepare job=%s campaigns=%zu\n",
+                   options.name.c_str(), a.job.c_str(), entries.size());
+      session = std::make_unique<core::BatchSession>(entries, options.jobs);
+      job = a.job;
+      spec = a.spec;
+    }
     core::BatchConfig bc;
-    bc.jobs = options.jobs;
     bc.selection = &a.selection;
     bc.checkpoint_path = a.sidecar;
     bc.checkpoint_every = options.checkpoint_every;
     bc.checkpoint_encoding = a.encoding;
-    core::run_batch(entries, bc);
+    core::run_batch(*session, bc);
 
     util::JsonWriter w;
     w.begin_object();

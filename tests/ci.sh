@@ -19,8 +19,10 @@
 # (mutated checkpoints, status documents and service assign lines must
 # raise SetupError only), and runs the memory-window, snapshot and
 # rung-equality, flat-collective size sweep, engine-lockstep, golden
-# fast-forward, early-exit and Prepare tests and the static-analysis tests
-# (AnalysisFacts, FpDepth, Lint, PrecisionTrace). Throughput is
+# fast-forward, early-exit and Prepare tests, the static-analysis tests
+# (AnalysisFacts, FpDepth, Lint, PrecisionTrace), the service Scheduler
+# tests (including the refused second join) and the one-session batch test
+# (many selections through one borrowed BatchSession). Throughput is
 # perfbench's job (perfbench/run.py), not CI's.
 #
 #   tests/ci.sh [--asan] [--build-dir=DIR] [--jobs=N]
@@ -103,7 +105,7 @@ else
   cmake -B "$scan_dir" -S "$root" -DFSIM_WERROR=ON \
         -DFSIM_SANITIZE=address > /dev/null
   cmake --build "$scan_dir" -j "$jobs" --target fsim_cli reader_fuzz_tests \
-    svm_tests simmpi_tests core_tests > /dev/null
+    svm_tests simmpi_tests core_tests service_tests > /dev/null
   for app in wavetoy minimd atmo jacobi; do
     "$scan_dir/src/tools/fsim" analyze --app="$app" --runs=0 --quiet \
       > /dev/null
@@ -124,15 +126,18 @@ else
   # through the shared dataflow driver. The
   # collective sweeps hold heap-buffered messages and reduction vectors
   # across world sizes, and the Prepare tests read a moved Prepared's
-  # analysis bundle, which points into its Program.
+  # analysis bundle, which points into its Program. A service worker runs
+  # every chunk of a job through one session it keeps, so the runs that
+  # borrow a session and the scheduler's worker slots run under ASan too.
   (cd "$scan_dir" &&
      tests/svm_tests --gtest_brief=1 \
        --gtest_filter='Memory.*:EngineDiff.*:AllApps/EngineDiffTest.*:AnalysisFacts.*:FpDepth*:Lint.*:PrecisionTrace.*' &&
      tests/simmpi_tests --gtest_brief=1 \
        --gtest_filter='Snapshot*:Sizes/BarrierSizes.*:Sizes/AllreduceSizes.*:Collectives.*' &&
      tests/core_tests --gtest_brief=1 \
-       --gtest_filter='*FastForward*:EarlyExit.*:Prepare.*')
-  echo "  memory windows, snapshots, collectives, fast-forward, early exit, prepare and analysis tests clean under AddressSanitizer"
+       --gtest_filter='*FastForward*:EarlyExit.*:Prepare.*:Batch.OneSessionServesManySelections' &&
+     tests/service_tests --gtest_brief=1 --gtest_filter='Scheduler.*')
+  echo "  memory windows, snapshots, collectives, fast-forward, early exit, prepare, session reuse, scheduler and analysis tests clean under AddressSanitizer"
 fi
 
 echo "=== ci: all gates passed ==="

@@ -5,11 +5,15 @@
 // must reproduce the unsharded batch exactly.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "apps/app.hpp"
 #include "core/campaign.hpp"
 #include "core/checkpoint.hpp"
 #include "core/report.hpp"
 #include "core/reshard.hpp"
+#include "util/file.hpp"
 #include "util/status.hpp"
 
 namespace fsim::core {
@@ -110,6 +114,50 @@ TEST(Batch, SpecsEchoTheEntries) {
   EXPECT_EQ(batch.specs[0], spec_of(entries[0].app.name, entries[0].config));
   EXPECT_EQ(batch.specs[1], spec_of(entries[1].app.name, entries[1].config));
   EXPECT_NE(batch.specs[0], batch.specs[1]);
+}
+
+TEST(Batch, OneSessionServesManySelections) {
+  // The service worker's path: one prepared session runs every chunk of a
+  // job, each a disjoint take_front selection writing its own sidecar.
+  // Folding the sidecars reproduces the monolithic batch bit for bit.
+  const std::vector<BatchEntry> entries = two_campaign_batch();
+  for (int jobs : {1, 4}) {
+    BatchConfig mono;
+    mono.jobs = jobs;
+    const BatchResult whole = run_batch(entries, mono);
+
+    BatchSession session(entries, jobs);
+    GridSelection pending = shard_selection(session.specs(), ShardSpec{});
+    Checkpoint master;
+    int chunks = 0;
+    while (!pending.empty()) {
+      const GridSelection chunk = take_front(pending, 7);
+      const std::string path = "batch_test_session_" + std::to_string(jobs) +
+                               "_" + std::to_string(chunks++) + ".json";
+      BatchConfig bc;
+      bc.selection = &chunk;
+      bc.checkpoint_path = path;
+      (void)run_batch(session, bc);
+      const Checkpoint side = parse_checkpoint_json(util::read_file(path));
+      std::remove(path.c_str());
+      if (master.specs.empty())
+        master = make_checkpoint(side.specs, side.goldens, ShardSpec{});
+      fold_checkpoint(master, side);
+    }
+    EXPECT_EQ(chunks, 7);  // 46 grid points in chunks of 7
+    ASSERT_TRUE(master.complete());
+    const BatchResult folded = checkpoint_to_batch(master);
+    EXPECT_EQ(batch_digest(folded), batch_digest(whole)) << jobs;
+    EXPECT_EQ(outcome_digest(folded), outcome_digest(whole)) << jobs;
+
+    // A borrowed session repeats every check that needs no preparation: a
+    // selection still runs alone.
+    const GridSelection all = shard_selection(session.specs(), ShardSpec{});
+    BatchConfig sharded;
+    sharded.selection = &all;
+    sharded.shard = ShardSpec{1, 2};
+    EXPECT_THROW(run_batch(session, sharded), util::SetupError);
+  }
 }
 
 TEST(Shard, PartitionIsTotalAndDisjoint) {

@@ -6,7 +6,8 @@
 # `fsim batch --jobs=1` run of the same spec. `fsim status` must stay
 # consistent (done+remaining == grid) throughout, and the offline
 # `fsim status <file>` reading the job's master checkpoint must agree with
-# the daemon's final report.
+# the daemon's final report. No worker may prepare the job twice: each runs
+# all its chunks of a job through one prepared session.
 #
 # usage: elastic_reshard_test.sh /path/to/fsim
 set -euo pipefail
@@ -22,8 +23,8 @@ cleanup() {
 trap cleanup EXIT
 cd "$work"
 
-# Sized so the grid takes several seconds across two workers: the SIGKILL
-# below must land while the victim still holds an unfinished assignment.
+# Sized so the victim's chunk (half the grid) runs for a good while: the
+# SIGKILL below must land while it still holds an unfinished assignment.
 cat > spec.json <<'EOF'
 {"format": "fsim-batch-v2", "runs": 400, "seed": 99,
  "regions": ["regular", "message"],
@@ -44,24 +45,31 @@ for _ in $(seq 1 100); do
 done
 [ -S fsim.sock ] || { echo "FAIL: daemon socket never appeared"; exit 1; }
 
+# w1 joins alone, so it is handed half the grid in one chunk; w2 joins
+# once that chunk is out and works through the rest in smaller ones.
 "$FSIM" worker --socket=fsim.sock --name=w1 --checkpoint-every=1 \
     2> w1.log &
 w1=$!
-"$FSIM" worker --socket=fsim.sock --name=w2 --checkpoint-every=1 \
-    2> w2.log &
-w2=$!
 
 job=$("$FSIM" submit --socket=fsim.sock --tenant=alice --spec=spec.json)
 echo "   submitted $job"
 
-# Wait for w1 to be mid-assignment (it logs each one as it starts), let it
-# burn some runs, then SIGKILL it while work is outstanding.
 for _ in $(seq 1 200); do
   grep -q "job=$job" w1.log 2>/dev/null && break
   sleep 0.05
 done
 grep -q "job=$job" w1.log || { echo "FAIL: w1 never got work"; exit 1; }
-sleep 1
+
+"$FSIM" worker --socket=fsim.sock --name=w2 --checkpoint-every=1 \
+    2> w2.log &
+w2=$!
+
+# SIGKILL w1 once its first sidecar write shows it prepared and started
+# its chunk: the kill lands while it holds an unfinished assignment.
+for _ in $(seq 1 500); do
+  [ -e "state/jobs/$job/tasks/t0.json" ] && break
+  sleep 0.02
+done
 kill -KILL "$w1" 2>/dev/null || true
 wait "$w1" 2>/dev/null || true
 echo "   killed w1 mid-assignment"
@@ -91,6 +99,22 @@ done
 # The daemon must have detected the death and reclaimed the assignment.
 grep -q "worker .* lost" serve.log || {
   echo "FAIL: daemon never noticed the dead worker"; exit 1; }
+grep -q "reclaim job=$job task=0 " serve.log || {
+  echo "FAIL: daemon never reclaimed w1's chunk"; exit 1; }
+
+# A worker prepares the job once and runs every chunk of it through that
+# session: no log holds two prepare lines, and w2, which lived through the
+# whole job, prepared once for two or more assignments.
+count() { grep -c "$1" "$2" || true; }
+for log in w1.log w2.log w3.log; do
+  n=$(count "prepare job=$job campaigns=" "$log")
+  [ "$n" -le 1 ] || { echo "FAIL: $log prepared the job $n times"; exit 1; }
+done
+[ "$(count "prepare job=$job campaigns=" w2.log)" -eq 1 ] || {
+  echo "FAIL: w2 did not prepare the job exactly once"; exit 1; }
+[ "$(count ": job=$job task=" w2.log)" -ge 2 ] || {
+  echo "FAIL: w2 ran fewer than two assignments"; cat w2.log; exit 1; }
+echo "   each worker prepared the job at most once"
 
 "$FSIM" fetch --socket=fsim.sock --job="$job" --out=elastic.json
 cmp mono.json elastic.json || {

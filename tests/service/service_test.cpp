@@ -32,7 +32,9 @@ std::string fresh_state(const std::string& name) {
   return dir;
 }
 
-/// Execute one assignment exactly as `fsim worker` would.
+/// Execute one assignment as `fsim worker` would. The worker keeps one
+/// session across a job's chunks; a fresh one per chunk writes the same
+/// sidecar (Batch.OneSessionServesManySelections pins that).
 void run_assignment(const Assignment& a) {
   const std::vector<core::BatchEntry> entries =
       core::entries_for_specs(core::parse_batch_spec(a.spec));
@@ -146,6 +148,42 @@ TEST(Scheduler, DrainingAllAssignmentsReproducesTheMonolithicResult) {
   JobStore again(dir);
   ASSERT_EQ(again.jobs().size(), 1u);
   EXPECT_TRUE(again.jobs()[0]->done);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Scheduler, SecondJoinOnABusyWorkerIsRefusedAndItsChunkRequeues) {
+  const std::string dir = fresh_state("rejoin");
+  JobStore store(dir);
+  Scheduler sched(store, /*chunk=*/5, core::CheckpointEncoding::kJson);
+  Job& job = store.create("alice", kSpec);
+  sched.worker_joined(1);
+  const auto a = sched.next_assignment(1);
+  ASSERT_TRUE(a.has_value());
+  EXPECT_EQ(job.outstanding, 5u);
+
+  // A repeated join must not wipe the slot: the assignment stays in
+  // flight, owned by worker 1, and no second one is handed out.
+  EXPECT_THROW(sched.worker_joined(1), util::SetupError);
+  EXPECT_EQ(sched.workers(), 1u);
+  EXPECT_EQ(job.outstanding, 5u);
+  EXPECT_FALSE(sched.next_assignment(1).has_value());
+
+  // The daemon drops the refused connection, which re-queues the chunk.
+  sched.worker_lost(1);
+  EXPECT_EQ(job.outstanding, 0u);
+  EXPECT_EQ(job.pending.total(), 12u);
+
+  // Another worker drains the job to the monolithic result.
+  sched.worker_joined(2);
+  while (const auto b = sched.next_assignment(2)) {
+    run_assignment(*b);
+    sched.task_done(2, b->job, b->task);
+  }
+  ASSERT_TRUE(job.done);
+  const core::BatchResult whole = core::run_batch(
+      core::entries_for_specs(core::parse_batch_spec(kSpec)),
+      core::BatchConfig{});
+  EXPECT_EQ(store.result_text(job), core::batch_json(whole) + "\n");
   std::filesystem::remove_all(dir);
 }
 
