@@ -25,10 +25,12 @@ Split message_split(const apps::App& app, int runs, std::uint64_t seed) {
   const svm::Program program = app.link();
   const core::Golden golden = core::run_golden(app, program);
   Split s;
+  core::WorldSlot world;
   for (int i = 0; i < runs; ++i) {
     const core::RunOutcome out = core::run_injected(
         app, program, golden, core::Region::kMessage, nullptr,
-        util::hash_seed({seed, 0x6d, static_cast<std::uint64_t>(i)}));
+        util::hash_seed({seed, 0x6d, static_cast<std::uint64_t>(i)}), {},
+        &world);
     if (!out.msg_fired) continue;
     const bool error = out.manifestation != core::Manifestation::kCorrect;
     if (out.msg_hit_header) {
@@ -104,11 +106,13 @@ int main(int argc, char** argv) {
     const core::Golden g = core::run_golden(a, program);
     int incorrect = 0, errors = 0, fired = 0;
     const int n = args.runs / 2;
+    core::WorldSlot world;
     for (int i = 0; i < n; ++i) {
       const core::RunOutcome out = core::run_injected(
           a, program, g, core::Region::kMessage, nullptr,
           util::hash_seed({args.seed, 0xa2, static_cast<std::uint64_t>(steps),
-                           static_cast<std::uint64_t>(i)}));
+                           static_cast<std::uint64_t>(i)}),
+          {}, &world);
       if (!out.msg_fired) continue;
       ++fired;
       errors += out.manifestation != core::Manifestation::kCorrect;

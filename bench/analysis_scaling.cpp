@@ -35,6 +35,7 @@ int main(int argc, char** argv) {
     const svm::Program program = app.link();
     const core::Golden golden = core::run_golden(app, program);
 
+    core::WorldSlot world;
     auto rate = [&](core::Region region, std::uint64_t salt) {
       int errors = 0;
       for (int i = 0; i < args.runs; ++i) {
@@ -42,7 +43,8 @@ int main(int argc, char** argv) {
             app, program, golden, region, nullptr,
             util::hash_seed({args.seed, salt,
                              static_cast<std::uint64_t>(ranks),
-                             static_cast<std::uint64_t>(i)}));
+                             static_cast<std::uint64_t>(i)}),
+            {}, &world);
         errors += out.manifestation != core::Manifestation::kCorrect;
       }
       return 100.0 * errors / args.runs;

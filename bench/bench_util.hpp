@@ -96,18 +96,22 @@ inline std::vector<core::RunOutcome> parallel_outcomes(
     const apps::App& app, const svm::Program& program,
     const core::Golden& golden, core::Region region,
     const core::FaultDictionary* dict, int n, SeedFn seed_of, int jobs) {
+  // One World per worker, restored into by each of its runs.
+  std::vector<core::WorldSlot> worlds(static_cast<std::size_t>(jobs));
   std::vector<core::RunOutcome> outs(static_cast<std::size_t>(n));
   if (jobs <= 1) {
     for (int i = 0; i < n; ++i)
-      outs[static_cast<std::size_t>(i)] =
-          core::run_injected(app, program, golden, region, dict, seed_of(i));
+      outs[static_cast<std::size_t>(i)] = core::run_injected(
+          app, program, golden, region, dict, seed_of(i), {}, &worlds[0]);
     return outs;
   }
   util::ThreadPool pool(static_cast<std::size_t>(jobs));
   for (int i = 0; i < n; ++i)
-    pool.submit([&outs, &app, &program, &golden, region, dict, &seed_of, i] {
-      outs[static_cast<std::size_t>(i)] =
-          core::run_injected(app, program, golden, region, dict, seed_of(i));
+    pool.submit([&, i] {
+      const auto w =
+          static_cast<std::size_t>(util::ThreadPool::current_worker());
+      outs[static_cast<std::size_t>(i)] = core::run_injected(
+          app, program, golden, region, dict, seed_of(i), {}, &worlds[w]);
     });
   pool.wait();
   return outs;

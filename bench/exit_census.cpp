@@ -43,10 +43,12 @@ int main(int argc, char** argv) {
   t.header({"app", "runs", "oracle", "inert", "exact rung", "obs. rung",
             "to the end"});
   util::ThreadPool pool(static_cast<std::size_t>(args.jobs));
+  std::vector<core::WorldSlot> worlds(pool.workers());
+  const core::CampaignConfig defaults;
   for (const std::string& name : apps::app_names()) {
     if (!args.quiet) std::fprintf(stderr, "%s...\n", name.c_str());
     const core::Prepared prepared =
-        core::prepare(apps::make_app(name), core::CampaignConfig{});
+        core::prepare(apps::make_app(name), defaults);
     std::vector<Exit> exits(static_cast<std::size_t>(args.runs) *
                             core::kNumRegions);
     for (std::size_t i = 0; i < exits.size(); ++i)
@@ -57,10 +59,13 @@ int main(int argc, char** argv) {
         core::RunContext ctx = prepared.context();
         ctx.prune = core::PruneLevel::kOff;
         ctx.exits = &tally;
+        const auto w =
+            static_cast<std::size_t>(util::ThreadPool::current_worker());
         core::run_injected(prepared.app(), prepared.program(),
                            prepared.golden(), region,
                            prepared.dictionary(region),
-                           core::run_seed_for(args.seed, region, point), ctx);
+                           core::run_seed_for(args.seed, region, point), ctx,
+                           &worlds[w]);
         exits[i] = exit_of(tally);
       });
     pool.wait();

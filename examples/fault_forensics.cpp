@@ -65,9 +65,10 @@ int main(int argc, char** argv) try {
 
   // Find a crashing seed unless the user supplied one.
   if (seed == 0) {
+    core::WorldSlot world;  // restored into by every probe run
     for (std::uint64_t s = 1; s < 500; ++s) {
-      const core::RunOutcome out =
-          core::run_injected(app, program, golden, region, dict_ptr, s);
+      const core::RunOutcome out = core::run_injected(
+          app, program, golden, region, dict_ptr, s, {}, &world);
       if (out.manifestation == core::Manifestation::kCrash) {
         seed = s;
         std::printf("seed %llu crashes: %s\n\n",

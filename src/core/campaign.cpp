@@ -1,7 +1,9 @@
 #include "core/campaign.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -24,26 +26,27 @@ std::uint64_t run_seed_for(std::uint64_t campaign_seed, Region region,
                           static_cast<std::uint64_t>(i)});
 }
 
-RunOutcome Prepared::run(Region region, std::uint64_t run_seed) const {
+RunOutcome Prepared::run(Region region, std::uint64_t run_seed,
+                         WorldSlot* slot) const {
   return run_injected(app_, *program_, golden_, region, dictionary(region),
-                      run_seed, ctx_);
+                      run_seed, ctx_, slot);
 }
 
-Prepared prepare(const apps::App& app, const CampaignConfig& config) {
-  Prepared p;
-  p.app_ = app;
-
+void Prepared::link(const apps::App& app) {
+  app_ = app;
   // Link exactly once per campaign: the assembler is deterministic and the
   // image is only ever read after this point, so the golden run, the fault
   // dictionaries and every injected run (on any worker) share it.
-  p.program_ = std::make_unique<const svm::Program>(app.link());
+  program_ = std::make_unique<const svm::Program>(app.link());
+}
 
+void Prepared::analyse(const CampaignConfig& config) {
   // Dictionaries for the static regions are built once per campaign from
   // the linked image (§3.2: "several thousand addresses randomly selected").
   util::Rng dict_rng(util::hash_seed({config.seed, 0xd1c7}));
   for (Region r : {Region::kText, Region::kData, Region::kBss}) {
-    p.dicts_[static_cast<unsigned>(r)] = std::make_unique<FaultDictionary>(
-        *p.program_, r, dict_rng, config.dictionary_entries);
+    dicts_[static_cast<unsigned>(r)] = std::make_unique<FaultDictionary>(
+        *program_, r, dict_rng, config.dictionary_entries);
   }
 
   // Static analysis of the linked image, built once and shared read-only
@@ -51,10 +54,9 @@ Prepared prepare(const apps::App& app, const CampaignConfig& config) {
   // tag FP data-slot faults, reachability tags text entries and the memory
   // liveness scan tags data/BSS entries. Dead-tagged faults are pruned for
   // the regions config.prune covers.
-  p.analysis_ =
-      std::make_shared<svm::analysis::ProgramAnalysis>(*p.program_);
-  const svm::analysis::ProgramAnalysis& an = *p.analysis_;
-  p.dicts_[static_cast<unsigned>(Region::kText)]->annotate(
+  analysis_ = std::make_shared<svm::analysis::ProgramAnalysis>(*program_);
+  const svm::analysis::ProgramAnalysis& an = *analysis_;
+  dicts_[static_cast<unsigned>(Region::kText)]->annotate(
       [&](svm::Addr a) { return an.text_reachable_refined(a); },
       [&](svm::Addr a) {
         // Ladder attribution: base reachability already proves most dead
@@ -64,18 +66,31 @@ Prepared prepare(const apps::App& app, const CampaignConfig& config) {
                                     : PruneRung::kBase;
       });
   for (Region r : {Region::kData, Region::kBss})
-    p.dicts_[static_cast<unsigned>(r)]->annotate(
+    dicts_[static_cast<unsigned>(r)]->annotate(
         [&](svm::Addr a) { return !an.data_byte_dead(a); });
 
   // Compile stage: lower the image once in the CFG's basic-block order;
-  // the golden run and every injected run share the stream read-only
-  // (each machine clones it privately only if a text flip lands).
-  auto compiled =
-      std::make_shared<svm::exec::CompiledProgram>(*p.program_, an.cfg());
+  // every injected run shares the stream read-only (each machine clones it
+  // privately only if a text flip lands).
+  ctx_ = RunContext{
+      analysis_.get(), config.prune, config.engine,
+      std::make_shared<svm::exec::CompiledProgram>(*program_, an.cfg())};
+}
 
-  p.golden_ = run_golden(app, *p.program_, 1, config.engine, compiled);
-  p.ctx_ = RunContext{p.analysis_.get(), config.prune, config.engine,
-                      std::move(compiled)};
+void Prepared::record_golden(const CampaignConfig& config) {
+  // The golden run needs no analysis, so it lowers the image in address
+  // order for itself: both lowerings execute alike, and only a text flip,
+  // which the golden run never takes, depends on the block order.
+  golden_ = run_golden(
+      app_, *program_, 1, config.engine,
+      std::make_shared<const svm::exec::CompiledProgram>(*program_));
+}
+
+Prepared prepare(const apps::App& app, const CampaignConfig& config) {
+  Prepared p;
+  p.link(app);
+  p.analyse(config);
+  p.record_golden(config);
   return p;
 }
 
@@ -180,10 +195,54 @@ struct BatchSession::Impl {
   std::vector<std::size_t> slot_base;     // ncamp + 1 cumulative regions
   std::vector<std::uint64_t> grid_base;   // ncamp + 1 cumulative grid sizes
   std::unique_ptr<util::ThreadPool> pool; // created only for jobs > 1
+  /// Each worker's World (one without a pool), restored into by every run
+  /// it executes and rebuilt when the worker moves to another campaign.
+  std::vector<WorldSlot> worlds;
   std::mutex observer_mu;
 
   explicit Impl(const std::vector<BatchEntry>& e) : entries(e) {}
 };
+
+void BatchSession::prepare_on_pool(util::ThreadPool& pool,
+                                   const std::vector<BatchEntry>& entries,
+                                   std::vector<Prepared>& plans) {
+  // The golden runs, the longest stage, are pool tasks. This thread links
+  // each campaign, hands its golden run to the pool, then runs the
+  // analyses beside them. So links and analyses allocate from this
+  // thread's heap, which the next session reuses as a serial prepare's
+  // would; a golden run's bulk memory is mapped (svm/pages.hpp) and stays
+  // in no pool thread's heap. A failure is kept by campaign and stage, and
+  // the first one prepare() would meet — the lowest-index campaign's
+  // earliest stage — is rethrown, so the error never depends on which
+  // task failed first in time.
+  enum Stage : std::size_t { kLink, kAnalyse, kGolden, kStages };
+  const std::size_t ncamp = entries.size();
+  for (std::size_t c = 0; c < ncamp; ++c) plans.push_back(Prepared());
+  std::vector<std::array<std::exception_ptr, kStages>> failed(ncamp);
+  auto run = [&](std::size_t c, Stage stage) {
+    const CampaignConfig& config = entries[c].config;
+    try {
+      switch (stage) {
+        case kLink: plans[c].link(entries[c].app); break;
+        case kAnalyse: plans[c].analyse(config); break;
+        case kGolden: plans[c].record_golden(config); break;
+        case kStages: break;
+      }
+    } catch (...) {
+      failed[c][stage] = std::current_exception();
+    }
+  };
+  for (std::size_t c = 0; c < ncamp; ++c) {
+    run(c, kLink);
+    if (!failed[c][kLink]) pool.submit([&run, c] { run(c, kGolden); });
+  }
+  for (std::size_t c = 0; c < ncamp; ++c)
+    if (!failed[c][kLink]) run(c, kAnalyse);
+  pool.wait();
+  for (const auto& stages : failed)
+    for (const std::exception_ptr& e : stages)
+      if (e) std::rethrow_exception(e);
+}
 
 BatchSession::BatchSession(const std::vector<BatchEntry>& entries, int jobs)
     : impl_(std::make_unique<Impl>(entries)) {
@@ -198,11 +257,9 @@ BatchSession::BatchSession(const std::vector<BatchEntry>& entries, int jobs)
   }
   require_distinct_campaigns(impl_->specs);
   const std::size_t ncamp = entries.size();
-  impl_->plans.reserve(ncamp);
   impl_->slot_base.assign(ncamp + 1, 0);
   impl_->grid_base.assign(ncamp + 1, 0);
   for (std::size_t c = 0; c < ncamp; ++c) {
-    impl_->plans.push_back(prepare(entries[c].app, entries[c].config));
     const CampaignConfig& cc = entries[c].config;
     impl_->slot_base[c + 1] = impl_->slot_base[c] + cc.regions.size();
     impl_->grid_base[c + 1] =
@@ -213,6 +270,14 @@ BatchSession::BatchSession(const std::vector<BatchEntry>& entries, int jobs)
   if (jobs > 1)
     impl_->pool =
         std::make_unique<util::ThreadPool>(static_cast<std::size_t>(jobs));
+
+  if (!impl_->pool) {
+    for (std::size_t c = 0; c < ncamp; ++c)
+      impl_->plans.push_back(prepare(entries[c].app, entries[c].config));
+  } else {
+    prepare_on_pool(*impl_->pool, entries, impl_->plans);
+  }
+  impl_->worlds.resize(static_cast<std::size_t>(jobs));
 }
 
 BatchSession::~BatchSession() = default;
@@ -278,7 +343,8 @@ void BatchSession::run_points(const std::vector<Point>& points,
       const Region region = e.config.regions[pt.region_index];
       const std::size_t slot = im.slot_base[pt.campaign] + pt.region_index;
       const RunOutcome out = im.plans[pt.campaign].run(
-          region, run_seed_for(e.config.seed, region, pt.run_index));
+          region, run_seed_for(e.config.seed, region, pt.run_index),
+          &im.worlds[0]);
       accumulate_outcome(totals[slot], out);
       const int d = ++done[slot];
       if (observing) notify_locked(pt, e.app.name, region, slot, out, d);
@@ -306,8 +372,9 @@ void BatchSession::run_points(const std::vector<Point>& points,
     const std::uint64_t run_seed =
         run_seed_for(e->config.seed, region, pt.run_index);
     pool.submit([&, e, plan, pt, slot, region, run_seed] {
-      const RunOutcome out = plan->run(region, run_seed);
       const int w = util::ThreadPool::current_worker();
+      const RunOutcome out =
+          plan->run(region, run_seed, &im.worlds[static_cast<std::size_t>(w)]);
       accumulate_outcome(partials[static_cast<std::size_t>(w)][slot], out);
       if (observing)
         notify_locked(pt, e->app.name, region, slot, out,

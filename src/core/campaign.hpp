@@ -14,6 +14,10 @@
 #include "core/outcome.hpp"
 #include "core/run.hpp"
 
+namespace fsim::util {
+class ThreadPool;
+}
+
 namespace fsim::core {
 
 struct Checkpoint;  // core/checkpoint.hpp
@@ -106,11 +110,22 @@ class Prepared {
 
   /// One injected run into this fault space (see run_injected); a
   /// campaign's grid point i of `region` is run_seed_for(seed, region, i).
-  RunOutcome run(Region region, std::uint64_t run_seed) const;
+  /// Given a slot, the run restores into the slot's World instead of
+  /// building one (see WorldSlot); the outcome is the same.
+  RunOutcome run(Region region, std::uint64_t run_seed,
+                 WorldSlot* slot = nullptr) const;
 
  private:
   friend Prepared prepare(const apps::App& app, const CampaignConfig& config);
+  friend class BatchSession;
   Prepared() = default;
+
+  // The stages of prepare(), in its order. The analysis and the golden run
+  // read only the linked image and write disjoint members, so a session
+  // runs them concurrently once link() has returned.
+  void link(const apps::App& app);
+  void analyse(const CampaignConfig& config);
+  void record_golden(const CampaignConfig& config);
 
   apps::App app_;
   // Held by pointer so its address survives moving the Prepared: the
@@ -336,8 +351,14 @@ class BatchSession {
   using Notify = std::function<void(const RunEvent&)>;
 
   /// Prepares every campaign. `entries` is borrowed and must outlive the
-  /// session; jobs > 1 creates the shared worker pool. Throws SetupError
-  /// when jobs < 1 or an entry has fewer than one run per region.
+  /// session. jobs > 1 creates the shared worker pool first and runs every
+  /// campaign's golden run on it as a task, while this thread links the
+  /// campaigns and then analyses them; the constructor returns once all
+  /// have finished. Throws SetupError when jobs < 1 or an entry has fewer than
+  /// one run per region, before anything is prepared. When preparing
+  /// fails, it rethrows the error prepare() meets first in entry order
+  /// (the lowest-index failing campaign's earliest stage), the same one
+  /// at any job count.
   BatchSession(const std::vector<BatchEntry>& entries, int jobs);
   ~BatchSession();
 
@@ -374,6 +395,10 @@ class BatchSession {
       const std::vector<RegionResult>& totals) const;
 
  private:
+  static void prepare_on_pool(util::ThreadPool& pool,
+                              const std::vector<BatchEntry>& entries,
+                              std::vector<Prepared>& plans);
+
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };

@@ -38,6 +38,17 @@ constexpr std::uint64_t kRunWorldSeed = 1;
 constexpr std::size_t kMaxRungs = 32;
 constexpr std::uint64_t kFirstStride = 1u << 15;
 
+// A World as every injected run starts it.
+std::unique_ptr<simmpi::World> run_world(const apps::App& app,
+                                         const svm::Program& program,
+                                         const RunContext& ctx) {
+  simmpi::WorldOptions opts = app.world;
+  opts.seed = kRunWorldSeed;
+  opts.machine.engine = ctx.engine;
+  opts.machine.compiled = ctx.compiled;
+  return std::make_unique<simmpi::World>(program, opts);
+}
+
 const std::string& baseline_stream(const apps::App& app,
                                    const simmpi::World& world,
                                    std::string& storage) {
@@ -135,19 +146,46 @@ Golden run_golden(const apps::App& app, const svm::Program& program,
   return g;
 }
 
+WorldSlot::WorldSlot() = default;
+WorldSlot::~WorldSlot() = default;
+WorldSlot::WorldSlot(WorldSlot&&) noexcept = default;
+WorldSlot& WorldSlot::operator=(WorldSlot&&) noexcept = default;
+
+simmpi::World& WorldSlot::bind(const apps::App& app,
+                               const svm::Program& program,
+                               const RunContext& ctx,
+                               const simmpi::Snapshot*& start) {
+  if (world_ && program_ == &program && compiled_ == ctx.compiled.get() &&
+      engine_ == ctx.engine) {
+    start = &fresh_;  // the last run left the World wherever it ended
+    return *world_;
+  }
+  world_.reset();  // release the old address spaces before mapping new ones
+  world_ = run_world(app, program, ctx);
+  fresh_ = simmpi::Snapshot::capture(*world_);
+  program_ = &program;
+  compiled_ = ctx.compiled.get();
+  engine_ = ctx.engine;
+  start = nullptr;
+  return *world_;
+}
+
 RunOutcome run_injected(const apps::App& app, const svm::Program& program,
                         const Golden& golden, Region region,
                         const FaultDictionary* dictionary, std::uint64_t seed,
-                        const RunContext& ctx) {
+                        const RunContext& ctx, WorldSlot* slot) {
   util::Rng rng(seed);
-  // Every run builds its own World from the shared image, so runs stay
-  // fully independent (and safe to execute concurrently); the fault is
-  // injected into the World's memory, never into `program`.
-  simmpi::WorldOptions opts = app.world;
-  opts.seed = kRunWorldSeed;
-  opts.machine.engine = ctx.engine;
-  opts.machine.compiled = ctx.compiled;
-  simmpi::World world(program, opts);
+  // Runs share nothing they write: each runs in a World of its own (or its
+  // caller's slot's), built from the shared image, so runs stay fully
+  // independent and safe to execute concurrently; the fault is injected
+  // into the World's memory, never into `program`.
+  std::unique_ptr<simmpi::World> own;
+  // The state to rewind the World to when no ladder rung comes first:
+  // null for a new World, which already is in it.
+  const simmpi::Snapshot* fresh = nullptr;
+  simmpi::World& world = slot != nullptr
+                             ? slot->bind(app, program, ctx, fresh)
+                             : *(own = run_world(app, program, ctx));
 
   RunOutcome outcome;
   std::ostringstream desc;
@@ -158,12 +196,12 @@ RunOutcome run_injected(const apps::App& app, const svm::Program& program,
   // Fast-forward: restore the last rung the from-zero run would pass
   // through unchanged (see run_injected in run.hpp).
   auto fast_forward = [&](auto before_fault) {
-    if (!golden.ladder) return;
-    const simmpi::Snapshot* start = nullptr;
-    for (const simmpi::Snapshot& rung : *golden.ladder) {
-      if (!before_fault(rung)) break;
-      start = &rung;
-    }
+    const simmpi::Snapshot* start = fresh;
+    if (golden.ladder)
+      for (const simmpi::Snapshot& rung : *golden.ladder) {
+        if (!before_fault(rung)) break;
+        start = &rung;
+      }
     if (start != nullptr) start->restore(world);
   };
 

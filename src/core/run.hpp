@@ -24,6 +24,9 @@ class ProgramAnalysis;
 namespace fsim::svm::exec {
 class CompiledProgram;
 }
+namespace fsim::simmpi {
+class World;
+}
 
 namespace fsim::core {
 
@@ -129,6 +132,41 @@ struct RunContext {
   EarlyExits* exits = nullptr;
 };
 
+/// A World kept from one injected run to the next, so that a run restores
+/// its start state into it instead of constructing a World of its own.
+/// Construction maps and fills every rank's address space; a restore
+/// writes back only what the last run touched. A slot serves one caller at
+/// a time (each pool worker of a BatchSession keeps its own) and holds a
+/// World for one (program, engine, compiled stream) at a time: a run for
+/// another builds it afresh. The slot also keeps a
+/// snapshot of its World as constructed; a run that starts before the
+/// golden ladder's first rung restores that, so it starts from exactly the
+/// state a new World has (Snapshot.RestoreIntoUsedWorldEqualsFresh).
+class WorldSlot {
+ public:
+  WorldSlot();
+  ~WorldSlot();
+  WorldSlot(WorldSlot&&) noexcept;
+  WorldSlot& operator=(WorldSlot&&) noexcept;
+
+ private:
+  friend RunOutcome run_injected(const apps::App&, const svm::Program&,
+                                 const Golden&, Region,
+                                 const FaultDictionary*, std::uint64_t,
+                                 const RunContext&, WorldSlot*);
+  /// The slot's World for `program` under `ctx`, built if the slot holds
+  /// none or one for something else. `start` is null when the World is
+  /// new, else the snapshot that rewinds it to new.
+  simmpi::World& bind(const apps::App& app, const svm::Program& program,
+                      const RunContext& ctx, const simmpi::Snapshot*& start);
+
+  std::unique_ptr<simmpi::World> world_;
+  simmpi::Snapshot fresh_;  // world_ as constructed
+  const svm::Program* program_ = nullptr;
+  const svm::exec::CompiledProgram* compiled_ = nullptr;
+  svm::exec::EngineKind engine_ = svm::exec::EngineKind::kThreaded;
+};
+
 /// Run once with a single injected fault and classify the outcome.
 ///  * memory/register regions: the fault fires at a uniformly random global
 ///    instruction t in [0, golden.instructions);
@@ -151,9 +189,13 @@ struct RunContext {
 /// the state a later instruction reads (Snapshot::matches with the oracle;
 /// a message fault only once it has fired). Without the oracle nothing
 /// ends at injection, and a rung must match in every memory byte.
+///
+/// Given a `slot`, the run restores into the slot's World (see WorldSlot)
+/// and leaves it there for the next run; without one it builds a World of
+/// its own. The outcome is the same either way.
 RunOutcome run_injected(const apps::App& app, const svm::Program& program,
                         const Golden& golden, Region region,
                         const FaultDictionary* dictionary, std::uint64_t seed,
-                        const RunContext& ctx = {});
+                        const RunContext& ctx = {}, WorldSlot* slot = nullptr);
 
 }  // namespace fsim::core

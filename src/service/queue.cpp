@@ -44,6 +44,13 @@ std::vector<std::string> list_dir(const std::string& path) {
   return names;
 }
 
+/// "j<n>", the id of the n-th job created.
+std::string job_id(int n) {
+  std::string id = std::to_string(n);
+  id.insert(id.begin(), 'j');
+  return id;
+}
+
 }  // namespace
 
 JobStore::JobStore(std::string state_dir) : state_dir_(std::move(state_dir)) {
@@ -67,7 +74,7 @@ Job& JobStore::create(const std::string& tenant,
   const std::vector<core::CampaignSpec> specs =
       core::parse_batch_spec(spec_text);
   auto job = std::make_unique<Job>();
-  job->id = "j" + std::to_string(next_id_++);
+  job->id = job_id(next_id_++);
   job->tenant = tenant;
   job->spec_text = spec_text;
   // Placeholder goldens (all-zero): the daemon never executes runs; the

@@ -19,6 +19,7 @@ struct Snapshot::Impl {
   std::vector<RankState> ranks;
   World::State world;
   std::uint64_t instructions = 0;
+  svm::Pages memory;  // every rank's memory contents, back to back
 };
 
 Snapshot::Snapshot() : impl_(std::make_unique<Impl>()) {}
@@ -32,10 +33,20 @@ Snapshot Snapshot::capture(const World& world) {
   World& w = const_cast<World&>(world);
   Snapshot snap;
   snap.impl_->world = w.snapshot_state();
+  // The memory contents of every rank go into one mapping of their own:
+  // a ladder of them never enters the malloc heap.
+  std::size_t total = 0;
+  for (int r = 0; r < w.size(); ++r)
+    total += w.machine(r).memory().contents_size();
+  snap.impl_->memory = svm::map_pages(total);
+  std::byte* at = snap.impl_->memory.get();
   for (int r = 0; r < w.size(); ++r) {
+    const svm::Memory& mem = w.machine(r).memory();
     Impl::RankState rs;
     rs.core = w.machine(r).core_state();
-    rs.memory = w.machine(r).memory().snapshot_contents();
+    const std::size_t size = mem.contents_size();
+    rs.memory = mem.snapshot_contents({at, size});
+    at += size;
     rs.heap = w.process(r).heap().snapshot_state();
     rs.io = w.process(r).io_state();
     rs.channel = w.process(r).channel().snapshot_state();

@@ -57,13 +57,20 @@ void Machine::ensure_code() {
 const exec::CompiledProgram* Machine::refresh_code() {
   ensure_code();
   if (mem_.code_version() != code_version_seen_) {
-    if (!patched_) {
-      // First text mutation under a shared stream: take a private copy so
-      // the campaign-wide instance stays pristine for sibling machines.
-      patched_ = std::make_unique<exec::CompiledProgram>(*code_);
-      cur_code_ = patched_.get();
+    if (code_ && mem_.code_pristine()) {
+      // A restore put the loaded image back: the shared stream is exact
+      // again, as in a new machine.
+      patched_.reset();
+      cur_code_ = code_.get();
+    } else {
+      if (!patched_) {
+        // First text mutation under a shared stream: take a private copy
+        // so the campaign-wide instance stays pristine for sibling machines.
+        patched_ = std::make_unique<exec::CompiledProgram>(*code_);
+        cur_code_ = patched_.get();
+      }
+      patched_->repatch(mem_);
     }
-    patched_->repatch(mem_);
     code_version_seen_ = mem_.code_version();
   }
   return cur_code_;

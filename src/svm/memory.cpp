@@ -14,26 +14,27 @@ Memory::Memory(const std::array<std::uint32_t, kNumSegments>& image_sizes,
   sizes[static_cast<unsigned>(Segment::kHeap)] = config.heap_capacity;
   sizes[static_cast<unsigned>(Segment::kStack)] = config.stack_capacity;
   const auto bases = compute_segment_bases(sizes, config.stack_capacity);
+  // The mapping mirrors the layout: the packed segments sit at their
+  // offsets from the text base, the stack reservation after the heap's.
+  const auto stack = static_cast<unsigned>(Segment::kStack);
+  const auto heap = static_cast<unsigned>(Segment::kHeap);
+  const std::size_t stack_at = align_up(bases[heap] + sizes[heap]) - kTextBase;
+  backing_ = map_pages(stack_at + align_up(sizes[stack]));
   for (unsigned i = 0; i < kNumSegments; ++i) {
     extents_[i].base = bases[i];
     extents_[i].size = sizes[i];
-    if (sizes[i] == 0) continue;
-    const auto seg = static_cast<Segment>(i);
-    if (seg == Segment::kHeap || seg == Segment::kStack) {
-      // Reserved, never touched here: the window starts empty at the end
-      // the segment grows from.
-      bytes_[i] = std::make_unique_for_overwrite<std::byte[]>(sizes[i]);
-      const std::uint32_t at = seg == Segment::kStack ? sizes[i] : 0;
+    bytes_[i] = backing_.get() + (i == stack ? stack_at : bases[i] - kTextBase);
+    // The heap's window starts empty at its low end, the stack's at its
+    // top; the image segments back all of their bytes.
+    if (i == heap || i == stack) {
+      const std::uint32_t at = i == stack ? sizes[i] : 0;
       windows_[i] = Window{at, at};
     } else {
-      bytes_[i] = std::make_unique<std::byte[]>(sizes[i]);
       windows_[i] = Window{0, sizes[i]};
     }
   }
   // The heap must never collide with the stack reservation.
-  const auto& heap = extents_[static_cast<unsigned>(Segment::kHeap)];
-  const auto& stack = extents_[static_cast<unsigned>(Segment::kStack)];
-  FSIM_CHECK(heap.end() <= stack.base);
+  FSIM_CHECK(extents_[heap].end() <= extents_[stack].base);
 }
 
 std::optional<Segment> Memory::resolve(Addr addr) const noexcept {
@@ -61,7 +62,7 @@ void Memory::read(unsigned seg, std::uint32_t off, void* out,
                   std::size_t n) const noexcept {
   if (read_log_ != nullptr) read_log_->stamp(seg, off, n);
   const Window& w = windows_[seg];
-  const std::byte* data = bytes_[seg].get();
+  const std::byte* data = bytes_[seg];
   if (off >= w.lo && off + n <= w.hi) {
     std::memcpy(out, data + off, n);
     return;
@@ -76,7 +77,7 @@ void Memory::read(unsigned seg, std::uint32_t off, void* out,
 std::byte* Memory::writable(unsigned seg, std::uint32_t off,
                             std::size_t n) noexcept {
   Window& w = windows_[seg];
-  std::byte* data = bytes_[seg].get();
+  std::byte* data = bytes_[seg];
   const auto end = static_cast<std::uint32_t>(off + n);
   if (n != 0 && (off < w.lo || end > w.hi)) {
     const std::uint32_t lo = std::min(off, w.lo);
@@ -186,7 +187,7 @@ bool Memory::flip_bit(Addr addr, unsigned bit) noexcept {
 
 std::span<std::byte> Memory::segment_bytes(Segment s) noexcept {
   const auto i = static_cast<unsigned>(s);
-  return {bytes_[i].get() + windows_[i].lo, windows_[i].hi - windows_[i].lo};
+  return {bytes_[i] + windows_[i].lo, windows_[i].hi - windows_[i].lo};
 }
 
 std::span<const std::byte> Memory::segment_bytes(Segment s) const noexcept {
@@ -200,14 +201,26 @@ void Memory::seal_code(std::span<const std::byte> text,
   sealed_code_version_ = code_version_;
 }
 
-Memory::Contents Memory::snapshot_contents() const {
+std::size_t Memory::contents_size() const noexcept {
+  std::size_t total = 0;
+  for (unsigned i = 0; i < kNumSegments; ++i)
+    if (!(is_code(i) && code_pristine()))
+      total += windows_[i].hi - windows_[i].lo;
+  return total;
+}
+
+Memory::Contents Memory::snapshot_contents(std::span<std::byte> into) const {
+  FSIM_CHECK(into.size() >= contents_size());
   Contents c;
   c.windows = windows_;
   c.code_pristine = code_pristine();
+  std::byte* at = into.data();
   for (unsigned i = 0; i < kNumSegments; ++i) {
     if (c.code_pristine && is_code(i)) continue;
     const auto b = segment_bytes(static_cast<Segment>(i));
-    c.bytes[i].assign(b.begin(), b.end());
+    if (!b.empty()) std::memcpy(at, b.data(), b.size());
+    c.bytes[i] = {at, b.size()};
+    at += b.size();
   }
   return c;
 }
@@ -262,7 +275,7 @@ Match Memory::same_contents(const Contents& c, const ReadLog* log,
   Match result = Match::kExact;
   for (unsigned i = 0; i < kNumSegments; ++i) {
     if (is_code(i) && c.code_pristine) continue;
-    const SegmentPair seg{windows_[i], c.windows[i], bytes_[i].get(),
+    const SegmentPair seg{windows_[i], c.windows[i], bytes_[i],
                           c.bytes[i].data()};
     const std::uint32_t lo = std::min(seg.a.lo, seg.b.lo);
     const std::uint32_t hi = std::max(seg.a.hi, seg.b.hi);
@@ -289,9 +302,9 @@ Match Memory::same_contents(const Contents& c, const ReadLog* log,
 void Memory::restore_code(unsigned seg, std::span<const std::byte> bytes) noexcept {
   FSIM_CHECK(bytes.size() == extents_[seg].size);
   if (bytes.empty() ||
-      std::memcmp(bytes_[seg].get(), bytes.data(), bytes.size()) == 0)
+      std::memcmp(bytes_[seg], bytes.data(), bytes.size()) == 0)
     return;
-  std::memcpy(bytes_[seg].get(), bytes.data(), bytes.size());
+  std::memcpy(bytes_[seg], bytes.data(), bytes.size());
   ++code_version_;
 }
 
@@ -307,7 +320,7 @@ void Memory::restore_contents(const Contents& c) {
                c.bytes[i].size() == w.hi - w.lo);
     windows_[i] = w;
     if (!c.bytes[i].empty())
-      std::memcpy(bytes_[i].get() + w.lo, c.bytes[i].data(), c.bytes[i].size());
+      std::memcpy(bytes_[i] + w.lo, c.bytes[i].data(), c.bytes[i].size());
   }
   if (c.code_pristine) sealed_code_version_ = code_version_;
   ++window_version_;

@@ -7,12 +7,14 @@
 // paper's injector overwrite a halted process (§3.1).
 //
 // An address space costs what it touches. Every segment reserves its full
-// capacity up front (so its data pointer never moves) but backs only a
-// window of it: text, data and BSS back their whole image, the heap backs
-// [0, high-water) and the stack [low-water, top). A load between the window
-// and the capacity reads 0; a store (or poke) there grows the window and
-// zero-fills just the bytes it adds. Bounds and traps follow the capacity,
-// never the window, so windows are invisible to the program.
+// capacity up front, all of them in one anonymous mapping (svm/pages.hpp),
+// so no data pointer ever moves and no byte of it lives in the malloc
+// heap. Each segment backs only a window of its reservation: text, data
+// and BSS back their whole image, the heap backs [0, high-water) and the
+// stack [low-water, top). A load between the window and the capacity
+// reads 0; a store (or poke) there grows the window and zero-fills just
+// the bytes it adds. Bounds and traps follow the capacity, never the
+// window, so windows are invisible to the program.
 #pragma once
 
 #include <array>
@@ -20,9 +22,9 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "svm/layout.hpp"
+#include "svm/pages.hpp"
 #include "svm/readlog.hpp"
 #include "svm/trap.hpp"
 
@@ -136,13 +138,18 @@ class Memory {
 
   // --- Checkpoint/restart support ---
   /// Every window and its bytes; code segments are left empty while
-  /// code_pristine() holds.
+  /// code_pristine() holds. The bytes are views into storage the caller
+  /// provides (a Snapshot keeps every rank's in one mapping).
   struct Contents {
     std::array<Window, kNumSegments> windows{};
-    std::array<std::vector<std::byte>, kNumSegments> bytes{};
+    std::array<std::span<const std::byte>, kNumSegments> bytes{};
     bool code_pristine = false;
   };
-  Contents snapshot_contents() const;
+  /// Bytes snapshot_contents() copies out.
+  std::size_t contents_size() const noexcept;
+  /// Copy the contents out into `into`, which holds contents_size() bytes
+  /// and must outlive the result.
+  Contents snapshot_contents(std::span<std::byte> into) const;
   /// Does every address read the same here as in `c`? Windows may differ:
   /// a byte outside a window reads 0, so only the bytes count. Text still
   /// holding the loaded image on one side must do so on the other. Given
@@ -180,7 +187,8 @@ class Memory {
   }
 
   std::array<SegmentExtent, kNumSegments> extents_{};
-  std::array<std::unique_ptr<std::byte[]>, kNumSegments> bytes_{};
+  Pages backing_;  // every segment's reservation, page-aligned
+  std::array<std::byte*, kNumSegments> bytes_{};  // each one's offset 0
   std::array<Window, kNumSegments> windows_{};
   std::array<std::span<const std::byte>, kNumSegments> sealed_code_{};
   AccessObserver* observer_ = nullptr;

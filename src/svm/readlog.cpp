@@ -1,7 +1,5 @@
 #include "svm/readlog.hpp"
 
-#include <sys/mman.h>
-
 #include <algorithm>
 
 #include "svm/memory.hpp"
@@ -18,19 +16,9 @@ constexpr std::size_t granules(std::uint32_t bytes) noexcept {
 }
 
 /// `n` zero stamps in pages of their own.
-std::unique_ptr<std::uint32_t[], StampPagesUnmap> zeroed(std::size_t n) {
-  const std::size_t bytes = std::max<std::size_t>(n, 1) * sizeof(std::uint32_t);
-  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  FSIM_CHECK(p != MAP_FAILED);
-  return {static_cast<std::uint32_t*>(p), StampPagesUnmap{bytes}};
-}
+Pages zeroed(std::size_t n) { return map_pages(n * sizeof(std::uint32_t)); }
 
 }  // namespace
-
-void StampPagesUnmap::operator()(std::uint32_t* p) const noexcept {
-  ::munmap(p, bytes);
-}
 
 ReadLog::ReadLog(const Memory& memory) {
   for (unsigned i = 0; i < kNumSegments; ++i) {

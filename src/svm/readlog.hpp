@@ -15,9 +15,10 @@
 // to the end (core/run.cpp ends it at injection).
 //
 // The stamps span the whole address space, in anonymous mappings of their
-// own: only the pages holding a stamp are ever backed, about one page of
-// stamps per page the run reads, and none of it passes through the malloc
-// heap. A finished log is the oracle itself; nothing is copied out.
+// own (svm/pages.hpp): only the pages holding a stamp are ever backed,
+// about one page of stamps per page the run reads, and none of it passes
+// through the malloc heap. A finished log is the oracle itself; nothing is
+// copied out.
 #pragma once
 
 #include <array>
@@ -26,6 +27,7 @@
 #include <memory>
 
 #include "svm/layout.hpp"
+#include "svm/pages.hpp"
 
 namespace fsim::svm {
 
@@ -35,12 +37,6 @@ class Memory;
 /// Snapshot::matches): equal bit for bit, different only in state no later
 /// read observes, or different where a later read may look.
 enum class Match : std::uint8_t { kDiffers, kExact, kObservable };
-
-/// Releases a block of stamp pages.
-struct StampPagesUnmap {
-  std::size_t bytes = 0;
-  void operator()(std::uint32_t* p) const noexcept;
-};
 
 /// One rank's read stamps. Stamps are 32-bit: a rank that runs past
 /// 2^32 - 1 instructions cannot be recorded (run_golden then keeps no
@@ -106,7 +102,7 @@ class ReadLog {
  private:
   std::array<Addr, kNumSegments> seg_base_{};
   std::array<std::uint32_t, kNumSegments> seg_size_{};
-  std::unique_ptr<std::uint32_t[], StampPagesUnmap> low_, stack_;
+  Pages low_, stack_;  // the stamps below the heap's end, and the stack's
   Stamps stamps_;
 };
 

@@ -22,8 +22,14 @@
 # fast-forward, early-exit and Prepare tests, the static-analysis tests
 # (AnalysisFacts, FpDepth, Lint, PrecisionTrace), the service Scheduler
 # tests (including the refused second join) and the one-session batch test
-# (many selections through one borrowed BatchSession). Throughput is
-# perfbench's job (perfbench/run.py), not CI's.
+# (many selections through one borrowed BatchSession). Two more stages
+# always run. A Release build of every target with warnings fatal catches
+# what GCC reports only at -O2; it compiles and runs nothing. A focused
+# ThreadSanitizer pass runs the tests that drive the session pool: the
+# batch tests (golden runs as pool tasks beside the analyses, each
+# worker's reused World), Prepare, ThreadPool,
+# CampaignParallel and the service Scheduler. Throughput is perfbench's
+# job (perfbench/run.py), not CI's.
 #
 #   tests/ci.sh [--asan] [--build-dir=DIR] [--jobs=N]
 #
@@ -91,6 +97,30 @@ run_gate() {
 }
 
 run_gate "$build"
+
+echo "=== ci: Release -Werror build ==="
+release_dir="$build-release"
+cmake -B "$release_dir" -S "$root" -DFSIM_WERROR=ON \
+      -DCMAKE_BUILD_TYPE=Release > /dev/null
+cmake --build "$release_dir" -j "$jobs" > /dev/null
+echo "  every target builds warning-free in Release"
+
+echo "=== ci: TSan session-pool gate ==="
+# A session prepares its campaigns as pool tasks that write one Prepared
+# from two threads (analysis and golden run), and each pool worker restores
+# runs into a World it keeps.
+tsan_dir="$build-tsan"
+cmake -B "$tsan_dir" -S "$root" -DFSIM_WERROR=ON \
+      -DFSIM_SANITIZE=thread > /dev/null
+cmake --build "$tsan_dir" -j "$jobs" --target core_tests util_tests \
+  service_tests > /dev/null
+(cd "$tsan_dir" &&
+   tests/core_tests --gtest_brief=1 \
+     --gtest_filter='Batch.*:Prepare.*:CampaignParallel.*' &&
+   tests/util_tests --gtest_brief=1 --gtest_filter='ThreadPool.*' &&
+   tests/service_tests --gtest_brief=1 --gtest_filter='Scheduler.*')
+echo "  batch, prepare, pool, campaign-parallel and scheduler tests clean" \
+     "under ThreadSanitizer"
 
 if [ "$asan" -eq 1 ]; then
   run_gate "$build-asan" -DFSIM_SANITIZE=address

@@ -160,6 +160,109 @@ TEST(Batch, OneSessionServesManySelections) {
   }
 }
 
+/// Two ranks that count to `spin`, then divide by zero: a golden run that
+/// traps, later the longer it spins.
+apps::App trapping_app(const std::string& name, int spin) {
+  apps::App app;
+  app.name = name;
+  app.world.nranks = 2;
+  app.user_asm = R"(
+.text
+main:
+    enter 16
+    call MPI_Init
+    ldi r4, 0
+    ldi r5, )" + std::to_string(spin) + R"(
+spin:
+    addi r4, r4, 1
+    blt r4, r5, spin
+    ldi r6, 0
+    divs r7, r4, r6
+    call MPI_Finalize
+    ldi r1, 0
+    leave
+    ret
+)";
+  return app;
+}
+
+std::string setup_error(const std::vector<BatchEntry>& entries, int jobs) {
+  try {
+    BatchSession session(entries, jobs);
+  } catch (const util::SetupError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Batch, PrepareErrorIsTheLowestCampaignsAtAnyJobCount) {
+  // Both golden runs trap, the second campaign's long before the first's,
+  // so on a pool it fails first in time. The error reported is still the
+  // first campaign's, with the text the serial walk gives.
+  std::vector<BatchEntry> entries(2);
+  entries[0].app = trapping_app("slow_trap", 30'000);
+  entries[1].app = trapping_app("fast_trap", 10);
+  for (BatchEntry& e : entries) e.config.runs_per_region = 2;
+  const std::string serial = setup_error(entries, 1);
+  EXPECT_NE(serial.find("golden run of 'slow_trap' did not complete"),
+            std::string::npos)
+      << serial;
+  EXPECT_NE(serial.find("SIGFPE"), std::string::npos) << serial;
+  for (int jobs : {1, 4}) EXPECT_EQ(setup_error(entries, jobs), serial) << jobs;
+
+  // An entry with no runs is refused before anything is prepared: its
+  // error wins over every golden run's.
+  entries[1].config.runs_per_region = 0;
+  for (int jobs : {1, 4}) {
+    const std::string err = setup_error(entries, jobs);
+    EXPECT_NE(err.find("must be >= 1 for app 'fast_trap', got 0"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(err.find("golden run"), std::string::npos) << err;
+  }
+}
+
+TEST(Batch, ParallelPrepareMatchesSerial) {
+  // More campaigns than workers: two pool threads run four golden runs
+  // while the session's thread links and analyses. The goldens, field
+  // for field, and the digests of a batch over them equal the serial
+  // session's.
+  std::vector<BatchEntry> entries;
+  for (const char* name : {"wavetoy", "minimd", "atmo", "jacobi"}) {
+    BatchEntry e;
+    e.app = apps::make_app(name);
+    e.config.runs_per_region = 3;
+    e.config.seed = 0x5eed;
+    entries.push_back(std::move(e));
+  }
+  BatchSession serial(entries, 1);
+  BatchSession pooled(entries, 2);
+  const std::vector<Golden> a = serial.goldens();
+  const std::vector<Golden> b = pooled.goldens();
+  ASSERT_EQ(a.size(), entries.size());
+  ASSERT_EQ(b.size(), entries.size());
+  for (std::size_t c = 0; c < a.size(); ++c) {
+    SCOPED_TRACE(entries[c].app.name);
+    EXPECT_EQ(a[c].instructions, b[c].instructions);
+    EXPECT_EQ(a[c].baseline, b[c].baseline);
+    EXPECT_EQ(a[c].rx_bytes, b[c].rx_bytes);
+    EXPECT_EQ(a[c].hang_budget, b[c].hang_budget);
+    ASSERT_TRUE(a[c].ladder && b[c].ladder);
+    ASSERT_EQ(a[c].ladder->size(), b[c].ladder->size());
+    for (std::size_t k = 0; k < a[c].ladder->size(); ++k)
+      EXPECT_EQ((*a[c].ladder)[k].instructions(),
+                (*b[c].ladder)[k].instructions());
+    ASSERT_TRUE(a[c].oracle && b[c].oracle);
+    ASSERT_EQ(a[c].oracle->size(), b[c].oracle->size());
+    for (std::size_t r = 0; r < a[c].oracle->size(); ++r)
+      EXPECT_TRUE((*a[c].oracle)[r] == (*b[c].oracle)[r]) << "rank " << r;
+  }
+  const BatchResult one = run_batch(serial, BatchConfig{});
+  const BatchResult two = run_batch(pooled, BatchConfig{});
+  EXPECT_EQ(batch_digest(one), batch_digest(two));
+  EXPECT_EQ(outcome_digest(one), outcome_digest(two));
+}
+
 TEST(Shard, PartitionIsTotalAndDisjoint) {
   // Every grid point must belong to exactly one of the N shards, for any
   // shard count — the property cross-host runs depend on.

@@ -33,6 +33,10 @@ constexpr std::array<Region, 8> kAllRegions = {
     Region::kRegularReg, Region::kFpReg, Region::kBss,  Region::kData,
     Region::kStack,      Region::kText,  Region::kHeap, Region::kMessage};
 
+// The default campaign configuration, which prepare() reads its seed and
+// levels from.
+const CampaignConfig kDefaultConfig;
+
 /// One app's campaign preparation, and its golden run without the oracle
 /// and the ladder — whose runs simulate from t=0 to the end.
 struct Plan {
@@ -41,7 +45,7 @@ struct Plan {
   Golden full = golden;
 
   explicit Plan(const std::string& name)
-      : prepared(prepare(apps::make_app(name), CampaignConfig{})) {
+      : prepared(prepare(apps::make_app(name), kDefaultConfig)) {
     full.ladder = nullptr;
     full.oracle = nullptr;
   }

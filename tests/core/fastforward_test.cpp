@@ -29,6 +29,10 @@ constexpr std::array<Region, 8> kAllRegions = {
     Region::kRegularReg, Region::kFpReg, Region::kBss,  Region::kData,
     Region::kStack,      Region::kText,  Region::kHeap, Region::kMessage};
 
+// The default campaign configuration, which prepare() reads its seed and
+// levels from.
+const CampaignConfig kDefaultConfig;
+
 /// A campaign's preparation for one app (the default CampaignConfig, as
 /// BatchSession prepares it), plus its golden run without the ladder.
 struct Plan {
@@ -39,7 +43,7 @@ struct Plan {
   Golden from_zero = golden;                 // the same, without one
 
   explicit Plan(const std::string& name)
-      : prepared(prepare(apps::make_app(name), CampaignConfig{})) {
+      : prepared(prepare(apps::make_app(name), kDefaultConfig)) {
     from_zero.ladder = nullptr;
   }
   Plan(const Plan&) = delete;  // the references point into `prepared`

@@ -210,7 +210,8 @@ TEST(Prepare, RunReplaysTheBatchGridPoint) {
 }
 
 TEST(Prepare, ReadmeCallPatternCoversTheStaticRegions) {
-  const Prepared prepared = prepare(apps::make_app("wavetoy"), {});
+  const CampaignConfig config;
+  const Prepared prepared = prepare(apps::make_app("wavetoy"), config);
   for (Region region : {Region::kText, Region::kData, Region::kBss}) {
     const RunOutcome out = prepared.run(region, /*seed=*/7);
     EXPECT_TRUE(out.fault_applied) << region_name(region);
@@ -221,7 +222,8 @@ TEST(Prepare, ReadmeCallPatternCoversTheStaticRegions) {
 TEST(Prepare, AnalysisSurvivesMove) {
   // BatchSession moves each Prepared into its plan list; the analysis
   // bundle must then still read the Program it was built from.
-  Prepared prepared = prepare(apps::make_app("wavetoy"), {});
+  const CampaignConfig config;
+  Prepared prepared = prepare(apps::make_app("wavetoy"), config);
   std::vector<std::pair<svm::Addr, bool>> before[2];
   const Region regions[2] = {Region::kData, Region::kBss};
   for (int k = 0; k < 2; ++k)
@@ -244,6 +246,35 @@ TEST(Prepare, AnalysisSurvivesMove) {
       changed += moved.data_byte_dead(address) != was_dead;
     EXPECT_EQ(changed, 0) << region_name(regions[k]);
   }
+}
+
+TEST(WorldSlot, RunsThroughOneSlotEqualRunsInFreshWorlds) {
+  // A pool worker's slot serves run after run, of every region and of
+  // more than one campaign, restoring each run's start into the World the
+  // last one left behind. Every outcome must equal the run's in a World of
+  // its own, field for field.
+  CampaignConfig cfg;
+  cfg.seed = 77;
+  cfg.prune = PruneLevel::kOff;  // simulate every fault, text flips too
+  std::vector<Prepared> plans;
+  plans.push_back(prepare(small_wavetoy(), cfg));
+  plans.push_back(prepare(apps::make_app("atmo"), cfg));
+  WorldSlot slot;
+  int runs = 0;
+  for (int i = 0; i < 6; ++i)
+    for (const Prepared& p : plans)
+      for (unsigned r = 0; r < kNumRegions; ++r) {
+        const auto region = static_cast<Region>(r);
+        const std::uint64_t seed = run_seed_for(cfg.seed, region, i);
+        const RunOutcome reused = p.run(region, seed, &slot);
+        const RunOutcome fresh = p.run(region, seed);
+        EXPECT_TRUE(reused == fresh)
+            << p.app().name << " " << region_name(region) << " run " << i
+            << ": '" << reused.fault_description << "' vs '"
+            << fresh.fault_description << "'";
+        ++runs;
+      }
+  EXPECT_EQ(runs, 6 * 2 * 8);
 }
 
 TEST(Report, JsonExportIsWellFormedAndComplete) {

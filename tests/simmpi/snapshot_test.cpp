@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "apps/app.hpp"
 #include "core/injector.hpp"
+#include "svm/exec/compiled.hpp"
 #include "testutil.hpp"
 
 namespace fsim::simmpi {
@@ -235,6 +239,69 @@ TEST(Snapshot, RepeatedRestoreIsIdempotent) {
   snap.restore(w);
   ASSERT_EQ(w.run(1'000'000'000ull), JobStatus::kCompleted);
   EXPECT_EQ(w.output(), first);
+}
+
+// Every field of two worlds' state, rank by rank: what Snapshot captures,
+// compared member by member, plus the memory windows and text state it
+// only compares by what they read.
+void expect_same_state(World& a, World& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_TRUE(a.snapshot_state() == b.snapshot_state());
+  EXPECT_EQ(a.global_instructions(), b.global_instructions());
+  for (int r = 0; r < a.size(); ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    EXPECT_TRUE(a.machine(r).core_state() == b.machine(r).core_state());
+    const svm::Memory& ma = a.machine(r).memory();
+    const svm::Memory& mb = b.machine(r).memory();
+    EXPECT_EQ(ma.code_pristine(), mb.code_pristine());
+    for (unsigned s = 0; s < svm::kNumSegments; ++s) {
+      const auto seg = static_cast<svm::Segment>(s);
+      EXPECT_EQ(ma.window(seg), mb.window(seg)) << svm::segment_name(seg);
+      const auto ba = ma.segment_bytes(seg), bb = mb.segment_bytes(seg);
+      EXPECT_TRUE(std::equal(ba.begin(), ba.end(), bb.begin(), bb.end()))
+          << svm::segment_name(seg);
+    }
+    EXPECT_TRUE(a.process(r).heap().snapshot_state() ==
+                b.process(r).heap().snapshot_state());
+    EXPECT_TRUE(a.process(r).io_state() == b.process(r).io_state());
+    EXPECT_TRUE(a.process(r).channel().snapshot_state() ==
+                b.process(r).channel().snapshot_state());
+    EXPECT_TRUE(a.process(r).snapshot_state() == b.process(r).snapshot_state());
+  }
+}
+
+TEST(Snapshot, RestoreIntoUsedWorldEqualsFresh) {
+  // A campaign worker keeps one World and, for a run that starts before the
+  // first ladder rung, restores the snapshot of a new World into it. The
+  // used World must then equal a new one field for field, and run on
+  // exactly as a new one does — after a text flip too, whose private
+  // re-lowered code the restore must retire.
+  apps::App app = small_app();
+  svm::Program program = app.link();
+  WorldOptions opts = app.world;
+  opts.machine.compiled = std::make_shared<svm::exec::CompiledProgram>(program);
+  World fresh(program, opts);
+  const Snapshot start = Snapshot::capture(World(program, opts));
+
+  World used(program, opts);
+  for (int i = 0; i < 25; ++i) used.advance();
+  const svm::Addr pc = used.machine(1).regs().pc;
+  ASSERT_TRUE(used.machine(1).memory().flip_bit(pc, 3));
+  ASSERT_TRUE(used.machine(2).memory().flip_bit(
+      used.machine(2).memory().extent(svm::Segment::kHeap).base + 64, 5));
+  used.process(0).channel().arm_fault(100, 2);
+  used.run(used.global_instructions() + 200'000);
+  ASSERT_NE(used.global_instructions(), fresh.global_instructions());
+
+  start.restore(used);
+  expect_same_state(used, fresh);
+  EXPECT_EQ(start.matches(used), svm::Match::kExact);
+
+  ASSERT_EQ(fresh.run(1'000'000'000ull), JobStatus::kCompleted);
+  ASSERT_EQ(used.run(1'000'000'000ull), JobStatus::kCompleted);
+  EXPECT_EQ(used.output(), fresh.output());
+  EXPECT_EQ(used.console(), fresh.console());
+  expect_same_state(used, fresh);
 }
 
 TEST(Snapshot, WorksMidFlatAllreduce) {

@@ -21,6 +21,14 @@ std::array<std::uint32_t, kNumSegments> sizes(std::uint32_t text,
 
 Memory make() { return Memory(sizes(0x1000, 0x100, 0x200), {}); }
 
+// A memory's contents with the storage they are copied into.
+struct Saved {
+  explicit Saved(const Memory& m)
+      : storage(m.contents_size()), contents(m.snapshot_contents(storage)) {}
+  std::vector<std::byte> storage;
+  Memory::Contents contents;
+};
+
 TEST(Memory, LayoutMatchesLinuxModel) {
   Memory m = make();
   EXPECT_EQ(m.extent(Segment::kText).base, kTextBase);
@@ -210,11 +218,11 @@ TEST(Memory, RestoreRewindsWindows) {
   Memory m = make();
   const Addr heap = m.extent(Segment::kHeap).base;
   ASSERT_EQ(m.store32(heap + 8, 11), Trap::kNone);
-  const Memory::Contents saved = m.snapshot_contents();
+  const Saved saved(m);
   ASSERT_EQ(m.store32(heap + 0x1000, 22), Trap::kNone);
   ASSERT_EQ(m.store32(kStackTop - 4, 33), Trap::kNone);
   const std::uint64_t version = m.window_version();
-  m.restore_contents(saved);
+  m.restore_contents(saved.contents);
   EXPECT_GT(m.window_version(), version);
   EXPECT_EQ(m.window(Segment::kHeap), (Memory::Window{0, 12}));
   EXPECT_TRUE(m.segment_bytes(Segment::kStack).empty());
@@ -233,30 +241,32 @@ TEST(Memory, SealedTextIsNotCopiedAndRestoresOnlyWhenChanged) {
   const std::vector<std::byte> text(m.extent(Segment::kText).size);
   m.seal_code(text, {});
   ASSERT_TRUE(m.code_pristine());
-  const Memory::Contents pristine = m.snapshot_contents();
-  EXPECT_TRUE(pristine.code_pristine);
-  EXPECT_TRUE(pristine.bytes[static_cast<unsigned>(Segment::kText)].empty());
+  const Saved pristine(m);
+  EXPECT_TRUE(pristine.contents.code_pristine);
+  EXPECT_TRUE(
+      pristine.contents.bytes[static_cast<unsigned>(Segment::kText)].empty());
   // Restoring pristine text over pristine text touches nothing.
   const std::uint64_t code = m.code_version();
-  m.restore_contents(pristine);
+  m.restore_contents(pristine.contents);
   EXPECT_EQ(m.code_version(), code);
   // A text poke makes snapshots copy text; restoring the pristine snapshot
   // rewrites it from the sealed image and re-seals.
   ASSERT_TRUE(m.poke32(kTextBase, 0x12345678));
   EXPECT_FALSE(m.code_pristine());
-  const Memory::Contents dirty = m.snapshot_contents();
-  EXPECT_EQ(dirty.bytes[static_cast<unsigned>(Segment::kText)].size(),
-            text.size());
-  m.restore_contents(pristine);
+  const Saved dirty(m);
+  EXPECT_EQ(
+      dirty.contents.bytes[static_cast<unsigned>(Segment::kText)].size(),
+      text.size());
+  m.restore_contents(pristine.contents);
   EXPECT_GT(m.code_version(), code + 1);
   EXPECT_TRUE(m.code_pristine());
   std::uint32_t v = 1;
   EXPECT_TRUE(m.peek32(kTextBase, v));
   EXPECT_EQ(v, 0u);
   // Equal text is left alone even when the snapshot carries a copy.
-  m.restore_contents(dirty);
+  m.restore_contents(dirty.contents);
   const std::uint64_t after = m.code_version();
-  m.restore_contents(dirty);
+  m.restore_contents(dirty.contents);
   EXPECT_EQ(m.code_version(), after);
 }
 
@@ -265,7 +275,7 @@ TEST(Memory, FastMemFollowsWindows) {
   exec::FastMem fm;
   fm.refresh(m);
   const Addr heap = m.extent(Segment::kHeap).base;
-  const Memory::Contents empty = m.snapshot_contents();
+  const Saved empty(m);
   // Misses fall back to Memory: unbacked capacity reads 0, a store grows
   // the window and the cache picks it up at once.
   std::uint32_t v = 1;
@@ -283,7 +293,7 @@ TEST(Memory, FastMemFollowsWindows) {
   // does not, and after a refresh the stale bytes behind it read 0.
   ASSERT_TRUE(m.poke32(kTextBase, 7));
   EXPECT_TRUE(fm.valid(m));
-  m.restore_contents(empty);
+  m.restore_contents(empty.contents);
   EXPECT_FALSE(fm.valid(m));
   fm.refresh(m);
   EXPECT_EQ(fm.load32(heap + 64, v), Trap::kNone);
