@@ -50,7 +50,8 @@ int main(int argc, char** argv) {
   core::CampaignConfig cfg = bench::campaign_config(args);
   cfg.regions = {core::Region::kData, core::Region::kBss, core::Region::kHeap,
                  core::Region::kStack};
-  const core::CampaignResult res = core::run_campaign(app, cfg);
+  const core::CampaignResult res =
+      core::run_campaign(app, cfg, bench::exec_policy(args));
 
   double weighted = 0;
   int n = 0;

@@ -82,9 +82,15 @@ inline core::CampaignConfig campaign_config(const BenchArgs& a) {
   core::CampaignConfig cfg;
   cfg.runs_per_region = a.runs;
   cfg.seed = a.seed;
-  cfg.jobs = a.jobs;
-  if (!a.quiet) cfg.observer = progress_ticker();
   return cfg;
+}
+
+/// --jobs, with the progress ticker unless --quiet.
+inline core::ExecPolicy exec_policy(const BenchArgs& a) {
+  core::ExecPolicy exec;
+  exec.jobs = a.jobs;
+  if (!a.quiet) exec.observer = progress_ticker();
+  return exec;
 }
 
 /// Execute `n` independent injected runs and return the outcomes in index
@@ -99,12 +105,6 @@ inline std::vector<core::RunOutcome> parallel_outcomes(
   // One World per worker, restored into by each of its runs.
   std::vector<core::WorldSlot> worlds(static_cast<std::size_t>(jobs));
   std::vector<core::RunOutcome> outs(static_cast<std::size_t>(n));
-  if (jobs <= 1) {
-    for (int i = 0; i < n; ++i)
-      outs[static_cast<std::size_t>(i)] = core::run_injected(
-          app, program, golden, region, dict, seed_of(i), {}, &worlds[0]);
-    return outs;
-  }
   util::ThreadPool pool(static_cast<std::size_t>(jobs));
   for (int i = 0; i < n; ++i)
     pool.submit([&, i] {

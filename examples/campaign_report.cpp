@@ -27,7 +27,8 @@ int main(int argc, char** argv) try {
 
   core::CampaignConfig cfg;
   cfg.runs_per_region = runs;
-  cfg.jobs = jobs;
+  core::ExecPolicy exec;
+  exec.jobs = jobs;
   cfg.regions.clear();
   std::istringstream rs(regions);
   std::string tok;
@@ -40,14 +41,14 @@ int main(int argc, char** argv) try {
                    executed);
     }
   } ticker;
-  cfg.observer = &ticker;
+  exec.observer = &ticker;
 
   std::printf("campaign: %s, %d runs/region (estimation error d = %.1f%% at "
               "95%% confidence)\n\n",
               app.name.c_str(), runs,
               100.0 * core::estimation_error(0.05, static_cast<std::uint64_t>(runs)));
 
-  const core::CampaignResult result = core::run_campaign(app, cfg);
+  const core::CampaignResult result = core::run_campaign(app, cfg, exec);
   std::printf("%s", core::format_campaign(result).c_str());
   return 0;
 } catch (const fsim::util::SetupError& e) {

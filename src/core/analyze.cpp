@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 
 #include "core/dictionary.hpp"
@@ -49,7 +50,8 @@ double ci95_pts(int successes, int n) {
 
 }  // namespace
 
-AnalyzeResult analyze_app(const apps::App& app, const CampaignConfig& config) {
+AnalyzeResult analyze_app(const apps::App& app, const CampaignConfig& config,
+                          const ExecPolicy& exec) {
   AnalyzeResult out;
   out.app = app.name;
   out.seed = config.seed;
@@ -58,9 +60,17 @@ AnalyzeResult analyze_app(const apps::App& app, const CampaignConfig& config) {
   // The campaign's own preparation: the same seed-derived dictionaries a
   // campaign with this seed draws its static-region targets from, tagged by
   // the same dead predicates, so the predicted fractions and the measured
-  // counts share one fault space.
+  // counts share one fault space. With a reference campaign, its session
+  // holds that preparation, so the campaign is prepared once.
   require_distinct_regions(app.name, config.regions);
-  const Prepared prepared = prepare(app, config);
+  const std::vector<BatchEntry> entries{BatchEntry{app, config, {}}};
+  std::optional<BatchSession> session;
+  std::optional<Prepared> alone;
+  if (config.runs_per_region > 0)
+    session.emplace(entries, exec.jobs);
+  else
+    alone.emplace(prepare(app, config));
+  const Prepared& prepared = session ? session->prepared(0) : *alone;
   const svm::analysis::ProgramAnalysis& analysis = prepared.analysis();
   const FaultDictionary& text = *prepared.dictionary(Region::kText);
   const FaultDictionary& data = *prepared.dictionary(Region::kData);
@@ -117,8 +127,11 @@ AnalyzeResult analyze_app(const apps::App& app, const CampaignConfig& config) {
     out.regions.push_back(ra);
   }
 
-  if (config.runs_per_region > 0) {
-    const CampaignResult measured = run_campaign(app, config);
+  if (session) {
+    BatchConfig bc;
+    bc.exec() = exec;
+    const BatchResult batch = run_batch(*session, bc);
+    const CampaignResult& measured = batch.campaigns.front();
     for (RegionAnalysis& ra : out.regions) {
       const RegionResult* rr = measured.find(ra.region);
       if (rr == nullptr) continue;

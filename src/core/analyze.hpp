@@ -82,9 +82,11 @@ struct AnalyzeResult {
 
 /// Read the static pre-analysis of `app` from its campaign preparation
 /// under `config` and, when config.runs_per_region > 0 (0 = static only),
-/// run that campaign as the reference (`fsim analyze` keeps the default
-/// prune level, full).
-AnalyzeResult analyze_app(const apps::App& app, const CampaignConfig& config);
+/// run that campaign under `exec` as the reference (`fsim analyze` keeps
+/// the default prune level, full). The campaign is prepared once either
+/// way.
+AnalyzeResult analyze_app(const apps::App& app, const CampaignConfig& config,
+                          const ExecPolicy& exec = {});
 
 /// Human-readable report: inventory block plus the per-region table.
 std::string format_analyze(const AnalyzeResult& result);

@@ -194,18 +194,42 @@ struct BatchSession::Impl {
   std::vector<CampaignSpec> specs;
   std::vector<std::size_t> slot_base;     // ncamp + 1 cumulative regions
   std::vector<std::uint64_t> grid_base;   // ncamp + 1 cumulative grid sizes
-  std::unique_ptr<util::ThreadPool> pool; // created only for jobs > 1
-  /// Each worker's World (one without a pool), restored into by every run
-  /// it executes and rebuilt when the worker moves to another campaign.
+  util::ThreadPool pool;
+  /// Each worker's World, restored into by every run it executes and
+  /// rebuilt when the worker moves to another campaign.
   std::vector<WorldSlot> worlds;
   std::mutex observer_mu;
 
-  explicit Impl(const std::vector<BatchEntry>& e) : entries(e) {}
+  Impl(const std::vector<BatchEntry>& e, int jobs)
+      : entries(e),
+        pool(static_cast<std::size_t>(jobs)),
+        worlds(static_cast<std::size_t>(jobs)) {}
 };
 
-void BatchSession::prepare_on_pool(util::ThreadPool& pool,
-                                   const std::vector<BatchEntry>& entries,
-                                   std::vector<Prepared>& plans) {
+BatchSession::BatchSession(const std::vector<BatchEntry>& entries, int jobs) {
+  if (jobs < 1)
+    throw util::SetupError("worker count (--jobs) must be >= 1, got " +
+                           std::to_string(jobs));
+  impl_ = std::make_unique<Impl>(entries, jobs);
+  Impl& im = *impl_;
+  for (const BatchEntry& e : entries) {
+    require_positive_runs(e.app.name, e.config.runs_per_region);
+    require_distinct_regions(e.app.name, e.config.regions);
+    im.specs.push_back(spec_of(e.app.name, e.config));
+    im.specs.back().params = e.params;
+  }
+  require_distinct_campaigns(im.specs);
+  const std::size_t ncamp = entries.size();
+  im.slot_base.assign(ncamp + 1, 0);
+  im.grid_base.assign(ncamp + 1, 0);
+  for (std::size_t c = 0; c < ncamp; ++c) {
+    const CampaignConfig& cc = entries[c].config;
+    im.slot_base[c + 1] = im.slot_base[c] + cc.regions.size();
+    im.grid_base[c + 1] =
+        im.grid_base[c] + static_cast<std::uint64_t>(cc.regions.size()) *
+                              static_cast<std::uint64_t>(cc.runs_per_region);
+  }
+
   // The golden runs, the longest stage, are pool tasks. This thread links
   // each campaign, hands its golden run to the pool, then runs the
   // analyses beside them. So links and analyses allocate from this
@@ -216,7 +240,7 @@ void BatchSession::prepare_on_pool(util::ThreadPool& pool,
   // earliest stage — is rethrown, so the error never depends on which
   // task failed first in time.
   enum Stage : std::size_t { kLink, kAnalyse, kGolden, kStages };
-  const std::size_t ncamp = entries.size();
+  std::vector<Prepared>& plans = im.plans;
   for (std::size_t c = 0; c < ncamp; ++c) plans.push_back(Prepared());
   std::vector<std::array<std::exception_ptr, kStages>> failed(ncamp);
   auto run = [&](std::size_t c, Stage stage) {
@@ -234,50 +258,14 @@ void BatchSession::prepare_on_pool(util::ThreadPool& pool,
   };
   for (std::size_t c = 0; c < ncamp; ++c) {
     run(c, kLink);
-    if (!failed[c][kLink]) pool.submit([&run, c] { run(c, kGolden); });
+    if (!failed[c][kLink]) im.pool.submit([&run, c] { run(c, kGolden); });
   }
   for (std::size_t c = 0; c < ncamp; ++c)
     if (!failed[c][kLink]) run(c, kAnalyse);
-  pool.wait();
+  im.pool.wait();
   for (const auto& stages : failed)
     for (const std::exception_ptr& e : stages)
       if (e) std::rethrow_exception(e);
-}
-
-BatchSession::BatchSession(const std::vector<BatchEntry>& entries, int jobs)
-    : impl_(std::make_unique<Impl>(entries)) {
-  if (jobs < 1)
-    throw util::SetupError("worker count (--jobs) must be >= 1, got " +
-                           std::to_string(jobs));
-  for (const BatchEntry& e : entries) {
-    require_positive_runs(e.app.name, e.config.runs_per_region);
-    require_distinct_regions(e.app.name, e.config.regions);
-    impl_->specs.push_back(spec_of(e.app.name, e.config));
-    impl_->specs.back().params = e.params;
-  }
-  require_distinct_campaigns(impl_->specs);
-  const std::size_t ncamp = entries.size();
-  impl_->slot_base.assign(ncamp + 1, 0);
-  impl_->grid_base.assign(ncamp + 1, 0);
-  for (std::size_t c = 0; c < ncamp; ++c) {
-    const CampaignConfig& cc = entries[c].config;
-    impl_->slot_base[c + 1] = impl_->slot_base[c] + cc.regions.size();
-    impl_->grid_base[c + 1] =
-        impl_->grid_base[c] +
-        static_cast<std::uint64_t>(cc.regions.size()) *
-            static_cast<std::uint64_t>(cc.runs_per_region);
-  }
-  if (jobs > 1)
-    impl_->pool =
-        std::make_unique<util::ThreadPool>(static_cast<std::size_t>(jobs));
-
-  if (!impl_->pool) {
-    for (std::size_t c = 0; c < ncamp; ++c)
-      impl_->plans.push_back(prepare(entries[c].app, entries[c].config));
-  } else {
-    prepare_on_pool(*impl_->pool, entries, impl_->plans);
-  }
-  impl_->worlds.resize(static_cast<std::size_t>(jobs));
 }
 
 BatchSession::~BatchSession() = default;
@@ -311,6 +299,10 @@ std::vector<Golden> BatchSession::goldens() const {
   return out;
 }
 
+const Prepared& BatchSession::prepared(std::size_t campaign) const {
+  return impl_->plans[campaign];
+}
+
 void BatchSession::run_points(const std::vector<Point>& points,
                               std::vector<RegionResult>& totals,
                               std::vector<int>& done,
@@ -335,34 +327,19 @@ void BatchSession::run_points(const std::vector<Point>& points,
     notify(ev);
   };
 
-  if (!im.pool) {
-    // Serial walk in the order given — callers passing enumeration order
-    // get the exact legacy execution order.
-    for (const Point& pt : points) {
-      const BatchEntry& e = im.entries[pt.campaign];
-      const Region region = e.config.regions[pt.region_index];
-      const std::size_t slot = im.slot_base[pt.campaign] + pt.region_index;
-      const RunOutcome out = im.plans[pt.campaign].run(
-          region, run_seed_for(e.config.seed, region, pt.run_index),
-          &im.worlds[0]);
-      accumulate_outcome(totals[slot], out);
-      const int d = ++done[slot];
-      if (observing) notify_locked(pt, e.app.name, region, slot, out, d);
-    }
-    return;
-  }
-
-  // Pooled: every campaign's grid points interleave across the same
-  // workers. Workers accumulate lock-free into their own partials;
-  // partials merge worker 0..W-1 per slot afterwards, so the aggregates
-  // are bit-identical to the serial walk.
-  util::ThreadPool& pool = *im.pool;
+  // Every campaign's grid points interleave across the pool's workers.
+  // Workers accumulate lock-free into their own partials; partials merge
+  // worker 0..W-1 per slot afterwards, so the aggregates do not depend on
+  // the job count. Once a task has thrown, the tasks not yet started are
+  // skipped, so a failing run or observer stops the walk at any job count.
+  util::ThreadPool& pool = im.pool;
   const std::size_t nslots = slots();
   std::vector<std::vector<RegionResult>> partials(
       pool.workers(), std::vector<RegionResult>(nslots));
   std::vector<std::atomic<int>> adone(nslots);
   for (std::size_t s = 0; s < nslots; ++s)
     adone[s].store(done[s], std::memory_order_relaxed);
+  std::atomic<bool> failed{false};
 
   for (const Point& pt : points) {
     const BatchEntry* e = &im.entries[pt.campaign];
@@ -372,13 +349,20 @@ void BatchSession::run_points(const std::vector<Point>& points,
     const std::uint64_t run_seed =
         run_seed_for(e->config.seed, region, pt.run_index);
     pool.submit([&, e, plan, pt, slot, region, run_seed] {
-      const int w = util::ThreadPool::current_worker();
-      const RunOutcome out =
-          plan->run(region, run_seed, &im.worlds[static_cast<std::size_t>(w)]);
-      accumulate_outcome(partials[static_cast<std::size_t>(w)][slot], out);
-      if (observing)
-        notify_locked(pt, e->app.name, region, slot, out,
-                      1 + adone[slot].fetch_add(1, std::memory_order_relaxed));
+      if (failed.load(std::memory_order_acquire)) return;
+      try {
+        const int w = util::ThreadPool::current_worker();
+        const RunOutcome out = plan->run(
+            region, run_seed, &im.worlds[static_cast<std::size_t>(w)]);
+        accumulate_outcome(partials[static_cast<std::size_t>(w)][slot], out);
+        if (observing)
+          notify_locked(
+              pt, e->app.name, region, slot, out,
+              1 + adone[slot].fetch_add(1, std::memory_order_relaxed));
+      } catch (...) {
+        failed.store(true, std::memory_order_release);
+        throw;
+      }
     });
   }
   pool.wait();
@@ -531,10 +515,10 @@ BatchResult run_batch(const std::vector<BatchEntry>& entries,
   return run_batch(session, config);
 }
 
-CampaignResult run_campaign(const apps::App& app,
-                            const CampaignConfig& config) {
+CampaignResult run_campaign(const apps::App& app, const CampaignConfig& config,
+                            const ExecPolicy& exec) {
   BatchConfig bc;
-  bc.exec() = config.exec();
+  bc.exec() = exec;
   std::vector<BatchEntry> entries;
   entries.push_back(BatchEntry{app, config, apps::AppParams{}});
   BatchResult batch = run_batch(entries, bc);

@@ -14,10 +14,6 @@
 #include "core/outcome.hpp"
 #include "core/run.hpp"
 
-namespace fsim::util {
-class ThreadPool;
-}
-
 namespace fsim::core {
 
 struct Checkpoint;  // core/checkpoint.hpp
@@ -62,11 +58,10 @@ class CampaignObserver {
   }
 };
 
-/// How the campaign executes (jobs/shard/observer/checkpoint/selection) is
-/// the inherited ExecPolicy; the fields here define *what* runs and are
-/// part of the campaign's spec identity (except `engine`). run_campaign
-/// honours the whole policy — it is a single-entry run_batch.
-struct CampaignConfig : ExecPolicy {
+/// What one campaign runs. Every field but `engine` is part of the
+/// campaign's spec identity. How it executes (jobs/shard/observer/
+/// checkpoint/selection) is an ExecPolicy the drivers take beside it.
+struct CampaignConfig {
   int runs_per_region = 400;  // paper: 400-500 injections per region (§4.3)
   std::uint64_t seed = 0xfau;
   std::vector<Region> regions = {
@@ -211,8 +206,10 @@ struct CampaignResult {
   }
 };
 
-/// Run a full campaign for one application.
-CampaignResult run_campaign(const apps::App& app, const CampaignConfig& config);
+/// Run a full campaign for one application under `exec` — a single-entry
+/// run_batch.
+CampaignResult run_campaign(const apps::App& app, const CampaignConfig& config,
+                            const ExecPolicy& exec = {});
 
 /// Fold one run outcome into a region aggregate — the single-run update
 /// the batch executor and the checkpoint sink both apply, so their counts
@@ -298,9 +295,8 @@ struct AdaptivePolicy {
 /// parsing share.
 void require_valid_policy(const AdaptivePolicy& policy);
 
-/// One campaign in a batch. The entry's config supplies runs/seed/regions/
-/// dictionary_entries/prune/engine; its inherited ExecPolicy is ignored —
-/// the batch-level policy drives execution.
+/// One campaign in a batch: the app and what its campaign runs. The
+/// batch-level ExecPolicy drives execution.
 struct BatchEntry {
   apps::App app;
   CampaignConfig config;
@@ -351,14 +347,14 @@ class BatchSession {
   using Notify = std::function<void(const RunEvent&)>;
 
   /// Prepares every campaign. `entries` is borrowed and must outlive the
-  /// session. jobs > 1 creates the shared worker pool first and runs every
-  /// campaign's golden run on it as a task, while this thread links the
-  /// campaigns and then analyses them; the constructor returns once all
-  /// have finished. Throws SetupError when jobs < 1 or an entry has fewer than
-  /// one run per region, before anything is prepared. When preparing
-  /// fails, it rethrows the error prepare() meets first in entry order
-  /// (the lowest-index failing campaign's earliest stage), the same one
-  /// at any job count.
+  /// session. It creates the session's pool of `jobs` workers first and
+  /// runs every campaign's golden run on it as a task, while this thread
+  /// links the campaigns and then analyses them; the constructor returns
+  /// once all have finished. Throws SetupError when jobs < 1 or an entry
+  /// has fewer than one run per region, before anything is prepared. When
+  /// preparing fails, it rethrows the error prepare() meets first in entry
+  /// order (the lowest-index failing campaign's earliest stage), the same
+  /// one at any job count.
   BatchSession(const std::vector<BatchEntry>& entries, int jobs);
   ~BatchSession();
 
@@ -377,14 +373,18 @@ class BatchSession {
   const std::vector<CampaignSpec>& specs() const noexcept;
   /// Per-campaign golden runs, in entry order.
   std::vector<Golden> goldens() const;
+  /// Campaign `campaign`'s preparation, as prepare() would build it.
+  const Prepared& prepared(std::size_t campaign) const;
 
   /// Execute the given grid points. Outcomes fold into `totals[slot]`;
   /// `done[slot]` increments per completed point and `owned[slot]` is the
   /// progress denominator reported in RunEvents. `notify` receives every
-  /// RunEvent under one session-wide mutex, at any job count. jobs <= 1
-  /// executes the points serially in the order given; jobs > 1 fans them
-  /// out over the session pool and merges per-worker partials in fixed
-  /// order — `totals` is bit-identical either way.
+  /// RunEvent under one session-wide mutex, at any job count. The points
+  /// fan out over the session pool in the order given (one worker takes
+  /// them exactly in that order), and per-worker partials merge in fixed
+  /// order, so `totals` is bit-identical at any job count. Once a run or
+  /// `notify` throws, no point that has not started runs, and the first
+  /// error is rethrown.
   void run_points(const std::vector<Point>& points,
                   std::vector<RegionResult>& totals, std::vector<int>& done,
                   const std::vector<int>& owned, const Notify& notify);
@@ -395,10 +395,6 @@ class BatchSession {
       const std::vector<RegionResult>& totals) const;
 
  private:
-  static void prepare_on_pool(util::ThreadPool& pool,
-                              const std::vector<BatchEntry>& entries,
-                              std::vector<Prepared>& plans);
-
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };

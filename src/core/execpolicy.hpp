@@ -2,8 +2,9 @@
 //
 // run_campaign, run_batch, run_adaptive and the service worker share one
 // ExecPolicy: the jobs/shard/observer/checkpoint/resume/selection knobs.
-// CampaignConfig, BatchConfig and AdaptiveConfig derive from it, and code
-// that forwards a policy passes it as a unit (`config.exec()`).
+// BatchConfig and AdaptiveConfig derive from it, run_campaign and
+// analyze_app take one beside their CampaignConfig, and code that forwards
+// a policy passes it as a unit (`config.exec()`).
 #pragma once
 
 #include <cstdint>
@@ -77,10 +78,11 @@ std::optional<CheckpointEncoding> parse_checkpoint_encoding(
 /// same specs but different ExecPolicies produce bit-identical aggregates
 /// over the grid points they cover.
 struct ExecPolicy {
-  /// Worker threads for the injected runs (1 = serial grid walk in exact
-  /// enumeration order). Aggregates are bit-identical at any job count:
-  /// every run's seed depends only on (campaign seed, region, index), and
-  /// per-worker partial counts are merged in a fixed order.
+  /// Worker threads of the session pool that runs every golden run and
+  /// every injected run (1 = one pool thread, which takes the grid points
+  /// in exact enumeration order). Aggregates are bit-identical at any job
+  /// count: every run's seed depends only on (campaign seed, region,
+  /// index), and per-worker partial counts are merged in a fixed order.
   int jobs = 1;
   /// Grid shard this invocation executes (default: the whole grid).
   ShardSpec shard;

@@ -270,8 +270,8 @@ RunOutcome run_injected(const apps::App& app, const svm::Program& program,
              << outcome.injected_at;
         // Pre-injection pruning (see PruneLevel): resuming a statically
         // dead fault would replay the golden run, so classify it Correct
-        // now, for the regions the configured level covers.
-        if (prune_allows(ctx.prune, region) &&
+        // now. Message faults never get here: they are armed above.
+        if (ctx.prune == PruneLevel::kFull &&
             fault->activation == Activation::kDead) {
           outcome.pruned = true;
           outcome.prune_rung = fault->rung;

@@ -91,21 +91,6 @@ const char* prune_level_name(PruneLevel level) noexcept;
 /// anything else.
 std::optional<PruneLevel> parse_prune_level(std::string_view text) noexcept;
 
-/// Does `level` allow pruning a statically-dead fault in `region`?
-/// (Message faults carry no static proof at any level.)
-constexpr bool prune_allows(PruneLevel level, Region region) noexcept {
-  switch (level) {
-    case PruneLevel::kOff:
-      return false;
-    case PruneLevel::kFull:
-      return region == Region::kRegularReg || region == Region::kFpReg ||
-             region == Region::kText || region == Region::kData ||
-             region == Region::kBss || region == Region::kHeap ||
-             region == Region::kStack;
-  }
-  return false;
-}
-
 /// Static-analysis context for an injected run.
 struct RunContext {
   /// Built once per campaign from the linked image; tags faults with their

@@ -100,13 +100,17 @@ std::optional<Assignment> Scheduler::next_assignment(int worker) {
 
   // Auto chunk: ~2 chunks per worker of the current remainder, so late
   // joiners and replacements always find work soon, but never below 8
-  // points (assignment overhead dominates tiny chunks).
+  // points (assignment overhead dominates tiny chunks) and never above an
+  // eighth of the job, so a worker that joins first cannot take half of it.
   std::uint64_t chunk = chunk_;
   if (chunk == 0) {
     const std::uint64_t remaining = job->pending.total();
     const std::uint64_t workers =
         std::max<std::uint64_t>(1, outstanding_.size());
-    chunk = std::max<std::uint64_t>(8, remaining / (2 * workers));
+    const std::uint64_t total =
+        static_cast<std::uint64_t>(job->master.owned_runs());
+    chunk = std::clamp<std::uint64_t>(remaining / (2 * workers), 8,
+                                      std::max<std::uint64_t>(8, total / 8));
   }
 
   Assignment a;

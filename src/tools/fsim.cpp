@@ -270,22 +270,23 @@ int cmd_campaign(const util::Cli& cli) {
   core::CampaignConfig cfg;
   cfg.runs_per_region = cli.count("runs", 200);
   cfg.seed = cli.u64("seed", 0xfa);
-  cfg.jobs = jobs_option(cli);
+  core::ExecPolicy exec;
+  exec.jobs = jobs_option(cli);
   if (cli.has("regions")) cfg.regions = parse_region_list(cli.str("regions", ""));
   parse_prune(cli, cfg.prune);
   parse_engine(cli, cfg.engine);
   Progress progress(false);
-  if (!cli.flag("quiet")) cfg.observer = &progress;
+  if (!cli.flag("quiet")) exec.observer = &progress;
   const bool json = cli.flag("json"), csv = cli.flag("csv");
   const bool activation = cli.flag("activation");
   cli.reject_unused();
   std::printf("campaign: %s, %d runs/region, seed %llu, %d jobs "
               "(d = %.1f%% at 95%%)\n\n",
               app.name.c_str(), cfg.runs_per_region,
-              static_cast<unsigned long long>(cfg.seed), cfg.jobs,
+              static_cast<unsigned long long>(cfg.seed), exec.jobs,
               100.0 * core::estimation_error(
                           0.05, static_cast<std::uint64_t>(cfg.runs_per_region)));
-  const core::CampaignResult res = core::run_campaign(app, cfg);
+  const core::CampaignResult res = core::run_campaign(app, cfg, exec);
   if (json) {
     std::printf("%s\n", core::campaign_json(res).c_str());
   } else if (csv) {
@@ -624,7 +625,8 @@ int cmd_analyze(const util::Cli& cli) {
   core::CampaignConfig cfg;
   cfg.runs_per_region = cli.count("runs", 200, 0);
   cfg.seed = cli.u64("seed", 0xfa);
-  cfg.jobs = jobs_option(cli);
+  core::ExecPolicy exec;
+  exec.jobs = jobs_option(cli);
   if (cli.has("regions")) cfg.regions = parse_region_list(cli.str("regions", ""));
   const bool quiet = cli.flag("quiet");
   const bool json = cli.flag("json"), csv = cli.flag("csv");
@@ -632,7 +634,7 @@ int cmd_analyze(const util::Cli& cli) {
   if (!quiet && cfg.runs_per_region > 0)
     std::fprintf(stderr, "analyze: %s, %d-run reference campaign...\n",
                  app.name.c_str(), cfg.runs_per_region);
-  const core::AnalyzeResult res = core::analyze_app(app, cfg);
+  const core::AnalyzeResult res = core::analyze_app(app, cfg, exec);
   if (json)
     std::printf("%s\n", core::analyze_json(res).c_str());
   else if (csv)

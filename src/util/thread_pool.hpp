@@ -4,8 +4,8 @@
 // are fanned out across workers while the submitting thread blocks when the
 // queue is full (bounded memory, natural backpressure). The first exception
 // thrown by a task is captured and rethrown from wait(), so campaign-level
-// errors (e.g. a SetupError from a broken app) surface exactly like they do
-// on the serial path.
+// errors (e.g. a SetupError from a broken app) surface on the submitting
+// thread. A campaign runs on a pool at every job count, one worker included.
 #pragma once
 
 #include <condition_variable>

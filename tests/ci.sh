@@ -27,8 +27,9 @@
 # what GCC reports only at -O2; it compiles and runs nothing. A focused
 # ThreadSanitizer pass runs the tests that drive the session pool: the
 # batch tests (golden runs as pool tasks beside the analyses, each
-# worker's reused World), Prepare, ThreadPool,
-# CampaignParallel and the service Scheduler. Throughput is perfbench's
+# worker's reused World, a throwing observer stopping the walk), the
+# checkpoint crash test (a jobs=1 walk stopped on its fifth run), Prepare,
+# ThreadPool, CampaignParallel and the service Scheduler. Throughput is perfbench's
 # job (perfbench/run.py), not CI's.
 #
 #   tests/ci.sh [--asan] [--build-dir=DIR] [--jobs=N]
@@ -108,7 +109,8 @@ echo "  every target builds warning-free in Release"
 echo "=== ci: TSan session-pool gate ==="
 # A session prepares its campaigns as pool tasks that write one Prepared
 # from two threads (analysis and golden run), and each pool worker restores
-# runs into a World it keeps.
+# runs into a World it keeps. A run or observer that throws stops the
+# walk: the tasks not yet started see a flag another worker set.
 tsan_dir="$build-tsan"
 cmake -B "$tsan_dir" -S "$root" -DFSIM_WERROR=ON \
       -DFSIM_SANITIZE=thread > /dev/null
@@ -116,11 +118,11 @@ cmake --build "$tsan_dir" -j "$jobs" --target core_tests util_tests \
   service_tests > /dev/null
 (cd "$tsan_dir" &&
    tests/core_tests --gtest_brief=1 \
-     --gtest_filter='Batch.*:Prepare.*:CampaignParallel.*' &&
+     --gtest_filter='Batch.*:Prepare.*:CampaignParallel.*:Checkpoint.ShardOutputEqualsItsSidecar' &&
    tests/util_tests --gtest_brief=1 --gtest_filter='ThreadPool.*' &&
    tests/service_tests --gtest_brief=1 --gtest_filter='Scheduler.*')
-echo "  batch, prepare, pool, campaign-parallel and scheduler tests clean" \
-     "under ThreadSanitizer"
+echo "  batch, checkpoint-crash, prepare, pool, campaign-parallel and" \
+     "scheduler tests clean under ThreadSanitizer"
 
 if [ "$asan" -eq 1 ]; then
   run_gate "$build-asan" -DFSIM_SANITIZE=address

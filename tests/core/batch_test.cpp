@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "apps/app.hpp"
@@ -225,8 +226,8 @@ TEST(Batch, PrepareErrorIsTheLowestCampaignsAtAnyJobCount) {
 TEST(Batch, ParallelPrepareMatchesSerial) {
   // More campaigns than workers: two pool threads run four golden runs
   // while the session's thread links and analyses. The goldens, field
-  // for field, and the digests of a batch over them equal the serial
-  // session's.
+  // for field, and the digests of a batch over them equal a one-worker
+  // session's, whose goldens equal the serial prepare()'s.
   std::vector<BatchEntry> entries;
   for (const char* name : {"wavetoy", "minimd", "atmo", "jacobi"}) {
     BatchEntry e;
@@ -261,6 +262,55 @@ TEST(Batch, ParallelPrepareMatchesSerial) {
   const BatchResult two = run_batch(pooled, BatchConfig{});
   EXPECT_EQ(batch_digest(one), batch_digest(two));
   EXPECT_EQ(outcome_digest(one), outcome_digest(two));
+
+  for (std::size_t c = 0; c < a.size(); ++c) {
+    SCOPED_TRACE(entries[c].app.name);
+    const Prepared p = prepare(entries[c].app, entries[c].config);
+    const Golden& ref = p.golden();
+    EXPECT_EQ(ref.instructions, a[c].instructions);
+    EXPECT_EQ(ref.baseline, a[c].baseline);
+    EXPECT_EQ(ref.rx_bytes, a[c].rx_bytes);
+    EXPECT_EQ(ref.hang_budget, a[c].hang_budget);
+    ASSERT_TRUE(ref.ladder && ref.oracle);
+    ASSERT_EQ(ref.ladder->size(), a[c].ladder->size());
+    for (std::size_t k = 0; k < ref.ladder->size(); ++k)
+      EXPECT_EQ((*ref.ladder)[k].instructions(),
+                (*a[c].ladder)[k].instructions());
+    ASSERT_EQ(ref.oracle->size(), a[c].oracle->size());
+    for (std::size_t r = 0; r < ref.oracle->size(); ++r)
+      EXPECT_TRUE((*ref.oracle)[r] == (*a[c].oracle)[r]) << "rank " << r;
+  }
+}
+
+TEST(Batch, ThrowingObserverStopsTheWalk) {
+  // An observer that throws on its k-th event stops the walk at any job
+  // count: run_batch rethrows the error, and the tasks that had not
+  // started by then never run, so the sidecar holds the k-1 runs before
+  // it plus at most the ones already in flight.
+  const std::vector<BatchEntry> entries = two_campaign_batch();
+  const int grid = 10 * 3 + 8 * 2;
+  constexpr int kThrowAt = 5;
+  const std::string path = "batch_test_throwing_observer.json";
+  for (int jobs : {1, 4}) {
+    SCOPED_TRACE(jobs);
+    struct Throwing final : CampaignObserver {
+      int left = kThrowAt;
+      void on_run_done(const RunEvent&) override {
+        if (--left == 0) throw std::runtime_error("observer failed");
+      }
+    } throwing;
+    std::remove(path.c_str());
+    BatchConfig bc;
+    bc.jobs = jobs;
+    bc.checkpoint_path = path;
+    bc.checkpoint_every = 1;
+    bc.observer = &throwing;
+    EXPECT_THROW(run_batch(entries, bc), std::runtime_error);
+    const Checkpoint partial = parse_checkpoint_json(util::read_file(path));
+    EXPECT_GE(partial.completed_runs(), kThrowAt - 1);
+    EXPECT_LT(partial.completed_runs(), grid - 1);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Shard, PartitionIsTotalAndDisjoint) {

@@ -49,12 +49,13 @@ TEST(CampaignParallel, JobsOneTwoAndEightAreBitIdentical) {
   const apps::App app = tiny_wavetoy();
   CampaignConfig cfg = base_config();
 
-  cfg.jobs = 1;
-  const CampaignResult serial = run_campaign(app, cfg);
-  cfg.jobs = 2;
-  const CampaignResult two = run_campaign(app, cfg);
-  cfg.jobs = 8;
-  const CampaignResult eight = run_campaign(app, cfg);
+  ExecPolicy exec;
+  exec.jobs = 1;
+  const CampaignResult serial = run_campaign(app, cfg, exec);
+  exec.jobs = 2;
+  const CampaignResult two = run_campaign(app, cfg, exec);
+  exec.jobs = 8;
+  const CampaignResult eight = run_campaign(app, cfg, exec);
 
   expect_identical(serial, two);
   expect_identical(serial, eight);
@@ -63,16 +64,18 @@ TEST(CampaignParallel, JobsOneTwoAndEightAreBitIdentical) {
 TEST(CampaignParallel, ParallelRunIsInternallyDeterministic) {
   const apps::App app = tiny_wavetoy();
   CampaignConfig cfg = base_config();
-  cfg.jobs = 4;
-  const CampaignResult a = run_campaign(app, cfg);
-  const CampaignResult b = run_campaign(app, cfg);
+  ExecPolicy exec;
+  exec.jobs = 4;
+  const CampaignResult a = run_campaign(app, cfg, exec);
+  const CampaignResult b = run_campaign(app, cfg, exec);
   expect_identical(a, b);
 }
 
 TEST(CampaignParallel, ProgressReachesTotalExactlyOncePerRegion) {
   const apps::App app = tiny_wavetoy();
   CampaignConfig cfg = base_config();
-  cfg.jobs = 4;
+  ExecPolicy exec;
+  exec.jobs = 4;
   struct PerRegion final : CampaignObserver {
     std::array<int, kNumRegions> calls{};
     std::array<int, kNumRegions> completions{};
@@ -85,8 +88,8 @@ TEST(CampaignParallel, ProgressReachesTotalExactlyOncePerRegion) {
       if (ev.done > max_done[idx]) max_done[idx] = ev.done;
     }
   } obs;
-  cfg.observer = &obs;
-  (void)run_campaign(app, cfg);
+  exec.observer = &obs;
+  (void)run_campaign(app, cfg, exec);
   const auto& calls = obs.calls;
   const auto& completions = obs.completions;
   const auto& max_done = obs.max_done;

@@ -28,7 +28,6 @@ CampaignConfig base_config() {
   CampaignConfig cfg;
   cfg.runs_per_region = 24;
   cfg.seed = 0x9e2a;
-  cfg.jobs = 1;
   cfg.regions = {Region::kRegularReg, Region::kFpReg, Region::kText,
                  Region::kData, Region::kBss};
   return cfg;
@@ -103,10 +102,11 @@ TEST(Prune, ParallelAggregatesMatchSerialWithFullPruning) {
   CampaignConfig cfg = base_config();
   cfg.prune = PruneLevel::kFull;
 
-  cfg.jobs = 1;
-  const CampaignResult serial = run_campaign(app, cfg);
-  cfg.jobs = 8;
-  const CampaignResult parallel = run_campaign(app, cfg);
+  ExecPolicy exec;
+  exec.jobs = 1;
+  const CampaignResult serial = run_campaign(app, cfg, exec);
+  exec.jobs = 8;
+  const CampaignResult parallel = run_campaign(app, cfg, exec);
 
   expect_same_aggregates(serial, parallel);
   int ps = 0, pp = 0;

@@ -130,8 +130,9 @@ TEST(Campaign, SmallCampaignAggregates) {
     int runs = 0;
     void on_run_done(const RunEvent&) override { ++runs; }
   } counting;
-  cfg.observer = &counting;
-  const CampaignResult res = run_campaign(app, cfg);
+  ExecPolicy exec;
+  exec.observer = &counting;
+  const CampaignResult res = run_campaign(app, cfg, exec);
   EXPECT_EQ(res.app, app.name);
   ASSERT_EQ(res.regions.size(), 2u);
   for (const auto& rr : res.regions) {
@@ -187,15 +188,15 @@ TEST(Prepare, RunReplaysTheBatchGridPoint) {
   CampaignConfig cfg;  // every region
   cfg.runs_per_region = 6;
   cfg.seed = 31;
-  cfg.jobs = 1;
   struct Recorder final : CampaignObserver {
     std::map<std::pair<Region, int>, RunOutcome> outcomes;
     void on_run_done(const RunEvent& ev) override {
       outcomes[{ev.region, ev.run_index}] = *ev.outcome;
     }
   } recorder;
-  cfg.observer = &recorder;
-  run_campaign(small_wavetoy(), cfg);
+  ExecPolicy exec;
+  exec.observer = &recorder;
+  run_campaign(small_wavetoy(), cfg, exec);
   ASSERT_EQ(recorder.outcomes.size(), 8u * 6u);
 
   const Prepared prepared = prepare(small_wavetoy(), cfg);

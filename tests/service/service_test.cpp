@@ -187,6 +187,35 @@ TEST(Scheduler, SecondJoinOnABusyWorkerIsRefusedAndItsChunkRequeues) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Scheduler, AutoChunkNeverExceedsAnEighthOfTheJob) {
+  const std::string dir = fresh_state("autochunk");
+  JobStore store(dir);
+  Scheduler sched(store, /*chunk=*/0, core::CheckpointEncoding::kJson);
+  // 200 grid points; nothing runs, so the size costs nothing.
+  Job& job = store.create(
+      "alice",
+      R"({"format": "fsim-batch-v2", "runs": 100, "seed": 5,)"
+      R"( "regions": ["regular", "bss"],)"
+      R"( "campaigns": [{"app": "wavetoy", "ranks": 4, "steps": 8}]})");
+  const std::uint64_t total = job.pending.total();
+  ASSERT_EQ(total, 200u);
+
+  // A worker that joins alone takes a chunk; only then does a second join.
+  sched.worker_joined(1);
+  const auto first = sched.next_assignment(1);
+  ASSERT_TRUE(first.has_value());
+  sched.worker_joined(2);
+  const auto second = sched.next_assignment(2);
+  ASSERT_TRUE(second.has_value());
+
+  // Neither chunk exceeds an eighth of the job, and both workers hold work
+  // before half of it has been assigned.
+  EXPECT_LE(first->selection.total(), total / 8);
+  EXPECT_LE(second->selection.total(), total / 8);
+  EXPECT_LT(job.outstanding, total / 2);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(JobStore, RestartFoldsOrphanSidecarsBeforeRequeueing) {
   const std::string dir = fresh_state("orphan");
   std::string sidecar;
