@@ -85,9 +85,11 @@ std::uint64_t run_seed_for(std::uint64_t campaign_seed, Region region, int i);
 /// One campaign's fault space, prepared once and read by every run: the
 /// linked image, its static analysis, the annotated text/data/BSS fault
 /// dictionaries, the compiled instruction stream, the golden run with its
-/// ladder and read oracle, and the run context. Built only by prepare(), immutable and safe
-/// to share across threads; campaigns, `fsim run` and `fsim analyze` all
-/// inject into the fault space it describes.
+/// ladder and read oracle, and the run context. Built by prepare() or by a
+/// BatchSession's constructor (the same three stages, the golden run on the
+/// session pool); immutable once built and safe to share across threads.
+/// Campaigns, `fsim run` and `fsim analyze` all inject into the fault space
+/// it describes.
 class Prepared {
  public:
   const apps::App& app() const noexcept { return app_; }

@@ -698,7 +698,6 @@ CheckpointStatus checkpoint_status(const Checkpoint& ck) {
   st.complete = ck.complete();
   st.done = ck.completed_runs();
   st.owned = ck.owned_runs();
-  st.cursor = ck.cursor;
   st.digest = checkpoint_digest(ck);
 
   // Per-slot denominators: the committed grid.
@@ -750,67 +749,6 @@ std::string format_checkpoint_status(const CheckpointStatus& st) {
   out += st.complete ? " (complete)" : " (in progress)";
   out += ", digest " + std::to_string(st.digest) + "\n";
   return out;
-}
-
-std::string status_json(const CheckpointStatus& st) {
-  util::JsonWriter w;
-  w.begin_object();
-  w.key("format").value(kBatchFormatV2);
-  w.key("kind").value("status");
-  w.key("shard").begin_object();
-  w.key("index").value(st.shard.index);
-  w.key("count").value(st.shard.count);
-  w.end_object();
-  w.key("adaptive").value(st.adaptive);
-  w.key("complete").value(st.complete);
-  w.key("done").value(st.done);
-  w.key("owned").value(st.owned);
-  w.key("cursor").value(st.cursor);
-  w.key("digest").value(st.digest);
-  w.key("rows").begin_array();
-  for (const auto& row : st.rows) {
-    w.begin_object();
-    w.key("app").value(row.app);
-    w.key("region").value(region_token(row.region));
-    w.key("done").value(row.done);
-    w.key("owned").value(row.owned);
-    w.key("frontier").value(row.frontier);
-    w.key("stopped").value(row.stopped);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return w.str();
-}
-
-CheckpointStatus parse_status_json(const std::string& text) {
-  const util::JsonValue doc = util::parse_json(text);
-  const util::JsonValue* f = doc.find("format");
-  const util::JsonValue* k = doc.find("kind");
-  if (!f || f->as_string() != kBatchFormatV2 || !k ||
-      k->as_string() != "status")
-    throw util::SetupError("not an fsim status document");
-  CheckpointStatus st;
-  const util::JsonValue& shard = doc.at("shard");
-  st.shard.index = shard.at("index").as_i32();
-  st.shard.count = shard.at("count").as_i32();
-  st.adaptive = doc.at("adaptive").as_bool();
-  st.complete = doc.at("complete").as_bool();
-  st.done = doc.at("done").as_i32();
-  st.owned = doc.at("owned").as_i32();
-  st.cursor = doc.at("cursor").as_u64();
-  st.digest = doc.at("digest").as_u64();
-  for (const auto& rv : doc.at("rows").items()) {
-    CheckpointStatus::Row row;
-    row.app = rv.at("app").as_string();
-    row.region = parse_region(rv.at("region").as_string());
-    row.done = rv.at("done").as_i32();
-    row.owned = rv.at("owned").as_i32();
-    row.frontier = rv.at("frontier").as_i32();
-    row.stopped = rv.at("stopped").as_bool();
-    st.rows.push_back(std::move(row));
-  }
-  return st;
 }
 
 BatchResult checkpoint_to_batch(const Checkpoint& checkpoint) {

@@ -13,7 +13,8 @@
 // rewrites it atomically (write-to-temp + rename) as a sidecar every N
 // completed runs; a finished shard emits it as its default output
 // (batch_to_checkpoint); `fsim resume`, `fsim merge` (one fold_checkpoint
-// per input), `fsim status` and the service all parse it. It is a
+// per input), `fsim status` (a file, or the job master checkpoint the
+// daemon's status reply carries) and the service all parse it. It is a
 // versioned `fsim-batch-v2` JSON document (`"kind": "checkpoint"`). Every
 // slot record carries its own FNV-1a digest and the document a digest
 // over all records, so torn or hand-edited files are refused at parse
@@ -167,18 +168,15 @@ std::string checkpoint_serialize(const Checkpoint& checkpoint,
                                  CheckpointEncoding encoding);
 
 /// Whole-document FNV-1a digest (the value serialized as "digest" and
-/// verified on parse) — the cheap identity token `fsim status` and the
-/// service protocol report.
+/// verified on parse) — the cheap identity token `fsim status` reports.
 std::uint64_t checkpoint_digest(const Checkpoint& checkpoint);
 
-// --- Status (shared by `fsim status` and the service protocol) ---
+// --- Status (`fsim status`, for a file or a daemon job) ---
 
 /// Progress summary of one checkpoint/campaign state: done/remaining runs
 /// per campaign, wave frontiers for adaptive documents, and the document
-/// digest. Computed by checkpoint_status, rendered by
-/// format_checkpoint_status, and round-tripped through status_json /
-/// parse_status_json so the daemon and the offline CLI share one
-/// formatter.
+/// digest. Computed by checkpoint_status and rendered by
+/// format_checkpoint_status.
 struct CheckpointStatus {
   struct Row {
     std::string app;
@@ -193,7 +191,6 @@ struct CheckpointStatus {
   bool complete = false;
   int done = 0;
   int owned = 0;
-  std::uint64_t cursor = 0;
   std::uint64_t digest = 0;
   std::vector<Row> rows;  // slot order
 };
@@ -203,11 +200,6 @@ CheckpointStatus checkpoint_status(const Checkpoint& checkpoint);
 /// Human-readable table: one line per (campaign, region) slot plus a
 /// summary footer.
 std::string format_checkpoint_status(const CheckpointStatus& status);
-
-/// Compact JSON for the service protocol; parse_status_json inverts it
-/// (throws SetupError on malformed input).
-std::string status_json(const CheckpointStatus& status);
-CheckpointStatus parse_status_json(const std::string& text);
 
 /// Project a checkpoint into a BatchResult whose counts cover exactly the
 /// checkpoint's completed grid points (`fsim merge` renders the folded

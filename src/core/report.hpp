@@ -17,10 +17,10 @@ class JsonValue;
 
 namespace fsim::core {
 
-/// Versioned document header. Every artefact the laboratory writes —
-/// results, checkpoints, status documents — carries this `"format"` and a
-/// `"kind"` ("result" | "checkpoint" | "status"), so the readers refuse a
-/// document of the wrong kind with a precise error.
+/// Versioned document header. Batch specs, batch results and checkpoints
+/// carry this `"format"`; results and checkpoints also carry a `"kind"`
+/// ("result" | "checkpoint"), so the checkpoint reader refuses a result
+/// export with a precise error.
 inline constexpr const char* kBatchFormatV2 = "fsim-batch-v2";
 
 /// Full campaign result as a JSON document: app, seed, golden statistics,

@@ -5,8 +5,8 @@
 // "op" key ("submit" | "status" | "fetch" | "shutdown") and read one reply
 // object per request; workers upgrade their connection with op "worker"
 // and then receive "assign" / "exit" messages, answering with "task_done".
-// Nested documents (spec files, status reports) travel as JSON *strings*,
-// so every line stays a flat self-contained object.
+// Nested documents (spec files, checkpoints, results) travel as JSON
+// *strings*, so every line stays a flat self-contained object.
 #pragma once
 
 #include <string>

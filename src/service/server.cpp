@@ -171,8 +171,7 @@ class Server {
         w.key("state").value(job->done ? "done"
                              : job->outstanding > 0 ? "running"
                                                     : "queued");
-        w.key("status").value(
-            core::status_json(core::checkpoint_status(job->master)));
+        w.key("checkpoint").value(core::checkpoint_json(job->master));
         w.end_object();
       }
       w.end_array();

@@ -758,12 +758,12 @@ int cmd_submit(const util::Cli& cli) {
   return 0;
 }
 
-/// Offline status: a checkpoint file (either encoding), or a spec file
-/// (renders the not-yet-started grid). Shares its formatter with the
-/// daemon path, so both surfaces always agree. Documents with a "kind"
-/// are checkpoints (or refused as one); spec files carry none.
-int status_of_file(const std::string& path) {
-  const std::string text = util::read_file(path);
+/// Print the status table of a checkpoint in either encoding (a file, or
+/// the job master checkpoint a daemon's status reply carries) or of a spec
+/// file (the not-yet-started grid). Documents with a "kind" are
+/// checkpoints (or refused as one); spec files carry none. Both surfaces
+/// share this reader and formatter, so they agree by construction.
+void print_status(const std::string& text) {
   core::Checkpoint ck;
   if (util::parse_json(text).find("kind")) {
     ck = core::parse_checkpoint_json(text);
@@ -775,13 +775,13 @@ int status_of_file(const std::string& path) {
   }
   std::printf("%s", core::format_checkpoint_status(
                         core::checkpoint_status(ck)).c_str());
-  return 0;
 }
 
 int cmd_status(const util::Cli& cli) {
   if (!cli.positional().empty()) {
     cli.reject_unused(true);
-    return status_of_file(cli.positional()[0]);
+    print_status(util::read_file(cli.positional()[0]));
+    return 0;
   }
   const std::string socket = require_socket(cli);
   const bool one_job = cli.has("job");
@@ -799,9 +799,7 @@ int cmd_status(const util::Cli& cli) {
                 job.at("id").as_string().c_str(),
                 job.at("tenant").as_string().c_str(),
                 job.at("state").as_string().c_str());
-    std::printf("%s", core::format_checkpoint_status(
-                          core::parse_status_json(
-                              job.at("status").as_string())).c_str());
+    print_status(job.at("checkpoint").as_string());
     std::printf("\n");
   }
   return 0;

@@ -16,8 +16,8 @@
 # --asan, a focused ASan pass still builds the CLI and drives the
 # heap/stack scans (analyze, lint and profile, each of which builds the
 # full analysis bundle) on every app, runs the reader fuzz
-# (mutated checkpoints, status documents and service assign lines must
-# raise SetupError only), and runs the memory-window, snapshot and
+# (mutated checkpoints in both encodings, read and rendered as the status
+# table, and service assign lines must raise SetupError only), and runs the memory-window, snapshot and
 # rung-equality, flat-collective size sweep, engine-lockstep, golden
 # fast-forward, early-exit and Prepare tests, the static-analysis tests
 # (AnalysisFacts, FpDepth, Lint, PrecisionTrace), the service Scheduler

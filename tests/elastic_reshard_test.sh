@@ -5,8 +5,8 @@
 # require the fetched result to be byte-identical to a monolithic
 # `fsim batch --jobs=1` run of the same spec. `fsim status` must stay
 # consistent (done+remaining == grid) throughout, and the offline
-# `fsim status <file>` reading the job's master checkpoint must agree with
-# the daemon's final report. No worker may prepare the job twice: each runs
+# `fsim status <file>` reading the job's master checkpoint must print the
+# daemon's final table byte for byte. No worker may prepare the job twice: each runs
 # all its chunks of a job through one prepared session.
 #
 # usage: elastic_reshard_test.sh /path/to/fsim
@@ -121,10 +121,18 @@ cmp mono.json elastic.json || {
   echo "FAIL: elastic result differs from the monolithic run"; exit 1; }
 echo "   fetched result is byte-identical to --jobs=1"
 
-# Offline status of the job's master checkpoint agrees with the daemon.
+# Offline status of the job's master checkpoint agrees with the daemon:
+# the status reply carries that checkpoint, so past the job header line
+# (and the blank line closing the job) the two tables are the same bytes.
 "$FSIM" status "state/jobs/$job/master.json" > offline.txt
 grep -q "done 1600 of 1600 (complete)" offline.txt || {
   echo "FAIL: offline status disagrees"; cat offline.txt; exit 1; }
+"$FSIM" status --socket=fsim.sock --job="$job" > daemon_full.txt
+sed -e '1{/^job .* state=done$/d}' -e '${/^$/d}' daemon_full.txt > daemon.txt
+cmp offline.txt daemon.txt || {
+  echo "FAIL: daemon and offline status tables differ"
+  diff offline.txt daemon_full.txt || true; exit 1; }
+echo "   daemon status table is byte-identical to the offline one"
 "$FSIM" status spec.json > spec_status.txt
 grep -q "done 0 of 1600 (in progress)" spec_status.txt || {
   echo "FAIL: spec status should show an untouched grid"; exit 1; }
