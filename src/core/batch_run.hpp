@@ -38,7 +38,8 @@ class BatchRun {
   BatchRun(const BatchRun&) = delete;
   BatchRun& operator=(const BatchRun&) = delete;
 
-  /// Run `selection` in enumeration order; each slot's progress
+  /// Run `selection` through the session's walks (BatchSession::
+  /// run_points); each slot's progress
   /// denominator grows by its selected points. Throws SetupError on a
   /// selection of another slot layout or with indices outside the grid.
   void run(const GridSelection& selection);

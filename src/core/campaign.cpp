@@ -327,11 +327,49 @@ void BatchSession::run_points(const std::vector<Point>& points,
     notify(ev);
   };
 
-  // Every campaign's grid points interleave across the pool's workers.
-  // Workers accumulate lock-free into their own partials; partials merge
-  // worker 0..W-1 per slot afterwards, so the aggregates do not depend on
-  // the job count. Once a task has thrown, the tasks not yet started are
-  // skipped, so a failing run or observer stops the walk at any job count.
+  // Each campaign's points run as walks over its golden run (walks_of,
+  // run_walk): the memory and register points that start from one ladder
+  // rung form one pool task, whose walk visits them by fault time (ties in
+  // grid order), and each message point is a task of its own. Tasks go to
+  // the pool campaign by campaign, each campaign's in the order their
+  // first points come. Workers accumulate lock-free into their own
+  // partials; partials merge worker 0..W-1 per slot afterwards, so the
+  // aggregates do not depend on the job count. Once a task has thrown, the
+  // points not yet started are skipped, so a failing run or observer stops
+  // the walk at any job count.
+  struct Task {
+    std::size_t campaign = 0;
+    std::vector<Point> points;
+    std::vector<WalkPoint> walk;
+  };
+  std::vector<Task> tasks;
+  for (std::size_t c = 0; c < im.entries.size(); ++c) {
+    const CampaignConfig& cc = im.entries[c].config;
+    const Prepared& plan = im.plans[c];
+    std::vector<Point> mine;
+    for (const Point& pt : points)
+      if (pt.campaign == c) mine.push_back(pt);
+    std::stable_sort(mine.begin(), mine.end(),
+                     [](const Point& a, const Point& b) {
+                       return a.grid_index < b.grid_index;
+                     });
+    std::vector<WalkPoint> walk;
+    for (const Point& pt : mine) {
+      const Region region = cc.regions[pt.region_index];
+      walk.push_back(WalkPoint{region, plan.dictionary(region),
+                               run_seed_for(cc.seed, region, pt.run_index)});
+    }
+    for (const std::vector<std::size_t>& indices :
+         walks_of(plan.golden(), walk)) {
+      Task& task = tasks.emplace_back();
+      task.campaign = c;
+      for (const std::size_t i : indices) {
+        task.points.push_back(mine[i]);
+        task.walk.push_back(walk[i]);
+      }
+    }
+  }
+
   util::ThreadPool& pool = im.pool;
   const std::size_t nslots = slots();
   std::vector<std::vector<RegionResult>> partials(
@@ -341,24 +379,28 @@ void BatchSession::run_points(const std::vector<Point>& points,
     adone[s].store(done[s], std::memory_order_relaxed);
   std::atomic<bool> failed{false};
 
-  for (const Point& pt : points) {
-    const BatchEntry* e = &im.entries[pt.campaign];
-    const Prepared* plan = &im.plans[pt.campaign];
-    const Region region = e->config.regions[pt.region_index];
-    const std::size_t slot = im.slot_base[pt.campaign] + pt.region_index;
-    const std::uint64_t run_seed =
-        run_seed_for(e->config.seed, region, pt.run_index);
-    pool.submit([&, e, plan, pt, slot, region, run_seed] {
+  for (const Task& task : tasks) {
+    pool.submit([&, t = &task] {
       if (failed.load(std::memory_order_acquire)) return;
       try {
-        const int w = util::ThreadPool::current_worker();
-        const RunOutcome out = plan->run(
-            region, run_seed, &im.worlds[static_cast<std::size_t>(w)]);
-        accumulate_outcome(partials[static_cast<std::size_t>(w)][slot], out);
-        if (observing)
-          notify_locked(
-              pt, e->app.name, region, slot, out,
-              1 + adone[slot].fetch_add(1, std::memory_order_relaxed));
+        const auto w =
+            static_cast<std::size_t>(util::ThreadPool::current_worker());
+        const BatchEntry& e = im.entries[t->campaign];
+        const Prepared& plan = im.plans[t->campaign];
+        run_walk(plan.app(), plan.program(), plan.golden(), t->walk,
+                 plan.context(), &im.worlds[w],
+                 [&](std::size_t i, const RunOutcome& out) {
+                   const Point& pt = t->points[i];
+                   const std::size_t slot =
+                       im.slot_base[pt.campaign] + pt.region_index;
+                   accumulate_outcome(partials[w][slot], out);
+                   if (observing)
+                     notify_locked(pt, e.app.name, t->walk[i].region, slot,
+                                   out,
+                                   1 + adone[slot].fetch_add(
+                                           1, std::memory_order_relaxed));
+                   return !failed.load(std::memory_order_acquire);
+                 });
       } catch (...) {
         failed.store(true, std::memory_order_release);
         throw;

@@ -381,12 +381,15 @@ class BatchSession {
   /// Execute the given grid points. Outcomes fold into `totals[slot]`;
   /// `done[slot]` increments per completed point and `owned[slot]` is the
   /// progress denominator reported in RunEvents. `notify` receives every
-  /// RunEvent under one session-wide mutex, at any job count. The points
-  /// fan out over the session pool in the order given (one worker takes
-  /// them exactly in that order), and per-worker partials merge in fixed
-  /// order, so `totals` is bit-identical at any job count. Once a run or
-  /// `notify` throws, no point that has not started runs, and the first
-  /// error is rethrown.
+  /// RunEvent under one session-wide mutex, at any job count. Each
+  /// campaign's points run as walks (walks_of in run.hpp: the memory and
+  /// register points of one start rung together, visited by fault time,
+  /// each message point alone), and the walks fan out over the session
+  /// pool campaign by campaign (one worker runs them in that order). The
+  /// outcomes do not depend on the grouping, and per-worker partials merge
+  /// in fixed order, so `totals` is bit-identical at any job count. Once a
+  /// run or `notify` throws, no point that has not started runs, and the
+  /// first error is rethrown.
   void run_points(const std::vector<Point>& points,
                   std::vector<RegionResult>& totals, std::vector<int>& done,
                   const std::vector<int>& owned, const Notify& notify);

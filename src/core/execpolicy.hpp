@@ -79,10 +79,11 @@ std::optional<CheckpointEncoding> parse_checkpoint_encoding(
 /// over the grid points they cover.
 struct ExecPolicy {
   /// Worker threads of the session pool that runs every golden run and
-  /// every injected run (1 = one pool thread, which takes the grid points
-  /// in exact enumeration order). Aggregates are bit-identical at any job
-  /// count: every run's seed depends only on (campaign seed, region,
-  /// index), and per-worker partial counts are merged in a fixed order.
+  /// every injected run (1 = one pool thread, which runs the grid's walks
+  /// in BatchSession::run_points' order). Aggregates are bit-identical at
+  /// any job count: every run's seed depends only on (campaign seed,
+  /// region, index), and per-worker partial counts are merged in a fixed
+  /// order.
   int jobs = 1;
   /// Grid shard this invocation executes (default: the whole grid).
   ShardSpec shard;

@@ -24,10 +24,10 @@ struct FpuFlip {
   std::optional<unsigned> data_slot;
 };
 
-/// Flip one uniformly chosen bit of the x87-style FPU state. The state
-/// vector mirrors §3.2's targets: eight data registers plus the special
-/// registers (CWD, SWD, TWD, FIP, FCS, FOO, FOS).
-FpuFlip flip_fpu_bit(svm::Fpu& fpu, util::Rng& rng) {
+/// Flip bit `bit` of the x87-style FPU state vector. The vector mirrors
+/// §3.2's targets: eight data registers plus the special registers (CWD,
+/// SWD, TWD, FIP, FCS, FOO, FOS).
+FpuFlip flip_fpu_bit(svm::Fpu& fpu, unsigned bit) {
   constexpr unsigned kDataBits = svm::kNumFpr * 64;  // 512
   constexpr unsigned kTwd = kDataBits;               // 16 bits
   constexpr unsigned kCwd = kTwd + 16;
@@ -38,7 +38,6 @@ FpuFlip flip_fpu_bit(svm::Fpu& fpu, util::Rng& rng) {
   constexpr unsigned kFos = kFoo + 32;
   static_assert(kFos + 32 == kFpuStateBits);
 
-  const unsigned bit = static_cast<unsigned>(rng.below(kFpuStateBits));
   FpuFlip flip;
   std::ostringstream what;
   if (bit < kDataBits) {
@@ -72,12 +71,19 @@ FpuFlip flip_fpu_bit(svm::Fpu& fpu, util::Rng& rng) {
   return flip;
 }
 
+/// Can the injector's poke reach the byte at `addr`? (Memory::flip_bit
+/// succeeds exactly where peek8 does.)
+bool peekable(const svm::Memory& mem, svm::Addr addr) {
+  std::uint8_t v{};
+  return mem.peek8(addr, v);
+}
+
 }  // namespace
 
-std::optional<AppliedFault> Injector::inject_into_rank(simmpi::World& world,
-                                                       int rank,
-                                                       util::Rng& rng) const {
-  svm::Machine& m = world.machine(rank);
+std::optional<AppliedFault> Injector::draw_in_rank(simmpi::World& world,
+                                                   int rank,
+                                                   util::Rng& rng) const {
+  const svm::Machine& m = world.machine(rank);
   if (m.state() == svm::RunState::kExited ||
       m.state() == svm::RunState::kTrapped)
     return std::nullopt;
@@ -91,7 +97,8 @@ std::optional<AppliedFault> Injector::inject_into_rank(simmpi::World& world,
     case Region::kRegularReg: {
       const unsigned reg = static_cast<unsigned>(rng.below(svm::kNumGpr));
       const unsigned bit = static_cast<unsigned>(rng.below(32));
-      m.regs().gpr[reg] = util::flip_bit32(m.regs().gpr[reg], bit);
+      fault.reg = reg;
+      fault.bit = bit;
       what << "r" << reg << " bit " << bit;
       // Static verdict at the paused pc: a register outside the may-live
       // set is overwritten before any read on every path, so the flip is
@@ -107,10 +114,11 @@ std::optional<AppliedFault> Injector::inject_into_rank(simmpi::World& world,
       break;
     }
     case Region::kFpReg: {
-      const svm::Fpu before = m.regs().fpu;
-      const FpuFlip flip = flip_fpu_bit(m.regs().fpu, rng);
+      fault.bit = static_cast<unsigned>(rng.below(kFpuStateBits));
+      svm::Fpu flipped = m.regs().fpu;
+      const FpuFlip flip = flip_fpu_bit(flipped, fault.bit);
       what << flip.what;
-      fault.inert = m.regs().fpu.observably_equal(before);
+      fault.inert = flipped.observably_equal(m.regs().fpu);
       // Static verdict for data-register hits: if the physical slot is
       // provably empty at the paused pc (anchored depth bound), the flipped
       // bits sit behind a kEmpty tag — reads see QNaN regardless and the
@@ -141,8 +149,9 @@ std::optional<AppliedFault> Injector::inject_into_rank(simmpi::World& world,
       if (dictionary_->empty()) return std::nullopt;
       const DictEntry& e = dictionary_->pick(rng);
       const unsigned bit = static_cast<unsigned>(rng.below(8));
-      if (!m.memory().flip_bit(e.address, bit)) return std::nullopt;
+      if (!peekable(m.memory(), e.address)) return std::nullopt;
       fault.address = e.address;
+      fault.bit = bit;
       what << region_name(region_) << " '" << e.symbol << "' at "
            << hexaddr(e.address) << " bit " << bit;
       fault.activation = e.activation;
@@ -184,8 +193,9 @@ std::optional<AppliedFault> Injector::inject_into_rank(simmpi::World& world,
       FSIM_CHECK(hit != nullptr);
       const unsigned bit = static_cast<unsigned>(rng.below(8));
       const svm::Addr addr = hit->payload + static_cast<svm::Addr>(off);
-      if (!m.memory().flip_bit(addr, bit)) return std::nullopt;
+      if (!peekable(m.memory(), addr)) return std::nullopt;
       fault.address = addr;
+      fault.bit = bit;
       what << "heap chunk at " << hexaddr(hit->payload) << " (" << hit->size
            << " B) byte " << off << " bit " << bit;
       // Allocation-site liveness: every byte of a chunk whose site is
@@ -225,8 +235,9 @@ std::optional<AppliedFault> Injector::inject_into_rank(simmpi::World& world,
         off -= span;
       }
       const unsigned bit = static_cast<unsigned>(rng.below(8));
-      if (!m.memory().flip_bit(addr, bit)) return std::nullopt;
+      if (!peekable(m.memory(), addr)) return std::nullopt;
       fault.address = addr;
+      fault.bit = bit;
       what << "stack at " << hexaddr(addr) << " bit " << bit;
       // Activation-windowed frame liveness: attribute the byte to the
       // sampled frame via its fp and the walker's owner pc, then ask the
@@ -252,16 +263,37 @@ std::optional<AppliedFault> Injector::inject_into_rank(simmpi::World& world,
   return fault;
 }
 
-std::optional<AppliedFault> Injector::inject(simmpi::World& world,
-                                             util::Rng& rng) const {
+std::optional<AppliedFault> Injector::draw(simmpi::World& world,
+                                           util::Rng& rng) const {
   // Pick a random rank; if it has no viable target (e.g. its heap is empty),
   // fall through the others in rotation.
   const int n = world.size();
   const int start = static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
   for (int i = 0; i < n; ++i) {
-    if (auto f = inject_into_rank(world, (start + i) % n, rng)) return f;
+    if (auto f = draw_in_rank(world, (start + i) % n, rng)) return f;
   }
   return std::nullopt;
+}
+
+void Injector::apply(simmpi::World& world, const AppliedFault& fault) {
+  svm::Machine& m = world.machine(fault.rank);
+  if (fault.region == Region::kRegularReg) {
+    m.regs().gpr[fault.reg] = util::flip_bit32(m.regs().gpr[fault.reg],
+                                               fault.bit);
+  } else if (fault.region == Region::kFpReg) {
+    (void)flip_fpu_bit(m.regs().fpu, fault.bit);
+  } else {
+    const bool flipped =
+        fault.address && m.memory().flip_bit(*fault.address, fault.bit);
+    FSIM_CHECK(flipped);
+  }
+}
+
+std::optional<AppliedFault> Injector::inject(simmpi::World& world,
+                                             util::Rng& rng) const {
+  auto fault = draw(world, rng);
+  if (fault) apply(world, *fault);
+  return fault;
 }
 
 }  // namespace fsim::core

@@ -1,5 +1,6 @@
 #include "core/run.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
 
@@ -153,64 +154,109 @@ WorldSlot& WorldSlot::operator=(WorldSlot&&) noexcept = default;
 
 simmpi::World& WorldSlot::bind(const apps::App& app,
                                const svm::Program& program,
-                               const RunContext& ctx,
-                               const simmpi::Snapshot*& start) {
-  if (world_ && program_ == &program && compiled_ == ctx.compiled.get() &&
-      engine_ == ctx.engine) {
-    start = &fresh_;  // the last run left the World wherever it ended
-    return *world_;
-  }
+                               const RunContext& ctx, bool& built) {
+  built = !(world_ && program_ == &program &&
+            compiled_ == ctx.compiled.get() && engine_ == ctx.engine);
+  if (!built) return *world_;  // wherever the last walk left it
   world_.reset();  // release the old address spaces before mapping new ones
   world_ = run_world(app, program, ctx);
   fresh_ = simmpi::Snapshot::capture(*world_);
   program_ = &program;
   compiled_ = ctx.compiled.get();
   engine_ = ctx.engine;
-  start = nullptr;
   return *world_;
 }
 
-RunOutcome run_injected(const apps::App& app, const svm::Program& program,
-                        const Golden& golden, Region region,
-                        const FaultDictionary* dictionary, std::uint64_t seed,
-                        const RunContext& ctx, WorldSlot* slot) {
-  util::Rng rng(seed);
-  // Runs share nothing they write: each runs in a World of its own (or its
-  // caller's slot's), built from the shared image, so runs stay fully
-  // independent and safe to execute concurrently; the fault is injected
-  // into the World's memory, never into `program`.
-  std::unique_ptr<simmpi::World> own;
-  // The state to rewind the World to when no ladder rung comes first:
-  // null for a new World, which already is in it.
-  const simmpi::Snapshot* fresh = nullptr;
-  simmpi::World& world = slot != nullptr
-                             ? slot->bind(app, program, ctx, fresh)
-                             : *(own = run_world(app, program, ctx));
+FaultStart fault_start(const Golden& golden, util::Rng& rng) {
+  FaultStart start;
+  start.t_inject = golden.instructions ? rng.below(golden.instructions) : 0;
+  if (golden.ladder) {
+    const std::vector<simmpi::Snapshot>& ladder = *golden.ladder;
+    start.rungs_below = static_cast<std::size_t>(
+        std::partition_point(ladder.begin(), ladder.end(),
+                             [&](const simmpi::Snapshot& rung) {
+                               return rung.instructions() < start.t_inject;
+                             }) -
+        ladder.begin());
+  }
+  return start;
+}
 
+namespace {
+
+/// One walk's World and where it stands (see run_walk in run.hpp).
+class Walk {
+ public:
+  /// `fresh` is the World as constructed (null: the World is new and no
+  /// point needs it back); `boundary` holds the golden boundary across an
+  /// undecided point (null: the walk has one point).
+  Walk(const apps::App& app, const Golden& golden, const RunContext& ctx,
+       simmpi::World& world, const simmpi::Snapshot* fresh,
+       simmpi::Snapshot* boundary, bool on_golden)
+      : app_(app),
+        golden_(golden),
+        ctx_(ctx),
+        world_(world),
+        fresh_(fresh),
+        boundary_(boundary),
+        on_golden_(on_golden) {}
+
+  /// Run `point`, whose RNG `rng` has just drawn `start`. With `last` no
+  /// later point needs the World back.
+  RunOutcome run(const WalkPoint& point, util::Rng& rng,
+                 const FaultStart& start, bool last);
+
+ private:
+  /// Before the point first changes the World: keep the golden boundary
+  /// for the points after it, if any follow.
+  void leave();
+  /// Put the World at `rung` (null: at t = 0).
+  void restore(const simmpi::Snapshot* rung);
+  /// Fill in how the point's run ended, from the World it ended in.
+  void classify(Region region, bool rejoined, RunOutcome& outcome);
+
+  const apps::App& app_;
+  const Golden& golden_;
+  const RunContext& ctx_;
+  simmpi::World& world_;
+  const simmpi::Snapshot* fresh_;
+  simmpi::Snapshot* boundary_;
+  /// The World is the golden run's, unpoked, at a round boundary.
+  bool on_golden_;
+  bool left_ = false;  // the current point has changed the World
+  bool kept_ = false;  // ... and boundary_ holds the golden World it left
+  bool last_ = false;
+};
+
+void Walk::leave() {
+  if (left_) return;
+  left_ = true;
+  kept_ = !last_ && on_golden_;
+  if (kept_) boundary_->recapture(world_);
+}
+
+void Walk::restore(const simmpi::Snapshot* rung) {
+  if (rung == nullptr) rung = fresh_;
+  FSIM_CHECK(rung != nullptr);
+  rung->restore(world_);
+  on_golden_ = true;
+}
+
+RunOutcome Walk::run(const WalkPoint& point, util::Rng& rng,
+                     const FaultStart& start, bool last) {
+  left_ = false;
+  last_ = last;
   RunOutcome outcome;
   std::ostringstream desc;
+  bool injected = false;
+  std::uint64_t replayed = 0;
 
-  const std::uint64_t t_inject =
-      golden.instructions ? rng.below(golden.instructions) : 0;
-
-  // Fast-forward: restore the last rung the from-zero run would pass
-  // through unchanged (see run_injected in run.hpp).
-  auto fast_forward = [&](auto before_fault) {
-    const simmpi::Snapshot* start = fresh;
-    if (golden.ladder)
-      for (const simmpi::Snapshot& rung : *golden.ladder) {
-        if (!before_fault(rung)) break;
-        start = &rung;
-      }
-    if (start != nullptr) start->restore(world);
-  };
-
-  if (region == Region::kMessage) {
+  if (point.region == Region::kMessage) {
     // §3.3: choose a process, then a uniformly random point in its golden
     // received volume; the channel flips the bit when the counter passes it.
     std::vector<int> candidates;
-    for (int r = 0; r < world.size(); ++r)
-      if (golden.rx_bytes[static_cast<std::size_t>(r)] > 0)
+    for (int r = 0; r < world_.size(); ++r)
+      if (golden_.rx_bytes[static_cast<std::size_t>(r)] > 0)
         candidates.push_back(r);
     if (candidates.empty()) {
       outcome.fault_description = "no rank receives traffic";
@@ -218,25 +264,40 @@ RunOutcome run_injected(const apps::App& app, const svm::Program& program,
     }
     const int rank = candidates[rng.below(candidates.size())];
     const std::uint64_t byte =
-        rng.below(golden.rx_bytes[static_cast<std::size_t>(rank)]);
+        rng.below(golden_.rx_bytes[static_cast<std::size_t>(rank)]);
     const unsigned bit = static_cast<unsigned>(rng.below(8));
-    // Arm after the restore: it rewinds the channel, fault slot included.
-    fast_forward([&](const simmpi::Snapshot& rung) {
-      return rung.received_bytes(rank) <= byte;
-    });
-    world.process(rank).channel().arm_fault(byte, bit);
+    // Fast-forward: the last rung the from-zero run would pass through
+    // unchanged. Arm after the restore: it rewinds the channel, fault slot
+    // included.
+    const simmpi::Snapshot* rung = nullptr;
+    if (golden_.ladder)
+      for (const simmpi::Snapshot& r : *golden_.ladder) {
+        if (r.received_bytes(rank) > byte) break;
+        rung = &r;
+      }
+    leave();
+    // A World on the golden run at t = 0 has never advanced: it is new.
+    if (rung != nullptr || !on_golden_ || world_.global_instructions() != 0)
+      restore(rung);
+    world_.process(rank).channel().arm_fault(byte, bit);
     outcome.fault_applied = true;
     desc << "message stream of rank " << rank << " byte " << byte << " bit "
          << bit;
     outcome.injected_at = byte;
+    injected = true;
   } else {
-    fast_forward([&](const simmpi::Snapshot& rung) {
-      return rung.instructions() < t_inject;
-    });
+    // Fast-forward: from the start rung, or from where the last point left
+    // the golden World; the loop below replays on to the boundary.
+    const simmpi::Snapshot* rung =
+        start.rungs_below > 0 ? &(*golden_.ladder)[start.rungs_below - 1]
+                              : nullptr;
+    if (!on_golden_ ||
+        (rung != nullptr &&
+         world_.global_instructions() < rung->instructions()))
+      restore(rung);
   }
 
-  Injector injector(region, dictionary, ctx.analysis);
-  bool injected = region == Region::kMessage;
+  Injector injector(point.region, point.dictionary, ctx_.analysis);
 
   // Early exit: once its fault can change nothing, the run is the golden
   // run, so it ends with the outcome simulating it out would give. After
@@ -244,80 +305,100 @@ RunOutcome run_injected(const apps::App& app, const svm::Program& program,
   bool rejoined = false;
   const simmpi::Snapshot* rung = nullptr;
   const simmpi::Snapshot* rung_end = nullptr;
-  if (golden.ladder) {
-    rung = golden.ladder->data();
-    rung_end = rung + golden.ladder->size();
+  if (golden_.ladder) {
+    rung = golden_.ladder->data();
+    rung_end = rung + golden_.ladder->size();
   }
   auto matches_rung = [&] {
-    const std::uint64_t now = world.global_instructions();
+    const std::uint64_t now = world_.global_instructions();
     while (rung != rung_end && rung->instructions() < now) ++rung;
     return rung != rung_end && rung->instructions() == now
-               ? rung->matches(world, golden.oracle.get())
+               ? rung->matches(world_, golden_.oracle.get())
                : svm::Match::kDiffers;
   };
 
-  while (world.status() == simmpi::JobStatus::kRunning &&
-         world.global_instructions() < golden.hang_budget) {
-    if (!injected && world.global_instructions() >= t_inject) {
+  while (world_.status() == simmpi::JobStatus::kRunning &&
+         world_.global_instructions() < golden_.hang_budget) {
+    if (!injected && world_.global_instructions() >= start.t_inject) {
       // Keep attempting until a viable target exists (e.g. the heap may
       // hold no user chunk in the first instants of the run).
-      if (auto fault = injector.inject(world, rng)) {
-        injected = true;
+      if (auto fault = injector.draw(world_, rng)) {
         outcome.fault_applied = true;
         outcome.activation = fault->activation;
-        outcome.injected_at = world.global_instructions();
+        outcome.injected_at = world_.global_instructions();
         desc << "rank " << fault->rank << ": " << fault->target << " at t="
              << outcome.injected_at;
         // Pre-injection pruning (see PruneLevel): resuming a statically
         // dead fault would replay the golden run, so classify it Correct
         // now. Message faults never get here: they are armed above.
-        if (ctx.prune == PruneLevel::kFull &&
+        if (ctx_.prune == PruneLevel::kFull &&
             fault->activation == Activation::kDead) {
           outcome.pruned = true;
           outcome.prune_rung = fault->rung;
           outcome.manifestation = Manifestation::kCorrect;
           outcome.fault_description = desc.str() + " (pruned: statically dead)";
-          outcome.instructions = world.global_instructions();
-          return outcome;
+          outcome.instructions = world_.global_instructions();
+          break;
         }
         // The golden run never reads the flipped byte again, or no
         // instruction reads the flipped FPU bit.
-        if (golden.oracle) {
+        if (golden_.oracle) {
           const bool unread =
               fault->address &&
-              !(*golden.oracle)[static_cast<std::size_t>(fault->rank)]
+              !(*golden_.oracle)[static_cast<std::size_t>(fault->rank)]
                    .read_after(*fault->address,
-                               world.machine(fault->rank).instructions());
+                               world_.machine(fault->rank).instructions());
           if (unread || fault->inert) {
             rejoined = true;
-            if (ctx.exits != nullptr)
-              ++(unread ? ctx.exits->read_oracle : ctx.exits->observable);
+            if (ctx_.exits != nullptr)
+              ++(unread ? ctx_.exits->read_oracle : ctx_.exits->observable);
             break;
           }
         }
+        leave();
+        Injector::apply(world_, *fault);
+        injected = true;
       }
     }
-    world.advance();
+    // Up to the boundary the World is still the one the next point needs.
+    if (world_.global_instructions() >= start.t_inject) leave();
+    const std::uint64_t before = world_.global_instructions();
+    world_.advance();
+    if (!injected) replayed += world_.global_instructions() - before;
     if (injected) {
       const svm::Match match = matches_rung();
       if (match != svm::Match::kDiffers) {
         rejoined = true;
-        if (ctx.exits != nullptr) {
-          ++ctx.exits->rejoined;
-          if (match == svm::Match::kObservable) ++ctx.exits->observable;
+        if (ctx_.exits != nullptr) {
+          ++ctx_.exits->rejoined;
+          if (match == svm::Match::kObservable) ++ctx_.exits->observable;
         }
         break;
       }
     }
   }
+  if (ctx_.exits != nullptr) ctx_.exits->replayed += replayed;
 
-  outcome.fault_description = desc.str();
+  if (!outcome.pruned) {
+    outcome.fault_description = desc.str();
+    classify(point.region, rejoined, outcome);
+  }
+  if (left_) {
+    // The point changed the World: put the golden boundary back, or, after
+    // the last point, leave the World as the point ended it.
+    on_golden_ = kept_;
+    if (kept_) boundary_->restore(world_);
+  }
+  return outcome;
+}
+
+void Walk::classify(Region region, bool rejoined, RunOutcome& outcome) {
   outcome.instructions =
-      rejoined ? golden.instructions : world.global_instructions();
+      rejoined ? golden_.instructions : world_.global_instructions();
 
   if (region == Region::kMessage) {
-    for (int r = 0; r < world.size(); ++r) {
-      const simmpi::ChannelFault& f = world.process(r).channel().fault();
+    for (int r = 0; r < world_.size(); ++r) {
+      const simmpi::ChannelFault& f = world_.process(r).channel().fault();
       if (f.armed && f.fired) {
         outcome.msg_fired = true;
         outcome.msg_hit_header = f.hit_header;
@@ -328,20 +409,20 @@ RunOutcome run_injected(const apps::App& app, const svm::Program& program,
 
   if (rejoined) {
     outcome.manifestation = Manifestation::kCorrect;
-    return outcome;
+    return;
   }
-  switch (world.status()) {
+  switch (world_.status()) {
     case simmpi::JobStatus::kCrashed:
       outcome.manifestation = Manifestation::kCrash;
-      outcome.crash_kind = classify_trap(world.crash_trap());
-      outcome.failure_detail = world.failure_message();
+      outcome.crash_kind = classify_trap(world_.crash_trap());
+      outcome.failure_detail = world_.failure_message();
       break;
     case simmpi::JobStatus::kMpiFatal:
       // MPICH-reported fatal errors appear on STDERR and are classified as
       // crashes, exactly like critical signals (§5.1).
       outcome.manifestation = Manifestation::kCrash;
       outcome.crash_kind = CrashKind::kMpiFatal;
-      outcome.failure_detail = "MPICH fatal: " + world.failure_message();
+      outcome.failure_detail = "MPICH fatal: " + world_.failure_message();
       break;
     case simmpi::JobStatus::kAppAborted:
       outcome.manifestation = Manifestation::kAppDetected;
@@ -352,14 +433,14 @@ RunOutcome run_injected(const apps::App& app, const svm::Program& program,
     case simmpi::JobStatus::kDeadlocked:
     case simmpi::JobStatus::kRunning:  // hang budget exhausted
       outcome.manifestation = Manifestation::kHang;
-      outcome.failure_detail = world.status() == simmpi::JobStatus::kRunning
+      outcome.failure_detail = world_.status() == simmpi::JobStatus::kRunning
                                    ? "timeout"
                                    : "deadlock";
       break;
     case simmpi::JobStatus::kCompleted: {
       std::string storage;
-      const std::string& observed = baseline_stream(app, world, storage);
-      if (observed == golden.baseline) {
+      const std::string& observed = baseline_stream(app_, world_, storage);
+      if (observed == golden_.baseline) {
         outcome.manifestation = Manifestation::kCorrect;
       } else {
         outcome.manifestation = Manifestation::kIncorrect;
@@ -368,6 +449,86 @@ RunOutcome run_injected(const apps::App& app, const svm::Program& program,
       break;
     }
   }
+}
+
+}  // namespace
+
+void run_walk(const apps::App& app, const svm::Program& program,
+              const Golden& golden, std::span<const WalkPoint> points,
+              const RunContext& ctx, WorldSlot* slot, const WalkVisit& visit) {
+  // Walks share nothing they write: each runs in a World of its own (or
+  // its caller's slot's), built from the shared image, so walks stay fully
+  // independent and safe to execute concurrently; faults are injected into
+  // the World's memory, never into `program`. A walk of several points
+  // needs the snapshots a slot keeps, so it borrows one of its own.
+  WorldSlot own_slot;
+  if (slot == nullptr && points.size() > 1) slot = &own_slot;
+  std::unique_ptr<simmpi::World> own;
+  bool built = true;
+  simmpi::World& world = slot != nullptr
+                             ? slot->bind(app, program, ctx, built)
+                             : *(own = run_world(app, program, ctx));
+  // A new World is the golden run's at t = 0; a kept one is wherever its
+  // last walk left it.
+  Walk walk(app, golden, ctx, world, slot != nullptr ? &slot->fresh_ : nullptr,
+            slot != nullptr ? &slot->boundary_ : nullptr, built);
+
+  struct Visit {
+    std::size_t index;
+    util::Rng rng;
+    FaultStart start;
+  };
+  std::vector<Visit> order;
+  order.reserve(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    util::Rng rng(points[i].seed);
+    const FaultStart start = fault_start(golden, rng);
+    order.push_back({i, rng, start});
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [](const Visit& a, const Visit& b) {
+                     return a.start.t_inject < b.start.t_inject;
+                   });
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    Visit& v = order[k];
+    const RunOutcome outcome =
+        walk.run(points[v.index], v.rng, v.start, k + 1 == order.size());
+    if (!visit(v.index, outcome)) return;
+  }
+}
+
+std::vector<std::vector<std::size_t>> walks_of(
+    const Golden& golden, std::span<const WalkPoint> points) {
+  std::vector<std::vector<std::size_t>> walks;
+  std::vector<std::size_t> by_rung;  // rungs below -> walk index + 1
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (points[i].region == Region::kMessage) {
+      walks.push_back({i});
+      continue;
+    }
+    util::Rng rng(points[i].seed);
+    const std::size_t rung = fault_start(golden, rng).rungs_below;
+    if (by_rung.size() <= rung) by_rung.resize(rung + 1, 0);
+    if (by_rung[rung] == 0) {
+      walks.emplace_back();
+      by_rung[rung] = walks.size();
+    }
+    walks[by_rung[rung] - 1].push_back(i);
+  }
+  return walks;
+}
+
+RunOutcome run_injected(const apps::App& app, const svm::Program& program,
+                        const Golden& golden, Region region,
+                        const FaultDictionary* dictionary, std::uint64_t seed,
+                        const RunContext& ctx, WorldSlot* slot) {
+  const WalkPoint point{region, dictionary, seed};
+  RunOutcome outcome;
+  run_walk(app, program, golden, {&point, 1}, ctx, slot,
+           [&outcome](std::size_t, const RunOutcome& out) {
+             outcome = out;
+             return true;
+           });
   return outcome;
 }
 

@@ -4,8 +4,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -105,17 +107,52 @@ struct RunContext {
   /// Pre-lowered instruction stream shared across runs (campaigns lower
   /// once per batch entry). Null = each machine lowers its own lazily.
   std::shared_ptr<const svm::exec::CompiledProgram> compiled;
-  /// Optional tally of the runs that ended early against the golden run
-  /// (diagnostics; never changes an outcome).
+  /// Optional tally of the runs that ended early against the golden run,
+  /// and of the golden replay before their faults (diagnostics; never
+  /// changes an outcome and enters no digest).
   struct EarlyExits {
     std::atomic<std::uint64_t> read_oracle{0};  // fault never read again
     std::atomic<std::uint64_t> rejoined{0};     // world matched a later rung
     /// Exits that rest on state no instruction reads: inert FPU flips ended
     /// at injection, plus the rejoins above that matched only observably.
     std::atomic<std::uint64_t> observable{0};
+    /// Instructions a memory or register run advanced while its world was
+    /// still the golden run's: from its start rung (or the last point of
+    /// its walk) to its injection boundary, and past boundaries where no
+    /// target was viable yet.
+    std::atomic<std::uint64_t> replayed{0};
   };
   EarlyExits* exits = nullptr;
 };
+
+/// Where a memory or register run leaves the golden run. Its fault time
+/// t_inject is the first draw of the run's RNG, uniform in
+/// [0, golden.instructions); the fault belongs to the first round boundary
+/// whose global count reaches it. The run is the golden run until then, so
+/// it starts from the last ladder rung strictly below t_inject, or from
+/// t = 0 when there is none (a rung at t_inject would be the fault's
+/// boundary only if no earlier boundary had the same count).
+struct FaultStart {
+  std::uint64_t t_inject = 0;
+  std::size_t rungs_below = 0;  // the run starts from rung rungs_below - 1
+};
+
+/// The FaultStart of the run whose RNG is `rng`, advanced past the draw.
+/// run_walk and the grouping of a batch's points into walks
+/// (BatchSession::run_points) both read it here.
+FaultStart fault_start(const Golden& golden, util::Rng& rng);
+
+/// One injected run of a walk: its region, the dictionary a text, data or
+/// BSS fault draws from (see run_walk) and its seed.
+struct WalkPoint {
+  Region region{};
+  const FaultDictionary* dictionary = nullptr;
+  std::uint64_t seed = 0;
+};
+
+/// Receives a walk's outcomes one by one, each with its point's index in
+/// the walk's list; returning false ends the walk before its next point.
+using WalkVisit = std::function<bool(std::size_t, const RunOutcome&)>;
 
 /// A World kept from one injected run to the next, so that a run restores
 /// its start state into it instead of constructing a World of its own.
@@ -126,7 +163,9 @@ struct RunContext {
 /// another builds it afresh. The slot also keeps a
 /// snapshot of its World as constructed; a run that starts before the
 /// golden ladder's first rung restores that, so it starts from exactly the
-/// state a new World has (Snapshot.RestoreIntoUsedWorldEqualsFresh).
+/// state a new World has (Snapshot.RestoreIntoUsedWorldEqualsFresh). A
+/// walk (run_walk) keeps the golden boundary it has reached in a third
+/// snapshot of the slot's, recaptured in place point after point.
 class WorldSlot {
  public:
   WorldSlot();
@@ -135,36 +174,47 @@ class WorldSlot {
   WorldSlot& operator=(WorldSlot&&) noexcept;
 
  private:
-  friend RunOutcome run_injected(const apps::App&, const svm::Program&,
-                                 const Golden&, Region,
-                                 const FaultDictionary*, std::uint64_t,
-                                 const RunContext&, WorldSlot*);
+  friend void run_walk(const apps::App&, const svm::Program&, const Golden&,
+                       std::span<const WalkPoint>, const RunContext&,
+                       WorldSlot*, const WalkVisit&);
   /// The slot's World for `program` under `ctx`, built if the slot holds
-  /// none or one for something else. `start` is null when the World is
-  /// new, else the snapshot that rewinds it to new.
+  /// none or one for something else; `built` says which.
   simmpi::World& bind(const apps::App& app, const svm::Program& program,
-                      const RunContext& ctx, const simmpi::Snapshot*& start);
+                      const RunContext& ctx, bool& built);
 
   std::unique_ptr<simmpi::World> world_;
-  simmpi::Snapshot fresh_;  // world_ as constructed
+  simmpi::Snapshot fresh_;     // world_ as constructed
+  simmpi::Snapshot boundary_;  // a walk's golden boundary (run_walk)
   const svm::Program* program_ = nullptr;
   const svm::exec::CompiledProgram* compiled_ = nullptr;
   svm::exec::EngineKind engine_ = svm::exec::EngineKind::kThreaded;
 };
 
-/// Run once with a single injected fault and classify the outcome.
-///  * memory/register regions: the fault fires at a uniformly random global
-///    instruction t in [0, golden.instructions);
+/// Run each point once with a single injected fault, classify its outcome
+/// and hand it to `visit`. Every outcome is exactly the one the point's run
+/// alone gives:
+///  * memory/register regions: the fault fires at the first round boundary
+///    whose global count reaches t_inject (FaultStart), in a target drawn
+///    there by Injector::draw;
 ///  * message region: a {byte, bit} fault is armed on a random rank's
 ///    channel with the byte uniform in that rank's golden received volume.
-/// Text, data and BSS faults draw their targets from `dictionary`, which
-/// must then be non-null; `ctx` tags and prunes (the default context does
-/// neither). The run is identical to the golden one until the fault, so it
-/// starts from the last ladder rung the fault cannot precede: the last
-/// rung strictly below t (the fault belongs to the first boundary whose
-/// count reaches t, and a rung at t would be it only if no earlier
-/// boundary had the same count), or for a message fault the last rung
-/// where the target rank has received no more than the armed byte.
+/// Text, data and BSS faults draw their targets from the point's
+/// dictionary, which must then be non-null; `ctx` tags and prunes (the
+/// default context does neither).
+///
+/// A run is the golden run until its fault, so the walk shares that
+/// replay. It visits the memory and register points in ascending
+/// t_inject (ties in list order) on one golden World: it restores a
+/// point's start rung unless the World is on the golden run at or past it,
+/// then advances the World to the point's injection boundary and draws the
+/// fault there. A fault that is already decided (pruned, unread by the
+/// golden run after, or an inert FP flip) gets its outcome from the
+/// untouched World, which moves on to the next point. Otherwise the walk
+/// captures the boundary (unless no point follows), runs the point on from
+/// there and restores the boundary afterwards. A message point restores
+/// the last rung where its rank has received no more than the armed byte,
+/// arms the byte and runs; a rung at the byte's own volume still precedes
+/// the flip.
 ///
 /// A run also ends early, with exactly the outcome simulating it to the end
 /// gives (Correct at golden.instructions), once its fault can change
@@ -173,11 +223,28 @@ class WorldSlot {
 /// inert); or after the fault, when the world matches a later rung in all
 /// the state a later instruction reads (Snapshot::matches with the oracle;
 /// a message fault only once it has fired). Without the oracle nothing
-/// ends at injection, and a rung must match in every memory byte.
+/// ends at injection, and a rung must match in every memory byte. A job
+/// that completes before t_inject ends unfaulted (fault_applied false).
 ///
-/// Given a `slot`, the run restores into the slot's World (see WorldSlot)
-/// and leaves it there for the next run; without one it builds a World of
-/// its own. The outcome is the same either way.
+/// Given a `slot`, the walk restores into the slot's World (see WorldSlot)
+/// and leaves it there for the next walk; without one it builds a World of
+/// its own. The outcomes are the same either way, and the same however
+/// the points are split into walks.
+void run_walk(const apps::App& app, const svm::Program& program,
+              const Golden& golden, std::span<const WalkPoint> points,
+              const RunContext& ctx, WorldSlot* slot, const WalkVisit& visit);
+
+/// Split `points` into the walks a batch runs them in: the memory and
+/// register points that start from one ladder rung (FaultStart::
+/// rungs_below) form one walk, and each message point walks alone. A walk
+/// is one rung interval; no constant sizes it. Returns each walk as
+/// indices into `points` in list order, the walks in the order of their
+/// first points.
+std::vector<std::vector<std::size_t>> walks_of(
+    const Golden& golden, std::span<const WalkPoint> points);
+
+/// One injected run, classified: the walk of the one point
+/// {region, dictionary, seed} (see run_walk).
 RunOutcome run_injected(const apps::App& app, const svm::Program& program,
                         const Golden& golden, Region region,
                         const FaultDictionary* dictionary, std::uint64_t seed,

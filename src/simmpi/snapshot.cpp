@@ -28,21 +28,30 @@ Snapshot::Snapshot(Snapshot&&) noexcept = default;
 Snapshot& Snapshot::operator=(Snapshot&&) noexcept = default;
 
 Snapshot Snapshot::capture(const World& world) {
+  Snapshot snap;
+  snap.recapture(world);
+  return snap;
+}
+
+void Snapshot::recapture(const World& world) {
   // World accessors are non-const by interface; the capture itself does not
   // mutate observable state.
   World& w = const_cast<World&>(world);
-  Snapshot snap;
-  snap.impl_->world = w.snapshot_state();
+  Impl& im = *impl_;
+  im.world = w.snapshot_state();
   // The memory contents of every rank go into one mapping of their own:
   // a ladder of them never enters the malloc heap.
   std::size_t total = 0;
   for (int r = 0; r < w.size(); ++r)
     total += w.machine(r).memory().contents_size();
-  snap.impl_->memory = svm::map_pages(total);
-  std::byte* at = snap.impl_->memory.get();
+  if (!im.memory || im.memory.get_deleter().bytes < total)
+    im.memory = svm::map_pages(total);
+  std::byte* at = im.memory.get();
+  im.ranks.resize(static_cast<std::size_t>(w.size()));
+  im.instructions = 0;
   for (int r = 0; r < w.size(); ++r) {
     const svm::Memory& mem = w.machine(r).memory();
-    Impl::RankState rs;
+    Impl::RankState& rs = im.ranks[static_cast<std::size_t>(r)];
     rs.core = w.machine(r).core_state();
     const std::size_t size = mem.contents_size();
     rs.memory = mem.snapshot_contents({at, size});
@@ -51,10 +60,8 @@ Snapshot Snapshot::capture(const World& world) {
     rs.io = w.process(r).io_state();
     rs.channel = w.process(r).channel().snapshot_state();
     rs.mpi = w.process(r).snapshot_state();
-    snap.impl_->instructions += rs.core.icount;
-    snap.impl_->ranks.push_back(std::move(rs));
+    im.instructions += rs.core.icount;
   }
-  return snap;
 }
 
 void Snapshot::restore(World& world) const {

@@ -55,6 +55,12 @@ class Snapshot {
   /// Capture the complete state of a running (or finished) job.
   static Snapshot capture(const World& world);
 
+  /// Capture `world` into this snapshot in place, replacing what it held.
+  /// The memory contents go into the mapping the last capture made when
+  /// they fit, so a snapshot recaptured again and again (an injected
+  /// walk's boundary, core/run.hpp) maps and faults in its pages once.
+  void recapture(const World& world);
+
   /// Rewind `world` to this snapshot. The world must have been created from
   /// the same program with the same options (rank count is verified).
   void restore(World& world) const;

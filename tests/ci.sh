@@ -19,7 +19,7 @@
 # (mutated checkpoints in both encodings, read and rendered as the status
 # table, and service assign lines must raise SetupError only), and runs the memory-window, snapshot and
 # rung-equality, flat-collective size sweep, engine-lockstep, golden
-# fast-forward, early-exit and Prepare tests, the static-analysis tests
+# fast-forward, early-exit, injected-walk, injector and Prepare tests, the static-analysis tests
 # (AnalysisFacts, FpDepth, Lint, PrecisionTrace), the service Scheduler
 # tests (including the refused second join) and the one-session batch test
 # (many selections through one borrowed BatchSession). Two more stages
@@ -29,7 +29,11 @@
 # batch tests (golden runs as pool tasks beside the analyses, each
 # worker's reused World, a throwing observer stopping the walk), the
 # checkpoint crash test (a jobs=1 walk stopped on its fifth run), Prepare,
-# ThreadPool, CampaignParallel and the service Scheduler. Throughput is perfbench's
+# ThreadPool, CampaignParallel, the injected-walk and injector tests
+# (walks restoring into a slot's World and recapturing its boundary
+# snapshot; the walk test's interpreter instances run the same walks
+# several times slower, so only the threaded ones run here) and the
+# service Scheduler. Throughput is perfbench's
 # job (perfbench/run.py), not CI's.
 #
 #   tests/ci.sh [--asan] [--build-dir=DIR] [--jobs=N]
@@ -108,9 +112,10 @@ echo "  every target builds warning-free in Release"
 
 echo "=== ci: TSan session-pool gate ==="
 # A session prepares its campaigns as pool tasks that write one Prepared
-# from two threads (analysis and golden run), and each pool worker restores
-# runs into a World it keeps. A run or observer that throws stops the
-# walk: the tasks not yet started see a flag another worker set.
+# from two threads (analysis and golden run), and each pool worker walks
+# its tasks' points over a World it keeps, recapturing the walk's boundary
+# snapshot in place. A run or observer that throws stops the walk: the
+# tasks not yet started see a flag another worker set.
 tsan_dir="$build-tsan"
 cmake -B "$tsan_dir" -S "$root" -DFSIM_WERROR=ON \
       -DFSIM_SANITIZE=thread > /dev/null
@@ -118,11 +123,11 @@ cmake --build "$tsan_dir" -j "$jobs" --target core_tests util_tests \
   service_tests > /dev/null
 (cd "$tsan_dir" &&
    tests/core_tests --gtest_brief=1 \
-     --gtest_filter='Batch.*:Prepare.*:CampaignParallel.*:Checkpoint.ShardOutputEqualsItsSidecar' &&
+     --gtest_filter='Batch.*:Prepare.*:CampaignParallel.*:Checkpoint.ShardOutputEqualsItsSidecar:WalkEdges.*:PaperApps/Walk.*/*_threaded:Injector.*' &&
    tests/util_tests --gtest_brief=1 --gtest_filter='ThreadPool.*' &&
    tests/service_tests --gtest_brief=1 --gtest_filter='Scheduler.*')
-echo "  batch, checkpoint-crash, prepare, pool, campaign-parallel and" \
-     "scheduler tests clean under ThreadSanitizer"
+echo "  batch, checkpoint-crash, prepare, pool, campaign-parallel, walk," \
+     "injector and scheduler tests clean under ThreadSanitizer"
 
 if [ "$asan" -eq 1 ]; then
   run_gate "$build-asan" -DFSIM_SANITIZE=address
@@ -150,9 +155,12 @@ else
   # Memory windows grow in place inside fixed reservations, the threaded
   # engine caches pointers into them, and the read log indexes raw stamp
   # arrays: the window, snapshot and rung-equality (the observable compare
-  # walks differing granules of two windows in place, SnapshotMatches.*),
-  # engine-lockstep, fast-forward and early-exit (oracle parity and
-  # boundary, the ignored-FPU-state fence) tests run under ASan too, as
+  # walks differing granules of two windows in place, SnapshotMatches.*;
+  # a recaptured snapshot reuses its mapping), engine-lockstep,
+  # fast-forward and early-exit (oracle parity and boundary, the
+  # ignored-FPU-state fence) tests run under ASan too, as do the walk
+  # tests (one World restored to a boundary snapshot point after point)
+  # and the injector's draw-then-apply digests, as
   # do the static-analysis tests (the pinned fact digests, FP depth, lint
   # and the precision trace), whose passes index per-function block lists
   # through the shared dataflow driver. The
@@ -167,9 +175,9 @@ else
      tests/simmpi_tests --gtest_brief=1 \
        --gtest_filter='Snapshot*:Sizes/BarrierSizes.*:Sizes/AllreduceSizes.*:Collectives.*' &&
      tests/core_tests --gtest_brief=1 \
-       --gtest_filter='*FastForward*:EarlyExit.*:Prepare.*:Batch.OneSessionServesManySelections' &&
+       --gtest_filter='*FastForward*:EarlyExit.*:Prepare.*:Batch.OneSessionServesManySelections:*Walk*:Injector.*' &&
      tests/service_tests --gtest_brief=1 --gtest_filter='Scheduler.*')
-  echo "  memory windows, snapshots, collectives, fast-forward, early exit, prepare, session reuse, scheduler and analysis tests clean under AddressSanitizer"
+  echo "  memory windows, snapshots, collectives, fast-forward, early exit, walks, injector, prepare, session reuse, scheduler and analysis tests clean under AddressSanitizer"
 fi
 
 echo "=== ci: all gates passed ==="

@@ -627,7 +627,7 @@ TEST(Checkpoint, PartialShardCountsAgreeEverywhere) {
     AdaptiveConfig ac;
     ac.policy.ci = 0.3;
     ac.policy.wave = 3;
-    ac.jobs = 1;  // one worker: grid order, no run after the crash
+    ac.jobs = 1;  // one worker: walks in order, no run after the crash
     ac.shard = ShardSpec{1, 3};
     ac.checkpoint_path = path;
     ac.checkpoint_every = 1;
@@ -761,7 +761,7 @@ TEST(Checkpoint, ShardOutputEqualsItsSidecar) {
     } crash;
     std::remove(path.c_str());
     BatchConfig bc;
-    bc.jobs = 1;  // one worker: grid order, no run after the crash
+    bc.jobs = 1;  // one worker: walks in order, no run after the crash
     bc.shard = ShardSpec{1, 3};
     bc.checkpoint_path = path;
     bc.checkpoint_every = 1;

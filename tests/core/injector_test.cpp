@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "apps/app.hpp"
 #include "core/campaign.hpp"
+#include "simmpi/snapshot.hpp"
 #include "svm/stackwalk.hpp"
 
 namespace fsim::core {
@@ -158,6 +162,111 @@ TEST(Injector, DeterministicGivenSeed) {
   };
   EXPECT_EQ(run_once(77), run_once(77));
   EXPECT_NE(run_once(77), run_once(78));
+}
+
+
+/// FNV-1a over whatever is mixed in.
+struct Digest {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) h = (h ^ b[i]) * 0x100000001b3ull;
+  }
+  template <typename T>
+  void value(const T& v) {
+    bytes(&v, sizeof v);
+  }
+};
+
+/// Every register and every backed memory byte of every rank.
+void mix_world(Digest& d, simmpi::World& w) {
+  for (int r = 0; r < w.size(); ++r) {
+    svm::Machine& m = w.machine(r);
+    d.value(m.regs().gpr);
+    d.value(m.regs().pc);
+    svm::Fpu fpu = m.regs().fpu;
+    for (unsigned i = 0; i < svm::kNumFpr; ++i) d.value(fpu.raw(i));
+    d.value(fpu.twd()), d.value(fpu.cwd()), d.value(fpu.swd());
+    d.value(fpu.fip()), d.value(fpu.fcs()), d.value(fpu.foo());
+    d.value(fpu.fos());
+    for (unsigned s = 0; s < svm::kNumSegments; ++s) {
+      const auto seg = static_cast<svm::Segment>(s);
+      const auto bytes = m.memory().segment_bytes(seg);
+      d.value(m.memory().window(seg));
+      d.bytes(bytes.data(), bytes.size());
+    }
+  }
+}
+
+TEST(Injector, DrawThenApplyEqualsInject) {
+  // Draw-then-apply against the mutating inject() it replaced: for every
+  // region of the three paper apps, at paused boundaries from the first
+  // (no user heap chunk anywhere yet: every rank fails and the caller
+  // retries) to the last ones (exited ranks rotate the draw onward), the
+  // fault, the RNG state after it and every register and memory byte of
+  // the world after the flip fold into one digest per app. The digests
+  // were recorded from inject() before the split. The draw itself must
+  // leave the world exactly as it found it.
+  const std::map<std::string, std::uint64_t> recorded = {
+      {"wavetoy", 11078121100200842596ull},
+      {"minimd", 15593408092169934341ull},
+      {"atmo", 17367378750282373599ull}};
+  int retries = 0, rotations = 0;
+  for (const auto& [name, digest] : recorded) {
+    const Prepared prepared = prepare(apps::make_app(name), CampaignConfig{});
+    simmpi::WorldOptions opts = prepared.app().world;
+    opts.seed = 1;  // the injected runs' world
+    int rounds = 0;
+    {
+      simmpi::World w(prepared.program(), opts);
+      while (w.status() == simmpi::JobStatus::kRunning) {
+        w.advance();
+        ++rounds;
+      }
+    }
+    std::set<int> paused = {rounds - 1, rounds - 2, rounds - 3};
+    for (int r = 0; r < rounds; r = r * 2 + 1) paused.insert(r);
+    paused.insert(0);
+
+    Digest d;
+    simmpi::World world(prepared.program(), opts);
+    for (int round = 0; round < rounds; ++round) {
+      if (paused.count(round) > 0) {
+        const simmpi::Snapshot before = simmpi::Snapshot::capture(world);
+        for (unsigned region = 0; region < kNumRegions; ++region)
+          for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+            const auto reg = static_cast<Region>(region);
+            const Injector injector(reg, prepared.dictionary(reg),
+                                    &prepared.analysis());
+            util::Rng rng(seed * 1000 + region);
+            util::Rng first = rng;
+            const auto start = first.below(
+                static_cast<std::uint64_t>(world.size()));
+            auto fault = injector.draw(world, rng);
+            EXPECT_EQ(before.matches(world), svm::Match::kExact)
+                << name << " " << region_name(reg) << " round " << round;
+            if (fault) Injector::apply(world, *fault);
+            d.value(region), d.value(round), d.value(fault.has_value());
+            if (fault) {
+              d.value(fault->region), d.value(fault->rank);
+              d.bytes(fault->target.data(), fault->target.size());
+              d.value(fault->activation), d.value(fault->rung);
+              d.value(fault->address.value_or(0)), d.value(fault->inert);
+              rotations += fault->rank != static_cast<int>(start);
+            } else {
+              retries += reg == Region::kHeap;
+            }
+            d.value(rng());
+            mix_world(d, world);
+            before.restore(world);
+          }
+      }
+      world.advance();
+    }
+    EXPECT_EQ(d.h, digest) << name;
+  }
+  EXPECT_GE(retries, 1);
+  EXPECT_GE(rotations, 1);
 }
 
 }  // namespace

@@ -304,6 +304,44 @@ TEST(Snapshot, RestoreIntoUsedWorldEqualsFresh) {
   expect_same_state(used, fresh);
 }
 
+TEST(Snapshot, RecaptureRestoresLikeAFreshCapture) {
+  // An injected walk recaptures one boundary snapshot in place point after
+  // point, reusing its mapping when the new contents fit. Restored into a
+  // used World, a recaptured snapshot must give exactly what a fresh
+  // capture of the same state gives: after growing past its mapping and
+  // after shrinking back inside it.
+  apps::App app = small_app();
+  svm::Program program = app.link();
+  WorldOptions opts = app.world;
+  opts.machine.compiled = std::make_shared<svm::exec::CompiledProgram>(program);
+  World late(program, opts), early(program, opts);
+  Snapshot kept = Snapshot::capture(early);  // a new World: the least
+  for (int i = 0; i < 40; ++i) late.advance();
+  for (int i = 0; i < 10; ++i) early.advance();
+
+  for (World* at : {&late, &early}) {
+    kept.recapture(*at);
+    const Snapshot fresh = Snapshot::capture(*at);
+    World a(program, opts), b(program, opts);
+    for (World* used : {&a, &b}) {
+      for (int i = 0; i < 25; ++i) used->advance();
+      ASSERT_TRUE(used->machine(1).memory().flip_bit(
+          used->machine(1).memory().extent(svm::Segment::kHeap).base + 8, 1));
+      used->run(used->global_instructions() + 100'000);
+    }
+    kept.restore(a);
+    fresh.restore(b);
+    expect_same_state(a, b);
+    EXPECT_EQ(kept.instructions(), fresh.instructions());
+    EXPECT_EQ(fresh.matches(a), svm::Match::kExact);
+    EXPECT_EQ(kept.matches(b), svm::Match::kExact);
+    ASSERT_EQ(a.run(1'000'000'000ull), JobStatus::kCompleted);
+    ASSERT_EQ(b.run(1'000'000'000ull), JobStatus::kCompleted);
+    EXPECT_EQ(a.output(), b.output());
+    expect_same_state(a, b);
+  }
+}
+
 TEST(Snapshot, WorksMidFlatAllreduce) {
   // Rank r spins 200*r iterations before an allreduce of r+1, so the
   // contributions reach the root in different rounds. Snapshot once the
